@@ -14,7 +14,6 @@ from .coxeter import (
     format_word,
     identity,
     inverse,
-    length,
     longest_element,
     min_coset_reps,
     multiply,
@@ -45,7 +44,6 @@ from .reflection import (
     basis_vector,
     coroot_pairing,
     reflect,
-    sum_subspaces,
     zero_subspace,
 )
 from .rpoly import IntPolynomial, RTable, gj_coefficient, r_coeff_direct, r_polynomial
@@ -54,7 +52,6 @@ from .vtable import (
     SingularSpec,
     VTable,
     compute_all,
-    compute_v,
     membership_report,
     singular_v,
 )

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .coxeter import (
     DEFAULT_BUDGET,
+    DESCENT_POLICIES,
     build_system,
     element_from_word,
     enumerate_elements,
@@ -35,8 +36,16 @@ from .coxeter import (
     reduced_word,
 )
 from .errors import DOMAIN_ERRORS, USAGE_ERRORS, InvariantViolation, LiftingViolation, VermaExtError
-from .rpoly import RTable, gj_coefficient, r_polynomial
-from .verify import ReportResult, RunConfig, VerifyReport, run_report, run_verify
+from .rpoly import gj_coefficient, r_polynomial
+from .verify import (
+    ReportResult,
+    RunConfig,
+    VerifyReport,
+    load_rtable,
+    run_report,
+    run_verify,
+    save_rtable,
+)
 from .vtable import SingularSpec, VTable, singular_v
 
 
@@ -87,17 +96,10 @@ def cmd_rpoly(config: RunConfig, x_word: str, y_word: str) -> RPolyResult:
     sys = build_system(config.type_text, budget=config.budget)
     x = element_from_word(sys, parse_word(x_word))
     y = element_from_word(sys, parse_word(y_word))
-    rtable = RTable(sys, policy=config.policy)
-    cache = None
-    if config.cache_dir is not None:
-        cache = Path(config.cache_dir) / f"rpoly_{fingerprint(sys)}.csv"
-        if cache.exists():
-            rtable.load_csv(cache)
+    rtable = load_rtable(config, sys)
     gj = gj_coefficient(sys, x, y, rtable)  # raises NotComparable when y !<= x
     poly = r_polynomial(sys, y, x, rtable)
-    if cache is not None:
-        cache.parent.mkdir(parents=True, exist_ok=True)
-        rtable.save_csv(cache)
+    save_rtable(config, sys, rtable)
     return RPolyResult(
         system=fingerprint(sys),
         x=format_word(reduced_word(sys, x)),
@@ -112,7 +114,7 @@ def cmd_vspace(config: RunConfig, x_word: str, y_word: str) -> VSpaceResult:
     sys = build_system(config.type_text, budget=config.budget)
     x = element_from_word(sys, parse_word(x_word))
     y = element_from_word(sys, parse_word(y_word))
-    table = VTable(sys, policy=config.policy, vs_scale=config.vs_scale)
+    table = VTable(sys, policy=config.policy)
     space = table.v(x, y)
     images: list[tuple[str, dict]] = []
     for spec in config.singular:
@@ -274,10 +276,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--type", required=True, help="type descriptor, e.g. A3 or A1xA2")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="largest group order the build will accept")
-    parser.add_argument("--descent-policy", choices=("smallest", "largest"),
-                        default="smallest", help="which right descent the recursions strip")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for table filling (<=1 is sequential)")
+    parser.add_argument("--descent-policy", choices=DESCENT_POLICIES, default=DESCENT_POLICIES[0],
+                        help="which right descent the recursions strip")
     parser.add_argument("--cache-dir", default=None,
                         help="directory for cache and report files")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -317,7 +317,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         type_text=args.type,
         budget=args.budget,
         policy=args.descent_policy,
-        jobs=args.jobs,
         singular=singular,
         cache_dir=Path(cache_dir) if cache_dir else None,
     )

@@ -38,6 +38,9 @@ from .errors import (
 DEFAULT_BUDGET = 2_000_000
 ORACLE_BUDGET = 4096
 
+# Which right descent a descent recursion strips; the first is the default.
+DESCENT_POLICIES = ("smallest", "largest")
+
 IntMatrix = tuple[tuple[int, ...], ...]
 
 _FACTOR_RE = re.compile(r"^([A-G])([0-9]+)$")
@@ -310,10 +313,6 @@ def recount_length(sys: CoxeterSystem, matrix: IntMatrix) -> int:
     return sum(1 for beta in sys.positive_roots if _maps_negative(matrix, beta))
 
 
-def length(sys: CoxeterSystem, g: GroupElement) -> int:
-    return g.length
-
-
 def multiply(sys: CoxeterSystem, a: GroupElement, b: GroupElement) -> GroupElement:
     if b.length == 1:
         # fast path: b is a simple reflection exactly when some column differs
@@ -348,12 +347,24 @@ def right_descents(sys: CoxeterSystem, g: GroupElement) -> frozenset[int]:
     )
 
 
+def check_policy(policy: str) -> None:
+    """Reject a descent policy outside DESCENT_POLICIES."""
+    if policy not in DESCENT_POLICIES:
+        raise InvalidType(f"unknown descent policy {policy!r}")
+
+
+def pick_descent(sys: CoxeterSystem, g: GroupElement, policy: str) -> int:
+    """The right descent of g (g != e) that a recursion under a checked ``policy`` strips."""
+    order = range(sys.rank) if policy == "smallest" else reversed(range(sys.rank))
+    return next(i for i in order if any(row[i] < 0 for row in g.matrix))
+
+
 def reduced_word(sys: CoxeterSystem, g: GroupElement) -> tuple[int, ...]:
     """Canonical reduced word: repeatedly strip the smallest right descent."""
     tail: list[int] = []
     h = g
     while h.length > 0:
-        i = min(i for i in range(sys.rank) if any(row[i] < 0 for row in h.matrix))
+        i = pick_descent(sys, h, "smallest")
         tail.append(i)
         h = right_multiply(sys, h, i)
     tail.reverse()
@@ -424,8 +435,7 @@ def bruhat_leq(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
     cached = memo.get(key)
     if cached is not None:
         return cached
-    ym = y.matrix
-    s = min(i for i in range(sys.rank) if any(row[i] < 0 for row in ym))
+    s = pick_descent(sys, y, "smallest")
     ys = right_multiply(sys, y, s)
     if any(row[s] < 0 for row in x.matrix):
         result = bruhat_leq(sys, right_multiply(sys, x, s), ys)
@@ -488,6 +498,17 @@ def enumerate_elements(sys: CoxeterSystem) -> tuple[GroupElement, ...]:
             )
         sys._elements = tuple(sorted(collected, key=lambda g: (g.length, g.matrix)))
     return sys._elements
+
+
+def comparable_pairs(sys: CoxeterSystem) -> list[tuple[GroupElement, GroupElement]]:
+    """All pairs (x, y) with y <= x, ordered by (length, matrix) on x then y."""
+    elements = enumerate_elements(sys)
+    return [
+        (x, y)
+        for x in elements
+        for y in elements
+        if y.length <= x.length and bruhat_leq(sys, y, x)
+    ]
 
 
 def longest_element(sys: CoxeterSystem) -> GroupElement:

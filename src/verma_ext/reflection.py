@@ -166,10 +166,6 @@ def zero_subspace(sys_or_ncols) -> RationalSubspace:
     return RationalSubspace(ncols)
 
 
-def full_subspace(sys: CoxeterSystem) -> RationalSubspace:
-    return RationalSubspace(sys.rank, [basis_vector(sys, i) for i in range(sys.rank)])
-
-
 def add_line(space: RationalSubspace, v: RationalVector) -> RationalSubspace:
     """Span of the subspace and one more vector."""
     if len(v) != space.ncols:
@@ -177,16 +173,6 @@ def add_line(space: RationalSubspace, v: RationalVector) -> RationalSubspace:
     if space.contains(v):
         return space
     return RationalSubspace(space.ncols, list(space.rows) + [v])
-
-
-def sum_subspaces(a: RationalSubspace, b: RationalSubspace) -> RationalSubspace:
-    if a.ncols != b.ncols:
-        raise RankMismatch(f"ambient dimensions differ: {a.ncols} vs {b.ncols}")
-    if not b.rows:
-        return a
-    if not a.rows:
-        return b
-    return RationalSubspace(a.ncols, list(a.rows) + list(b.rows))
 
 
 def act(sys: CoxeterSystem, g: GroupElement, space: RationalSubspace) -> RationalSubspace:

@@ -18,22 +18,23 @@ must agree; the verification suites check that they do.
 
 from __future__ import annotations
 
-import threading
 from pathlib import Path
 
 from .coxeter import (
+    DESCENT_POLICIES,
     CoxeterSystem,
     GroupElement,
     bruhat_leq,
+    check_policy,
     element_from_word,
     fingerprint,
     format_word,
     parse_word,
+    pick_descent,
     reduced_word,
-    right_descents,
     right_multiply,
 )
-from .errors import InvalidType, InvariantViolation, IoError, LiftingViolation, NotComparable, ParseError
+from .errors import InvariantViolation, IoError, LiftingViolation, NotComparable, ParseError
 
 
 class IntPolynomial:
@@ -120,15 +121,6 @@ Q = IntPolynomial((0, 1))
 Q_MINUS_ONE = IntPolynomial((-1, 1))
 
 
-def _pick_descent(sys: CoxeterSystem, g: GroupElement, policy: str) -> int:
-    descents = right_descents(sys, g)
-    if policy == "smallest":
-        return min(descents)
-    if policy == "largest":
-        return max(descents)
-    raise InvalidType(f"unknown descent policy {policy!r}")
-
-
 class RTable:
     """Memo table of R-polynomials for one system, bound to a descent policy.
 
@@ -138,14 +130,12 @@ class RTable:
     polynomial without touching the table.
     """
 
-    def __init__(self, sys: CoxeterSystem, policy: str = "smallest"):
-        if policy not in ("smallest", "largest"):
-            raise InvalidType(f"unknown descent policy {policy!r}")
+    def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
+        check_policy(policy)
         self.sys = sys
         self.policy = policy
         self.entries: dict[tuple[GroupElement, GroupElement], IntPolynomial] = {}
         self.computed = 0
-        self._lock = threading.Lock()
 
     def r(self, y: GroupElement, x: GroupElement) -> IntPolynomial:
         if y == x:
@@ -157,7 +147,7 @@ class RTable:
         if hit is not None:
             return hit
         sys = self.sys
-        s = _pick_descent(sys, x, self.policy)
+        s = pick_descent(sys, x, self.policy)
         xs = right_multiply(sys, x, s)
         ys = right_multiply(sys, y, s)
         if ys.length < y.length:
@@ -172,10 +162,9 @@ class RTable:
                     f"ascent branch left the order: y > xs at {format_word(reduced_word(sys, x))}"
                 )
             value = Q_MINUS_ONE * self.r(y, xs) + Q * self.r(ys, xs)
-        with self._lock:
-            if key not in self.entries:
-                self.entries[key] = value
-                self.computed += 1
+        # the recursion only reaches shorter x, so key is not stored yet
+        self.entries[key] = value
+        self.computed += 1
         return value
 
     # -- persistence -------------------------------------------------------
@@ -288,7 +277,7 @@ def gj_coefficient(
 
 
 def r_coeff_direct(
-    sys: CoxeterSystem, x: GroupElement, y: GroupElement, policy: str = "smallest"
+    sys: CoxeterSystem, x: GroupElement, y: GroupElement, policy: str = DESCENT_POLICIES[0]
 ) -> int:
     """The same first-order coefficient by a direct descent recursion.
 
@@ -298,13 +287,14 @@ def r_coeff_direct(
     than the count for (x', y) otherwise.  Each step shortens x, so the
     recursion is a single chain of length(x) - length(y) steps.
     """
+    check_policy(policy)
     if not bruhat_leq(sys, y, x):
         raise NotComparable(
             f"{format_word(reduced_word(sys, y))} is not below {format_word(reduced_word(sys, x))}"
         )
     total = 0
     while x != y:
-        s = _pick_descent(sys, x, policy)
+        s = pick_descent(sys, x, policy)
         xp = right_multiply(sys, x, s)
         ys = right_multiply(sys, y, s)
         if ys.length < y.length:

@@ -28,12 +28,14 @@ from pathlib import Path
 from .coxeter import (
     DEFAULT_BUDGET,
     ORACLE_BUDGET,
+    DESCENT_POLICIES,
     CoxeterSystem,
     GroupElement,
     braid_order,
     bruhat_leq,
     bruhat_leq_oracle,
     build_system,
+    comparable_pairs,
     enumerate_elements,
     fingerprint,
     format_word,
@@ -57,13 +59,9 @@ class RunConfig:
 
     type_text: str
     budget: int = DEFAULT_BUDGET
-    policy: str = "smallest"
-    jobs: int = 1
+    policy: str = DESCENT_POLICIES[0]
     singular: tuple[SingularSpec, ...] = ()
     cache_dir: Path | None = None
-    oracle_cap: int = 12
-    oracle_budget: int = ORACLE_BUDGET
-    vs_scale: int = 1
 
 
 @dataclass
@@ -104,17 +102,6 @@ class VerifyReport:
             "suites": [s.to_json_dict() for s in self.suites],
             "elapsed_ms": self.elapsed_ms,
         }
-
-
-def comparable_pairs(sys: CoxeterSystem) -> list[tuple[GroupElement, GroupElement]]:
-    """All pairs (x, y) with y <= x, ordered by (length, matrix) on x then y."""
-    elements = enumerate_elements(sys)
-    return [
-        (x, y)
-        for x in elements
-        for y in elements
-        if y.length <= x.length and bruhat_leq(sys, y, x)
-    ]
 
 
 def _word(sys: CoxeterSystem, g: GroupElement) -> str:
@@ -192,14 +179,14 @@ def _suite_g(sys, rtable, vtable, config) -> SuiteResult:
 def _suite_b(sys, rtable, vtable, config: RunConfig) -> SuiteResult:
     """Recursive Bruhat order vs the subword oracle on every pair within budget."""
     out = SuiteResult("B")
-    cap = min(config.oracle_cap, max(config.oracle_budget, 1).bit_length() - 1)
+    cap = ORACLE_BUDGET.bit_length() - 1  # longest y whose 2**length subwords fit the budget
     elements = enumerate_elements(sys)
     for y in elements:
         if y.length > cap:
             continue
         for x in elements:
             rec = bruhat_leq(sys, x, y)
-            oracle = bruhat_leq_oracle(sys, x, y, budget=config.oracle_budget)
+            oracle = bruhat_leq_oracle(sys, x, y)
             out.checked += 1
             if rec != oracle:
                 out.note_failure(
@@ -302,29 +289,25 @@ def _suite_m(sys, rtable, vtable: VTable, config) -> SuiteResult:
 _SUITES = (_suite_t, _suite_g, _suite_b, _suite_r, _suite_s, _suite_m)
 
 
-def _rpoly_cache_path(config: RunConfig, sys: CoxeterSystem) -> Path | None:
-    if config.cache_dir is None:
-        return None
-    return Path(config.cache_dir) / f"rpoly_{fingerprint(sys)}.csv"
+def _rpoly_cache_path(directory: Path, sys: CoxeterSystem) -> Path:
+    return Path(directory) / f"rpoly_{fingerprint(sys)}.csv"
 
 
-def build_tables(config: RunConfig) -> tuple[CoxeterSystem, RTable, VTable]:
-    """System plus R-polynomial and subspace tables, warm-loading the R cache."""
-    sys = build_system(config.type_text, budget=config.budget)
+def load_rtable(config: RunConfig, sys: CoxeterSystem) -> RTable:
+    """An R-polynomial table for the run, warm-loaded from the cache dir when it holds one."""
     rtable = RTable(sys, policy=config.policy)
-    cache = _rpoly_cache_path(config, sys)
-    if cache is not None and cache.exists():
-        rtable.load_csv(cache)
-    vtable = compute_all(
-        sys, policy=config.policy, jobs=config.jobs, vs_scale=config.vs_scale
-    )
-    return sys, rtable, vtable
+    if config.cache_dir is not None:
+        cache = _rpoly_cache_path(config.cache_dir, sys)
+        if cache.exists():
+            rtable.load_csv(cache)
+    return rtable
 
 
-def _save_rpoly_cache(config: RunConfig, sys: CoxeterSystem, rtable: RTable) -> None:
-    cache = _rpoly_cache_path(config, sys)
-    if cache is None:
+def save_rtable(config: RunConfig, sys: CoxeterSystem, rtable: RTable) -> None:
+    """Write the R-polynomial table into the cache dir, if the run has one."""
+    if config.cache_dir is None:
         return
+    cache = _rpoly_cache_path(config.cache_dir, sys)
     try:
         cache.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -332,12 +315,20 @@ def _save_rpoly_cache(config: RunConfig, sys: CoxeterSystem, rtable: RTable) -> 
     rtable.save_csv(cache)
 
 
+def build_tables(config: RunConfig) -> tuple[CoxeterSystem, RTable, VTable]:
+    """System plus R-polynomial and subspace tables, warm-loading the R cache."""
+    sys = build_system(config.type_text, budget=config.budget)
+    rtable = load_rtable(config, sys)
+    vtable = compute_all(sys, policy=config.policy)
+    return sys, rtable, vtable
+
+
 def run_verify(config: RunConfig) -> VerifyReport:
     """Run every suite on one group and persist the R-polynomial cache."""
     started = time.perf_counter()
     sys, rtable, vtable = build_tables(config)
     suites = [suite(sys, rtable, vtable, config) for suite in _SUITES]
-    _save_rpoly_cache(config, sys, rtable)
+    save_rtable(config, sys, rtable)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return VerifyReport(fingerprint(sys), suites, elapsed_ms)
 
@@ -408,7 +399,7 @@ def run_report(config: RunConfig) -> ReportResult:
         rtable_computed=rtable.computed,
         vtable_computed=vtable.computed,
     )
-    rpoly_path = out_dir / f"rpoly_{fp}.csv"
+    rpoly_path = _rpoly_cache_path(out_dir, sys)
     rtable.save_csv(rpoly_path)
     dims_path = out_dir / f"dims_{fp}.csv"
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")

@@ -13,9 +13,9 @@ second; both are checked at runtime and a failure raises LiftingViolation
 because it means the recursion itself is broken.
 
 The recursion is policy-bound: which descent s gets stripped is a free
-choice, and the computed subspace must not depend on it.  The default picks
-the smallest index; tables built with "largest" exist to check exactly that
-independence.
+choice (``coxeter.pick_descent``), and the computed subspace must not depend
+on it.  Tables built under the non-default policy exist to check exactly
+that independence.
 
 ``singular_v`` passes to the quotient by the span of a chosen set of simple
 root vectors, and ``membership_report`` tabulates whether v_s lies in
@@ -25,24 +25,24 @@ pairs inside a rank-two parabolic pattern.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .coxeter import (
+    DESCENT_POLICIES,
     CoxeterSystem,
     GroupElement,
     bruhat_leq,
-    enumerate_elements,
+    check_policy,
+    comparable_pairs,
     format_word,
     longest_element,
     multiply,
+    pick_descent,
     reduced_word,
     right_multiply,
 )
 from .errors import (
     IndexOutOfRange,
-    InvalidType,
     LiftingViolation,
     NotComparable,
     ParseError,
@@ -52,8 +52,6 @@ from .reflection import (
     act,
     add_line,
     basis_vector,
-    sum_subspaces,
-    vector,
     zero_subspace,
 )
 
@@ -84,24 +82,14 @@ class SingularSpec:
 
 
 class VTable:
-    """Memoized V(x, y) values for one system under one descent policy.
+    """Memoized V(x, y) values for one system under one descent policy."""
 
-    ``vs_scale`` rescales the vector added in the ascent branch; any nonzero
-    scale spans the same line, so the stored subspaces are scale-independent.
-    That knob exists so tests can prove it.
-    """
-
-    def __init__(self, sys: CoxeterSystem, policy: str = "smallest", vs_scale: int = 1):
-        if policy not in ("smallest", "largest"):
-            raise InvalidType(f"unknown descent policy {policy!r}")
-        if vs_scale == 0:
-            raise InvalidType("vs_scale must be nonzero")
+    def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
+        check_policy(policy)
         self.sys = sys
         self.policy = policy
-        self.vs_scale = vs_scale
         self.entries: dict[tuple[GroupElement, GroupElement], RationalSubspace] = {}
         self.computed = 0
-        self._lock = threading.Lock()
         self._zero = zero_subspace(sys)
 
     def v(self, x: GroupElement, y: GroupElement) -> RationalSubspace:
@@ -120,35 +108,26 @@ class VTable:
         sys = self.sys
         if x == y:
             value = self._zero
-            with self._lock:
-                if key not in self.entries:
-                    self.entries[key] = value
-                    self.computed += 1
-            return value
-        descents = [i for i in range(sys.rank) if any(row[i] < 0 for row in x.matrix)]
-        s = descents[0] if self.policy == "smallest" else descents[-1]
-        xp = right_multiply(sys, x, s)
-        ys = right_multiply(sys, y, s)
-        if ys.length < y.length:
-            if not bruhat_leq(sys, ys, xp):
-                raise LiftingViolation(
-                    f"descent branch produced ys > x' at x={format_word(reduced_word(sys, x))}"
-                )
-            value = act(sys, sys._simples[s], self._v(xp, ys))
         else:
-            if not bruhat_leq(sys, y, xp):
-                raise LiftingViolation(
-                    f"ascent branch produced y > x' at x={format_word(reduced_word(sys, x))}"
-                )
-            moved = act(sys, sys._simples[s], self._v(xp, y))
-            line = vector(
-                self.vs_scale if j == s else 0 for j in range(sys.rank)
-            )
-            value = add_line(moved, line)
-        with self._lock:
-            if key not in self.entries:
-                self.entries[key] = value
-                self.computed += 1
+            s = pick_descent(sys, x, self.policy)
+            xp = right_multiply(sys, x, s)
+            ys = right_multiply(sys, y, s)
+            if ys.length < y.length:
+                if not bruhat_leq(sys, ys, xp):
+                    raise LiftingViolation(
+                        f"descent branch produced ys > x' at x={format_word(reduced_word(sys, x))}"
+                    )
+                value = act(sys, sys._simples[s], self._v(xp, ys))
+            else:
+                if not bruhat_leq(sys, y, xp):
+                    raise LiftingViolation(
+                        f"ascent branch produced y > x' at x={format_word(reduced_word(sys, x))}"
+                    )
+                moved = act(sys, sys._simples[s], self._v(xp, y))
+                value = add_line(moved, basis_vector(sys, s))
+        # the recursion only reaches shorter x, so key is not stored yet
+        self.entries[key] = value
+        self.computed += 1
         return value
 
     def pairs(self) -> list[tuple[GroupElement, GroupElement]]:
@@ -159,48 +138,11 @@ class VTable:
         )
 
 
-def compute_v(
-    sys: CoxeterSystem,
-    x: GroupElement,
-    y: GroupElement,
-    policy: str = "smallest",
-    vs_scale: int = 1,
-) -> RationalSubspace:
-    """One subspace V(x, y) with a throwaway table."""
-    return VTable(sys, policy=policy, vs_scale=vs_scale).v(x, y)
-
-
-def compute_all(
-    sys: CoxeterSystem, policy: str = "smallest", jobs: int = 1, vs_scale: int = 1
-) -> VTable:
-    """Fill a table with V(x, y) for every comparable pair y <= x.
-
-    Work is stratified by length(x): every recursion step lands in a strictly
-    lower stratum, so strata can be dispatched to worker threads in order
-    with all dependencies already cached.  jobs <= 1 runs sequentially.
-    """
-    table = VTable(sys, policy=policy, vs_scale=vs_scale)
-    elements = enumerate_elements(sys)
-    by_length: dict[int, list[GroupElement]] = {}
-    for g in elements:
-        by_length.setdefault(g.length, []).append(g)
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        for ell in sorted(by_length):
-            stratum = [
-                (x, y)
-                for x in by_length[ell]
-                for y in elements
-                if y.length <= ell and bruhat_leq(sys, y, x)
-            ]
-            if pool is None:
-                for x, y in stratum:
-                    table._v(x, y)
-            else:
-                list(pool.map(lambda pair: table._v(*pair), stratum))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> VTable:
+    """Fill a table with V(x, y) for every comparable pair y <= x."""
+    table = VTable(sys, policy=policy)
+    for x, y in comparable_pairs(sys):
+        table._v(x, y)
     return table
 
 

@@ -265,12 +265,6 @@ def test_verify_singular_flag_restricts_suite(capsys):
     assert "S: checked=1 failed=0" in out.splitlines()
 
 
-def test_verify_jobs_flag(capsys):
-    code, out, _ = run(capsys, "verify", "--type", "B2", "--jobs", "2")
-    assert code == 0
-    assert out.splitlines()[-1].startswith("result: PASS")
-
-
 # ---------------------------------------------------------------------------
 # caching and report files
 
@@ -300,6 +294,16 @@ def test_env_var_beats_cache_flag(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert list(env_dir.glob("rpoly_*.csv"))
     assert not flag_dir.exists()
+
+
+def test_rpoly_unwritable_cache_is_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    code, _, err = run(
+        capsys, "rpoly", "--type", "A2", "0,1,0", "e", "--cache-dir", str(blocker)
+    )
+    assert code == 1
+    assert "cannot create cache dir" in err
 
 
 def test_report_writes_three_files(capsys, tmp_path):

@@ -23,11 +23,11 @@ from verma_ext.coxeter import (
     format_word,
     identity,
     inverse,
-    length,
     longest_element,
     min_coset_reps,
     multiply,
     parse_word,
+    recount_length,
     reduced_word,
     right_descents,
     simple_reflection,
@@ -162,9 +162,10 @@ def test_product_orders_match_braid_orders(system):
 
 
 def test_length_via_recount_matches_cached(system):
-    a3 = system("A3")
-    for g in enumerate_elements(a3):
-        assert length(a3, g) == g.length
+    for text in ["A3", "B3", "D4", "G2"]:
+        sys = system(text)
+        for g in enumerate_elements(sys):
+            assert recount_length(sys, g.matrix) == g.length
 
 
 def test_inverse_and_reduced_words(system):
