@@ -8,9 +8,15 @@ Group elements are stored as integer matrices whose columns are the images of
 the simple roots; equality of matrices is equality in the group because the
 reflection representation is faithful.
 
-Lengths are cached on elements: counted as the number of positive roots sent
-to negative roots on construction, and updated by +-1 when multiplying by a
-simple reflection on the right.
+A system interns each element the first time it is reached: a ``matrix -> id``
+map gives it the next small integer id, and per-id tables on the system hold
+the element, its right-multiplication row ``rmul[id][s]`` (the id of g s_s,
+filled on first use together with the back-link from g s_s) and its reduced
+word (computed when first asked for).  Interning is lazy, so single-pair work
+on a large group touches only the elements it reaches.  Elements carry their
+id, their length and their right descents as a bitmask, but no reference to
+other elements or to the system, so a system and its elements are freed by
+reference counting.
 
 Two Bruhat order routines are provided.  ``bruhat_leq`` is the workhorse, a
 memoized recursion on the lifting property.  ``bruhat_leq_oracle`` decides
@@ -31,6 +37,7 @@ from .errors import (
     BudgetExceeded,
     IndexOutOfRange,
     InvalidType,
+    InvariantViolation,
     ParseError,
     RankOverflow,
 )
@@ -190,17 +197,23 @@ def _positive_roots(cartan: IntMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 class GroupElement:
-    """A Weyl group element: an integer matrix plus its cached length.
+    """A Weyl group element: an integer matrix, its length, its id, its descents.
 
-    Instances are immutable and hashable; equality is matrix equality.
-    Construct via the module functions, not directly.
+    ``id`` indexes the tables of the system that interned the element.
+    ``descents`` has bit i set when s_i is a right descent, that is when
+    column i (the image of alpha_i) is a negative root.  Instances are
+    immutable and hashable; equality is matrix equality, so elements of two
+    systems of one type compare equal.  Construct via the module functions,
+    not directly.
     """
 
-    __slots__ = ("matrix", "length", "_hash")
+    __slots__ = ("matrix", "length", "id", "descents", "_hash")
 
-    def __init__(self, matrix: IntMatrix, length: int):
+    def __init__(self, matrix: IntMatrix, length: int, gid: int):
         self.matrix = matrix
         self.length = length
+        self.id = gid
+        self.descents = sum(1 << i for i, col in enumerate(zip(*matrix)) if min(col) < 0)
         self._hash = hash(matrix)
 
     def __eq__(self, other: object) -> bool:
@@ -208,7 +221,7 @@ class GroupElement:
             return True
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self._hash == other._hash and self.matrix == other.matrix
 
     def __hash__(self) -> int:
         return self._hash
@@ -221,9 +234,10 @@ class GroupElement:
 class CoxeterSystem:
     """A finite Weyl group with its Cartan data and per-group caches.
 
-    The caches (Bruhat memo, subword down-sets, element list) are keyed by
-    GroupElement and grow monotonically; all derived tables hold a reference
-    to their system, so sharing one system between tables shares the caches.
+    The interned element tables are indexed by element id; the other caches
+    (Bruhat memo, subword down-sets, element list) are keyed by GroupElement.
+    All grow monotonically, and all derived tables hold a reference to their
+    system, so sharing one system between tables shares the caches.
     """
 
     def __init__(self, descriptor: TypeDescriptor, budget: int = DEFAULT_BUDGET):
@@ -240,10 +254,13 @@ class CoxeterSystem:
         self.positive_roots = _positive_roots(self.cartan)
         n = self.rank
         eye = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        self._identity = GroupElement(eye, 0)
-        self._simples = tuple(
-            GroupElement(_col_reflect(self.cartan, eye, i), 1) for i in range(n)
-        )
+        self._index: dict[IntMatrix, int] = {}
+        self._by_id: list[GroupElement] = []
+        self._rmul: list[list[int]] = []  # id of g s_i, or -1 before first use
+        self._words: list[tuple[int, ...] | None] = []
+        self._identity = _intern(self, eye, 0)
+        self._words[self._identity.id] = ()
+        self._simples = tuple(right_multiply(self, self._identity, i) for i in range(n))
         self._bruhat: dict[tuple[GroupElement, GroupElement], bool] = {}
         self._downsets: dict[GroupElement, frozenset[IntMatrix]] = {}
         self._elements: tuple[GroupElement, ...] | None = None
@@ -286,6 +303,26 @@ def _col_reflect(cartan: IntMatrix, matrix: IntMatrix, i: int) -> IntMatrix:
     )
 
 
+def _intern(sys: CoxeterSystem, matrix: IntMatrix, length: int) -> GroupElement:
+    """The system's element with this matrix, given the next id on first sight."""
+    gid = sys._index.get(matrix)
+    if gid is None:
+        gid = len(sys._by_id)
+        sys._index[matrix] = gid
+        sys._by_id.append(GroupElement(matrix, length, gid))
+        sys._rmul.append([-1] * sys.rank)
+        sys._words.append(None)
+    return sys._by_id[gid]
+
+
+def _own(sys: CoxeterSystem, g: GroupElement) -> GroupElement:
+    """The system's own element equal to g; g itself unless another system built it."""
+    gid = g.id
+    if gid < len(sys._by_id) and sys._by_id[gid] is g:
+        return g
+    return _intern(sys, g.matrix, g.length)
+
+
 def identity(sys: CoxeterSystem) -> GroupElement:
     return sys._identity
 
@@ -314,37 +351,37 @@ def recount_length(sys: CoxeterSystem, matrix: IntMatrix) -> int:
 
 
 def multiply(sys: CoxeterSystem, a: GroupElement, b: GroupElement) -> GroupElement:
-    if b.length == 1:
-        # fast path: b is a simple reflection exactly when some column differs
-        # from the identity in one reflection pattern; cheaper to detect via
-        # the simples tuple
-        for i, s in enumerate(sys._simples):
-            if b is s or b.matrix == s.matrix:
-                return right_multiply(sys, a, i)
+    """a * b as a matrix product with the length recounted, bypassing the tables.
+
+    Kept independent of ``right_multiply`` so that checks of the group law
+    built on it do not read back what the tables stored.
+    """
     n = sys.rank
     am, bm = a.matrix, b.matrix
     prod = tuple(
         tuple(sum(am[r][k] * bm[k][c] for k in range(n)) for c in range(n))
         for r in range(n)
     )
-    return GroupElement(prod, recount_length(sys, prod))
+    return _intern(sys, prod, recount_length(sys, prod))
 
 
 def right_multiply(sys: CoxeterSystem, g: GroupElement, i: int) -> GroupElement:
-    """g * s_i with the length updated by the descent test, no root recount."""
+    """g * s_i: a lookup in the system's table, one column rewrite on first use."""
     if not 0 <= i < sys.rank:
         raise IndexOutOfRange(f"simple reflection index {i} outside 0..{sys.rank - 1}")
-    matrix = _col_reflect(sys.cartan, g.matrix, i)
-    descent = any(row[i] < 0 for row in g.matrix)
-    return GroupElement(matrix, g.length - 1 if descent else g.length + 1)
+    g = _own(sys, g)
+    row = sys._rmul[g.id]
+    hid = row[i]
+    if hid < 0:
+        length = g.length - 1 if g.descents >> i & 1 else g.length + 1
+        hid = row[i] = _intern(sys, _col_reflect(sys.cartan, g.matrix, i), length).id
+        sys._rmul[hid][i] = g.id
+    return sys._by_id[hid]
 
 
 def right_descents(sys: CoxeterSystem, g: GroupElement) -> frozenset[int]:
-    """Indices i with length(g s_i) < length(g), read off the sign of column i."""
-    m = g.matrix
-    return frozenset(
-        i for i in range(sys.rank) if any(m[r][i] < 0 for r in range(sys.rank))
-    )
+    """Indices i with length(g s_i) < length(g), read off the descent bitmask."""
+    return frozenset(i for i in range(sys.rank) if g.descents >> i & 1)
 
 
 def check_policy(policy: str) -> None:
@@ -354,29 +391,41 @@ def check_policy(policy: str) -> None:
 
 
 def pick_descent(sys: CoxeterSystem, g: GroupElement, policy: str) -> int:
-    """The right descent of g (g != e) that a recursion under a checked ``policy`` strips."""
-    order = range(sys.rank) if policy == "smallest" else reversed(range(sys.rank))
-    return next(i for i in order if any(row[i] < 0 for row in g.matrix))
+    """The right descent of g that a recursion under a checked ``policy`` strips.
+
+    Raises InvariantViolation when g is the identity, which has no right
+    descent: the recursions stop at x == y before they pick one.
+    """
+    d = g.descents
+    if not d:
+        raise InvariantViolation("the identity has no right descent to strip")
+    if policy == "smallest":
+        d &= -d
+    return d.bit_length() - 1
 
 
 def reduced_word(sys: CoxeterSystem, g: GroupElement) -> tuple[int, ...]:
-    """Canonical reduced word: repeatedly strip the smallest right descent."""
-    tail: list[int] = []
-    h = g
-    while h.length > 0:
-        i = pick_descent(sys, h, "smallest")
-        tail.append(i)
-        h = right_multiply(sys, h, i)
-    tail.reverse()
-    return tuple(tail)
+    """Canonical reduced word: repeatedly strip the smallest right descent.
+
+    The word of g is the word of g s plus s, for s the smallest descent of g;
+    each element's word is computed once and kept in the system's table.
+    """
+    words = sys._words
+    chain: list[tuple[GroupElement, int]] = []
+    h = _own(sys, g)
+    while words[h.id] is None:
+        s = pick_descent(sys, h, "smallest")
+        chain.append((h, s))
+        h = right_multiply(sys, h, s)
+    word = words[h.id]
+    for h, s in reversed(chain):
+        word = words[h.id] = word + (s,)
+    return word
 
 
 def inverse(sys: CoxeterSystem, g: GroupElement) -> GroupElement:
-    # g^{-1} is the product of g's reduced word reversed; stays in integers.
-    h = sys._identity
-    for i in reversed(reduced_word(sys, g)):
-        h = right_multiply(sys, h, i)
-    return h
+    """g^{-1}, the product of g's reduced word reversed."""
+    return element_from_word(sys, reduced_word(sys, g)[::-1])
 
 
 def element_from_word(sys: CoxeterSystem, word: tuple[int, ...]) -> GroupElement:
@@ -437,7 +486,7 @@ def bruhat_leq(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
         return cached
     s = pick_descent(sys, y, "smallest")
     ys = right_multiply(sys, y, s)
-    if any(row[s] < 0 for row in x.matrix):
+    if x.descents >> s & 1:
         result = bruhat_leq(sys, right_multiply(sys, x, s), ys)
     else:
         result = bruhat_leq(sys, x, ys)
@@ -479,7 +528,7 @@ def bruhat_leq_oracle(
 def enumerate_elements(sys: CoxeterSystem) -> tuple[GroupElement, ...]:
     """All group elements, sorted by (length, matrix).  Cached on the system."""
     if sys._elements is None:
-        seen = {sys._identity.matrix}
+        seen = {sys._identity.id}
         frontier = [sys._identity]
         collected = [sys._identity]
         while frontier:
@@ -487,8 +536,8 @@ def enumerate_elements(sys: CoxeterSystem) -> tuple[GroupElement, ...]:
             for g in frontier:
                 for i in range(sys.rank):
                     h = right_multiply(sys, g, i)
-                    if h.length > g.length and h.matrix not in seen:
-                        seen.add(h.matrix)
+                    if h.length > g.length and h.id not in seen:
+                        seen.add(h.id)
                         nxt.append(h)
             collected.extend(nxt)
             frontier = nxt
@@ -514,13 +563,11 @@ def comparable_pairs(sys: CoxeterSystem) -> list[tuple[GroupElement, GroupElemen
 def longest_element(sys: CoxeterSystem) -> GroupElement:
     """The longest element, found by greedy ascent from the identity."""
     if sys._longest is None:
+        full = (1 << sys.rank) - 1
         h = sys._identity
-        while True:
-            descents = right_descents(sys, h)
-            ascent = next((i for i in range(sys.rank) if i not in descents), None)
-            if ascent is None:
-                break
-            h = right_multiply(sys, h, ascent)
+        while h.descents != full:
+            ascents = full & ~h.descents
+            h = right_multiply(sys, h, (ascents & -ascents).bit_length() - 1)
         if h.length != len(sys.positive_roots):
             raise RankOverflow(
                 f"longest element has length {h.length}, expected {len(sys.positive_roots)}"
@@ -535,13 +582,12 @@ def min_coset_reps(sys: CoxeterSystem, subset: frozenset[int] | set[int]) -> tup
     These are exactly the elements with no right descent inside J, in the
     (length, matrix) order of enumerate_elements.
     """
-    j = frozenset(subset)
-    for i in j:
+    mask = 0
+    for i in frozenset(subset):
         if not 0 <= i < sys.rank:
             raise IndexOutOfRange(f"subset index {i} outside 0..{sys.rank - 1}")
-    return tuple(
-        g for g in enumerate_elements(sys) if not (right_descents(sys, g) & j)
-    )
+        mask |= 1 << i
+    return tuple(g for g in enumerate_elements(sys) if not g.descents & mask)
 
 
 def braid_order(sys: CoxeterSystem, i: int, j: int) -> int:

@@ -12,9 +12,11 @@ and runs six suites:
        rows where the prediction is asserted to be exact
 
 Each suite reports how many atomic checks ran and how many failed, plus a
-witness for the first failure.  ``write_report_files`` dumps the dimension
-table, the R-polynomial cache, and a summary; everything written is
-deterministic except an explicit generated_at comment line.
+witness for the first failure.  Besides the run's tables, every suite takes
+``memo``, the run's ``r_coeff_direct`` values, so that suites T and R compute
+the direct route once per pair between them.  ``run_report`` writes the
+dimension table, the R-polynomial cache, and a summary; everything written
+is deterministic except an explicit generated_at comment line.
 """
 
 from __future__ import annotations
@@ -108,17 +110,30 @@ def _word(sys: CoxeterSystem, g: GroupElement) -> str:
     return format_word(reduced_word(sys, g))
 
 
+DirectMemo = dict[tuple[GroupElement, GroupElement], int]
+
+
+def _direct(sys, config: RunConfig, memo: DirectMemo, x: GroupElement, y: GroupElement) -> int:
+    """r_coeff_direct of y <= x, computed on first use and kept in ``memo``."""
+    value = memo.get((x, y))
+    if value is None:
+        value = memo[(x, y)] = r_coeff_direct(sys, x, y, policy=config.policy)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # suites
 
 
-def _suite_t(sys, rtable: RTable, vtable: VTable, config: RunConfig) -> SuiteResult:
+def _suite_t(
+    sys, rtable: RTable, vtable: VTable, config: RunConfig, memo: DirectMemo
+) -> SuiteResult:
     """dim V(x, y) == signed q-coefficient == direct recursion, on every pair."""
     out = SuiteResult("T")
     for x, y in comparable_pairs(sys):
         d = vtable.v(x, y).dim
         g = gj_coefficient(sys, x, y, rtable)
-        direct = r_coeff_direct(sys, x, y, policy=config.policy)
+        direct = _direct(sys, config, memo, x, y)
         out.checked += 1
         if not (d == g == direct):
             out.note_failure(
@@ -134,7 +149,7 @@ def _suite_t(sys, rtable: RTable, vtable: VTable, config: RunConfig) -> SuiteRes
     return out
 
 
-def _suite_g(sys, rtable, vtable, config) -> SuiteResult:
+def _suite_g(sys, rtable, vtable, config, memo) -> SuiteResult:
     """Reflection representation properties, checked from the Cartan data up."""
     out = SuiteResult("G")
     e = identity(sys)
@@ -176,7 +191,7 @@ def _suite_g(sys, rtable, vtable, config) -> SuiteResult:
     return out
 
 
-def _suite_b(sys, rtable, vtable, config: RunConfig) -> SuiteResult:
+def _suite_b(sys, rtable, vtable, config: RunConfig, memo) -> SuiteResult:
     """Recursive Bruhat order vs the subword oracle on every pair within budget."""
     out = SuiteResult("B")
     cap = ORACLE_BUDGET.bit_length() - 1  # longest y whose 2**length subwords fit the budget
@@ -200,7 +215,7 @@ def _suite_b(sys, rtable, vtable, config: RunConfig) -> SuiteResult:
     return out
 
 
-def _suite_r(sys, rtable: RTable, vtable, config: RunConfig) -> SuiteResult:
+def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, memo: DirectMemo) -> SuiteResult:
     """Degree, leading and constant term, vanishing at 1, and route agreement."""
     out = SuiteResult("R")
     elements = enumerate_elements(sys)
@@ -218,8 +233,7 @@ def _suite_r(sys, rtable: RTable, vtable, config: RunConfig) -> SuiteResult:
                 )
                 if ok:
                     gj = gj_coefficient(sys, upper, lower, rtable)
-                    direct = r_coeff_direct(sys, upper, lower, policy=config.policy)
-                    ok = gj == direct
+                    ok = gj == _direct(sys, config, memo, upper, lower)
                 if not ok:
                     out.note_failure(
                         {
@@ -240,7 +254,7 @@ def _suite_r(sys, rtable: RTable, vtable, config: RunConfig) -> SuiteResult:
     return out
 
 
-def _suite_s(sys, rtable, vtable: VTable, config: RunConfig) -> SuiteResult:
+def _suite_s(sys, rtable, vtable: VTable, config: RunConfig, memo) -> SuiteResult:
     """Quotient dimension of V(longest, identity) for each singular subset."""
     out = SuiteResult("S")
     if config.singular:
@@ -266,7 +280,7 @@ def _suite_s(sys, rtable, vtable: VTable, config: RunConfig) -> SuiteResult:
     return out
 
 
-def _suite_m(sys, rtable, vtable: VTable, config) -> SuiteResult:
+def _suite_m(sys, rtable, vtable: VTable, config, memo) -> SuiteResult:
     """On flagged report rows, membership of v_s must equal the prediction x >= ys."""
     out = SuiteResult("M")
     for row in membership_report(sys, vtable):
@@ -303,31 +317,39 @@ def load_rtable(config: RunConfig, sys: CoxeterSystem) -> RTable:
     return rtable
 
 
+def _make_dir(path: Path, what: str) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {what} dir {path}: {exc}") from exc
+
+
 def save_rtable(config: RunConfig, sys: CoxeterSystem, rtable: RTable) -> None:
     """Write the R-polynomial table into the cache dir, if the run has one."""
     if config.cache_dir is None:
         return
     cache = _rpoly_cache_path(config.cache_dir, sys)
-    try:
-        cache.parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create cache dir {cache.parent}: {exc}") from exc
+    _make_dir(cache.parent, "cache")
     rtable.save_csv(cache)
 
 
+def fill_tables(config: RunConfig, sys: CoxeterSystem) -> tuple[RTable, VTable]:
+    """R-polynomial and subspace tables of one system, warm-loading the R cache."""
+    return load_rtable(config, sys), compute_all(sys, policy=config.policy)
+
+
 def build_tables(config: RunConfig) -> tuple[CoxeterSystem, RTable, VTable]:
-    """System plus R-polynomial and subspace tables, warm-loading the R cache."""
+    """System plus its filled R-polynomial and subspace tables."""
     sys = build_system(config.type_text, budget=config.budget)
-    rtable = load_rtable(config, sys)
-    vtable = compute_all(sys, policy=config.policy)
-    return sys, rtable, vtable
+    return (sys, *fill_tables(config, sys))
 
 
 def run_verify(config: RunConfig) -> VerifyReport:
     """Run every suite on one group and persist the R-polynomial cache."""
     started = time.perf_counter()
     sys, rtable, vtable = build_tables(config)
-    suites = [suite(sys, rtable, vtable, config) for suite in _SUITES]
+    memo: DirectMemo = {}
+    suites = [suite(sys, rtable, vtable, config, memo) for suite in _SUITES]
     save_rtable(config, sys, rtable)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return VerifyReport(fingerprint(sys), suites, elapsed_ms)
@@ -375,17 +397,19 @@ def dimension_rows(
 
 
 def run_report(config: RunConfig) -> ReportResult:
-    """Compute both tables for one group and write cache, dimension, summary files."""
-    sys, rtable, vtable = build_tables(config)
+    """Compute both tables for one group and write cache, dimension, summary files.
+
+    The output dir is made before any table is filled, so an unusable one
+    fails the run before the whole-group work.
+    """
+    sys = build_system(config.type_text, budget=config.budget)
+    out_dir = Path(config.cache_dir) if config.cache_dir is not None else Path("verma_ext_cache")
+    _make_dir(out_dir, "output")
+    rtable, vtable = fill_tables(config, sys)
     rows = dimension_rows(sys, rtable, vtable)
     histogram: dict[int, int] = {}
     for _, _, _, g, _ in rows:
         histogram[g] = histogram.get(g, 0) + 1
-    out_dir = Path(config.cache_dir) if config.cache_dir is not None else Path("verma_ext_cache")
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output dir {out_dir}: {exc}") from exc
     fp = fingerprint(sys)
     result = ReportResult(
         system=fp,

@@ -49,6 +49,7 @@ from .errors import (
 )
 from .reflection import (
     RationalSubspace,
+    RationalVector,
     act,
     add_line,
     basis_vector,
@@ -185,15 +186,22 @@ class MembershipRow:
     ``x_ge_ys`` is the order-theoretic prediction x >= ys.  ``flagged`` marks
     the rows where the prediction is asserted to be exact: s is an ascent of
     both x and y, and both elements lie in a common coset w0 W' for a
-    rank-two (or smaller) parabolic W' containing s.
+    rank-two (or smaller) parabolic W' containing s.  ``in_v`` tests v_s
+    against ``space`` = V(x, y) when it is read, so a caller that reads it
+    only on flagged rows pays for those alone.
     """
 
     x: GroupElement
     y: GroupElement
     s: int
-    in_v: bool
     x_ge_ys: bool
     flagged: bool
+    space: RationalSubspace
+    v_s: RationalVector
+
+    @property
+    def in_v(self) -> bool:
+        return self.space.contains(self.v_s)
 
 
 def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
@@ -208,17 +216,17 @@ def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
             support[g] = got
         return got
 
+    lines = [basis_vector(sys, s) for s in range(sys.rank)]
     rows = []
     for x, y in table.pairs():
         space = table.entries[(x, y)]
         for s in range(sys.rank):
             ys = right_multiply(sys, y, s)
             xs = right_multiply(sys, x, s)
-            in_v = space.contains(basis_vector(sys, s))
             x_ge_ys = bruhat_leq(sys, ys, x)
             flagged = False
             if xs.length > x.length and ys.length > y.length and sys.rank >= 2:
                 extra = (coset_letters(x) | coset_letters(y)) - {s}
                 flagged = len(extra) <= 1
-            rows.append(MembershipRow(x, y, s, in_v, x_ge_ys, flagged))
+            rows.append(MembershipRow(x, y, s, x_ge_ys, flagged, space, lines[s]))
     return rows

@@ -86,7 +86,7 @@ def test_c01_dimension_equals_signed_q_coefficient(capsys, tables):
     witness = None
     for text in PRESETS:
         sys, rtable, vtable = tables(text)
-        result = _suite_t(sys, rtable, vtable, RunConfig(type_text=text))
+        result = _suite_t(sys, rtable, vtable, RunConfig(type_text=text), {})
         pairs += result.checked
         if result.failed:
             bad[text] = result.failed
@@ -195,7 +195,7 @@ def test_c04_reflection_representation_properties(capsys, tables):
     checked = 0
     for text in PRESETS:
         sys, rtable, vtable = tables(text)
-        result = _suite_g(sys, rtable, vtable, RunConfig(type_text=text))
+        result = _suite_g(sys, rtable, vtable, RunConfig(type_text=text), {})
         checked += result.checked
         failed += result.failed
     g2 = tables("G2")[0]
@@ -215,7 +215,7 @@ def test_c05_bruhat_recursion_vs_subword_oracle(capsys, tables):
     failed = 0
     for text in ("A3", "B2"):
         sys, rtable, vtable = tables(text)
-        result = _suite_b(sys, rtable, vtable, RunConfig(type_text=text))
+        result = _suite_b(sys, rtable, vtable, RunConfig(type_text=text), {})
         failed += result.failed
         details.append(f"{text} {result.checked} ordered pairs")
     _verdict(capsys, 5, failed == 0, f"{' and '.join(details)}, {failed} disagreements")
@@ -226,7 +226,7 @@ def test_c06_r_polynomial_invariants(capsys, tables):
     checked = 0
     for text in PRESETS:
         sys, rtable, vtable = tables(text)
-        result = _suite_r(sys, rtable, vtable, RunConfig(type_text=text))
+        result = _suite_r(sys, rtable, vtable, RunConfig(type_text=text), {})
         checked += result.checked
         failed += result.failed
     _verdict(
@@ -287,7 +287,7 @@ def test_c09_rank_two_membership_biconditional(capsys, tables):
     flagged = 0
     for text in ("A2", "B2", "G2"):
         sys, rtable, vtable = tables(text)
-        result = _suite_m(sys, rtable, vtable, RunConfig(type_text=text))
+        result = _suite_m(sys, rtable, vtable, RunConfig(type_text=text), {})
         flagged += result.checked
         failed += result.failed
     _verdict(

@@ -9,6 +9,7 @@ import subprocess
 
 import pytest
 
+from verma_ext import verify
 from verma_ext.cli import main
 
 A2_ENUMERATE_TEXT = """\
@@ -304,6 +305,19 @@ def test_rpoly_unwritable_cache_is_usage_error(capsys, tmp_path):
     )
     assert code == 1
     assert "cannot create cache dir" in err
+
+
+def test_report_unusable_output_dir_fails_before_filling(capsys, tmp_path, monkeypatch):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+
+    def fill(*args, **kwargs):
+        raise AssertionError("a table was filled before the output dir was made")
+
+    monkeypatch.setattr(verify, "compute_all", fill)
+    code, _, err = run(capsys, "report", "--type", "A2", "--cache-dir", str(blocker))
+    assert code == 1
+    assert "cannot create output dir" in err
 
 
 def test_report_writes_three_files(capsys, tmp_path):

@@ -7,10 +7,15 @@ exhaustive subword oracle inside the tests themselves.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from verma_ext import cli, coxeter, verify
+from verma_ext.cli import main
 from verma_ext.coxeter import (
     DEFAULT_BUDGET,
+    DESCENT_POLICIES,
     TypeDescriptor,
     braid_order,
     bruhat_leq,
@@ -27,12 +32,15 @@ from verma_ext.coxeter import (
     min_coset_reps,
     multiply,
     parse_word,
+    pick_descent,
     recount_length,
     reduced_word,
     right_descents,
+    right_multiply,
     simple_reflection,
 )
-from verma_ext.errors import InvalidType, ParseError, RankOverflow
+from verma_ext.errors import InvalidType, InvariantViolation, ParseError, RankOverflow
+from verma_ext.verify import PRESETS
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +275,97 @@ def test_bruhat_respects_products(system):
     s1 = simple_reflection(prod, 1)
     assert not bruhat_leq(prod, s0, s1)
     assert bruhat_leq(prod, s0, multiply(prod, s0, s1))
+
+
+# ---------------------------------------------------------------------------
+# the interned core, against scans of the matrices themselves
+
+
+def _column_descents(matrix) -> frozenset[int]:
+    """Right descents from scratch: columns holding a negative entry."""
+    return frozenset(i for i in range(len(matrix)) if any(row[i] < 0 for row in matrix))
+
+
+def _reflect_columns(sys, matrix, i):
+    """The matrix of g s_i from that of g, written out from the Cartan matrix."""
+    a = sys.cartan
+    return tuple(tuple(row[c] - a[i][c] * row[i] for c in range(len(row))) for row in matrix)
+
+
+def _walk_word(sys, g) -> tuple[int, ...]:
+    """Strip the smallest right descent until the identity, on bare matrices."""
+    m, tail = g.matrix, []
+    while descents := _column_descents(m):
+        i = min(descents)
+        tail.append(i)
+        m = _reflect_columns(sys, m, i)
+    return tuple(reversed(tail))
+
+
+@pytest.mark.parametrize("text", PRESETS + ("F4",))
+def test_right_multiply_is_an_interned_lookup(text, system):
+    sys = system(text)
+    for g in enumerate_elements(sys):
+        for i in range(sys.rank):
+            h = right_multiply(sys, g, i)
+            assert h.matrix == _reflect_columns(sys, g.matrix, i)
+            assert h.length == recount_length(sys, h.matrix)
+            assert right_multiply(sys, g, i) is h
+            assert right_multiply(sys, h, i) is g
+
+
+@pytest.mark.parametrize("text", PRESETS + ("F4",))
+def test_descent_bitmask_matches_column_signs(text, system):
+    sys = system(text)
+    for g in enumerate_elements(sys):
+        scanned = _column_descents(g.matrix)
+        assert g.descents == sum(1 << i for i in scanned)
+        assert right_descents(sys, g) == scanned
+
+
+@pytest.mark.parametrize("text", PRESETS + ("F4",))
+def test_cached_reduced_word_matches_a_fresh_walk(text, system):
+    sys = system(text)
+    for g in enumerate_elements(sys):
+        word = reduced_word(sys, g)
+        assert word == _walk_word(sys, g)
+        assert reduced_word(sys, g) is word
+        assert element_from_word(sys, word) == g
+
+
+def test_elements_of_another_system_are_interned_on_use(system):
+    a3 = system("A3")
+    other = build_system("A3")
+    for g in enumerate_elements(other):
+        own = element_from_word(a3, reduced_word(other, g))
+        assert own == g
+        for i in range(a3.rank):
+            assert right_multiply(a3, g, i) is right_multiply(a3, own, i)
+
+
+def test_pick_descent_on_identity_raises(system):
+    for text in ["A1", "B3", "G2"]:
+        sys = system(text)
+        for policy in DESCENT_POLICIES:
+            with pytest.raises(InvariantViolation):
+                pick_descent(sys, identity(sys), policy)
+        w0 = longest_element(sys)
+        assert pick_descent(sys, w0, "smallest") == 0
+        assert pick_descent(sys, w0, "largest") == sys.rank - 1
+
+
+@pytest.mark.parametrize("command", ["rpoly", "vspace"])
+def test_e7_single_pair_queries_stay_lazy(command, monkeypatch, capsys):
+    def refuse(sys):
+        raise AssertionError("a single-pair query enumerated the whole group")
+
+    for module in (cli, coxeter, verify):
+        monkeypatch.setattr(module, "enumerate_elements", refuse)
+    x, y = "0,1,2,3,4,5,6,0,1,2,3,4", "1,2,3"
+    argv = [command, "--type", "E7", "--budget", "3000000", x, y, "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    e7 = build_system("E7", budget=3_000_000)
+    for asked, answered in [(x, payload["x"]), (y, payload["y"])]:
+        got = element_from_word(e7, parse_word(answered))
+        assert got == element_from_word(e7, parse_word(asked))
