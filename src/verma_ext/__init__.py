@@ -46,7 +46,7 @@ from .reflection import (
     reflect,
     zero_subspace,
 )
-from .rpoly import IntPolynomial, RTable, gj_coefficient, r_coeff_direct, r_polynomial
+from .rpoly import IntPolynomial, RTable, gj_coefficient, r_coeff_direct
 from .verify import PRESETS, RunConfig, VerifyReport, run_report, run_verify
 from .vtable import (
     SingularSpec,

@@ -30,13 +30,12 @@ from .coxeter import (
     element_from_word,
     enumerate_elements,
     fingerprint,
-    format_word,
     longest_element,
     parse_word,
-    reduced_word,
+    word_text,
 )
-from .errors import DOMAIN_ERRORS, USAGE_ERRORS, InvariantViolation, LiftingViolation, VermaExtError
-from .rpoly import gj_coefficient, r_polynomial
+from .errors import DOMAIN_ERRORS, InvariantViolation, LiftingViolation, VermaExtError
+from .rpoly import gj_coefficient
 from .verify import (
     ReportResult,
     RunConfig,
@@ -87,7 +86,7 @@ def cmd_enumerate(config: RunConfig) -> EnumerateResult:
         type_text=str(sys.descriptor),
         group_order=sys.group_order,
         longest_length=longest_element(sys).length,
-        elements=[(format_word(reduced_word(sys, g)), g.length) for g in elements],
+        elements=[(word_text(sys, g), g.length) for g in elements],
     )
 
 
@@ -98,12 +97,12 @@ def cmd_rpoly(config: RunConfig, x_word: str, y_word: str) -> RPolyResult:
     y = element_from_word(sys, parse_word(y_word))
     rtable = load_rtable(config, sys)
     gj = gj_coefficient(sys, x, y, rtable)  # raises NotComparable when y !<= x
-    poly = r_polynomial(sys, y, x, rtable)
+    poly = rtable.r(y, x)
     save_rtable(config, sys, rtable)
     return RPolyResult(
         system=fingerprint(sys),
-        x=format_word(reduced_word(sys, x)),
-        y=format_word(reduced_word(sys, y)),
+        x=word_text(sys, x),
+        y=word_text(sys, y),
         coeffs=list(poly.coeffs),
         poly=str(poly),
         gj=gj,
@@ -123,8 +122,8 @@ def cmd_vspace(config: RunConfig, x_word: str, y_word: str) -> VSpaceResult:
     payload = space.to_json_dict()
     return VSpaceResult(
         system=fingerprint(sys),
-        x=format_word(reduced_word(sys, x)),
-        y=format_word(reduced_word(sys, y)),
+        x=word_text(sys, x),
+        y=word_text(sys, y),
         dim=payload["dim"],
         basis=payload["basis"],
         singular=images,
@@ -351,9 +350,6 @@ def main(argv: list[str] | None = None) -> int:
     except (LiftingViolation, InvariantViolation) as exc:
         print(f"verification failure: {exc}", file=_sys.stderr)
         return 3
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
     except VermaExtError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

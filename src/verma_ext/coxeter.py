@@ -22,7 +22,8 @@ Two Bruhat order routines are provided.  ``bruhat_leq`` is the workhorse, a
 memoized recursion on the lifting property.  ``bruhat_leq_oracle`` decides
 order by brute subword enumeration of one reduced word and exists to
 cross-check the recursion; its cost is ``2**length(y)`` and it refuses to run
-past an explicit budget.
+past an explicit budget.  ``descend`` is the one step, with its lifting check,
+that the R-polynomial, subspace and direct recursions all take.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .errors import (
     IndexOutOfRange,
     InvalidType,
     InvariantViolation,
+    LiftingViolation,
+    NotComparable,
     ParseError,
     RankOverflow,
 )
@@ -462,6 +465,11 @@ def format_word(word: tuple[int, ...]) -> str:
     return ",".join(str(i) for i in word) if word else "e"
 
 
+def word_text(sys: CoxeterSystem, g: GroupElement) -> str:
+    """The canonical reduced word of g as text, ``e`` for the identity."""
+    return format_word(reduced_word(sys, g))
+
+
 # ---------------------------------------------------------------------------
 # Bruhat order
 
@@ -492,6 +500,33 @@ def bruhat_leq(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
         result = bruhat_leq(sys, x, ys)
     memo[key] = result
     return result
+
+
+def check_below(sys: CoxeterSystem, y: GroupElement, x: GroupElement) -> None:
+    """Raise NotComparable unless y <= x in Bruhat order."""
+    if not bruhat_leq(sys, y, x):
+        raise NotComparable(f"{word_text(sys, y)} is not below {word_text(sys, x)}")
+
+
+def descend(
+    sys: CoxeterSystem, x: GroupElement, y: GroupElement, policy: str
+) -> tuple[int, GroupElement, GroupElement, bool]:
+    """One step of a pair recursion on the upper element: (s, xs, ys, down).
+
+    For y < x, s is the right descent of x that the checked ``policy``
+    picks and down says ys < y.  By the lifting property (Björner–Brenti,
+    *Combinatorics of Coxeter Groups*, §2.2) the pair the step recurses on
+    stays comparable: ys <= xs when down, y <= xs otherwise.  That is
+    checked here; a failure means the recursion itself is broken, so it
+    raises LiftingViolation rather than NotComparable.
+    """
+    s = pick_descent(sys, x, policy)
+    xs = right_multiply(sys, x, s)
+    ys = right_multiply(sys, y, s)
+    down = ys.length < y.length
+    if not bruhat_leq(sys, ys if down else y, xs):
+        raise LiftingViolation(f"descent step left the Bruhat order at x={word_text(sys, x)}")
+    return s, xs, ys, down
 
 
 def bruhat_leq_oracle(

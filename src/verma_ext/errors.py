@@ -58,7 +58,6 @@ class InvariantViolation(VermaExtError):
     negative first-order coefficient)."""
 
 
-# Exit-code buckets for the command line driver.  Kept here so tests can
-# assert the mapping without importing argparse machinery.
-USAGE_ERRORS = (InvalidType, RankOverflow, IndexOutOfRange, BudgetExceeded, RankMismatch, IoError)
+# The command line driver exits 2 for these, 3 for LiftingViolation and
+# InvariantViolation, and 1 for every other VermaExtError.
 DOMAIN_ERRORS = (NotComparable, ParseError)

@@ -1,6 +1,6 @@
 """R-polynomials and the first-order coefficient they carry.
 
-``r_polynomial(sys, y, x)`` computes the classical recursion on the upper
+``RTable(sys).r(y, x)`` computes the classical recursion on the upper
 element: for a right descent s of x,
 
     R(y, x) = R(ys, xs)                       if ys < y
@@ -25,16 +25,15 @@ from .coxeter import (
     CoxeterSystem,
     GroupElement,
     bruhat_leq,
+    check_below,
     check_policy,
+    descend,
     element_from_word,
     fingerprint,
-    format_word,
     parse_word,
-    pick_descent,
-    reduced_word,
-    right_multiply,
+    word_text,
 )
-from .errors import InvariantViolation, IoError, LiftingViolation, NotComparable, ParseError
+from .errors import InvariantViolation, IoError, ParseError
 
 
 class IntPolynomial:
@@ -146,22 +145,8 @@ class RTable:
         hit = self.entries.get(key)
         if hit is not None:
             return hit
-        sys = self.sys
-        s = pick_descent(sys, x, self.policy)
-        xs = right_multiply(sys, x, s)
-        ys = right_multiply(sys, y, s)
-        if ys.length < y.length:
-            if not bruhat_leq(sys, ys, xs):
-                raise LiftingViolation(
-                    f"descent branch left the order: ys > xs at {format_word(reduced_word(sys, x))}"
-                )
-            value = self.r(ys, xs)
-        else:
-            if not bruhat_leq(sys, y, xs):
-                raise LiftingViolation(
-                    f"ascent branch left the order: y > xs at {format_word(reduced_word(sys, x))}"
-                )
-            value = Q_MINUS_ONE * self.r(y, xs) + Q * self.r(ys, xs)
+        _, xs, ys, down = descend(self.sys, x, y, self.policy)
+        value = self.r(ys, xs) if down else Q_MINUS_ONE * self.r(y, xs) + Q * self.r(ys, xs)
         # the recursion only reaches shorter x, so key is not stored yet
         self.entries[key] = value
         self.computed += 1
@@ -187,8 +172,8 @@ class RTable:
             ),
         )
         for (y, x), poly in items:
-            yw = format_word(reduced_word(sys, y))
-            xw = format_word(reduced_word(sys, x))
+            yw = word_text(sys, y)
+            xw = word_text(sys, x)
             cs = ",".join(str(c) for c in poly.coeffs)
             lines.append(f"{yw};{xw};{cs}")
         try:
@@ -243,35 +228,20 @@ class RTable:
         return loaded
 
 
-def r_polynomial(
-    sys: CoxeterSystem, y: GroupElement, x: GroupElement, table: RTable | None = None
-) -> IntPolynomial:
-    """R-polynomial of the pair, zero when y is not below x."""
-    if table is None:
-        table = RTable(sys)
-    return table.r(y, x)
-
-
-def gj_coefficient(
-    sys: CoxeterSystem, x: GroupElement, y: GroupElement, table: RTable | None = None
-) -> int:
+def gj_coefficient(sys: CoxeterSystem, x: GroupElement, y: GroupElement, table: RTable) -> int:
     """q^1 coefficient of the signed R-polynomial of y <= x; always nonnegative.
 
     The sign (-1)**(length(x) - length(y) + 1) cancels the alternation of the
     raw coefficients, so the result counts something.  A negative value here
     is not a data error but a broken structural guarantee, hence InvariantViolation.
     """
-    if not bruhat_leq(sys, y, x):
-        raise NotComparable(
-            f"{format_word(reduced_word(sys, y))} is not below {format_word(reduced_word(sys, x))}"
-        )
-    poly = r_polynomial(sys, y, x, table)
+    check_below(sys, y, x)
+    poly = table.r(y, x)
     sign = -1 if (x.length - y.length + 1) % 2 else 1
     value = sign * poly.coeff(1)
     if value < 0:
         raise InvariantViolation(
-            f"signed q-coefficient {value} < 0 at pair "
-            f"({format_word(reduced_word(sys, x))}, {format_word(reduced_word(sys, y))})"
+            f"signed q-coefficient {value} < 0 at pair ({word_text(sys, x)}, {word_text(sys, y)})"
         )
     return value
 
@@ -288,23 +258,13 @@ def r_coeff_direct(
     recursion is a single chain of length(x) - length(y) steps.
     """
     check_policy(policy)
-    if not bruhat_leq(sys, y, x):
-        raise NotComparable(
-            f"{format_word(reduced_word(sys, y))} is not below {format_word(reduced_word(sys, x))}"
-        )
+    check_below(sys, y, x)
     total = 0
     while x != y:
-        s = pick_descent(sys, x, policy)
-        xp = right_multiply(sys, x, s)
-        ys = right_multiply(sys, y, s)
-        if ys.length < y.length:
-            if not bruhat_leq(sys, ys, xp):
-                raise LiftingViolation("descent branch left the order in the direct recursion")
-            x, y = xp, ys
-        else:
-            if not bruhat_leq(sys, y, xp):
-                raise LiftingViolation("ascent branch left the order in the direct recursion")
-            if not bruhat_leq(sys, ys, xp):
-                total += 1
-            x = xp
+        _, xs, ys, down = descend(sys, x, y, policy)
+        if down:
+            y = ys
+        elif not bruhat_leq(sys, ys, xs):
+            total += 1
+        x = xs
     return total

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,12 +40,11 @@ from .coxeter import (
     comparable_pairs,
     enumerate_elements,
     fingerprint,
-    format_word,
     identity,
     longest_element,
     multiply,
-    reduced_word,
     simple_reflection,
+    word_text,
 )
 from .errors import IoError
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
@@ -106,10 +105,6 @@ class VerifyReport:
         }
 
 
-def _word(sys: CoxeterSystem, g: GroupElement) -> str:
-    return format_word(reduced_word(sys, g))
-
-
 DirectMemo = dict[tuple[GroupElement, GroupElement], int]
 
 
@@ -138,8 +133,8 @@ def _suite_t(
         if not (d == g == direct):
             out.note_failure(
                 {
-                    "x": _word(sys, x),
-                    "y": _word(sys, y),
+                    "x": word_text(sys, x),
+                    "y": word_text(sys, y),
                     "dim": d,
                     "gj": g,
                     "direct": direct,
@@ -206,8 +201,8 @@ def _suite_b(sys, rtable, vtable, config: RunConfig, memo) -> SuiteResult:
             if rec != oracle:
                 out.note_failure(
                     {
-                        "x": _word(sys, x),
-                        "y": _word(sys, y),
+                        "x": word_text(sys, x),
+                        "y": word_text(sys, y),
                         "recursive": rec,
                         "oracle": oracle,
                     }
@@ -237,16 +232,16 @@ def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, memo: DirectMemo) -
                 if not ok:
                     out.note_failure(
                         {
-                            "x": _word(sys, upper),
-                            "y": _word(sys, lower),
+                            "x": word_text(sys, upper),
+                            "y": word_text(sys, lower),
                             "coeffs": list(poly.coeffs),
                         }
                     )
             elif poly != ZERO:
                 out.note_failure(
                     {
-                        "x": _word(sys, upper),
-                        "y": _word(sys, lower),
+                        "x": word_text(sys, upper),
+                        "y": word_text(sys, lower),
                         "coeffs": list(poly.coeffs),
                         "reason": "nonzero for incomparable pair",
                     }
@@ -290,8 +285,8 @@ def _suite_m(sys, rtable, vtable: VTable, config, memo) -> SuiteResult:
         if row.in_v != row.x_ge_ys:
             out.note_failure(
                 {
-                    "x": _word(sys, row.x),
-                    "y": _word(sys, row.y),
+                    "x": word_text(sys, row.x),
+                    "y": word_text(sys, row.y),
                     "s": row.s,
                     "in_v": row.in_v,
                     "x_ge_ys": row.x_ge_ys,
@@ -392,7 +387,7 @@ def dimension_rows(
     for x, y in comparable_pairs(sys):
         d = vtable.v(x, y).dim
         g = gj_coefficient(sys, x, y, rtable)
-        rows.append((_word(sys, x), _word(sys, y), d, g, 1 if d == g else 0))
+        rows.append((word_text(sys, x), word_text(sys, y), d, g, 1 if d == g else 0))
     return rows
 
 
@@ -400,11 +395,13 @@ def run_report(config: RunConfig) -> ReportResult:
     """Compute both tables for one group and write cache, dimension, summary files.
 
     The output dir is made before any table is filled, so an unusable one
-    fails the run before the whole-group work.
+    fails the run before the whole-group work.  It is also the run's cache
+    dir, so a second report warm-loads the R-polynomials the first wrote.
     """
     sys = build_system(config.type_text, budget=config.budget)
     out_dir = Path(config.cache_dir) if config.cache_dir is not None else Path("verma_ext_cache")
     _make_dir(out_dir, "output")
+    config = replace(config, cache_dir=out_dir)
     rtable, vtable = fill_tables(config, sys)
     rows = dimension_rows(sys, rtable, vtable)
     histogram: dict[int, int] = {}
@@ -423,8 +420,8 @@ def run_report(config: RunConfig) -> ReportResult:
         rtable_computed=rtable.computed,
         vtable_computed=vtable.computed,
     )
+    save_rtable(config, sys, rtable)
     rpoly_path = _rpoly_cache_path(out_dir, sys)
-    rtable.save_csv(rpoly_path)
     dims_path = out_dir / f"dims_{fp}.csv"
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     lines = [

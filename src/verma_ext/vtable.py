@@ -9,8 +9,8 @@ x' = xs:
 
 where v_s is the simple-root vector of s.  The lifting property of the
 Bruhat order guarantees ys <= x' in the first branch and y <= x' in the
-second; both are checked at runtime and a failure raises LiftingViolation
-because it means the recursion itself is broken.
+second; ``coxeter.descend`` takes the step and checks both, raising
+LiftingViolation because a failure means the recursion itself is broken.
 
 The recursion is policy-bound: which descent s gets stripped is a free
 choice (``coxeter.pick_descent``), and the computed subspace must not depend
@@ -32,19 +32,17 @@ from .coxeter import (
     CoxeterSystem,
     GroupElement,
     bruhat_leq,
+    check_below,
     check_policy,
     comparable_pairs,
-    format_word,
+    descend,
     longest_element,
     multiply,
-    pick_descent,
     reduced_word,
     right_multiply,
 )
 from .errors import (
     IndexOutOfRange,
-    LiftingViolation,
-    NotComparable,
     ParseError,
 )
 from .reflection import (
@@ -94,11 +92,7 @@ class VTable:
         self._zero = zero_subspace(sys)
 
     def v(self, x: GroupElement, y: GroupElement) -> RationalSubspace:
-        if not bruhat_leq(self.sys, y, x):
-            raise NotComparable(
-                f"{format_word(reduced_word(self.sys, y))} is not below "
-                f"{format_word(reduced_word(self.sys, x))}"
-            )
+        check_below(self.sys, y, x)
         return self._v(x, y)
 
     def _v(self, x: GroupElement, y: GroupElement) -> RationalSubspace:
@@ -110,33 +104,14 @@ class VTable:
         if x == y:
             value = self._zero
         else:
-            s = pick_descent(sys, x, self.policy)
-            xp = right_multiply(sys, x, s)
-            ys = right_multiply(sys, y, s)
-            if ys.length < y.length:
-                if not bruhat_leq(sys, ys, xp):
-                    raise LiftingViolation(
-                        f"descent branch produced ys > x' at x={format_word(reduced_word(sys, x))}"
-                    )
-                value = act(sys, sys._simples[s], self._v(xp, ys))
-            else:
-                if not bruhat_leq(sys, y, xp):
-                    raise LiftingViolation(
-                        f"ascent branch produced y > x' at x={format_word(reduced_word(sys, x))}"
-                    )
-                moved = act(sys, sys._simples[s], self._v(xp, y))
-                value = add_line(moved, basis_vector(sys, s))
+            s, xs, ys, down = descend(sys, x, y, self.policy)
+            value = act(sys, sys._simples[s], self._v(xs, ys if down else y))
+            if not down:
+                value = add_line(value, basis_vector(sys, s))
         # the recursion only reaches shorter x, so key is not stored yet
         self.entries[key] = value
         self.computed += 1
         return value
-
-    def pairs(self) -> list[tuple[GroupElement, GroupElement]]:
-        """Stored pairs in (length x, matrix x, length y, matrix y) order."""
-        return sorted(
-            self.entries,
-            key=lambda k: (k[0].length, k[0].matrix, k[1].length, k[1].matrix),
-        )
 
 
 def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> VTable:
@@ -205,7 +180,7 @@ class MembershipRow:
 
 
 def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
-    """Membership rows for every stored pair and every simple reflection."""
+    """Membership rows for every comparable pair and every simple reflection."""
     w0 = longest_element(sys)
     support: dict[GroupElement, frozenset[int]] = {}
 
@@ -218,8 +193,8 @@ def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
 
     lines = [basis_vector(sys, s) for s in range(sys.rank)]
     rows = []
-    for x, y in table.pairs():
-        space = table.entries[(x, y)]
+    for x, y in comparable_pairs(sys):
+        space = table._v(x, y)
         for s in range(sys.rank):
             ys = right_multiply(sys, y, s)
             xs = right_multiply(sys, x, s)

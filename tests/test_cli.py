@@ -362,6 +362,27 @@ def test_report_is_deterministic_modulo_stamp(capsys, tmp_path):
     assert stripped(a) == stripped(b)
 
 
+def test_report_without_cache_dir_reads_back_its_rpoly_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("VERMA_EXT_CACHE", raising=False)
+    runs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "report", "--type", "A3", "--format", "json")
+        assert code == 0
+        out_dir = tmp_path / "verma_ext_cache"
+        files = {
+            p.name: [line for line in p.read_text().splitlines()
+                     if not line.startswith("# generated_at:")]
+            for p in sorted(out_dir.iterdir())
+        }
+        runs.append((json.loads(out), files))
+    (first, first_files), (second, second_files) = runs
+    assert first["rtable_computed"] > 0
+    assert second["rtable_computed"] == 0
+    assert len(second_files) == 3
+    assert second_files == first_files
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 

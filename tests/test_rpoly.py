@@ -27,7 +27,6 @@ from verma_ext.rpoly import (
     RTable,
     gj_coefficient,
     r_coeff_direct,
-    r_polynomial,
 )
 
 
@@ -80,15 +79,15 @@ def test_polynomial_str():
 def test_r_of_equal_elements_is_one(system):
     a2 = system("A2")
     for g in enumerate_elements(a2):
-        assert r_polynomial(a2, g, g) == ONE
+        assert RTable(a2).r(g, g) == ONE
 
 
 def test_r_of_incomparable_pair_is_zero(system):
     b2 = system("B2")
     x = element_from_word(b2, (0, 1, 0))
     y = element_from_word(b2, (1, 0, 1))
-    assert r_polynomial(b2, x, y) == ZERO
-    assert r_polynomial(b2, y, x) == ZERO
+    assert RTable(b2).r(x, y) == ZERO
+    assert RTable(b2).r(y, x) == ZERO
 
 
 def test_a1_value():
@@ -96,12 +95,12 @@ def test_a1_value():
 
     a1 = build_system("A1")
     s = element_from_word(a1, (0,))
-    assert r_polynomial(a1, identity(a1), s) == Q_MINUS_ONE
+    assert RTable(a1).r(identity(a1), s) == Q_MINUS_ONE
 
 
 def test_a2_longest_pair_value(system):
     a2 = system("A2")
-    poly = r_polynomial(a2, identity(a2), longest_element(a2))
+    poly = RTable(a2).r(identity(a2), longest_element(a2))
     assert poly.coeffs == (-1, 2, -2, 1)
 
 
@@ -111,7 +110,7 @@ def test_a3_reflection_pair_is_fourth_power(system):
     x = element_from_word(a3, (0, 1, 2, 1, 0))
     y = element_from_word(a3, (1,))
     expected = Q_MINUS_ONE * Q_MINUS_ONE * Q_MINUS_ONE * Q_MINUS_ONE
-    assert r_polynomial(a3, y, x) == expected
+    assert RTable(a3).r(y, x) == expected
     assert expected.coeffs == (1, -4, 6, -4, 1)
 
 
@@ -157,10 +156,11 @@ def test_gj_coefficient_frozen_values(system):
     a2 = system("A2")
     w0 = longest_element(a2)
     e = identity(a2)
-    assert gj_coefficient(a2, w0, e) == 2
-    assert gj_coefficient(a2, w0, w0) == 0
+    table = RTable(a2)
+    assert gj_coefficient(a2, w0, e, table) == 2
+    assert gj_coefficient(a2, w0, w0, table) == 0
     s0 = element_from_word(a2, (0,))
-    assert gj_coefficient(a2, s0, e) == 1
+    assert gj_coefficient(a2, s0, e, table) == 1
 
 
 def test_gj_coefficient_requires_comparability(system):
@@ -168,7 +168,7 @@ def test_gj_coefficient_requires_comparability(system):
     x = element_from_word(b2, (0, 1, 0))
     y = element_from_word(b2, (1, 0, 1))
     with pytest.raises(NotComparable):
-        gj_coefficient(b2, x, y)
+        gj_coefficient(b2, x, y, RTable(b2))
     with pytest.raises(NotComparable):
         r_coeff_direct(b2, x, y)
 

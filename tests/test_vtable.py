@@ -15,6 +15,8 @@ import pytest
 
 from verma_ext.coxeter import (
     bruhat_leq,
+    comparable_pairs,
+    descend,
     element_from_word,
     enumerate_elements,
     identity,
@@ -23,6 +25,7 @@ from verma_ext.coxeter import (
 from verma_ext.errors import (
     IndexOutOfRange,
     InvalidType,
+    LiftingViolation,
     NotComparable,
     ParseError,
 )
@@ -43,7 +46,7 @@ from verma_ext.vtable import (
 
 def test_a2_pair_count_and_histogram(system, vtable):
     table = vtable("A2")
-    pairs = table.pairs()
+    pairs = comparable_pairs(system("A2"))
     assert len(pairs) == 19
     hist = Counter(table.v(x, y).dim for x, y in pairs)
     assert dict(hist) == {0: 6, 1: 8, 2: 5}
@@ -66,7 +69,7 @@ def test_a2_dimensions_match_coefficient_routes(system, vtable, rtable):
     a2 = system("A2")
     table = vtable("A2")
     rt = rtable("A2")
-    for x, y in table.pairs():
+    for x, y in comparable_pairs(a2):
         dim = table.v(x, y).dim
         assert dim == gj_coefficient(a2, x, y, rt) == r_coeff_direct(a2, x, y)
 
@@ -82,6 +85,19 @@ def test_v_requires_comparability(system):
 def test_bad_policy_rejected(system):
     with pytest.raises(InvalidType):
         VTable(system("A2"), policy="middle")
+
+
+@pytest.mark.parametrize("policy", ["smallest", "largest"])
+def test_descent_step_off_the_order_is_a_lifting_violation(system, policy):
+    # s1 is not below s0; stripping s0 from s0 gives e, which s1 is not below
+    # either, so the step's lifting check fires rather than recursing on it.
+    a2 = system("A2")
+    x = element_from_word(a2, (0,))
+    y = element_from_word(a2, (1,))
+    with pytest.raises(LiftingViolation, match="x=0"):
+        descend(a2, x, y, policy)
+    with pytest.raises(LiftingViolation):
+        VTable(a2, policy=policy)._v(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +233,7 @@ def test_divergence_count_in_a3_is_exactly_one(system, vtable, rtable):
     rt = rtable("A3")
     off = [
         (x, y)
-        for x, y in table.pairs()
+        for x, y in comparable_pairs(a3)
         if table.v(x, y).dim != gj_coefficient(a3, x, y, rt)
     ]
     assert len(off) == 1
@@ -228,5 +244,5 @@ def test_full_agreement_below_rank_three(system, vtable, rtable):
         sys = system(text)
         table = vtable(text)
         rt = rtable(text)
-        for x, y in table.pairs():
+        for x, y in comparable_pairs(sys):
             assert table.v(x, y).dim == gj_coefficient(sys, x, y, rt)
