@@ -38,13 +38,10 @@ from .errors import (
 )
 from .reflection import (
     RationalSubspace,
-    act,
-    add_line,
     apply_element,
     basis_vector,
     coroot_pairing,
     reflect,
-    zero_subspace,
 )
 from .rpoly import IntPolynomial, RTable, gj_coefficient, r_coeff_direct
 from .verify import PRESETS, RunConfig, VerifyReport, run_report, run_verify

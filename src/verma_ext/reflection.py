@@ -158,29 +158,3 @@ class RationalSubspace:
         if space.dim != declared or space.rows != tuple(rows):
             raise ParseError("subspace payload is not a reduced echelon basis")
         return space
-
-
-def zero_subspace(sys_or_ncols) -> RationalSubspace:
-    """The zero subspace of the ambient reflection representation."""
-    ncols = sys_or_ncols if isinstance(sys_or_ncols, int) else sys_or_ncols.rank
-    return RationalSubspace(ncols)
-
-
-def add_line(space: RationalSubspace, v: RationalVector) -> RationalSubspace:
-    """Span of the subspace and one more vector."""
-    if len(v) != space.ncols:
-        raise RankMismatch(f"vector of length {len(v)} in ambient dimension {space.ncols}")
-    if space.contains(v):
-        return space
-    return RationalSubspace(space.ncols, list(space.rows) + [v])
-
-
-def act(sys: CoxeterSystem, g: GroupElement, space: RationalSubspace) -> RationalSubspace:
-    """Image of a subspace under a group element."""
-    if space.ncols != sys.rank:
-        raise RankMismatch(f"subspace in dimension {space.ncols}, system rank {sys.rank}")
-    if not space.rows:
-        return space
-    return RationalSubspace(
-        sys.rank, [apply_element(sys, g, row) for row in space.rows]
-    )

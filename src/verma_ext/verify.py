@@ -279,8 +279,6 @@ def _suite_m(sys, rtable, vtable: VTable, config, memo) -> SuiteResult:
     """On flagged report rows, membership of v_s must equal the prediction x >= ys."""
     out = SuiteResult("M")
     for row in membership_report(sys, vtable):
-        if not row.flagged:
-            continue
         out.checked += 1
         if row.in_v != row.x_ge_ys:
             out.note_failure(

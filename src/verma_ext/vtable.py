@@ -1,4 +1,4 @@
-"""The two-branch descent recursion for the subspaces V(x, y).
+"""The subspaces V(x, y), unrolled from their two-branch descent recursion.
 
 For y <= x in Bruhat order, V(x, y) is a subspace of the reflection
 representation, defined by V(x, x) = 0 and, for a right descent s of x with
@@ -11,6 +11,17 @@ where v_s is the simple-root vector of s.  The lifting property of the
 Bruhat order guarantees ys <= x' in the first branch and y <= x' in the
 second; ``coxeter.descend`` takes the step and checks both, raising
 LiftingViolation because a failure means the recursion itself is broken.
+
+Each step applies s to all that the later steps add, so along the chain of
+steps s_1, s_2, ... the recursion unrolls to
+
+    V(x, y) = span{ s_1 ... s_{k-1} (v_{s_k}) : step k takes the second branch }.
+
+As x = x_k s_k ... s_1 with lengths adding, u = s_1 ... s_{k-1} has u s_k > u,
+so u(v_{s_k}), column s_k of u's matrix, is an integer positive root
+(Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 4).  ``VTable``
+walks the chain once and builds one echelon basis from those roots, the
+same canonical basis the stepwise recursion reaches.
 
 The recursion is policy-bound: which descent s gets stripped is a free
 choice (``coxeter.pick_descent``), and the computed subspace must not depend
@@ -36,6 +47,7 @@ from .coxeter import (
     check_policy,
     comparable_pairs,
     descend,
+    identity,
     longest_element,
     multiply,
     reduced_word,
@@ -45,14 +57,7 @@ from .errors import (
     IndexOutOfRange,
     ParseError,
 )
-from .reflection import (
-    RationalSubspace,
-    RationalVector,
-    act,
-    add_line,
-    basis_vector,
-    zero_subspace,
-)
+from .reflection import RationalSubspace, basis_vector
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,6 @@ class VTable:
         self.policy = policy
         self.entries: dict[tuple[GroupElement, GroupElement], RationalSubspace] = {}
         self.computed = 0
-        self._zero = zero_subspace(sys)
 
     def v(self, x: GroupElement, y: GroupElement) -> RationalSubspace:
         check_below(self.sys, y, x)
@@ -101,15 +105,17 @@ class VTable:
         if hit is not None:
             return hit
         sys = self.sys
-        if x == y:
-            value = self._zero
-        else:
+        u = identity(sys)  # s_1 ... s_{k-1}, the steps taken so far
+        roots = []
+        while x != y:
             s, xs, ys, down = descend(sys, x, y, self.policy)
-            value = act(sys, sys._simples[s], self._v(xs, ys if down else y))
-            if not down:
-                value = add_line(value, basis_vector(sys, s))
-        # the recursion only reaches shorter x, so key is not stored yet
-        self.entries[key] = value
+            if down:
+                y = ys
+            else:
+                roots.append([row[s] for row in u.matrix])
+            u = right_multiply(sys, u, s)
+            x = xs
+        value = self.entries[key] = RationalSubspace(sys.rank, roots)
         self.computed += 1
         return value
 
@@ -140,10 +146,8 @@ def singular_v(
     space = table.v(x, y)
     if not spec.indices:
         return space
-    killed = sorted(spec.indices)
-    combined = space
-    for i in killed:
-        combined = add_line(combined, basis_vector(sys, i))
+    killed = [basis_vector(sys, i) for i in spec.indices]
+    combined = RationalSubspace(sys.rank, list(space.rows) + killed)
     keep_cols = [j for j in range(sys.rank) if j not in spec.indices]
     projected = []
     for row in combined.rows:
@@ -158,29 +162,25 @@ def singular_v(
 class MembershipRow:
     """One line of the membership report: does v_s land in V(x, y)?
 
-    ``x_ge_ys`` is the order-theoretic prediction x >= ys.  ``flagged`` marks
-    the rows where the prediction is asserted to be exact: s is an ascent of
-    both x and y, and both elements lie in a common coset w0 W' for a
-    rank-two (or smaller) parabolic W' containing s.  ``in_v`` tests v_s
-    against ``space`` = V(x, y) when it is read, so a caller that reads it
-    only on flagged rows pays for those alone.
+    The report keeps only the rows where the order-theoretic prediction
+    ``x_ge_ys`` (x >= ys) is asserted to be exact: s is an ascent of both x
+    and y, and both elements lie in a common coset w0 W' for a rank-two (or
+    smaller) parabolic W' containing s.  ``in_v`` says whether v_s lies in
+    V(x, y).
     """
 
     x: GroupElement
     y: GroupElement
     s: int
     x_ge_ys: bool
-    flagged: bool
-    space: RationalSubspace
-    v_s: RationalVector
-
-    @property
-    def in_v(self) -> bool:
-        return self.space.contains(self.v_s)
+    in_v: bool
 
 
 def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
-    """Membership rows for every comparable pair and every simple reflection."""
+    """Membership rows for every comparable pair and every simple reflection
+    on which the order prediction is asserted to be exact."""
+    if sys.rank < 2:
+        return []
     w0 = longest_element(sys)
     support: dict[GroupElement, frozenset[int]] = {}
 
@@ -191,17 +191,14 @@ def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
             support[g] = got
         return got
 
-    lines = [basis_vector(sys, s) for s in range(sys.rank)]
     rows = []
     for x, y in comparable_pairs(sys):
-        space = table._v(x, y)
         for s in range(sys.rank):
-            ys = right_multiply(sys, y, s)
-            xs = right_multiply(sys, x, s)
-            x_ge_ys = bruhat_leq(sys, ys, x)
-            flagged = False
-            if xs.length > x.length and ys.length > y.length and sys.rank >= 2:
-                extra = (coset_letters(x) | coset_letters(y)) - {s}
-                flagged = len(extra) <= 1
-            rows.append(MembershipRow(x, y, s, x_ge_ys, flagged, space, lines[s]))
+            if (x.descents | y.descents) >> s & 1:
+                continue
+            if len((coset_letters(x) | coset_letters(y)) - {s}) > 1:
+                continue
+            x_ge_ys = bruhat_leq(sys, right_multiply(sys, y, s), x)
+            in_v = table._v(x, y).contains(basis_vector(sys, s))
+            rows.append(MembershipRow(x, y, s, x_ge_ys, in_v))
     return rows

@@ -10,20 +10,15 @@ from verma_ext.coxeter import (
     build_system,
     element_from_word,
     identity,
-    longest_element,
-    simple_reflection,
 )
 from verma_ext.errors import IndexOutOfRange, ParseError, RankMismatch
 from verma_ext.reflection import (
     RationalSubspace,
-    act,
-    add_line,
     apply_element,
     basis_vector,
     coroot_pairing,
     reflect,
     vector,
-    zero_subspace,
 )
 
 
@@ -122,33 +117,10 @@ def test_contains():
 
 
 def test_zero_and_full(a2):
-    assert zero_subspace(3).dim == 0
-    assert zero_subspace(a2).dim == 0
-    assert zero_subspace(a2).ncols == 2
+    assert RationalSubspace(3).dim == 0
+    assert RationalSubspace(a2.rank).dim == 0
+    assert RationalSubspace(a2.rank).ncols == 2
     assert RationalSubspace(2, [basis_vector(a2, 0), basis_vector(a2, 1)]).dim == 2
-
-
-def test_add_line_grows_only_outside():
-    s = zero_subspace(2)
-    s = add_line(s, vector([1, 0]))
-    assert s.dim == 1
-    assert add_line(s, vector([Fraction(-7, 3), 0])) == s
-    assert add_line(s, vector([0, 1])).dim == 2
-
-
-def test_act_preserves_dimension(a2):
-    s = RationalSubspace(2, [vector([1, -1])])
-    w0 = longest_element(a2)
-    moved = act(a2, w0, s)
-    assert moved.dim == 1
-    # acting twice by an involution returns the original space
-    assert act(a2, w0, moved) == s
-
-
-def test_act_by_generator_matches_reflect(b2):
-    v = vector([Fraction(1, 2), 1])
-    moved = act(b2, simple_reflection(b2, 1), RationalSubspace(2, [v]))
-    assert moved == RationalSubspace(2, [reflect(b2, 1, v)])
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +135,7 @@ def test_json_round_trip():
 
 
 def test_json_round_trip_zero():
-    s = zero_subspace(2)
+    s = RationalSubspace(2)
     assert RationalSubspace.from_json_dict(s.to_json_dict(), 2) == s
 
 
