@@ -10,6 +10,9 @@ Words are comma-separated simple reflection indices (0-based); ``e`` is the
 identity.  Exit codes: 0 success, 1 usage or configuration error, 2 domain
 error (incomparable pair, unparseable word), 3 verification failure.
 
+Each ``cmd_*`` returns its command's JSON payload.  ``--format json`` prints
+that dict as is; the text and csv formats are rendered from it.
+
 The cache directory may be set with --cache-dir; the environment variable
 VERMA_EXT_CACHE, when present, takes precedence over the flag.
 """
@@ -20,7 +23,6 @@ import argparse
 import json
 import os
 import sys as _sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .coxeter import (
@@ -37,9 +39,7 @@ from .coxeter import (
 from .errors import DOMAIN_ERRORS, InvariantViolation, LiftingViolation, VermaExtError
 from .rpoly import gj_coefficient
 from .verify import (
-    ReportResult,
     RunConfig,
-    VerifyReport,
     load_rtable,
     run_report,
     run_verify,
@@ -48,49 +48,20 @@ from .verify import (
 from .vtable import SingularSpec, VTable, singular_v
 
 
-@dataclass
-class EnumerateResult:
-    system: str
-    type_text: str
-    group_order: int
-    longest_length: int
-    elements: list[tuple[str, int]]  # (word, length)
-
-
-@dataclass
-class RPolyResult:
-    system: str
-    x: str
-    y: str
-    coeffs: list[int]
-    poly: str
-    gj: int
-
-
-@dataclass
-class VSpaceResult:
-    system: str
-    x: str
-    y: str
-    dim: int
-    basis: list[list[str]]
-    # one (subset label, projected image) per --singular flag, in flag order
-    singular: list[tuple[str, dict]]
-
-
-def cmd_enumerate(config: RunConfig) -> EnumerateResult:
+def cmd_enumerate(config: RunConfig) -> dict:
     sys = build_system(config.type_text, budget=config.budget)
-    elements = enumerate_elements(sys)
-    return EnumerateResult(
-        system=fingerprint(sys),
-        type_text=str(sys.descriptor),
-        group_order=sys.group_order,
-        longest_length=longest_element(sys).length,
-        elements=[(word_text(sys, g), g.length) for g in elements],
-    )
+    return {
+        "system": fingerprint(sys),
+        "type": str(sys.descriptor),
+        "group_order": sys.group_order,
+        "longest_length": longest_element(sys).length,
+        "elements": [
+            {"word": word_text(sys, g), "length": g.length} for g in enumerate_elements(sys)
+        ],
+    }
 
 
-def cmd_rpoly(config: RunConfig, x_word: str, y_word: str) -> RPolyResult:
+def cmd_rpoly(config: RunConfig, x_word: str, y_word: str) -> dict:
     """R-polynomial and signed q-coefficient of one pair, writing through the cache."""
     sys = build_system(config.type_text, budget=config.budget)
     x = element_from_word(sys, parse_word(x_word))
@@ -99,172 +70,138 @@ def cmd_rpoly(config: RunConfig, x_word: str, y_word: str) -> RPolyResult:
     gj = gj_coefficient(sys, x, y, rtable)  # raises NotComparable when y !<= x
     poly = rtable.r(y, x)
     save_rtable(config, sys, rtable)
-    return RPolyResult(
-        system=fingerprint(sys),
-        x=word_text(sys, x),
-        y=word_text(sys, y),
-        coeffs=list(poly.coeffs),
-        poly=str(poly),
-        gj=gj,
-    )
+    return {
+        "system": fingerprint(sys),
+        "x": word_text(sys, x),
+        "y": word_text(sys, y),
+        "coeffs": list(poly.coeffs),
+        "poly": str(poly),
+        "gj": gj,
+    }
 
 
-def cmd_vspace(config: RunConfig, x_word: str, y_word: str) -> VSpaceResult:
+def cmd_vspace(config: RunConfig, x_word: str, y_word: str) -> dict:
+    """V(x, y), plus its image under each --singular subset in flag order."""
     sys = build_system(config.type_text, budget=config.budget)
     x = element_from_word(sys, parse_word(x_word))
     y = element_from_word(sys, parse_word(y_word))
     table = VTable(sys, policy=config.policy)
-    space = table.v(x, y)
-    images: list[tuple[str, dict]] = []
-    for spec in config.singular:
-        spec.validate(sys)
-        images.append((str(spec), singular_v(sys, table, spec, x, y).to_json_dict()))
-    payload = space.to_json_dict()
-    return VSpaceResult(
-        system=fingerprint(sys),
-        x=word_text(sys, x),
-        y=word_text(sys, y),
-        dim=payload["dim"],
-        basis=payload["basis"],
-        singular=images,
-    )
+    payload = {
+        "system": fingerprint(sys),
+        "x": word_text(sys, x),
+        "y": word_text(sys, y),
+        "space": table.v(x, y).to_json_dict(),
+    }
+    if config.singular:
+        payload["singular"] = [
+            {"subset": str(spec), "image": singular_v(sys, table, spec, x, y).to_json_dict()}
+            for spec in config.singular
+        ]
+    return payload
 
 
-def cmd_verify(config: RunConfig) -> VerifyReport:
-    return run_verify(config)
+def cmd_verify(config: RunConfig) -> dict:
+    return run_verify(config).to_json_dict()
 
 
-def cmd_report(config: RunConfig) -> ReportResult:
+def cmd_report(config: RunConfig) -> dict:
     return run_report(config)
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering: text and csv from a command's payload; json is the payload itself
 
 
-def _render_enumerate(result: EnumerateResult, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(
-            {
-                "system": result.system,
-                "type": result.type_text,
-                "group_order": result.group_order,
-                "longest_length": result.longest_length,
-                "elements": [
-                    {"word": w, "length": ell} for w, ell in result.elements
-                ],
-            },
-            indent=2,
-        )
+def _render_enumerate(result: dict, fmt: str) -> str:
     if fmt == "csv":
-        lines = [f"# system: {result.system}", "word;length"]
-        lines.extend(f"{w};{ell}" for w, ell in result.elements)
+        lines = [f"# system: {result['system']}", "word;length"]
+        lines.extend(f"{e['word']};{e['length']}" for e in result["elements"])
         return "\n".join(lines)
     lines = [
-        f"type: {result.type_text}",
-        f"group order: {result.group_order}",
-        f"longest length: {result.longest_length}",
+        f"type: {result['type']}",
+        f"group order: {result['group_order']}",
+        f"longest length: {result['longest_length']}",
     ]
-    lines.extend(f"{ell:3d}  {w}" for w, ell in result.elements)
+    lines.extend(f"{e['length']:3d}  {e['word']}" for e in result["elements"])
     return "\n".join(lines)
 
 
-def _render_rpoly(result: RPolyResult, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(
-            {
-                "system": result.system,
-                "x": result.x,
-                "y": result.y,
-                "coeffs": result.coeffs,
-                "poly": result.poly,
-                "gj": result.gj,
-            },
-            indent=2,
-        )
+def _render_rpoly(result: dict, fmt: str) -> str:
     if fmt == "csv":
-        return f"{result.y};{result.x};{','.join(str(c) for c in result.coeffs)}"
-    return f"{result.poly}, gj={result.gj}"
+        return f"{result['y']};{result['x']};{','.join(str(c) for c in result['coeffs'])}"
+    return f"{result['poly']}, gj={result['gj']}"
 
 
-def _render_vspace(result: VSpaceResult, fmt: str) -> str:
-    if fmt == "json":
-        payload = {
-            "system": result.system,
-            "x": result.x,
-            "y": result.y,
-            "space": {"dim": result.dim, "basis": result.basis},
-        }
-        if result.singular:
-            payload["singular"] = [
-                {"subset": label, "image": image} for label, image in result.singular
-            ]
-        return json.dumps(payload, indent=2)
+def _render_vspace(result: dict, fmt: str) -> str:
+    spaces = [("", result["space"])]
+    spaces.extend((s["subset"], s["image"]) for s in result.get("singular", ()))
     if fmt == "csv":
-        lines = [f"# system: {result.system}", "x_word;y_word;subset;dim;row;entries"]
-
-        def emit(label: str, dim: int, basis: list[list[str]]) -> None:
-            if not basis:
-                lines.append(f"{result.x};{result.y};{label};{dim};;")
-            for k, row in enumerate(basis):
-                lines.append(f"{result.x};{result.y};{label};{dim};{k};{','.join(row)}")
-
-        emit("", result.dim, result.basis)
-        for label, image in result.singular:
-            emit(label, image["dim"], image["basis"])
+        lines = [f"# system: {result['system']}", "x_word;y_word;subset;dim;row;entries"]
+        for label, space in spaces:
+            prefix = f"{result['x']};{result['y']};{label};{space['dim']}"
+            if not space["basis"]:
+                lines.append(f"{prefix};;")
+            lines.extend(f"{prefix};{k};{','.join(row)}" for k, row in enumerate(space["basis"]))
         return "\n".join(lines)
-    lines = [f"dim: {result.dim}"]
-    lines.extend("basis: " + ",".join(row) for row in result.basis)
-    for label, image in result.singular:
+    lines = [f"dim: {result['space']['dim']}"]
+    lines.extend("basis: " + ",".join(row) for row in result["space"]["basis"])
+    for label, image in spaces[1:]:
         lines.append(f"singular {label}: dim {image['dim']}")
         lines.extend("  basis: " + ",".join(row) for row in image["basis"])
     return "\n".join(lines)
 
 
-def _render_verify(report: VerifyReport, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report.to_json_dict(), indent=2)
+def _render_verify(report: dict, fmt: str) -> str:
     if fmt == "csv":
-        lines = [f"# system: {report.system}", "suite;checked;failed"]
-        lines.extend(f"{s.name};{s.checked};{s.failed}" for s in report.suites)
+        lines = [f"# system: {report['system']}", "suite;checked;failed"]
+        lines.extend(f"{s['name']};{s['checked']};{s['failed']}" for s in report["suites"])
         return "\n".join(lines)
-    lines = [f"system: {report.system}"]
-    for s in report.suites:
-        lines.append(f"{s.name}: checked={s.checked} failed={s.failed}")
-        for w in s.witnesses:
+    lines = [f"system: {report['system']}"]
+    for s in report["suites"]:
+        lines.append(f"{s['name']}: checked={s['checked']} failed={s['failed']}")
+        for w in s["witnesses"]:
             lines.append(f"  witness: {json.dumps(w, sort_keys=True)}")
-    verdict = "PASS" if report.passed else "FAIL"
-    lines.append(f"result: {verdict} ({report.elapsed_ms} ms)")
+    verdict = "FAIL" if _failed(report) else "PASS"
+    lines.append(f"result: {verdict} ({report['elapsed_ms']} ms)")
     return "\n".join(lines)
 
 
-def _render_report(result: ReportResult, fmt: str) -> str:
-    if fmt == "json":
-        payload = result.summary_json_dict()
-        payload["paths"] = result.paths
-        payload["rtable_computed"] = result.rtable_computed
-        payload["vtable_computed"] = result.vtable_computed
-        return json.dumps(payload, indent=2, sort_keys=True)
+def _render_report(result: dict, fmt: str) -> str:
+    # gj_histogram's keys are strings, stored in ascending numeric order
     if fmt == "csv":
-        lines = [f"# system: {result.system}", "key;value"]
-        lines.append(f"group_order;{result.group_order}")
-        lines.append(f"longest_length;{result.longest_length}")
-        lines.append(f"comparable_pairs;{result.comparable_pairs}")
-        lines.append(f"max_dim_v;{result.max_dim_v}")
-        for k, v in sorted(result.gj_histogram.items()):
-            lines.append(f"gj_{k};{v}")
+        lines = [f"# system: {result['system']}", "key;value"]
+        for key in ("group_order", "longest_length", "comparable_pairs", "max_dim_v"):
+            lines.append(f"{key};{result[key]}")
+        lines.extend(f"gj_{k};{v}" for k, v in result["gj_histogram"].items())
         return "\n".join(lines)
-    hist = " ".join(f"{k}:{v}" for k, v in sorted(result.gj_histogram.items()))
+    hist = " ".join(f"{k}:{v}" for k, v in result["gj_histogram"].items())
     lines = [
-        f"system: {result.system}",
-        f"group order: {result.group_order}",
-        f"longest length: {result.longest_length}",
-        f"comparable pairs: {result.comparable_pairs}",
-        f"max dim: {result.max_dim_v}",
+        f"system: {result['system']}",
+        f"group order: {result['group_order']}",
+        f"longest length: {result['longest_length']}",
+        f"comparable pairs: {result['comparable_pairs']}",
+        f"max dim: {result['max_dim_v']}",
         f"gj histogram: {hist}",
     ]
-    lines.extend(f"wrote: {p}" for p in result.paths.values())
+    lines.extend(f"wrote: {p}" for p in result["paths"].values())
     return "\n".join(lines)
+
+
+def _failed(payload: dict) -> bool:
+    """True when a verify payload has a failed check; other payloads have no suites."""
+    return any(s["failed"] for s in payload.get("suites", ()))
+
+
+# command -> (handler called with the run config and the parsed args, renderer).
+# The lambdas look each cmd_* name up at call time, so a wrapper set on this
+# module's attribute (perfbench's tracer sets one) sees every call.
+_COMMANDS = {
+    "enumerate": (lambda config, args: cmd_enumerate(config), _render_enumerate),
+    "rpoly": (lambda config, args: cmd_rpoly(config, args.x_word, args.y_word), _render_rpoly),
+    "vspace": (lambda config, args: cmd_vspace(config, args.x_word, args.y_word), _render_vspace),
+    "verify": (lambda config, args: cmd_verify(config), _render_verify),
+    "report": (lambda config, args: cmd_report(config), _render_report),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +267,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         config = _config_from_args(args)
-        if args.command == "enumerate":
-            print(_render_enumerate(cmd_enumerate(config), args.format))
-        elif args.command == "rpoly":
-            print(_render_rpoly(cmd_rpoly(config, args.x_word, args.y_word), args.format))
-        elif args.command == "vspace":
-            print(_render_vspace(cmd_vspace(config, args.x_word, args.y_word), args.format))
-        elif args.command == "verify":
-            report = cmd_verify(config)
-            print(_render_verify(report, args.format))
-            if not report.passed:
-                return 3
+        handler, render = _COMMANDS[args.command]
+        payload = handler(config, args)
+        if args.format == "json":
+            print(json.dumps(payload, indent=2, sort_keys=args.command == "report"))
         else:
-            print(_render_report(cmd_report(config), args.format))
-        return 0
+            print(render(payload, args.format))
+        return 3 if _failed(payload) else 0
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

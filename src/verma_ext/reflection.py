@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coxeter import CoxeterSystem, GroupElement
-from .errors import IndexOutOfRange, ParseError, RankMismatch
+from .errors import IndexOutOfRange, RankMismatch
 
 RationalVector = tuple[Fraction, ...]
 
@@ -146,15 +146,3 @@ class RationalSubspace:
             "dim": self.dim,
             "basis": [[str(entry) for entry in row] for row in self.rows],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, ncols: int) -> "RationalSubspace":
-        try:
-            rows = [vector(row) for row in data["basis"]]
-            declared = int(data["dim"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad subspace payload: {exc}") from exc
-        space = cls(ncols, rows)
-        if space.dim != declared or space.rows != tuple(rows):
-            raise ParseError("subspace payload is not a reduced echelon basis")
-        return space

@@ -184,9 +184,10 @@ class RTable:
     def load_csv(self, path: Path | str) -> int:
         """Merge entries from a cache file, validating each row's invariants.
 
-        Returns the number of rows loaded.  Rows must carry the degree,
-        leading coefficient, and constant term forced by the lengths; a row
-        that does not is a ParseError, as is a system fingerprint mismatch.
+        Returns the number of rows loaded.  A row must name a pair y < x and
+        carry the degree, leading coefficient, and constant term forced by
+        the lengths; a row that does not is a ParseError, as is a system
+        fingerprint mismatch.
         """
         try:
             text = Path(path).read_text()
@@ -211,6 +212,8 @@ class RTable:
                 raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
             y = element_from_word(sys, parse_word(parts[0]))
             x = element_from_word(sys, parse_word(parts[1]))
+            if y == x or not bruhat_leq(sys, y, x):
+                raise ParseError(f"{path}:{lineno}: {parts[0]} is not strictly below {parts[1]}")
             try:
                 coeffs = tuple(int(c) for c in parts[2].split(","))
             except ValueError as exc:

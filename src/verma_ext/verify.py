@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -264,7 +265,6 @@ def _suite_s(sys, rtable, vtable: VTable, config: RunConfig, memo) -> SuiteResul
     w0 = longest_element(sys)
     e = identity(sys)
     for spec in subsets:
-        spec.validate(sys)
         space = singular_v(sys, vtable, spec, w0, e)
         expected = sys.rank - len(spec.indices)
         out.checked += 1
@@ -332,8 +332,14 @@ def fill_tables(config: RunConfig, sys: CoxeterSystem) -> tuple[RTable, VTable]:
 
 
 def build_tables(config: RunConfig) -> tuple[CoxeterSystem, RTable, VTable]:
-    """System plus its filled R-polynomial and subspace tables."""
+    """System plus its filled R-polynomial and subspace tables.
+
+    The singular subsets are checked against the system first, so a bad
+    index fails the run before the whole-group work.
+    """
     sys = build_system(config.type_text, budget=config.budget)
+    for spec in config.singular:
+        spec.validate(sys)
     return (sys, *fill_tables(config, sys))
 
 
@@ -352,31 +358,6 @@ def run_verify(config: RunConfig) -> VerifyReport:
 # report files
 
 
-@dataclass
-class ReportResult:
-    system: str
-    type_text: str
-    group_order: int
-    longest_length: int
-    comparable_pairs: int
-    max_dim_v: int
-    gj_histogram: dict[int, int]
-    paths: dict[str, str]
-    rtable_computed: int
-    vtable_computed: int
-
-    def summary_json_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "type": self.type_text,
-            "group_order": self.group_order,
-            "longest_length": self.longest_length,
-            "comparable_pairs": self.comparable_pairs,
-            "max_dim_v": self.max_dim_v,
-            "gj_histogram": {str(k): v for k, v in sorted(self.gj_histogram.items())},
-        }
-
-
 def dimension_rows(
     sys: CoxeterSystem, rtable: RTable, vtable: VTable
 ) -> list[tuple[str, str, int, int, int]]:
@@ -389,8 +370,12 @@ def dimension_rows(
     return rows
 
 
-def run_report(config: RunConfig) -> ReportResult:
+def run_report(config: RunConfig) -> dict:
     """Compute both tables for one group and write cache, dimension, summary files.
+
+    Returns the dict written to ``summary_*.json`` plus ``paths`` (the three
+    files written) and ``rtable_computed`` and ``vtable_computed`` (table
+    entries computed rather than loaded).
 
     The output dir is made before any table is filled, so an unusable one
     fails the run before the whole-group work.  It is also the run's cache
@@ -402,22 +387,17 @@ def run_report(config: RunConfig) -> ReportResult:
     config = replace(config, cache_dir=out_dir)
     rtable, vtable = fill_tables(config, sys)
     rows = dimension_rows(sys, rtable, vtable)
-    histogram: dict[int, int] = {}
-    for _, _, _, g, _ in rows:
-        histogram[g] = histogram.get(g, 0) + 1
+    histogram = Counter(row[3] for row in rows)
     fp = fingerprint(sys)
-    result = ReportResult(
-        system=fp,
-        type_text=str(sys.descriptor),
-        group_order=sys.group_order,
-        longest_length=longest_element(sys).length,
-        comparable_pairs=len(rows),
-        max_dim_v=max((r[2] for r in rows), default=0),
-        gj_histogram=histogram,
-        paths={},
-        rtable_computed=rtable.computed,
-        vtable_computed=vtable.computed,
-    )
+    summary = {
+        "system": fp,
+        "type": str(sys.descriptor),
+        "group_order": sys.group_order,
+        "longest_length": longest_element(sys).length,
+        "comparable_pairs": len(rows),
+        "max_dim_v": max((r[2] for r in rows), default=0),
+        "gj_histogram": {str(k): v for k, v in sorted(histogram.items())},
+    }
     save_rtable(config, sys, rtable)
     rpoly_path = _rpoly_cache_path(out_dir, sys)
     dims_path = out_dir / f"dims_{fp}.csv"
@@ -435,14 +415,16 @@ def run_report(config: RunConfig) -> ReportResult:
         raise IoError(f"cannot write {dims_path}: {exc}") from exc
     summary_path = out_dir / f"summary_{fp}.json"
     try:
-        summary_path.write_text(
-            json.dumps(result.summary_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {summary_path}: {exc}") from exc
-    result.paths = {
-        "rpoly": str(rpoly_path),
-        "dims": str(dims_path),
-        "summary": str(summary_path),
+    return {
+        **summary,
+        "paths": {
+            "rpoly": str(rpoly_path),
+            "dims": str(dims_path),
+            "summary": str(summary_path),
+        },
+        "rtable_computed": rtable.computed,
+        "vtable_computed": vtable.computed,
     }
-    return result

@@ -23,6 +23,29 @@ longest length: 3
   2  0,1
   3  0,1,0"""
 
+A2_REPORT_JSON = """\
+{
+  "comparable_pairs": 19,
+  "gj_histogram": {
+    "0": 6,
+    "1": 8,
+    "2": 5
+  },
+  "group_order": 6,
+  "longest_length": 3,
+  "max_dim_v": 2,
+  "paths": {
+    "dims": "DIR/dims_A2-e036c5aaa6cc.csv",
+    "rpoly": "DIR/rpoly_A2-e036c5aaa6cc.csv",
+    "summary": "DIR/summary_A2-e036c5aaa6cc.json"
+  },
+  "rtable_computed": 13,
+  "system": "A2-e036c5aaa6cc",
+  "type": "A2",
+  "vtable_computed": 19
+}
+"""
+
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -185,13 +208,21 @@ def test_vspace_json_multiple_singular(capsys):
 
 def test_vspace_csv_shape(capsys):
     code, out, _ = run(
-        capsys, "vspace", "--type", "A2", "0,1,0", "e", "--singular", "1", "--format", "csv"
+        capsys,
+        "vspace", "--type", "A2", "0,1,0", "e",
+        "--singular", "1", "--singular", "0,1",
+        "--format", "csv",
     )
     assert code == 0
-    lines = out.splitlines()
-    assert lines[1] == "x_word;y_word;subset;dim;row;entries"
-    assert "0,1,0;e;;2;0;1,0" in lines
-    assert "0,1,0;e;1;1;0;1" in lines
+    # a zero-dimensional image still gets one row, with empty row and entries
+    assert out.splitlines() == [
+        "# system: A2-e036c5aaa6cc",
+        "x_word;y_word;subset;dim;row;entries",
+        "0,1,0;e;;2;0;1,0",
+        "0,1,0;e;;2;1;0,1",
+        "0,1,0;e;1;1;0;1",
+        "0,1,0;e;0,1;0;;",
+    ]
 
 
 def test_vspace_zero_space_renders(capsys):
@@ -233,6 +264,19 @@ def test_verify_clean_group_exits_zero(capsys):
     assert "M: checked=12 failed=0" in lines
     assert lines[-1].startswith("result: PASS")
 
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "# system: A2-e036c5aaa6cc",
+        "suite;checked;failed",
+        "T;19;0",
+        "G;12;0",
+        "B;36;0",
+        "R;36;0",
+        "S;4;0",
+        "M;12;0",
+    ]
+
 
 def test_verify_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "--type", "A1", "--format", "json")
@@ -253,11 +297,24 @@ def test_verify_reports_the_rank_three_divergence(capsys):
     assert code == 3
     lines = out.splitlines()
     assert "T: checked=213 failed=1" in lines
-    assert any("witness" in line and "0,1,2,1,0" in line for line in lines)
+    assert lines[lines.index("T: checked=213 failed=1") + 1] == (
+        '  witness: {"basis": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], '
+        '"dim": 3, "direct": 4, "gj": 4, "x": "0,1,2,1,0", "y": "1"}'
+    )
     assert lines[-1].startswith("result: FAIL")
     # every other suite is clean
     for name, checked in [("G", 22), ("B", 576), ("R", 576), ("S", 8), ("M", 27)]:
         assert f"{name}: checked={checked} failed=0" in lines
+
+
+def test_verify_singular_out_of_range_fails_before_filling(capsys, monkeypatch):
+    def fill(*args, **kwargs):
+        raise AssertionError("a table was filled before --singular was checked")
+
+    monkeypatch.setattr(verify, "compute_all", fill)
+    code, _, err = run(capsys, "verify", "--type", "A2", "--singular", "9")
+    assert code == 1
+    assert "singular index 9 outside 0..1" in err
 
 
 def test_verify_singular_flag_restricts_suite(capsys):
@@ -340,6 +397,34 @@ def test_report_writes_three_files(capsys, tmp_path):
     assert "0,1,0;e;2;2;1" in dims
     # A2 has no divergent pairs
     assert all(line.endswith(";1") for line in dims[4:])
+    assert out.splitlines()[-3:] == [
+        f"wrote: {tmp_path / names[1]}",
+        f"wrote: {tmp_path / names[0]}",
+        f"wrote: {tmp_path / names[2]}",
+    ]
+
+    code, out, _ = run(
+        capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path / "csv"), "--format", "csv"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "# system: A2-e036c5aaa6cc",
+        "key;value",
+        "group_order;6",
+        "longest_length;3",
+        "comparable_pairs;19",
+        "max_dim_v;2",
+        "gj_0;6",
+        "gj_1;8",
+        "gj_2;5",
+    ]
+
+    json_dir = tmp_path / "json"
+    code, out, _ = run(
+        capsys, "report", "--type", "A2", "--cache-dir", str(json_dir), "--format", "json"
+    )
+    assert code == 0
+    assert out.replace(str(json_dir), "DIR") == A2_REPORT_JSON
 
 
 def test_report_is_deterministic_modulo_stamp(capsys, tmp_path):

@@ -11,7 +11,7 @@ from verma_ext.coxeter import (
     element_from_word,
     identity,
 )
-from verma_ext.errors import IndexOutOfRange, ParseError, RankMismatch
+from verma_ext.errors import IndexOutOfRange, RankMismatch
 from verma_ext.reflection import (
     RationalSubspace,
     apply_element,
@@ -131,24 +131,3 @@ def test_json_round_trip():
     s = RationalSubspace(2, [vector([1, Fraction(1, 2)])])
     blob = s.to_json_dict()
     assert blob == {"dim": 1, "basis": [["1", "1/2"]]}
-    assert RationalSubspace.from_json_dict(blob, 2) == s
-
-
-def test_json_round_trip_zero():
-    s = RationalSubspace(2)
-    assert RationalSubspace.from_json_dict(s.to_json_dict(), 2) == s
-
-
-def test_from_json_rejects_non_echelon_basis():
-    with pytest.raises(ParseError):
-        RationalSubspace.from_json_dict({"dim": 2, "basis": [["1", "1"], ["1", "0"]]}, 2)
-
-
-def test_from_json_rejects_wrong_declared_dim():
-    with pytest.raises(ParseError):
-        RationalSubspace.from_json_dict({"dim": 2, "basis": [["1", "0"]]}, 2)
-
-
-def test_from_json_rejects_garbage():
-    with pytest.raises(ParseError):
-        RationalSubspace.from_json_dict({"basis": [["1", "x"]]}, 2)

@@ -237,6 +237,22 @@ def test_cache_rejects_corrupt_coefficients(tmp_path, system):
         RTable(a2).load_csv(path)
 
 
+@pytest.mark.parametrize("row", ["0;1;1", "1;1;1"])
+def test_cache_rejects_pairs_not_below(tmp_path, system, row):
+    # both rows pass the gap-0 degree and term checks: s1 and s0 have the
+    # same length but are not comparable, and diagonal pairs are never stored
+    b2 = system("B2")
+    table = RTable(b2)
+    _fill(table, b2)
+    path = tmp_path / "rpoly.csv"
+    table.save_csv(path)
+    lines = path.read_text().splitlines() + [row]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        RTable(b2).load_csv(path)
+    assert str(info.value).startswith(f"{path}:{len(lines)}: ")
+
+
 def test_cache_file_shape(tmp_path, system):
     a2 = system("A2")
     table = RTable(a2)
