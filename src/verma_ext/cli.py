@@ -217,6 +217,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="directory for cache and report files")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
+
+
+def _add_singular(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--singular", action="append", default=None, metavar="IDXS",
                         help="singular subset like '0,2' (repeatable; '' is empty)")
 
@@ -235,10 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y_word")
     p = sub.add_parser("vspace", help="the subspace V(x, y)")
     _add_common(p)
+    _add_singular(p)
     p.add_argument("x_word")
     p.add_argument("y_word")
     p = sub.add_parser("verify", help="run all verification suites")
     _add_common(p)
+    _add_singular(p)
     p = sub.add_parser("report", help="write cache, dimension and summary files")
     _add_common(p)
     return parser
@@ -246,9 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cache_dir = os.environ.get("VERMA_EXT_CACHE") or args.cache_dir
-    singular = ()
-    if args.singular is not None:
-        singular = tuple(SingularSpec.parse(text) for text in args.singular)
+    singular = tuple(SingularSpec.parse(text) for text in getattr(args, "singular", None) or ())
     return RunConfig(
         type_text=args.type,
         budget=args.budget,

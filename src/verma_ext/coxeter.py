@@ -238,9 +238,10 @@ class CoxeterSystem:
     """A finite Weyl group with its Cartan data and per-group caches.
 
     The interned element tables are indexed by element id; the other caches
-    (Bruhat memo, subword down-sets, element list) are keyed by GroupElement.
-    All grow monotonically, and all derived tables hold a reference to their
-    system, so sharing one system between tables shares the caches.
+    (Bruhat memo, subword down-sets, element and pair lists) hold
+    GroupElements.  All grow monotonically, and all derived tables hold a
+    reference to their system, so sharing one system between tables shares
+    the caches.
     """
 
     def __init__(self, descriptor: TypeDescriptor, budget: int = DEFAULT_BUDGET):
@@ -267,6 +268,7 @@ class CoxeterSystem:
         self._bruhat: dict[tuple[GroupElement, GroupElement], bool] = {}
         self._downsets: dict[GroupElement, frozenset[IntMatrix]] = {}
         self._elements: tuple[GroupElement, ...] | None = None
+        self._pairs: tuple[tuple[GroupElement, GroupElement], ...] | None = None
         self._longest: GroupElement | None = None
 
     def __repr__(self) -> str:
@@ -584,15 +586,20 @@ def enumerate_elements(sys: CoxeterSystem) -> tuple[GroupElement, ...]:
     return sys._elements
 
 
-def comparable_pairs(sys: CoxeterSystem) -> list[tuple[GroupElement, GroupElement]]:
-    """All pairs (x, y) with y <= x, ordered by (length, matrix) on x then y."""
-    elements = enumerate_elements(sys)
-    return [
-        (x, y)
-        for x in elements
-        for y in elements
-        if y.length <= x.length and bruhat_leq(sys, y, x)
-    ]
+def comparable_pairs(sys: CoxeterSystem) -> tuple[tuple[GroupElement, GroupElement], ...]:
+    """All pairs (x, y) with y <= x, ordered by (length, matrix) on x then y.
+
+    Cached on the system.
+    """
+    if sys._pairs is None:
+        elements = enumerate_elements(sys)
+        sys._pairs = tuple(
+            (x, y)
+            for x in elements
+            for y in elements
+            if y.length <= x.length and bruhat_leq(sys, y, x)
+        )
+    return sys._pairs
 
 
 def longest_element(sys: CoxeterSystem) -> GroupElement:

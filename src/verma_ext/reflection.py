@@ -97,11 +97,11 @@ class RationalSubspace:
     """A subspace of Q^n held as its reduced row echelon basis.
 
     The stored rows are canonical for the subspace, so ``==`` and ``hash``
-    are subspace equality.  Instances are immutable; every operation returns
-    a new object.
+    are subspace equality; the hash is taken once, as tables key on it.
+    Instances are immutable; every operation returns a new object.
     """
 
-    __slots__ = ("ncols", "rows")
+    __slots__ = ("ncols", "rows", "_hash")
 
     def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
@@ -112,6 +112,7 @@ class RationalSubspace:
                 raise RankMismatch(f"row of length {len(row)} in ambient dimension {ncols}")
             cleaned.append(list(row))
         self.rows = _rref(cleaned, ncols)
+        self._hash = hash((ncols, self.rows))
 
     @property
     def dim(self) -> int:
@@ -136,7 +137,7 @@ class RationalSubspace:
         return self.ncols == other.ncols and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.ncols, self.rows))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"RationalSubspace(dim={self.dim}, ncols={self.ncols})"

@@ -318,10 +318,16 @@ def _make_dir(path: Path, what: str) -> None:
 
 
 def save_rtable(config: RunConfig, sys: CoxeterSystem, rtable: RTable) -> None:
-    """Write the R-polynomial table into the cache dir, if the run has one."""
+    """Write the R-polynomial table into the cache dir, if the run has one.
+
+    A cache file the run computed nothing beyond already holds these rows,
+    so it is left as it is.
+    """
     if config.cache_dir is None:
         return
     cache = _rpoly_cache_path(config.cache_dir, sys)
+    if rtable.computed == 0 and cache.exists():
+        return
     _make_dir(cache.parent, "cache")
     rtable.save_csv(cache)
 

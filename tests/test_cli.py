@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
 
@@ -466,6 +467,33 @@ def test_report_without_cache_dir_reads_back_its_rpoly_file(capsys, tmp_path, mo
     assert second["rtable_computed"] == 0
     assert len(second_files) == 3
     assert second_files == first_files
+
+
+def test_warm_report_leaves_the_rpoly_file_alone(capsys, tmp_path):
+    code, _, _ = run(capsys, "report", "--type", "A3", "--cache-dir", str(tmp_path))
+    assert code == 0
+    (rpoly,) = tmp_path.glob("rpoly_A3-*.csv")
+    body = rpoly.read_bytes()
+    # an old stamp, so a rewrite shows whatever the file system's resolution
+    os.utime(rpoly, ns=(10**18, 10**18))
+    code, out, _ = run(capsys, "report", "--type", "A3", "--cache-dir", str(tmp_path),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rtable_computed"] == 0
+    assert rpoly.stat().st_mtime_ns == 10**18
+    assert rpoly.read_bytes() == body
+
+
+def test_singular_is_refused_where_it_means_nothing(capsys):
+    for argv in (
+        ["rpoly", "--type", "A2", "0,1,0", "e"],
+        ["enumerate", "--type", "A1"],
+        ["report", "--type", "A1"],
+    ):
+        code, out, err = run(capsys, *argv, "--singular", "9")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --singular 9" in err
 
 
 # ---------------------------------------------------------------------------

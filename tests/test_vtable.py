@@ -17,8 +17,10 @@ from collections import Counter
 
 import pytest
 
+from verma_ext import vtable as vtable_module
 from verma_ext.coxeter import (
     bruhat_leq,
+    build_system,
     comparable_pairs,
     descend,
     element_from_word,
@@ -157,6 +159,39 @@ def test_compute_all_counts(system, vtable):
     assert len(vtable("B2").entries) == 33
     assert len(vtable("G2").entries) == 73
     assert vtable("A2").computed == 19
+
+
+@pytest.mark.parametrize(
+    "text, policy",
+    [(t, p) for t in PRESETS for p in ("smallest", "largest") if (t, p) != ("D4", "largest")],
+)
+def test_fill_matches_a_fresh_chain_walk(text, policy, system, vtable):
+    # A fresh table has nothing stored, so each query walks its chain to the
+    # diagonal and builds its span once; the fill stops at stored pairs.
+    sys = system(text)
+    table = vtable(text) if policy == "smallest" else compute_all(sys, policy=policy)
+    for (x, y), space in table.entries.items():
+        assert VTable(sys, policy).v(x, y) == space
+
+
+def test_fill_takes_one_descent_step_per_pair(monkeypatch):
+    # In length order every off-diagonal pair is one step above a stored
+    # pair, so the fill takes exactly one step from each.
+    sys = build_system("B3")
+    steps = []
+
+    def counted(sys, x, y, policy):
+        steps.append((x, y))
+        return descend(sys, x, y, policy)
+
+    monkeypatch.setattr(vtable_module, "descend", counted)
+    table = compute_all(sys)
+    off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
+    assert len(off_diagonal) == 799
+    assert steps == off_diagonal
+    # equal subspaces are one object
+    spaces = table.entries.values()
+    assert len({id(v) for v in spaces}) == len(set(spaces))
 
 
 # ---------------------------------------------------------------------------
