@@ -256,6 +256,8 @@ class CoxeterSystem:
         self.rank = descriptor.rank
         self.group_order = order
         self.positive_roots = _positive_roots(self.cartan)
+        # (c, a[i][c]) for the columns c that right multiplication by s_i rewrites
+        self._coupled = tuple(tuple((c, a) for c, a in enumerate(r) if a) for r in self.cartan)
         n = self.rank
         eye = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
         self._index: dict[IntMatrix, int] = {}
@@ -295,17 +297,21 @@ def fingerprint(sys: CoxeterSystem) -> str:
 # element arithmetic
 
 
-def _col_reflect(cartan: IntMatrix, matrix: IntMatrix, i: int) -> IntMatrix:
-    # Right multiplication by s_i only rewrites column i:
-    # (M s_i)[r][c] = M[r][c] - a[i][c] * M[r][i]
-    a_i = cartan[i]
-    return tuple(
-        tuple(
-            row[c] - a_i[c] * row[i] if a_i[c] else row[c]
-            for c in range(len(row))
-        )
-        for row in matrix
-    )
+def _col_reflect(sys: CoxeterSystem, matrix: IntMatrix, i: int) -> IntMatrix:
+    # (M s_i)[r][c] = M[r][c] - a[i][c] * M[r][i], so a row with M[r][i] == 0
+    # is copied unchanged, and in the others only the columns c with
+    # a[i][c] != 0 (column i and its Dynkin neighbours) change.
+    coupled = sys._coupled[i]
+    out = []
+    for row in matrix:
+        m = row[i]
+        if m:
+            row = list(row)
+            for c, a in coupled:
+                row[c] -= a * m
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
 
 
 def _intern(sys: CoxeterSystem, matrix: IntMatrix, length: int) -> GroupElement:
@@ -371,7 +377,11 @@ def multiply(sys: CoxeterSystem, a: GroupElement, b: GroupElement) -> GroupEleme
 
 
 def right_multiply(sys: CoxeterSystem, g: GroupElement, i: int) -> GroupElement:
-    """g * s_i: a lookup in the system's table, one column rewrite on first use."""
+    """g * s_i: a lookup in the system's table, filled on first use.
+
+    The fill copies the rows of g's matrix that are 0 in column i and
+    rewrites column i and its Dynkin neighbours in the others.
+    """
     if not 0 <= i < sys.rank:
         raise IndexOutOfRange(f"simple reflection index {i} outside 0..{sys.rank - 1}")
     g = _own(sys, g)
@@ -379,7 +389,7 @@ def right_multiply(sys: CoxeterSystem, g: GroupElement, i: int) -> GroupElement:
     hid = row[i]
     if hid < 0:
         length = g.length - 1 if g.descents >> i & 1 else g.length + 1
-        hid = row[i] = _intern(sys, _col_reflect(sys.cartan, g.matrix, i), length).id
+        hid = row[i] = _intern(sys, _col_reflect(sys, g.matrix, i), length).id
         sys._rmul[hid][i] = g.id
     return sys._by_id[hid]
 
@@ -550,9 +560,7 @@ def bruhat_leq_oracle(
         prods: list[IntMatrix] = [eye] * (1 << k)
         for mask in range(1, 1 << k):
             high = mask.bit_length() - 1
-            prods[mask] = _col_reflect(
-                sys.cartan, prods[mask ^ (1 << high)], word[high]
-            )
+            prods[mask] = _col_reflect(sys, prods[mask ^ (1 << high)], word[high])
         downset = frozenset(prods)
         sys._downsets[y] = downset
     return x.matrix in downset

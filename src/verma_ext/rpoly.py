@@ -146,7 +146,12 @@ class RTable:
         if hit is not None:
             return hit
         _, xs, ys, down = descend(self.sys, x, y, self.policy)
-        value = self.r(ys, xs) if down else Q_MINUS_ONE * self.r(y, xs) + Q * self.r(ys, xs)
+        if down:
+            value = self.r(ys, xs)
+        else:  # (q-1) a + q b = q (a + b) - a in one pass; b is zero or a degree below a
+            a, b = self.r(y, xs).coeffs, self.r(ys, xs).coeffs
+            b += (0,) * (len(a) - len(b))
+            value = IntPolynomial([u + v - w for u, v, w in zip((0,) + a, (0,) + b, a + (0,))])
         # the recursion only reaches shorter x, so key is not stored yet
         self.entries[key] = value
         self.computed += 1
@@ -249,8 +254,16 @@ def gj_coefficient(sys: CoxeterSystem, x: GroupElement, y: GroupElement, table: 
     return value
 
 
+# Direct-route counts by pair (x, y), under one descent policy.
+DirectMemo = dict[tuple[GroupElement, GroupElement], int]
+
+
 def r_coeff_direct(
-    sys: CoxeterSystem, x: GroupElement, y: GroupElement, policy: str = DESCENT_POLICIES[0]
+    sys: CoxeterSystem,
+    x: GroupElement,
+    y: GroupElement,
+    policy: str = DESCENT_POLICIES[0],
+    memo: DirectMemo | None = None,
 ) -> int:
     """The same first-order coefficient by a direct descent recursion.
 
@@ -258,7 +271,12 @@ def r_coeff_direct(
     with x' = xs, the count for (x, y) is the count for (x', ys) when
     ys < y; the count for (x', y) when ys > y and x' >= ys; and one more
     than the count for (x', y) otherwise.  Each step shortens x, so the
-    recursion is a single chain of length(x) - length(y) steps.
+    recursion is one chain of at most length(x) - length(y) steps.
+
+    ``memo`` holds counts of pairs already counted under this policy.  The
+    chain stops at the first pair ``memo`` holds and adds its count, so a
+    whole-group pass in length order takes one step per pair.  Without it
+    the chain runs down to the diagonal.
     """
     check_policy(policy)
     check_below(sys, y, x)
@@ -270,4 +288,6 @@ def r_coeff_direct(
         elif not bruhat_leq(sys, ys, xs):
             total += 1
         x = xs
+        if memo and (x, y) in memo:
+            return total + memo[(x, y)]
     return total

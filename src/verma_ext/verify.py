@@ -14,7 +14,9 @@ and runs six suites:
 Each suite reports how many atomic checks ran and how many failed, plus a
 witness for the first failure.  Besides the run's tables, every suite takes
 ``memo``, the run's ``r_coeff_direct`` values, so that suites T and R compute
-the direct route once per pair between them.  ``run_report`` writes the
+the direct route once per pair between them.  Each computation stops its
+descent chain at the first pair in ``memo``, so suite T, walking the pairs
+in length order, takes one step per pair.  ``run_report`` writes the
 dimension table, the R-polynomial cache, and a summary; everything written
 is deterministic except an explicit generated_at comment line.
 """
@@ -49,7 +51,7 @@ from .coxeter import (
 )
 from .errors import IoError
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
-from .rpoly import RTable, ZERO, gj_coefficient, r_coeff_direct
+from .rpoly import DirectMemo, RTable, ZERO, gj_coefficient, r_coeff_direct
 from .vtable import SingularSpec, VTable, compute_all, membership_report, singular_v
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
@@ -106,14 +108,11 @@ class VerifyReport:
         }
 
 
-DirectMemo = dict[tuple[GroupElement, GroupElement], int]
-
-
 def _direct(sys, config: RunConfig, memo: DirectMemo, x: GroupElement, y: GroupElement) -> int:
-    """r_coeff_direct of y <= x, computed on first use and kept in ``memo``."""
+    """r_coeff_direct of y <= x, computed on first use from ``memo`` and kept there."""
     value = memo.get((x, y))
     if value is None:
-        value = memo[(x, y)] = r_coeff_direct(sys, x, y, policy=config.policy)
+        value = memo[(x, y)] = r_coeff_direct(sys, x, y, policy=config.policy, memo=memo)
     return value
 
 

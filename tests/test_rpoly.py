@@ -4,20 +4,26 @@ Small-group values are frozen from hand computation (A1, A2) and from the
 closed form R = (q-1)^gap that holds whenever the pair is joined by a
 maximal chain of distinct-reflection steps; the general-case safety net is
 the invariant block plus the cross-recursion agreement test.
+``polynomial_r`` takes the ascent step as (q-1) R(y, xs) + q R(ys, xs) in
+``IntPolynomial`` arithmetic, a second route to every table entry.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from verma_ext import rpoly as rpoly_module
 from verma_ext.coxeter import (
     bruhat_leq,
+    build_system,
+    comparable_pairs,
+    descend,
     element_from_word,
     enumerate_elements,
     identity,
     longest_element,
 )
-from verma_ext.errors import InvalidType, NotComparable, ParseError
+from verma_ext.errors import InvalidType, LiftingViolation, NotComparable, ParseError
 from verma_ext.rpoly import (
     ONE,
     Q,
@@ -28,6 +34,8 @@ from verma_ext.rpoly import (
     gj_coefficient,
     r_coeff_direct,
 )
+from verma_ext.verify import PRESETS, RunConfig, _suite_r, _suite_t
+from verma_ext.vtable import compute_all
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +141,43 @@ def test_invariants_on_all_pairs(text, system, rtable):
                 assert poly.eval_at(1) == 0
 
 
-def test_policy_independence(system):
-    b2 = system("B2")
-    small = RTable(b2, policy="smallest")
-    large = RTable(b2, policy="largest")
-    elems = enumerate_elements(b2)
-    for x in elems:
-        for y in elems:
-            assert small.r(y, x) == large.r(y, x)
+def test_policy_independence(system, rtable):
+    for text in PRESETS:
+        sys = system(text)
+        small = rtable(text)
+        large = RTable(sys, policy="largest")
+        elems = enumerate_elements(sys)
+        for x in elems:
+            for y in elems:
+                assert small.r(y, x) == large.r(y, x), (text, x, y)
+
+
+def polynomial_r(sys, y, x, memo):
+    """R(y, x) by the recursion with the ascent step in polynomial arithmetic."""
+    if y == x:
+        return ONE
+    if not bruhat_leq(sys, y, x):
+        return ZERO
+    key = (y, x)
+    if key not in memo:
+        _, xs, ys, down = descend(sys, x, y, "smallest")
+        if down:
+            memo[key] = polynomial_r(sys, ys, xs, memo)
+        else:
+            a = polynomial_r(sys, y, xs, memo)
+            b = polynomial_r(sys, ys, xs, memo)
+            memo[key] = Q_MINUS_ONE * a + Q * b
+    return memo[key]
+
+
+@pytest.mark.parametrize("text", ["A3", "B3"])
+def test_ascent_step_matches_polynomial_arithmetic(text, system):
+    sys = system(text)
+    table = RTable(sys)
+    memo = {}
+    for x, y in comparable_pairs(sys):
+        assert table.r(y, x) == polynomial_r(sys, y, x, memo)
+    assert table.entries == memo
 
 
 def test_bad_policy_rejected(system):
@@ -182,6 +219,61 @@ def test_coefficient_routes_agree(text, system, rtable):
         for y in elems:
             if bruhat_leq(sys, y, x):
                 assert gj_coefficient(sys, x, y, table) == r_coeff_direct(sys, x, y)
+
+
+def _direct_pass(sys, table):
+    """The direct-route memo a whole-group verify leaves after suites T and R."""
+    config = RunConfig(str(sys.descriptor), policy=table.policy)
+    memo = {}
+    _suite_t(sys, table, compute_all(sys, policy=table.policy), config, memo)
+    _suite_r(sys, table, None, config, memo)
+    return memo
+
+
+@pytest.mark.parametrize(
+    "text, policy",
+    [(t, p) for t in PRESETS for p in ("smallest", "largest") if (t, p) != ("D4", "largest")],
+)
+def test_direct_memo_matches_a_fresh_chain_walk(text, policy, system):
+    # A lone call has no memo, so it walks its chain down to the diagonal;
+    # the pass stops each chain at the first pair it already counted.
+    sys = system(text)
+    memo = _direct_pass(sys, RTable(sys, policy=policy))
+    assert len(memo) == len(comparable_pairs(sys))
+    for (x, y), count in memo.items():
+        assert r_coeff_direct(sys, x, y, policy) == count
+
+
+def test_direct_pass_takes_one_descent_step_per_pair(monkeypatch):
+    # In length order every off-diagonal pair is one step above a counted
+    # pair, so the pass takes exactly one step from each.
+    sys = build_system("B3")
+    steps = []
+
+    def counted(sys, x, y, policy):
+        steps.append((x, y))
+        return descend(sys, x, y, policy)
+
+    table = RTable(sys)
+    _fill(table, sys)  # first, because the R recursion takes rpoly's descend too
+    monkeypatch.setattr(rpoly_module, "descend", counted)
+    _direct_pass(sys, table)
+    off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
+    assert len(off_diagonal) == 799
+    assert steps == off_diagonal
+
+
+def test_direct_step_off_the_order_is_a_lifting_violation(monkeypatch, system):
+    # With the entry check skipped, s1 over s0 reaches the step, whose
+    # lifting check fires with or without a memo.
+    a2 = system("A2")
+    x = element_from_word(a2, (0,))
+    y = element_from_word(a2, (1,))
+    monkeypatch.setattr(rpoly_module, "check_below", lambda sys, y, x: None)
+    with pytest.raises(LiftingViolation):
+        r_coeff_direct(a2, x, y)
+    with pytest.raises(LiftingViolation):
+        r_coeff_direct(a2, x, y, memo={(identity(a2), identity(a2)): 0})
 
 
 # ---------------------------------------------------------------------------
