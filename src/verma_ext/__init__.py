@@ -44,7 +44,7 @@ from .reflection import (
     reflect,
 )
 from .rpoly import IntPolynomial, RTable, gj_coefficient, r_coeff_direct
-from .verify import PRESETS, RunConfig, VerifyReport, run_report, run_verify
+from .verify import PRESETS, RunConfig, run_report, run_verify
 from .vtable import (
     SingularSpec,
     VTable,

@@ -10,16 +10,24 @@ Words are comma-separated simple reflection indices (0-based); ``e`` is the
 identity.  Exit codes: 0 success, 1 usage or configuration error, 2 domain
 error (incomparable pair, unparseable word), 3 verification failure.
 
+Each command is declared once, as a row of ``_COMMANDS``: its help, its
+positional words, the flags it reads, its handler and its renderer.  The
+parser is built from that table on first use and kept for the process.
+Every command takes --type, --budget and --format; --descent-policy,
+--cache-dir and --singular go only to the commands whose row names them,
+and any other command refuses them as a usage error.
+
 Each ``cmd_*`` returns its command's JSON payload.  ``--format json`` prints
 that dict as is; the text and csv formats are rendered from it.
 
-The cache directory may be set with --cache-dir; the environment variable
-VERMA_EXT_CACHE, when present, takes precedence over the flag.
+The environment variable VERMA_EXT_CACHE, when present, takes precedence
+over --cache-dir for the commands that take it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -101,7 +109,7 @@ def cmd_vspace(config: RunConfig, x_word: str, y_word: str) -> dict:
 
 
 def cmd_verify(config: RunConfig) -> dict:
-    return run_verify(config).to_json_dict()
+    return run_verify(config)
 
 
 def cmd_report(config: RunConfig) -> dict:
@@ -192,86 +200,85 @@ def _failed(payload: dict) -> bool:
     return any(s["failed"] for s in payload.get("suites", ()))
 
 
-# command -> (handler called with the run config and the parsed args, renderer).
-# The lambdas look each cmd_* name up at call time, so a wrapper set on this
-# module's attribute (perfbench's tracer sets one) sees every call.
+# ---------------------------------------------------------------------------
+# commands, their flags and the parser built from them
+
+
+# Every option, in the order a command's usage lists them.
+_OPTIONS = {
+    "--type": dict(required=True, help="type descriptor, e.g. A3 or A1xA2"),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET,
+                     help="largest group order the build will accept"),
+    "--descent-policy": dict(choices=DESCENT_POLICIES, default=DESCENT_POLICIES[0],
+                             help="which right descent the recursions strip"),
+    "--cache-dir": dict(default=None, help="directory for cache and report files"),
+    "--format": dict(choices=("text", "json", "csv"), default="text"),
+    "--singular": dict(action="append", default=None, metavar="IDXS",
+                       help="singular subset like '0,2' (repeatable; '' is empty)"),
+}
+_EVERY_COMMAND = ("--type", "--budget", "--format")
+
+# command -> (help, positional words, options beyond _EVERY_COMMAND, handler
+# called with the run config and the words, renderer).  The lambdas look each
+# cmd_* name up at call time, so a wrapper set on this module's attribute
+# (perfbench's tracer sets one) sees every call.
 _COMMANDS = {
-    "enumerate": (lambda config, args: cmd_enumerate(config), _render_enumerate),
-    "rpoly": (lambda config, args: cmd_rpoly(config, args.x_word, args.y_word), _render_rpoly),
-    "vspace": (lambda config, args: cmd_vspace(config, args.x_word, args.y_word), _render_vspace),
-    "verify": (lambda config, args: cmd_verify(config), _render_verify),
-    "report": (lambda config, args: cmd_report(config), _render_report),
+    "enumerate": ("list all group elements", (), (),
+                  lambda config: cmd_enumerate(config), _render_enumerate),
+    "rpoly": ("R-polynomial of a pair x, y with y <= x", ("x_word", "y_word"),
+              ("--descent-policy", "--cache-dir"),
+              lambda config, x, y: cmd_rpoly(config, x, y), _render_rpoly),
+    "vspace": ("the subspace V(x, y)", ("x_word", "y_word"), ("--descent-policy", "--singular"),
+               lambda config, x, y: cmd_vspace(config, x, y), _render_vspace),
+    "verify": ("run all verification suites", (), ("--descent-policy", "--cache-dir", "--singular"),
+               lambda config: cmd_verify(config), _render_verify),
+    "report": ("write cache, dimension and summary files", (), ("--descent-policy", "--cache-dir"),
+               lambda config: cmd_report(config), _render_report),
 }
 
 
-# ---------------------------------------------------------------------------
-# argument parsing
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--type", required=True, help="type descriptor, e.g. A3 or A1xA2")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="largest group order the build will accept")
-    parser.add_argument("--descent-policy", choices=DESCENT_POLICIES, default=DESCENT_POLICIES[0],
-                        help="which right descent the recursions strip")
-    parser.add_argument("--cache-dir", default=None,
-                        help="directory for cache and report files")
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-
-def _add_singular(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--singular", action="append", default=None, metavar="IDXS",
-                        help="singular subset like '0,2' (repeatable; '' is empty)")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built from ``_COMMANDS`` once per process."""
     parser = argparse.ArgumentParser(
         prog="verma-ext",
         description="Subspace tables and R-polynomials for finite Weyl groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("enumerate", help="list all group elements")
-    _add_common(p)
-    p = sub.add_parser("rpoly", help="R-polynomial of a pair x, y with y <= x")
-    _add_common(p)
-    p.add_argument("x_word")
-    p.add_argument("y_word")
-    p = sub.add_parser("vspace", help="the subspace V(x, y)")
-    _add_common(p)
-    _add_singular(p)
-    p.add_argument("x_word")
-    p.add_argument("y_word")
-    p = sub.add_parser("verify", help="run all verification suites")
-    _add_common(p)
-    _add_singular(p)
-    p = sub.add_parser("report", help="write cache, dimension and summary files")
-    _add_common(p)
+    for name, (help_text, words, options, _, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, spec in _OPTIONS.items():
+            if option in _EVERY_COMMAND or option in options:
+                p.add_argument(option, **spec)
+        for word in words:
+            p.add_argument(word)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cache_dir = os.environ.get("VERMA_EXT_CACHE") or args.cache_dir
-    singular = tuple(SingularSpec.parse(text) for text in getattr(args, "singular", None) or ())
-    return RunConfig(
-        type_text=args.type,
-        budget=args.budget,
-        policy=args.descent_policy,
-        singular=singular,
-        cache_dir=Path(cache_dir) if cache_dir else None,
-    )
+    """The run config; a field whose flag the command lacks keeps its default."""
+    given = vars(args)
+    config = RunConfig(type_text=args.type, budget=args.budget)
+    if "descent_policy" in given:
+        config.policy = args.descent_policy
+    if "cache_dir" in given:
+        cache_dir = os.environ.get("VERMA_EXT_CACHE") or args.cache_dir
+        config.cache_dir = Path(cache_dir) if cache_dir else None
+    if "singular" in given:
+        config.singular = tuple(SingularSpec.parse(text) for text in args.singular or ())
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; fold that into the usage bucket
         return 0 if exc.code == 0 else 1
     try:
         config = _config_from_args(args)
-        handler, render = _COMMANDS[args.command]
-        payload = handler(config, args)
+        _, words, _, handler, render = _COMMANDS[args.command]
+        payload = handler(config, *(getattr(args, word) for word in words))
         if args.format == "json":
             print(json.dumps(payload, indent=2, sort_keys=args.command == "report"))
         else:

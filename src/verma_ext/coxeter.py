@@ -541,18 +541,16 @@ def descend(
     return s, xs, ys, down
 
 
-def bruhat_leq_oracle(
-    sys: CoxeterSystem, x: GroupElement, y: GroupElement, budget: int = ORACLE_BUDGET
-) -> bool:
+def bruhat_leq_oracle(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
     """Decide x <= y by enumerating all subwords of one reduced word of y.
 
     x <= y iff some subword of any fixed reduced word of y multiplies to x.
     Exponential in length(y); the per-y down-set is cached, and the call
-    refuses budgets below 2**length(y).
+    refuses a y whose 2**length(y) subwords exceed ORACLE_BUDGET.
     """
     k = y.length
-    if 2**k > budget:
-        raise BudgetExceeded(f"subword oracle needs 2**{k} products, budget is {budget}")
+    if 2**k > ORACLE_BUDGET:
+        raise BudgetExceeded(f"subword oracle needs 2**{k} products, budget is {ORACLE_BUDGET}")
     downset = sys._downsets.get(y)
     if downset is None:
         word = reduced_word(sys, y)

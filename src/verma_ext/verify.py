@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -80,32 +80,6 @@ class SuiteResult:
         self.failed += 1
         if not self.witnesses:
             self.witnesses.append(witness)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "checked": self.checked,
-            "failed": self.failed,
-            "witnesses": self.witnesses,
-        }
-
-
-@dataclass
-class VerifyReport:
-    system: str
-    suites: list[SuiteResult]
-    elapsed_ms: int
-
-    @property
-    def passed(self) -> bool:
-        return all(s.failed == 0 for s in self.suites)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "suites": [s.to_json_dict() for s in self.suites],
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 def _direct(sys, config: RunConfig, memo: DirectMemo, x: GroupElement, y: GroupElement) -> int:
@@ -348,15 +322,23 @@ def build_tables(config: RunConfig) -> tuple[CoxeterSystem, RTable, VTable]:
     return (sys, *fill_tables(config, sys))
 
 
-def run_verify(config: RunConfig) -> VerifyReport:
-    """Run every suite on one group and persist the R-polynomial cache."""
+def run_verify(config: RunConfig) -> dict:
+    """Run every suite on one group and persist the R-polynomial cache.
+
+    Returns the ``verify`` command's JSON payload: the system fingerprint,
+    each suite's counts and first witness, and the elapsed milliseconds.
+    """
     started = time.perf_counter()
     sys, rtable, vtable = build_tables(config)
     memo: DirectMemo = {}
     suites = [suite(sys, rtable, vtable, config, memo) for suite in _SUITES]
     save_rtable(config, sys, rtable)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return VerifyReport(fingerprint(sys), suites, elapsed_ms)
+    return {
+        "system": fingerprint(sys),
+        "suites": [asdict(s) for s in suites],
+        "elapsed_ms": elapsed_ms,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -171,25 +171,13 @@ def singular_v(
 ) -> RationalSubspace:
     """Image of V(x, y) in the quotient by span{v_s : s in spec}.
 
-    Computed as the echelon form of V(x, y) + span{v_s}; the rows pivoting
-    at quotiented columns are exactly the v_s themselves, so dropping them
-    and deleting those columns leaves an echelon basis of the image.  The
-    ambient dimension of the result is rank - |spec|.
+    The v_s are standard basis vectors, so the quotient map deletes the
+    coordinates in spec: the image is the span of V(x, y)'s rows with those
+    coordinates dropped, in ambient dimension rank - |spec|.
     """
     spec.validate(sys)
-    space = table.v(x, y)
-    if not spec.indices:
-        return space
-    killed = [basis_vector(sys, i) for i in spec.indices]
-    combined = RationalSubspace(sys.rank, list(space.rows) + killed)
-    keep_cols = [j for j in range(sys.rank) if j not in spec.indices]
-    projected = []
-    for row in combined.rows:
-        pivot = next(j for j in range(sys.rank) if row[j] != 0)
-        if pivot in spec.indices:
-            continue
-        projected.append(tuple(row[j] for j in keep_cols))
-    return RationalSubspace(len(keep_cols), projected)
+    keep = [j for j in range(sys.rank) if j not in spec.indices]
+    return RationalSubspace(len(keep), [[row[j] for j in keep] for row in table.v(x, y).rows])
 
 
 @dataclass(frozen=True)

@@ -302,10 +302,10 @@ def test_c09_rank_two_membership_biconditional(capsys, tables):
 def test_c10_determinism_and_cache(capsys, tmp_path):
     cache = tmp_path / "cache"
     cold = run_verify(RunConfig(type_text="B2", cache_dir=cache))
-    assert (cache / f"rpoly_{cold.system}.csv").exists()
+    assert (cache / f"rpoly_{cold['system']}.csv").exists()
     warm = run_verify(RunConfig(type_text="B2", cache_dir=cache))
-    counts_equal = [(s.name, s.checked, s.failed) for s in cold.suites] == [
-        (s.name, s.checked, s.failed) for s in warm.suites
+    counts_equal = [(s["name"], s["checked"], s["failed"]) for s in cold["suites"]] == [
+        (s["name"], s["checked"], s["failed"]) for s in warm["suites"]
     ]
 
     def stripped(d):

@@ -10,7 +10,7 @@ import subprocess
 
 import pytest
 
-from verma_ext import verify
+from verma_ext import cli, verify
 from verma_ext.cli import main
 
 A2_ENUMERATE_TEXT = """\
@@ -494,6 +494,35 @@ def test_singular_is_refused_where_it_means_nothing(capsys):
         assert code == 1
         assert out == ""
         assert "unrecognized arguments: --singular 9" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--type", "A1", "--descent-policy", "largest"],
+        ["enumerate", "--type", "A1", "--cache-dir", "D"],
+        ["vspace", "--type", "A2", "0,1,0", "e", "--cache-dir", "D"],
+    ],
+)
+def test_flags_a_command_never_reads_are_refused(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert not (tmp_path / "D").exists()
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    argv = ["vspace", "--type", "A2", "0,1,0", "e", "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--singular", "0")
+    assert code == 0 and "singular" in json.loads(out)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "singular" not in json.loads(out)
 
 
 # ---------------------------------------------------------------------------

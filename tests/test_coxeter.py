@@ -39,7 +39,7 @@ from verma_ext.coxeter import (
     right_multiply,
     simple_reflection,
 )
-from verma_ext.errors import InvalidType, InvariantViolation, ParseError, RankOverflow
+from verma_ext.errors import BudgetExceeded, InvalidType, InvariantViolation, ParseError, RankOverflow
 from verma_ext.verify import PRESETS
 
 
@@ -266,6 +266,19 @@ def test_bruhat_recursion_matches_subword_oracle(text, system):
     for x in elems:
         for y in elems:
             assert bruhat_leq(sys, x, y) == bruhat_leq_oracle(sys, x, y)
+
+
+def test_subword_oracle_refuses_words_past_its_budget():
+    # 2**12 subwords fit ORACLE_BUDGET = 4096 and 2**13 do not; D5's
+    # longest element, of length 20, is far past the cap
+    d5 = build_system("D5")
+    e, w0 = identity(d5), longest_element(d5)
+    assert w0.length == 20
+    by_length = {g.length: g for g in enumerate_elements(d5)}
+    assert bruhat_leq_oracle(d5, e, by_length[12])
+    for y in (by_length[13], w0):
+        with pytest.raises(BudgetExceeded):
+            bruhat_leq_oracle(d5, e, y)
 
 
 def test_bruhat_respects_products(system):

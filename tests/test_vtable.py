@@ -258,6 +258,35 @@ def vector_sum(sys):
     return tuple(a + b for a, b in zip(v0, v1))
 
 
+def echelon_singular_v(sys, space, spec):
+    """The quotient image by a second route: echelonise V + span{v_s : s in
+    spec}, drop the rows pivoting at a killed column (the v_s themselves)
+    and delete the killed columns from the rest."""
+    killed = [basis_vector(sys, i) for i in spec.indices]
+    combined = RationalSubspace(sys.rank, list(space.rows) + killed)
+    keep = [j for j in range(sys.rank) if j not in spec.indices]
+    projected = []
+    for row in combined.rows:
+        pivot = next(j for j in range(sys.rank) if row[j] != 0)
+        if pivot not in spec.indices:
+            projected.append([row[j] for j in keep])
+    return RationalSubspace(len(keep), projected)
+
+
+@pytest.mark.parametrize("text", ["A3", "B3", "C3"])
+def test_singular_projection_matches_the_echelon_route(text, system, vtable):
+    sys = system(text)
+    table = vtable(text)
+    specs = [
+        SingularSpec(frozenset(i for i in range(sys.rank) if mask >> i & 1))
+        for mask in range(1 << sys.rank)
+    ]
+    for x, y in comparable_pairs(sys):
+        space = table.v(x, y)
+        for spec in specs:
+            assert singular_v(sys, table, spec, x, y) == echelon_singular_v(sys, space, spec)
+
+
 # ---------------------------------------------------------------------------
 # the membership report
 
