@@ -394,11 +394,6 @@ def right_multiply(sys: CoxeterSystem, g: GroupElement, i: int) -> GroupElement:
     return sys._by_id[hid]
 
 
-def right_descents(sys: CoxeterSystem, g: GroupElement) -> frozenset[int]:
-    """Indices i with length(g s_i) < length(g), read off the descent bitmask."""
-    return frozenset(i for i in range(sys.rank) if g.descents >> i & 1)
-
-
 def check_policy(policy: str) -> None:
     """Reject a descent policy outside DESCENT_POLICIES."""
     if policy not in DESCENT_POLICIES:
@@ -436,11 +431,6 @@ def reduced_word(sys: CoxeterSystem, g: GroupElement) -> tuple[int, ...]:
     for h, s in reversed(chain):
         word = words[h.id] = word + (s,)
     return word
-
-
-def inverse(sys: CoxeterSystem, g: GroupElement) -> GroupElement:
-    """g^{-1}, the product of g's reduced word reversed."""
-    return element_from_word(sys, reduced_word(sys, g)[::-1])
 
 
 def element_from_word(sys: CoxeterSystem, word: tuple[int, ...]) -> GroupElement:
@@ -622,20 +612,6 @@ def longest_element(sys: CoxeterSystem) -> GroupElement:
             )
         sys._longest = h
     return sys._longest
-
-
-def min_coset_reps(sys: CoxeterSystem, subset: frozenset[int] | set[int]) -> tuple[GroupElement, ...]:
-    """Minimal-length representatives of the cosets w W_J, J the given index subset.
-
-    These are exactly the elements with no right descent inside J, in the
-    (length, matrix) order of enumerate_elements.
-    """
-    mask = 0
-    for i in frozenset(subset):
-        if not 0 <= i < sys.rank:
-            raise IndexOutOfRange(f"subset index {i} outside 0..{sys.rank - 1}")
-        mask |= 1 << i
-    return tuple(g for g in enumerate_elements(sys) if not g.descents & mask)
 
 
 def braid_order(sys: CoxeterSystem, i: int, j: int) -> int:

@@ -18,6 +18,8 @@ must agree; the verification suites check that they do.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from pathlib import Path
 
 from .coxeter import (
@@ -61,25 +63,6 @@ class IntPolynomial:
             total = total * value + c
         return total
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(
-            tuple(a[i] + b[i] for i in range(len(b))) + a[len(b):]
-        )
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
@@ -87,9 +70,6 @@ class IntPolynomial:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __str__(self) -> str:
         """Render like ``q^3-2q^2+2q-1``; the zero polynomial prints as ``0``."""
@@ -116,8 +96,27 @@ class IntPolynomial:
 
 ZERO = IntPolynomial()
 ONE = IntPolynomial((1,))
-Q = IntPolynomial((0, 1))
-Q_MINUS_ONE = IntPolynomial((-1, 1))
+
+
+def write_atomic(path: Path | str, text: str) -> None:
+    """Replace the file at ``path`` by ``text`` in one step.
+
+    The text goes to a temp file beside the target, which ``os.replace``
+    then moves onto it, so a crashed or concurrent run never leaves a
+    half-written target; on any failure the temp file is removed and the
+    target keeps its old content.  There is no fsync: this guards against
+    a crashed process, not against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):  # already gone after a successful replace
+            tmp.unlink()
 
 
 class RTable:
@@ -181,10 +180,7 @@ class RTable:
             xw = word_text(sys, x)
             cs = ",".join(str(c) for c in poly.coeffs)
             lines.append(f"{yw};{xw};{cs}")
-        try:
-            Path(path).write_text("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+        write_atomic(path, "\n".join(lines) + "\n")
 
     def load_csv(self, path: Path | str) -> int:
         """Merge entries from a cache file, validating each row's invariants.
@@ -200,6 +196,7 @@ class RTable:
             raise IoError(f"cannot read {path}: {exc}") from exc
         sys = self.sys
         expected_fp = fingerprint(sys)
+        elements: dict[str, GroupElement] = {}  # word text -> element, for this load only
         loaded = 0
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
@@ -215,8 +212,10 @@ class RTable:
             parts = line.split(";")
             if len(parts) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            y = element_from_word(sys, parse_word(parts[0]))
-            x = element_from_word(sys, parse_word(parts[1]))
+            for word in parts[:2]:
+                if word not in elements:
+                    elements[word] = element_from_word(sys, parse_word(word))
+            y, x = elements[parts[0]], elements[parts[1]]
             if y == x or not bruhat_leq(sys, y, x):
                 raise ParseError(f"{path}:{lineno}: {parts[0]} is not strictly below {parts[1]}")
             try:

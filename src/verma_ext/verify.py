@@ -51,7 +51,7 @@ from .coxeter import (
 )
 from .errors import IoError
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
-from .rpoly import DirectMemo, RTable, ZERO, gj_coefficient, r_coeff_direct
+from .rpoly import DirectMemo, RTable, ZERO, gj_coefficient, r_coeff_direct, write_atomic
 from .vtable import SingularSpec, VTable, compute_all, membership_report, singular_v
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
@@ -396,15 +396,9 @@ def run_report(config: RunConfig) -> dict:
         "x_word;y_word;dimV;gj_coeff;match",
     ]
     lines.extend(";".join(str(v) for v in row) for row in rows)
-    try:
-        dims_path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {dims_path}: {exc}") from exc
+    write_atomic(dims_path, "\n".join(lines) + "\n")
     summary_path = out_dir / f"summary_{fp}.json"
-    try:
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {summary_path}: {exc}") from exc
+    write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return {
         **summary,
         "paths": {

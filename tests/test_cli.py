@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -482,6 +483,23 @@ def test_warm_report_leaves_the_rpoly_file_alone(capsys, tmp_path):
     assert json.loads(out)["rtable_computed"] == 0
     assert rpoly.stat().st_mtime_ns == 10**18
     assert rpoly.read_bytes() == body
+
+
+def test_failed_report_write_leaves_the_old_files(capsys, tmp_path, monkeypatch):
+    code, _, _ = run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    write_text = Path.write_text
+
+    def torn(target, data, *args, **kwargs):
+        write_text(target, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    code, out, err = run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert "cannot write" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_singular_is_refused_where_it_means_nothing(capsys):

@@ -27,15 +27,12 @@ from verma_ext.coxeter import (
     fingerprint,
     format_word,
     identity,
-    inverse,
     longest_element,
-    min_coset_reps,
     multiply,
     parse_word,
     pick_descent,
     recount_length,
     reduced_word,
-    right_descents,
     right_multiply,
     simple_reflection,
 )
@@ -180,23 +177,28 @@ def test_inverse_and_reduced_words(system):
     a2 = system("A2")
     w0 = longest_element(a2)
     assert reduced_word(a2, w0) == (0, 1, 0)
-    assert multiply(a2, w0, inverse(a2, w0)) == identity(a2)
     for g in enumerate_elements(a2):
         word = reduced_word(a2, g)
         assert len(word) == g.length
         assert element_from_word(a2, word) == g
+        g_inv = element_from_word(a2, word[::-1])
+        assert multiply(a2, g, g_inv) == identity(a2)
+        assert multiply(a2, g_inv, g) == identity(a2)
 
 
 def test_right_descents(system):
     a2 = system("A2")
     g = element_from_word(a2, (0, 1))
-    assert right_descents(a2, g) == frozenset({1})
-    assert right_descents(a2, identity(a2)) == frozenset()
-    assert right_descents(a2, longest_element(a2)) == frozenset({0, 1})
+    assert g.descents == 0b10
+    assert _column_descents(g.matrix) == frozenset({1})
+    assert identity(a2).descents == 0
+    assert _column_descents(identity(a2).matrix) == frozenset()
+    assert longest_element(a2).descents == 0b11
+    assert _column_descents(longest_element(a2).matrix) == frozenset({0, 1})
 
 
 # ---------------------------------------------------------------------------
-# enumeration and cosets
+# enumeration
 
 
 def test_enumerate_elements_counts_and_order(system):
@@ -216,21 +218,8 @@ def test_longest_element_properties(system):
         sys = system(text)
         w0 = longest_element(sys)
         assert multiply(sys, w0, w0) == identity(sys)
-        assert right_descents(sys, w0) == frozenset(range(sys.rank))
-
-
-def test_min_coset_reps(system):
-    a2 = system("A2")
-
-    def words(J):
-        return sorted(
-            format_word(reduced_word(a2, g)) for g in min_coset_reps(a2, frozenset(J))
-        )
-
-    assert words(()) == ["0", "0,1", "0,1,0", "1", "1,0", "e"]
-    assert words((0,)) == ["0,1", "1", "e"]
-    assert words((1,)) == ["0", "1,0", "e"]
-    assert words((0, 1)) == ["e"]
+        assert w0.descents == (1 << sys.rank) - 1
+        assert _column_descents(w0.matrix) == frozenset(range(sys.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +322,6 @@ def test_descent_bitmask_matches_column_signs(text, system):
     for g in enumerate_elements(sys):
         scanned = _column_descents(g.matrix)
         assert g.descents == sum(1 << i for i in scanned)
-        assert right_descents(sys, g) == scanned
 
 
 @pytest.mark.parametrize("text", PRESETS + ("F4",))

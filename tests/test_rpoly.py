@@ -5,10 +5,14 @@ closed form R = (q-1)^gap that holds whenever the pair is joined by a
 maximal chain of distinct-reflection steps; the general-case safety net is
 the invariant block plus the cross-recursion agreement test.
 ``polynomial_r`` takes the ascent step as (q-1) R(y, xs) + q R(ys, xs) in
-``IntPolynomial`` arithmetic, a second route to every table entry.
+coefficient-tuple arithmetic kept in this file, a second route to every
+table entry.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -23,11 +27,9 @@ from verma_ext.coxeter import (
     identity,
     longest_element,
 )
-from verma_ext.errors import InvalidType, LiftingViolation, NotComparable, ParseError
+from verma_ext.errors import InvalidType, IoError, LiftingViolation, NotComparable, ParseError
 from verma_ext.rpoly import (
     ONE,
-    Q,
-    Q_MINUS_ONE,
     ZERO,
     IntPolynomial,
     RTable,
@@ -57,16 +59,28 @@ def test_polynomial_coeff_out_of_range_is_zero():
     assert p.coeff(5) == 0
 
 
-def test_polynomial_arithmetic():
-    assert Q + ONE == IntPolynomial((1, 1))
-    assert Q_MINUS_ONE * Q_MINUS_ONE == IntPolynomial((1, -2, 1))
-    assert (Q + ONE) * (Q_MINUS_ONE) == IntPolynomial((-1, 0, 1))
-    assert ZERO * Q == ZERO
-    assert Q * ONE == Q
+def _add(a, b):
+    """Sum of two coefficient tuples (ascending in q)."""
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(u + v for u, v in zip(a, b + (0,) * (len(a) - len(b))))
+
+
+def _mul(a, b):
+    """Product of two coefficient tuples (ascending in q)."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return tuple(out)
+
+
+Q = (0, 1)
+Q_MINUS_ONE = (-1, 1)
 
 
 def test_polynomial_eval():
-    square = Q_MINUS_ONE * Q_MINUS_ONE
+    square = IntPolynomial(_mul(Q_MINUS_ONE, Q_MINUS_ONE))
     assert square.eval_at(1) == 0
     assert square.eval_at(3) == 4
     assert ZERO.eval_at(7) == 0
@@ -75,8 +89,8 @@ def test_polynomial_eval():
 def test_polynomial_str():
     assert str(ZERO) == "0"
     assert str(ONE) == "1"
-    assert str(Q) == "q"
-    assert str(Q_MINUS_ONE) == "q-1"
+    assert str(IntPolynomial(Q)) == "q"
+    assert str(IntPolynomial(Q_MINUS_ONE)) == "q-1"
     assert str(IntPolynomial((-1, 2, -2, 1))) == "q^3-2q^2+2q-1"
 
 
@@ -103,7 +117,7 @@ def test_a1_value():
 
     a1 = build_system("A1")
     s = element_from_word(a1, (0,))
-    assert RTable(a1).r(identity(a1), s) == Q_MINUS_ONE
+    assert RTable(a1).r(identity(a1), s) == IntPolynomial(Q_MINUS_ONE)
 
 
 def test_a2_longest_pair_value(system):
@@ -117,9 +131,9 @@ def test_a3_reflection_pair_is_fourth_power(system):
     a3 = system("A3")
     x = element_from_word(a3, (0, 1, 2, 1, 0))
     y = element_from_word(a3, (1,))
-    expected = Q_MINUS_ONE * Q_MINUS_ONE * Q_MINUS_ONE * Q_MINUS_ONE
-    assert RTable(a3).r(y, x) == expected
-    assert expected.coeffs == (1, -4, 6, -4, 1)
+    expected = _mul(_mul(Q_MINUS_ONE, Q_MINUS_ONE), _mul(Q_MINUS_ONE, Q_MINUS_ONE))
+    assert expected == (1, -4, 6, -4, 1)
+    assert RTable(a3).r(y, x) == IntPolynomial(expected)
 
 
 @pytest.mark.parametrize("text", ["A2", "B2", "G2"])
@@ -164,9 +178,9 @@ def polynomial_r(sys, y, x, memo):
         if down:
             memo[key] = polynomial_r(sys, ys, xs, memo)
         else:
-            a = polynomial_r(sys, y, xs, memo)
-            b = polynomial_r(sys, ys, xs, memo)
-            memo[key] = Q_MINUS_ONE * a + Q * b
+            a = polynomial_r(sys, y, xs, memo).coeffs
+            b = polynomial_r(sys, ys, xs, memo).coeffs
+            memo[key] = IntPolynomial(_add(_mul(Q_MINUS_ONE, a), _mul(Q, b)))
     return memo[key]
 
 
@@ -343,6 +357,48 @@ def test_cache_rejects_pairs_not_below(tmp_path, system, row):
     with pytest.raises(ParseError) as info:
         RTable(b2).load_csv(path)
     assert str(info.value).startswith(f"{path}:{len(lines)}: ")
+
+
+def test_cache_load_builds_each_word_once(tmp_path, system, monkeypatch):
+    a3 = system("A3")
+    table = RTable(a3)
+    _fill(table, a3)
+    path = tmp_path / "rpoly.csv"
+    table.save_csv(path)
+    calls = Counter()
+    build = rpoly_module.element_from_word
+
+    def counted(sys, word):
+        calls[word] += 1
+        return build(sys, word)
+
+    monkeypatch.setattr(rpoly_module, "element_from_word", counted)
+    fresh = RTable(a3)
+    assert fresh.load_csv(path) == len(table.entries) > len(enumerate_elements(a3))
+    assert fresh.entries == table.entries
+    assert set(calls.values()) == {1}
+
+
+def test_failed_cache_write_keeps_the_old_file(tmp_path, system, monkeypatch):
+    a2 = system("A2")
+    path = tmp_path / "rpoly.csv"
+    small = RTable(a2)
+    small.r(identity(a2), element_from_word(a2, (0,)))
+    small.save_csv(path)
+    before = path.read_bytes()
+    full = RTable(a2)
+    _fill(full, a2)
+    write_text = Path.write_text
+
+    def torn(target, data, *args, **kwargs):
+        write_text(target, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    with pytest.raises(IoError, match=f"cannot write {path}: "):
+        full.save_csv(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["rpoly.csv"]
 
 
 def test_cache_file_shape(tmp_path, system):

@@ -9,6 +9,8 @@ along a common right descent keep both sides, and no divergent pair is
 reachable from a top row by such moves.  ``stepwise_v`` takes the
 recursion one reflection per step, a second route to every subspace that
 shares only the descent step and the echelon form with the unrolled chain.
+The span of the Bruhat-graph edge roots out of y is a third route that
+shares no recursion with the table at all.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from verma_ext.coxeter import (
     enumerate_elements,
     identity,
     longest_element,
+    multiply,
     right_multiply,
     simple_reflection,
 )
@@ -138,6 +141,75 @@ def test_unrolled_chain_matches_stepwise_recursion(text, system, vtable):
         space = table.v(x, y)
         assert space.rows == stepwise_v(sys, x, y, memo).rows
         assert space.dim <= min(sys.rank, x.length - y.length)
+
+
+# ---------------------------------------------------------------------------
+# a recursion-free route: V(x, y) is spanned by the Bruhat-graph edges out of y
+
+
+def root_reflections(sys):
+    """s_beta for every positive root beta, by closing over the simple roots.
+
+    s_{s_j gamma} = s_j s_gamma s_j, and every positive root is reached from
+    a simple root by simple reflections that keep it positive.
+    """
+    a = sys.cartan
+    found = {
+        tuple(int(k == i) for k in range(sys.rank)): simple_reflection(sys, i)
+        for i in range(sys.rank)
+    }
+    frontier = list(found)
+    while frontier:
+        gamma = frontier.pop()
+        for j in range(sys.rank):
+            pairing = sum(a[j][k] * gamma[k] for k in range(sys.rank))
+            image = tuple(c - pairing if k == j else c for k, c in enumerate(gamma))
+            if min(image) >= 0 and image not in found:
+                s_j = simple_reflection(sys, j)
+                found[image] = multiply(sys, multiply(sys, s_j, found[gamma]), s_j)
+                frontier.append(image)
+    assert sorted(found) == sorted(sys.positive_roots)
+    return found
+
+
+@pytest.mark.parametrize("text", PRESETS)
+def test_v_is_spanned_by_bruhat_graph_edge_roots(text, system, vtable):
+    # V(x, y) = span{beta in the positive roots : y < y s_beta <= x}: the
+    # roots of the Bruhat-graph edges out of y inside [y, x] (Björner–Brenti,
+    # Combinatorics of Coxeter Groups, ch. 2).  Shares no descent chain,
+    # policy or unrolling with the table.
+    sys = system(text)
+    table = vtable(text)
+    reflections = root_reflections(sys)
+    ascents = {}  # y -> [(beta, y s_beta)] over the betas with y < y s_beta
+    spans = {}
+    for x, y in comparable_pairs(sys):
+        if y not in ascents:
+            ascents[y] = [
+                (beta, h)
+                for beta, t in reflections.items()
+                if (h := multiply(sys, y, t)).length > y.length
+            ]
+        edges = tuple(beta for beta, h in ascents[y] if bruhat_leq(sys, h, x))
+        if edges not in spans:
+            spans[edges] = RationalSubspace(sys.rank, edges)
+        assert spans[edges].rows == table.v(x, y).rows, (text, x, y)
+
+
+def test_a3_divergence_has_four_edges_spanning_three_dimensions(system, vtable, rtable):
+    # the README's witness: four edges give the coefficient 4, but their
+    # roots span only the 3-dimensional ambient space
+    a3 = system("A3")
+    x = element_from_word(a3, (0, 1, 2, 1, 0))
+    y = element_from_word(a3, (1,))
+    edges = [
+        beta
+        for beta, t in root_reflections(a3).items()
+        if y.length < (h := multiply(a3, y, t)).length and bruhat_leq(a3, h, x)
+    ]
+    assert sorted(edges) == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
+    assert gj_coefficient(a3, x, y, rtable("A3")) == 4
+    assert RationalSubspace(3, edges).dim == vtable("A3").v(x, y).dim == 3
 
 
 # ---------------------------------------------------------------------------
