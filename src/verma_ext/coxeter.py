@@ -12,11 +12,13 @@ A system interns each element the first time it is reached: a ``matrix -> id``
 map gives it the next small integer id, and per-id tables on the system hold
 the element, its right-multiplication row ``rmul[id][s]`` (the id of g s_s,
 filled on first use together with the back-link from g s_s) and its reduced
-word (computed when first asked for).  Interning is lazy, so single-pair work
-on a large group touches only the elements it reaches.  Elements carry their
-id, their length and their right descents as a bitmask, but no reference to
-other elements or to the system, so a system and its elements are freed by
-reference counting.
+word (computed when first asked for).  Every product goes through that map,
+so a group element is one object in its system and equality and hashing are
+identity; a system takes only elements it built.  Interning is lazy, so
+single-pair work on a large group touches only the elements it reaches.
+Elements carry their id, their length and their right descents as a
+bitmask, but no reference to other elements or to the system, so a system
+and its elements are freed by reference counting.
 
 Two Bruhat order routines are provided.  ``bruhat_leq`` is the workhorse, a
 memoized recursion on the lifting property.  ``bruhat_leq_oracle`` decides
@@ -90,7 +92,11 @@ class TypeDescriptor:
             m = _FACTOR_RE.match(token)
             if m is None:
                 raise InvalidType(f"bad factor {token!r} in type descriptor {text!r}")
-            family, rank = m.group(1), int(m.group(2))
+            family = m.group(1)
+            try:
+                rank = int(m.group(2))
+            except ValueError as exc:  # more digits than int() converts
+                raise InvalidType(f"rank of family {family} has too many digits") from exc
             lo, hi = _RANK_BOUNDS[family]
             if rank < lo or (hi is not None and rank > hi):
                 raise InvalidType(f"rank {rank} out of range for family {family}")
@@ -204,30 +210,19 @@ class GroupElement:
 
     ``id`` indexes the tables of the system that interned the element.
     ``descents`` has bit i set when s_i is a right descent, that is when
-    column i (the image of alpha_i) is a negative root.  Instances are
-    immutable and hashable; equality is matrix equality, so elements of two
-    systems of one type compare equal.  Construct via the module functions,
-    not directly.
+    column i (the image of alpha_i) is a negative root.  An instance is its
+    system's one object for its group element, so equality and hashing are
+    identity, and an element of another system of the same type is not
+    equal to it.  Construct via the module functions, not directly.
     """
 
-    __slots__ = ("matrix", "length", "id", "descents", "_hash")
+    __slots__ = ("matrix", "length", "id", "descents")
 
     def __init__(self, matrix: IntMatrix, length: int, gid: int):
         self.matrix = matrix
         self.length = length
         self.id = gid
         self.descents = sum(1 << i for i, col in enumerate(zip(*matrix)) if min(col) < 0)
-        self._hash = hash(matrix)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self._hash == other._hash and self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         rows = ";".join(",".join(str(v) for v in row) for row in self.matrix)
@@ -238,13 +233,20 @@ class CoxeterSystem:
     """A finite Weyl group with its Cartan data and per-group caches.
 
     The interned element tables are indexed by element id; the other caches
-    (Bruhat memo, subword down-sets, element and pair lists) hold
-    GroupElements.  All grow monotonically, and all derived tables hold a
-    reference to their system, so sharing one system between tables shares
-    the caches.
+    (Bruhat memo, subword down-sets, element and pair lists) hold the
+    system's own GroupElements, keyed by identity.  All grow monotonically,
+    and all derived tables hold a reference to their system, so sharing one
+    system between tables shares the caches.  Pass a system only elements
+    it built.
     """
 
     def __init__(self, descriptor: TypeDescriptor, budget: int = DEFAULT_BUDGET):
+        # The order is at least 2**rank: refuse a huge rank before computing it.
+        if descriptor.rank >= budget.bit_length():
+            raise RankOverflow(
+                f"group of type {descriptor} has order at least 2**{budget.bit_length()}, "
+                f"over budget {budget}"
+            )
         order = descriptor.group_order()
         if order > budget:
             raise RankOverflow(
@@ -326,14 +328,6 @@ def _intern(sys: CoxeterSystem, matrix: IntMatrix, length: int) -> GroupElement:
     return sys._by_id[gid]
 
 
-def _own(sys: CoxeterSystem, g: GroupElement) -> GroupElement:
-    """The system's own element equal to g; g itself unless another system built it."""
-    gid = g.id
-    if gid < len(sys._by_id) and sys._by_id[gid] is g:
-        return g
-    return _intern(sys, g.matrix, g.length)
-
-
 def identity(sys: CoxeterSystem) -> GroupElement:
     return sys._identity
 
@@ -384,7 +378,6 @@ def right_multiply(sys: CoxeterSystem, g: GroupElement, i: int) -> GroupElement:
     """
     if not 0 <= i < sys.rank:
         raise IndexOutOfRange(f"simple reflection index {i} outside 0..{sys.rank - 1}")
-    g = _own(sys, g)
     row = sys._rmul[g.id]
     hid = row[i]
     if hid < 0:
@@ -422,12 +415,11 @@ def reduced_word(sys: CoxeterSystem, g: GroupElement) -> tuple[int, ...]:
     """
     words = sys._words
     chain: list[tuple[GroupElement, int]] = []
-    h = _own(sys, g)
-    while words[h.id] is None:
-        s = pick_descent(sys, h, "smallest")
-        chain.append((h, s))
-        h = right_multiply(sys, h, s)
-    word = words[h.id]
+    while words[g.id] is None:
+        s = pick_descent(sys, g, "smallest")
+        chain.append((g, s))
+        g = right_multiply(sys, g, s)
+    word = words[g.id]
     for h, s in reversed(chain):
         word = words[h.id] = word + (s,)
     return word
@@ -457,7 +449,7 @@ def parse_word(text: str) -> tuple[int, ...]:
     letters = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.isdigit():
+        if not (piece.isascii() and piece.isdigit()):  # str.isdigit alone takes "²"
             raise ParseError(f"bad word letter {piece!r} in {text!r}")
         letters.append(int(piece))
     return tuple(letters)
@@ -482,11 +474,12 @@ def bruhat_leq(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
     For s a right descent of y: if s is also a descent of x then
     x <= y iff xs <= ys, otherwise x <= y iff x <= ys.  Each step strictly
     shortens y, so the memo is keyed on (x, y) pairs with length(x) < length(y).
+    Both elements must be the system's own: equal lengths compare by identity.
     """
     if x.length > y.length:
         return False
     if x.length == y.length:
-        return x == y
+        return x is y
     if x.length == 0:
         return True
     memo = sys._bruhat

@@ -136,7 +136,7 @@ class RTable:
         self.computed = 0
 
     def r(self, y: GroupElement, x: GroupElement) -> IntPolynomial:
-        if y == x:
+        if y is x:
             return ONE
         if not bruhat_leq(self.sys, y, x):
             return ZERO
@@ -191,9 +191,11 @@ class RTable:
         fingerprint mismatch.
         """
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise IoError(f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
         sys = self.sys
         expected_fp = fingerprint(sys)
         elements: dict[str, GroupElement] = {}  # word text -> element, for this load only
@@ -214,9 +216,12 @@ class RTable:
                 raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
             for word in parts[:2]:
                 if word not in elements:
-                    elements[word] = element_from_word(sys, parse_word(word))
+                    try:
+                        elements[word] = element_from_word(sys, parse_word(word))
+                    except ParseError as exc:
+                        raise ParseError(f"{path}:{lineno}: {exc}") from exc
             y, x = elements[parts[0]], elements[parts[1]]
-            if y == x or not bruhat_leq(sys, y, x):
+            if y is x or not bruhat_leq(sys, y, x):
                 raise ParseError(f"{path}:{lineno}: {parts[0]} is not strictly below {parts[1]}")
             try:
                 coeffs = tuple(int(c) for c in parts[2].split(","))
@@ -272,21 +277,30 @@ def r_coeff_direct(
     than the count for (x', y) otherwise.  Each step shortens x, so the
     recursion is one chain of at most length(x) - length(y) steps.
 
-    ``memo`` holds counts of pairs already counted under this policy.  The
-    chain stops at the first pair ``memo`` holds and adds its count, so a
+    ``memo`` holds the counts of pairs already counted under this policy
+    and is this function's own: it answers a pair it holds before any
+    check, as each count was checked when stored, and otherwise stops the
+    chain at the first pair it holds and stores the new count, so a
     whole-group pass in length order takes one step per pair.  Without it
     the chain runs down to the diagonal.
     """
+    if memo is None:
+        memo = {}
+    key = (x, y)
+    if key in memo:
+        return memo[key]
     check_policy(policy)
     check_below(sys, y, x)
     total = 0
-    while x != y:
+    while x is not y:
         _, xs, ys, down = descend(sys, x, y, policy)
         if down:
             y = ys
         elif not bruhat_leq(sys, ys, xs):
             total += 1
         x = xs
-        if memo and (x, y) in memo:
-            return total + memo[(x, y)]
+        if (x, y) in memo:
+            total += memo[(x, y)]
+            break
+    memo[key] = total
     return total

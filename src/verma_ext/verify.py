@@ -13,10 +13,10 @@ and runs six suites:
 
 Each suite reports how many atomic checks ran and how many failed, plus a
 witness for the first failure.  Besides the run's tables, every suite takes
-``memo``, the run's ``r_coeff_direct`` values, so that suites T and R compute
-the direct route once per pair between them.  Each computation stops its
-descent chain at the first pair in ``memo``, so suite T, walking the pairs
-in length order, takes one step per pair.  ``run_report`` writes the
+``memo``, the run's direct-route memo.  It is ``r_coeff_direct``'s own: that
+function alone reads and stores it, so suites T and R compute the direct
+route once per pair between them, and suite T, walking the pairs in length
+order, takes one step per pair.  ``run_report`` writes the
 dimension table, the R-polynomial cache, and a summary; everything written
 is deterministic except an explicit generated_at comment line.
 """
@@ -35,7 +35,6 @@ from .coxeter import (
     ORACLE_BUDGET,
     DESCENT_POLICIES,
     CoxeterSystem,
-    GroupElement,
     braid_order,
     bruhat_leq,
     bruhat_leq_oracle,
@@ -82,14 +81,6 @@ class SuiteResult:
             self.witnesses.append(witness)
 
 
-def _direct(sys, config: RunConfig, memo: DirectMemo, x: GroupElement, y: GroupElement) -> int:
-    """r_coeff_direct of y <= x, computed on first use from ``memo`` and kept there."""
-    value = memo.get((x, y))
-    if value is None:
-        value = memo[(x, y)] = r_coeff_direct(sys, x, y, policy=config.policy, memo=memo)
-    return value
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -102,7 +93,7 @@ def _suite_t(
     for x, y in comparable_pairs(sys):
         d = vtable.v(x, y).dim
         g = gj_coefficient(sys, x, y, rtable)
-        direct = _direct(sys, config, memo, x, y)
+        direct = r_coeff_direct(sys, x, y, config.policy, memo)
         out.checked += 1
         if not (d == g == direct):
             out.note_failure(
@@ -202,7 +193,7 @@ def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, memo: DirectMemo) -
                 )
                 if ok:
                     gj = gj_coefficient(sys, upper, lower, rtable)
-                    ok = gj == _direct(sys, config, memo, upper, lower)
+                    ok = gj == r_coeff_direct(sys, upper, lower, config.policy, memo)
                 if not ok:
                     out.note_failure(
                         {

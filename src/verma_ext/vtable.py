@@ -131,7 +131,7 @@ class VTable:
         steps = []
         roots = []
         known = self._zero
-        while x != y:
+        while x is not y:
             s, x, ys, down = descend(sys, x, y, self.policy)
             steps.append((s, down))
             if down:

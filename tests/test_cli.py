@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,15 @@ def test_budget_overflow_is_usage_error(capsys):
     assert "budget" in err.lower() or "order" in err.lower()
 
 
+@pytest.mark.parametrize("type_text", ["A2000", "A2000000"])
+def test_huge_rank_is_over_budget_before_its_order_is_computed(capsys, type_text):
+    started = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--type", type_text)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (1, "")
+    assert "over budget" in err
+
+
 # ---------------------------------------------------------------------------
 # rpoly
 
@@ -166,6 +176,13 @@ def test_rpoly_bad_word_is_domain_error(capsys):
     code, _, err = run(capsys, "rpoly", "--type", "A2", "0,x", "e")
     assert code == 2
     assert "error" in err
+
+
+def test_rpoly_non_ascii_digit_letter_is_domain_error(capsys):
+    # "²".isdigit() is true, but int("²") raises ValueError
+    code, out, err = run(capsys, "rpoly", "--type", "A2", "0,²", "e")
+    assert (code, out) == (2, "")
+    assert "bad word letter" in err
 
 
 def test_rpoly_policy_flag_changes_nothing(capsys):
@@ -342,6 +359,24 @@ def test_rpoly_cache_write_through(capsys, tmp_path):
     )
     assert code == 0
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "corruption",
+    [b"e;0;1,1\n", "²;0;-1,1\n".encode(), b"\xff\xfe"],
+    ids=["row-breaks-invariants", "superscript-word", "not-utf8"],
+)
+def test_corrupt_rpoly_cache_is_domain_error(capsys, tmp_path, corruption):
+    cache = tmp_path / "cache"
+    argv = ("rpoly", "--type", "A2", "0,1,0", "e", "--cache-dir", str(cache))
+    assert run(capsys, *argv)[0] == 0
+    (path,) = cache.glob("rpoly_A2-*.csv")
+    path.write_bytes(path.read_bytes() + corruption)
+    before = path.read_bytes()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}")
+    assert path.read_bytes() == before
 
 
 def test_env_var_beats_cache_flag(capsys, tmp_path, monkeypatch):

@@ -52,7 +52,8 @@ def test_descriptor_parse_round_trip():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "Q9", "A0", "B1", "C2", "D3", "E5", "E9", "F5", "G3", "A2x", "A-1", "AA2"],
+    ["", "Q9", "A0", "B1", "C2", "D3", "E5", "E9", "F5", "G3", "A2x", "A-1", "AA2",
+     pytest.param("A" + "9" * 5000, id="rank-past-int-conversion-limit")],
 )
 def test_descriptor_rejects_bad_text(text):
     with pytest.raises(InvalidType):
@@ -133,7 +134,7 @@ def test_word_parsing_and_formatting():
     assert parse_word(" 0 , 1 ") == (0, 1)
     assert format_word(()) == "e"
     assert format_word((1, 0)) == "1,0"
-    for bad in ["x", "0,,1", "0;1", "1.5"]:
+    for bad in ["x", "0,,1", "0;1", "1.5", "²", "0,١"]:
         with pytest.raises(ParseError):
             parse_word(bad)
 
@@ -334,14 +335,19 @@ def test_cached_reduced_word_matches_a_fresh_walk(text, system):
         assert element_from_word(sys, word) == g
 
 
-def test_elements_of_another_system_are_interned_on_use(system):
-    a3 = system("A3")
-    other = build_system("A3")
-    for g in enumerate_elements(other):
-        own = element_from_word(a3, reduced_word(other, g))
-        assert own == g
-        for i in range(a3.rank):
-            assert right_multiply(a3, g, i) is right_multiply(a3, own, i)
+@pytest.mark.parametrize("text", PRESETS + ("F4",))
+def test_each_matrix_is_one_element_after_a_verify_pass(text):
+    # Equality of elements is identity, which is group equality only while
+    # no two ids of one system share a matrix.
+    config = verify.RunConfig(text)
+    sys, rtable, vtable = verify.build_tables(config)
+    memo = {}
+    for suite in verify._SUITES:
+        suite(sys, rtable, vtable, config, memo)
+    assert len({g.matrix for g in sys._by_id}) == len(sys._by_id)
+    assert all(sys._index[g.matrix] == gid for gid, g in enumerate(sys._by_id))
+    for g in enumerate_elements(sys):
+        assert sys._by_id[g.id] is g
 
 
 def test_pick_descent_on_identity_raises(system):
