@@ -20,12 +20,16 @@ Elements carry their id, their length and their right descents as a
 bitmask, but no reference to other elements or to the system, so a system
 and its elements are freed by reference counting.
 
-Two Bruhat order routines are provided.  ``bruhat_leq`` is the workhorse, a
-memoized recursion on the lifting property.  ``bruhat_leq_oracle`` decides
-order by brute subword enumeration of one reduced word and exists to
-cross-check the recursion; its cost is ``2**length(y)`` and it refuses to run
-past an explicit budget.  ``descend`` is the one step, with its lifting check,
-that the R-polynomial, subspace and direct recursions all take.
+The Bruhat order has three routes.  ``comparable_pairs``, the one
+whole-group walk, builds a numbered index: per element id, the bitmask of the
+ids below it.  From then on ``bruhat_leq`` answers with one bit test; before
+that it calls ``bruhat_leq_lifting``, a memoized recursion on the lifting
+property, so single-pair queries on a large group stay lazy.
+``bruhat_leq_oracle`` decides order by subword enumeration of one reduced
+word, on bare matrices, to cross-check the other two; it refuses a word with
+more than an explicit budget of subwords.  ``descend`` is the one step, with
+its lifting check, that the R-polynomial, subspace and direct recursions all
+take.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ DESCENT_POLICIES = ("smallest", "largest")
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
-_FACTOR_RE = re.compile(r"^([A-G])([0-9]+)$")
+_FACTOR_RE = re.compile(r"([A-G])([0-9]+)")
 
 # Admissible ranks per family; None means unbounded above.  The B/C split at
 # rank 2/3 keeps every descriptor a distinct isomorphism class.
@@ -89,7 +93,7 @@ class TypeDescriptor:
             raise InvalidType(f"empty type descriptor: {text!r}")
         factors = []
         for token in text.strip().upper().split("X"):
-            m = _FACTOR_RE.match(token)
+            m = _FACTOR_RE.fullmatch(token)
             if m is None:
                 raise InvalidType(f"bad factor {token!r} in type descriptor {text!r}")
             family = m.group(1)
@@ -232,12 +236,12 @@ class GroupElement:
 class CoxeterSystem:
     """A finite Weyl group with its Cartan data and per-group caches.
 
-    The interned element tables are indexed by element id; the other caches
-    (Bruhat memo, subword down-sets, element and pair lists) hold the
-    system's own GroupElements, keyed by identity.  All grow monotonically,
-    and all derived tables hold a reference to their system, so sharing one
-    system between tables shares the caches.  Pass a system only elements
-    it built.
+    The interned element tables and the Bruhat index are indexed by element
+    id; the lifting memo and the element and pair lists hold the system's
+    own GroupElements, keyed by identity, and the oracle's subword products
+    are keyed by word.  All grow monotonically, and all derived tables hold
+    a reference to their system, so sharing one system between tables
+    shares the caches.  Pass a system only elements it built.
     """
 
     def __init__(self, descriptor: TypeDescriptor, budget: int = DEFAULT_BUDGET):
@@ -270,7 +274,8 @@ class CoxeterSystem:
         self._words[self._identity.id] = ()
         self._simples = tuple(right_multiply(self, self._identity, i) for i in range(n))
         self._bruhat: dict[tuple[GroupElement, GroupElement], bool] = {}
-        self._downsets: dict[GroupElement, frozenset[IntMatrix]] = {}
+        self._below: list[int] | None = None  # the Bruhat index, by id
+        self._downsets: dict[tuple[int, ...], frozenset[IntMatrix]] = {(): frozenset((eye,))}
         self._elements: tuple[GroupElement, ...] | None = None
         self._pairs: tuple[tuple[GroupElement, GroupElement], ...] | None = None
         self._longest: GroupElement | None = None
@@ -469,6 +474,19 @@ def word_text(sys: CoxeterSystem, g: GroupElement) -> str:
 
 
 def bruhat_leq(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
+    """Decide x <= y in Bruhat order: one bit test once the system has its index.
+
+    ``comparable_pairs`` builds the index; before it exists the answer comes
+    from ``bruhat_leq_lifting``, so a single-pair query never enumerates the
+    group.
+    """
+    below = sys._below
+    if below is not None:
+        return bool(below[y.id] >> x.id & 1)
+    return bruhat_leq_lifting(sys, x, y)
+
+
+def bruhat_leq_lifting(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
     """Decide x <= y in Bruhat order by the lifting recursion, memoized per system.
 
     For s a right descent of y: if s is also a descent of x then
@@ -490,9 +508,9 @@ def bruhat_leq(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
     s = pick_descent(sys, y, "smallest")
     ys = right_multiply(sys, y, s)
     if x.descents >> s & 1:
-        result = bruhat_leq(sys, right_multiply(sys, x, s), ys)
+        result = bruhat_leq_lifting(sys, right_multiply(sys, x, s), ys)
     else:
-        result = bruhat_leq(sys, x, ys)
+        result = bruhat_leq_lifting(sys, x, ys)
     memo[key] = result
     return result
 
@@ -528,23 +546,26 @@ def bruhat_leq_oracle(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> b
     """Decide x <= y by enumerating all subwords of one reduced word of y.
 
     x <= y iff some subword of any fixed reduced word of y multiplies to x.
-    Exponential in length(y); the per-y down-set is cached, and the call
-    refuses a y whose 2**length(y) subwords exceed ORACLE_BUDGET.
+    The products of the subwords of w + (s,) are those of w and their images
+    under s, so each word's set of matrices is built once from its prefix's
+    and kept; canonical words are prefix-closed, so a pass in length order
+    reflects each prefix's set once.  The call refuses a y whose 2**length(y)
+    subwords exceed ORACLE_BUDGET.
     """
     k = y.length
     if 2**k > ORACLE_BUDGET:
         raise BudgetExceeded(f"subword oracle needs 2**{k} products, budget is {ORACLE_BUDGET}")
-    downset = sys._downsets.get(y)
-    if downset is None:
-        word = reduced_word(sys, y)
-        eye = sys._identity.matrix
-        prods: list[IntMatrix] = [eye] * (1 << k)
-        for mask in range(1, 1 << k):
-            high = mask.bit_length() - 1
-            prods[mask] = _col_reflect(sys, prods[mask ^ (1 << high)], word[high])
-        downset = frozenset(prods)
-        sys._downsets[y] = downset
-    return x.matrix in downset
+    return x.matrix in _subword_products(sys, reduced_word(sys, y))
+
+
+def _subword_products(sys: CoxeterSystem, word: tuple[int, ...]) -> frozenset[IntMatrix]:
+    downsets = sys._downsets
+    got = downsets.get(word)
+    if got is None:
+        prefix = _subword_products(sys, word[:-1])
+        s = word[-1]
+        got = downsets[word] = prefix | {_col_reflect(sys, m, s) for m in prefix}
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -552,25 +573,25 @@ def bruhat_leq_oracle(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> b
 
 
 def enumerate_elements(sys: CoxeterSystem) -> tuple[GroupElement, ...]:
-    """All group elements, sorted by (length, matrix).  Cached on the system."""
+    """All group elements, sorted by (length, matrix).  Cached on the system.
+
+    The breadth-first walk stops with RankOverflow as soon as it has more
+    elements than the group order.
+    """
     if sys._elements is None:
+        order = sys.group_order
         seen = {sys._identity.id}
-        frontier = [sys._identity]
         collected = [sys._identity]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for i in range(sys.rank):
-                    h = right_multiply(sys, g, i)
-                    if h.length > g.length and h.id not in seen:
-                        seen.add(h.id)
-                        nxt.append(h)
-            collected.extend(nxt)
-            frontier = nxt
-        if len(collected) != sys.group_order:
-            raise RankOverflow(
-                f"enumerated {len(collected)} elements, expected {sys.group_order}"
-            )
+        for g in collected:  # appended to while walked: a breadth-first queue
+            for i in range(sys.rank):
+                h = right_multiply(sys, g, i)
+                if h.length > g.length and h.id not in seen:
+                    seen.add(h.id)
+                    collected.append(h)
+                    if len(collected) > order:
+                        raise RankOverflow(f"enumerated more than {order} elements")
+        if len(collected) != order:
+            raise RankOverflow(f"enumerated {len(collected)} elements, expected {order}")
         sys._elements = tuple(sorted(collected, key=lambda g: (g.length, g.matrix)))
     return sys._elements
 
@@ -578,17 +599,39 @@ def enumerate_elements(sys: CoxeterSystem) -> tuple[GroupElement, ...]:
 def comparable_pairs(sys: CoxeterSystem) -> tuple[tuple[GroupElement, GroupElement], ...]:
     """All pairs (x, y) with y <= x, ordered by (length, matrix) on x then y.
 
-    Cached on the system.
+    Builds the system's Bruhat index on the way: ``sys._below[w.id]`` is the
+    bitmask of the ids of the elements <= w, from the smallest right descent
+    s of w as D(w) = D(ws) | D(ws)s (Björner–Brenti, *Combinatorics of Coxeter
+    Groups*, §2.2).  Both are cached on the system.
     """
     if sys._pairs is None:
         elements = enumerate_elements(sys)
+        rmul = sys._rmul
+        below = [0] * len(sys._by_id)
+        for w in elements:
+            d = w.descents
+            if not d:
+                below[w.id] = 1 << w.id
+                continue
+            s = (d & -d).bit_length() - 1
+            lower = below[rmul[w.id][s]]
+            image = 0
+            for j in _bits(lower):
+                image |= 1 << rmul[j][s]
+            below[w.id] = lower | image
+        sys._below = below
         sys._pairs = tuple(
-            (x, y)
-            for x in elements
-            for y in elements
-            if y.length <= x.length and bruhat_leq(sys, y, x)
+            (x, y) for x in elements for y in elements if below[x.id] >> y.id & 1
         )
     return sys._pairs
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def longest_element(sys: CoxeterSystem) -> GroupElement:

@@ -80,13 +80,13 @@ class SingularSpec:
 
     @classmethod
     def parse(cls, text: str) -> "SingularSpec":
+        """Parse comma-separated indices like ``"0,2"``; empty pieces are skipped."""
         text = text.strip()
-        if not text:
-            return cls(frozenset())
-        try:
-            return cls(frozenset(int(p) for p in text.split(",") if p.strip() != ""))
-        except ValueError as exc:
-            raise ParseError(f"bad singular subset {text!r}: {exc}") from exc
+        pieces = [p.strip() for p in text.split(",")]
+        for piece in pieces:
+            if piece and not (piece.isascii() and piece.isdigit()):  # int() takes "١" and "1_0"
+                raise ParseError(f"bad singular subset {text!r}: bad index {piece!r}")
+        return cls(frozenset(int(p) for p in pieces if p))
 
     def validate(self, sys: CoxeterSystem) -> None:
         for i in self.indices:

@@ -266,6 +266,14 @@ def test_singular_garbage_is_domain_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("subset", ["١", "1_0"])
+def test_singular_non_ascii_digit_index_is_domain_error(capsys, subset):
+    code, out, err = run(capsys, "vspace", "--type", "A2", "0,1,0", "e", "--singular", subset)
+    assert code == 2
+    assert out == ""
+    assert "bad singular subset" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -324,6 +332,20 @@ def test_verify_reports_the_rank_three_divergence(capsys):
     # every other suite is clean
     for name, checked in [("G", 22), ("B", 576), ("R", 576), ("S", 8), ("M", 27)]:
         assert f"{name}: checked={checked} failed=0" in lines
+
+
+def test_verify_b4_counts_are_frozen(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "B4", "--format", "json")
+    assert code == 3
+    counts = {s["name"]: (s["checked"], s["failed"]) for s in json.loads(out)["suites"]}
+    assert counts == {
+        "T": (40_249, 2_790),
+        "G": (35, 0),
+        "B": (135_936, 0),
+        "R": (147_456, 0),
+        "S": (16, 0),
+        "M": (54, 0),
+    }
 
 
 def test_verify_singular_out_of_range_fails_before_filling(capsys, monkeypatch):

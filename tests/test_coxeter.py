@@ -11,17 +11,20 @@ import json
 
 import pytest
 
-from verma_ext import cli, coxeter, verify
+from verma_ext import cli, coxeter, rpoly, verify
 from verma_ext.cli import main
 from verma_ext.coxeter import (
     DEFAULT_BUDGET,
     DESCENT_POLICIES,
+    ORACLE_BUDGET,
     TypeDescriptor,
     braid_order,
     bruhat_leq,
+    bruhat_leq_lifting,
     bruhat_leq_oracle,
     build_cartan,
     build_system,
+    comparable_pairs,
     element_from_word,
     enumerate_elements,
     fingerprint,
@@ -38,6 +41,7 @@ from verma_ext.coxeter import (
 )
 from verma_ext.errors import BudgetExceeded, InvalidType, InvariantViolation, ParseError, RankOverflow
 from verma_ext.verify import PRESETS
+from verma_ext.vtable import compute_all
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +56,7 @@ def test_descriptor_parse_round_trip():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "Q9", "A0", "B1", "C2", "D3", "E5", "E9", "F5", "G3", "A2x", "A-1", "AA2",
+    ["", "Q9", "A0", "B1", "C2", "D3", "E5", "E9", "F5", "G3", "A2x", "A-1", "AA2", "A3\nxA2",
      pytest.param("A" + "9" * 5000, id="rank-past-int-conversion-limit")],
 )
 def test_descriptor_rejects_bad_text(text):
@@ -214,6 +218,29 @@ def test_enumerate_elements_counts_and_order(system):
         assert lengths == sorted(lengths)
 
 
+def test_enumeration_stops_once_it_passes_the_group_order(monkeypatch):
+    # An interner that hands out a fresh id for every product walks one
+    # element per reduced word; the walk must stop at order + 1 elements.
+    calls = 0
+
+    def fresh_intern(sys, matrix, length):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise AssertionError("enumeration ran away")
+        gid = len(sys._by_id)
+        sys._by_id.append(coxeter.GroupElement(matrix, length, gid))
+        sys._rmul.append([-1] * sys.rank)
+        sys._words.append(None)
+        return sys._by_id[gid]
+
+    monkeypatch.setattr(coxeter, "_intern", fresh_intern)
+    a2 = build_system("A2")
+    with pytest.raises(RankOverflow, match="more than 6"):
+        enumerate_elements(a2)
+    assert calls == len(a2._by_id) == a2.group_order + 1
+
+
 def test_longest_element_properties(system):
     for text in ["A2", "B2", "G2", "A1xA2"]:
         sys = system(text)
@@ -249,13 +276,35 @@ def test_bruhat_incomparable_pair_in_b2(system):
     assert not bruhat_leq(b2, y, x)
 
 
-@pytest.mark.parametrize("text", ["A2", "B2", "A3"])
-def test_bruhat_recursion_matches_subword_oracle(text, system):
-    sys = system(text)
+@pytest.mark.parametrize("text", PRESETS + ("B4",))
+def test_bruhat_recursion_matches_subword_oracle(text):
+    # A fresh system: the session ones may already hold the index, after
+    # which bruhat_leq never reaches the recursion.
+    sys = build_system(text)
     elems = enumerate_elements(sys)
+    cap = ORACLE_BUDGET.bit_length() - 1  # B4's longest words are past the oracle's budget
     for x in elems:
         for y in elems:
-            assert bruhat_leq(sys, x, y) == bruhat_leq_oracle(sys, x, y)
+            if y.length <= cap:
+                assert bruhat_leq_lifting(sys, x, y) == bruhat_leq_oracle(sys, x, y)
+    assert sys._below is None
+    comparable_pairs(sys)
+    assert sys._below is not None
+    for x in elems:
+        for y in elems:
+            assert bruhat_leq(sys, x, y) is bruhat_leq_lifting(sys, x, y)
+
+
+def test_whole_group_fills_read_the_index_not_the_recursion():
+    d4 = build_system("D4")
+    compute_all(d4)
+    table = rpoly.RTable(d4)
+    elems = enumerate_elements(d4)
+    for x in elems:
+        for y in elems:
+            table.r(y, x)
+    assert table.computed == len(comparable_pairs(d4)) - len(elems)
+    assert len(d4._bruhat) == 0
 
 
 def test_subword_oracle_refuses_words_past_its_budget():
@@ -335,6 +384,15 @@ def test_cached_reduced_word_matches_a_fresh_walk(text, system):
         assert element_from_word(sys, word) == g
 
 
+# (checked, failed) per suite, frozen from whole-group verify runs
+SUITE_COUNTS = {
+    "D4": {"T": (9_817, 377), "G": (35, 0), "B": (36_864, 0), "R": (36_864, 0),
+           "S": (16, 0), "M": (46, 0)},
+    "F4": {"T": (396_809, 49_160), "G": (35, 0), "B": (717_696, 0), "R": (1_327_104, 0),
+           "S": (16, 0), "M": (54, 0)},
+}
+
+
 @pytest.mark.parametrize("text", PRESETS + ("F4",))
 def test_each_matrix_is_one_element_after_a_verify_pass(text):
     # Equality of elements is identity, which is group equality only while
@@ -342,8 +400,11 @@ def test_each_matrix_is_one_element_after_a_verify_pass(text):
     config = verify.RunConfig(text)
     sys, rtable, vtable = verify.build_tables(config)
     memo = {}
+    counts = {}
     for suite in verify._SUITES:
-        suite(sys, rtable, vtable, config, memo)
+        result = suite(sys, rtable, vtable, config, memo)
+        counts[result.name] = (result.checked, result.failed)
+    assert counts == SUITE_COUNTS.get(text, counts)
     assert len({g.matrix for g in sys._by_id}) == len(sys._by_id)
     assert all(sys._index[g.matrix] == gid for gid, g in enumerate(sys._by_id))
     for g in enumerate_elements(sys):

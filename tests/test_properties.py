@@ -31,7 +31,7 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 
 # Free text, and text drawn from the characters each grammar is made of,
 # including digits str.isdigit() accepts and int() does not.
-WORDS = st.one_of(st.text(), st.text(alphabet="0123456789,e ²١\n"))
+WORDS = st.one_of(st.text(), st.text(alphabet="0123456789,e ²١_\n"))
 TYPES = st.one_of(st.text(), st.text(alphabet="ABCDEFGQabdgxX0123456789 ²"))
 
 
@@ -57,13 +57,15 @@ def test_type_parse_and_build_raise_only_package_errors(text, budget):
 
 
 @PROPERTY
-@given(WORDS)
+@given(st.one_of(WORDS, st.sampled_from(["١", "1_0", "0,١", "1_0,2"])))
 def test_singular_parse_raises_only_package_errors(text):
     try:
         spec = SingularSpec.parse(text)
     except VermaExtError:
         return
-    assert all(isinstance(i, int) for i in spec.indices)
+    pieces = [p.strip() for p in text.split(",")]
+    assert all(p.isascii() and p.isdigit() for p in pieces if p)
+    assert spec.indices == {int(p) for p in pieces if p}
 
 
 @pytest.fixture(scope="module")

@@ -275,8 +275,12 @@ def test_singular_spec_parsing():
     assert SingularSpec.parse("0,2").indices == {0, 2}
     assert SingularSpec.parse(" 1 , 0 ").indices == {0, 1}
     assert str(SingularSpec.parse("2,0")) == "0,2"
+
+
+@pytest.mark.parametrize("text", ["0,x", "١", "1_0", "0,²", "-1", "+1"])
+def test_singular_spec_takes_only_ascii_digits(text):
     with pytest.raises(ParseError):
-        SingularSpec.parse("0,x")
+        SingularSpec.parse(text)
 
 
 def test_singular_spec_validation(system):
