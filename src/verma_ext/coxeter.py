@@ -16,15 +16,17 @@ word (computed when first asked for).  Every product goes through that map,
 so a group element is one object in its system and equality and hashing are
 identity; a system takes only elements it built.  Interning is lazy, so
 single-pair work on a large group touches only the elements it reaches.
-Elements carry their id, their length and their right descents as a
-bitmask, but no reference to other elements or to the system, so a system
+Elements carry their id, their length, their right descents as a bitmask
+and, once the group is enumerated, their position in the (length, matrix)
+order, but no reference to other elements or to the system, so a system
 and its elements are freed by reference counting.
 
 The Bruhat order has three routes.  ``comparable_pairs``, the one
-whole-group walk, builds a numbered index: per element id, the bitmask of the
-ids below it.  From then on ``bruhat_leq`` answers with one bit test; before
-that it calls ``bruhat_leq_lifting``, a memoized recursion on the lifting
-property, so single-pair queries on a large group stay lazy.
+whole-group walk, builds a numbered index: per element position, the
+bitmask of the positions below it.  From then on ``bruhat_leq`` answers
+with one bit test; before that it calls ``bruhat_leq_lifting``, a memoized
+recursion on the lifting property, so single-pair queries on a large group
+stay lazy.
 ``bruhat_leq_oracle`` decides order by subword enumeration of one reduced
 word, on bare matrices, to cross-check the other two; it refuses a word with
 more than an explicit budget of subwords.  ``descend`` is the one step, with
@@ -34,6 +36,7 @@ take.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -214,19 +217,23 @@ class GroupElement:
 
     ``id`` indexes the tables of the system that interned the element.
     ``descents`` has bit i set when s_i is a right descent, that is when
-    column i (the image of alpha_i) is a negative root.  An instance is its
-    system's one object for its group element, so equality and hashing are
-    identity, and an element of another system of the same type is not
-    equal to it.  Construct via the module functions, not directly.
+    column i (the image of alpha_i) is a negative root.  ``position`` is
+    the element's place in the (length, matrix) order, -1 until
+    ``enumerate_elements`` sets it; the Bruhat index is numbered by it.  An
+    instance is its system's one object for its group element, so equality
+    and hashing are identity, and an element of another system of the same
+    type is not equal to it.  Construct via the module functions, not
+    directly.
     """
 
-    __slots__ = ("matrix", "length", "id", "descents")
+    __slots__ = ("matrix", "length", "id", "descents", "position")
 
     def __init__(self, matrix: IntMatrix, length: int, gid: int):
         self.matrix = matrix
         self.length = length
         self.id = gid
         self.descents = sum(1 << i for i, col in enumerate(zip(*matrix)) if min(col) < 0)
+        self.position = -1
 
     def __repr__(self) -> str:
         rows = ";".join(",".join(str(v) for v in row) for row in self.matrix)
@@ -236,12 +243,13 @@ class GroupElement:
 class CoxeterSystem:
     """A finite Weyl group with its Cartan data and per-group caches.
 
-    The interned element tables and the Bruhat index are indexed by element
-    id; the lifting memo and the element and pair lists hold the system's
-    own GroupElements, keyed by identity, and the oracle's subword products
-    are keyed by word.  All grow monotonically, and all derived tables hold
-    a reference to their system, so sharing one system between tables
-    shares the caches.  Pass a system only elements it built.
+    The interned element tables are indexed by element id and the Bruhat
+    index by position in the (length, matrix) order; the lifting memo and
+    the element and pair lists hold the system's own GroupElements, keyed by
+    identity, and the oracle's subword products are keyed by word.  All grow
+    monotonically, and all derived tables hold a reference to their system,
+    so sharing one system between tables shares the caches.  Pass a system
+    only elements it built.
     """
 
     def __init__(self, descriptor: TypeDescriptor, budget: int = DEFAULT_BUDGET):
@@ -261,7 +269,6 @@ class CoxeterSystem:
         self.cartan = build_cartan(descriptor)
         self.rank = descriptor.rank
         self.group_order = order
-        self.positive_roots = _positive_roots(self.cartan)
         # (c, a[i][c]) for the columns c that right multiplication by s_i rewrites
         self._coupled = tuple(tuple((c, a) for c, a in enumerate(r) if a) for r in self.cartan)
         n = self.rank
@@ -274,11 +281,16 @@ class CoxeterSystem:
         self._words[self._identity.id] = ()
         self._simples = tuple(right_multiply(self, self._identity, i) for i in range(n))
         self._bruhat: dict[tuple[GroupElement, GroupElement], bool] = {}
-        self._below: list[int] | None = None  # the Bruhat index, by id
+        self._below: list[int] | None = None  # the Bruhat index, by position
         self._downsets: dict[tuple[int, ...], frozenset[IntMatrix]] = {(): frozenset((eye,))}
         self._elements: tuple[GroupElement, ...] | None = None
         self._pairs: tuple[tuple[GroupElement, GroupElement], ...] | None = None
         self._longest: GroupElement | None = None
+
+    @functools.cached_property
+    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The positive roots, closed on first read: single-pair work never reads them."""
+        return _positive_roots(self.cartan)
 
     def __repr__(self) -> str:
         return f"CoxeterSystem({self.descriptor}, order={self.group_order})"
@@ -482,7 +494,7 @@ def bruhat_leq(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
     """
     below = sys._below
     if below is not None:
-        return bool(below[y.id] >> x.id & 1)
+        return bool(below[y.position] >> x.position & 1)
     return bruhat_leq_lifting(sys, x, y)
 
 
@@ -575,8 +587,9 @@ def _subword_products(sys: CoxeterSystem, word: tuple[int, ...]) -> frozenset[In
 def enumerate_elements(sys: CoxeterSystem) -> tuple[GroupElement, ...]:
     """All group elements, sorted by (length, matrix).  Cached on the system.
 
-    The breadth-first walk stops with RankOverflow as soon as it has more
-    elements than the group order.
+    Each element's ``position`` is set to its index here.  The breadth-first
+    walk stops with RankOverflow as soon as it has more elements than the
+    group order.
     """
     if sys._elements is None:
         order = sys.group_order
@@ -593,45 +606,53 @@ def enumerate_elements(sys: CoxeterSystem) -> tuple[GroupElement, ...]:
         if len(collected) != order:
             raise RankOverflow(f"enumerated {len(collected)} elements, expected {order}")
         sys._elements = tuple(sorted(collected, key=lambda g: (g.length, g.matrix)))
+        for k, g in enumerate(sys._elements):
+            g.position = k
     return sys._elements
 
 
 def comparable_pairs(sys: CoxeterSystem) -> tuple[tuple[GroupElement, GroupElement], ...]:
     """All pairs (x, y) with y <= x, ordered by (length, matrix) on x then y.
 
-    Builds the system's Bruhat index on the way: ``sys._below[w.id]`` is the
-    bitmask of the ids of the elements <= w, from the smallest right descent
-    s of w as D(w) = D(ws) | D(ws)s (Björner–Brenti, *Combinatorics of Coxeter
-    Groups*, §2.2).  Both are cached on the system.
+    Builds the system's Bruhat index on the way, numbered by position in
+    that order: ``sys._below[k]`` is the bitmask of the positions of the
+    elements <= w, the k-th element, built from its smallest right descent s
+    as D(w) = D(ws) | D(ws)s (Björner–Brenti, *Combinatorics of Coxeter Groups*,
+    §2.2).  Each x's pairs are its mask's set bits read lowest first, so the
+    walk costs O(pairs), not O(|W|^2).  Both are cached on the system.
     """
     if sys._pairs is None:
         elements = enumerate_elements(sys)
-        rmul = sys._rmul
-        below = [0] * len(sys._by_id)
-        for w in elements:
+        by_id = sys._by_id
+        step = [[by_id[h].position for h in sys._rmul[g.id]] for g in elements]
+        below: list[int] = []
+        for k, w in enumerate(elements):
             d = w.descents
             if not d:
-                below[w.id] = 1 << w.id
+                below.append(1 << k)
                 continue
             s = (d & -d).bit_length() - 1
-            lower = below[rmul[w.id][s]]
+            lower = below[step[k][s]]  # ws is shorter, so already built
             image = 0
             for j in _bits(lower):
-                image |= 1 << rmul[j][s]
-            below[w.id] = lower | image
+                image |= 1 << step[j][s]
+            below.append(lower | image)
         sys._below = below
         sys._pairs = tuple(
-            (x, y) for x in elements for y in elements if below[x.id] >> y.id & 1
+            (x, elements[j]) for x, mask in zip(elements, below) for j in _bits(mask)
         )
     return sys._pairs
 
 
-def _bits(mask: int):
+def _bits(mask: int) -> list[int]:
     """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    digits = bin(mask)[:1:-1]  # least significant first, without the "0b"
+    found = []
+    k = digits.find("1")
+    while k >= 0:
+        found.append(k)
+        k = digits.find("1", k + 1)
+    return found
 
 
 def longest_element(sys: CoxeterSystem) -> GroupElement:

@@ -9,19 +9,28 @@ is the coordinate vector of ``alpha_i`` itself.  The reflection action is
 where the coroot pairing is computed from the integral Cartan matrix row
 ``a[i]``.  On these coordinates a group element acts by its matrix.
 
-Subspaces are kept in reduced row echelon form over the rationals, which
-makes equality of subspaces equality of their stored rows and keeps every
-operation exact.  All arithmetic is rational; nothing here floats.
+A subspace is echelonised over the integers by fraction-free Gauss-Jordan
+elimination (after Bareiss, *Math. Comp.* 22, 1968): a rational row is
+first scaled by the lcm of its denominators, rows are combined by
+cross-multiplication, and each is kept primitive by dividing out its
+content.  The result, primitive integer rows with a positive pivot and
+zeros in the other pivot columns, is canonical for the subspace, so
+equality of subspaces is equality of their integer rows.  The reduced row
+echelon rows over the rationals are that basis with each row divided by
+its pivot, made only when read.  All arithmetic is exact; nothing here
+floats.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .coxeter import CoxeterSystem, GroupElement
 from .errors import IndexOutOfRange, RankMismatch
 
 RationalVector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 
 def vector(values) -> RationalVector:
@@ -65,76 +74,106 @@ def apply_element(sys: CoxeterSystem, g: GroupElement, v: RationalVector) -> Rat
     )
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[RationalVector, ...]:
-    """Reduced row echelon form; returns the nonzero rows, pivots left to right."""
-    mat = [list(row) for row in rows]
-    pivot_rows: list[list[Fraction]] = []
-    col = 0
-    while mat and col < ncols:
-        pivot_idx = next((k for k, row in enumerate(mat) if row[col] != 0), None)
-        if pivot_idx is None:
-            col += 1
+def _integral(values) -> list[int]:
+    """The row as integers: a row with a non-integer entry is scaled by the lcm
+    of its denominators, which keeps the line it spans."""
+    row = list(values)
+    if all(type(v) is int for v in row):
+        return row
+    row = vector(row)
+    scale = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    content = math.gcd(*row)
+    return [v // content for v in row] if content > 1 else row
+
+
+def _reduce(basis: dict[int, list[int]], row: list[int]) -> list[int]:
+    """Clear row's entries in the pivot columns of a Gauss-Jordan basis."""
+    for col, b in basis.items():
+        f = row[col]
+        if f:
+            p = b[col]
+            row = _primitive([p * v - f * w for v, w in zip(row, b)])
+    return row
+
+
+def _echelon(rows, ncols: int) -> tuple[IntVector, ...]:
+    """The canonical integer basis of the span of integer rows, pivots left to right.
+
+    Each row is reduced against the basis so far; a nonzero remainder becomes
+    primitive with a positive pivot and clears its pivot column from the
+    others.  Every row is kept primitive, so entries do not grow from one
+    elimination to the next.
+    """
+    basis: dict[int, list[int]] = {}  # pivot column -> row
+    for row in rows:
+        if len(basis) == ncols:
+            break
+        row = _reduce(basis, row)
+        col = next((j for j, v in enumerate(row) if v), None)
+        if col is None:
             continue
-        row = mat.pop(pivot_idx)
-        inv = 1 / row[col]
-        row = [entry * inv for entry in row]
-        for other in mat:
-            factor = other[col]
-            if factor:
-                for j in range(col, ncols):
-                    other[j] -= factor * row[j]
-        for other in pivot_rows:
-            factor = other[col]
-            if factor:
-                for j in range(col, ncols):
-                    other[j] -= factor * row[j]
-        pivot_rows.append(row)
-        col += 1
-    return tuple(tuple(row) for row in pivot_rows)
+        row = _primitive(row if row[col] > 0 else [-v for v in row])
+        p = row[col]
+        for c, b in basis.items():
+            f = b[col]
+            if f:
+                basis[c] = _primitive([p * w - f * v for w, v in zip(b, row)])
+        basis[col] = row
+    return tuple(tuple(basis[c]) for c in sorted(basis))
 
 
 class RationalSubspace:
-    """A subspace of Q^n held as its reduced row echelon basis.
+    """A subspace of Q^n held as its canonical integer echelon basis.
 
-    The stored rows are canonical for the subspace, so ``==`` and ``hash``
-    are subspace equality; the hash is taken once, as tables key on it.
-    Instances are immutable; every operation returns a new object.
+    ``basis`` holds primitive integer rows with a positive pivot and zeros
+    in the other pivot columns.  It is canonical for the subspace, so
+    ``==`` and ``hash`` are subspace equality; the hash is taken once, as
+    tables key on it.  ``rows`` is the reduced row echelon form over the
+    rationals.  Instances are immutable; every operation returns a new
+    object.
     """
 
-    __slots__ = ("ncols", "rows", "_hash")
+    __slots__ = ("ncols", "basis", "_hash")
 
     def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
         cleaned = []
         for row in rows:
-            row = vector(row)
+            row = _integral(row)
             if len(row) != ncols:
                 raise RankMismatch(f"row of length {len(row)} in ambient dimension {ncols}")
-            cleaned.append(list(row))
-        self.rows = _rref(cleaned, ncols)
-        self._hash = hash((ncols, self.rows))
+            cleaned.append(row)
+        self.basis = _echelon(cleaned, ncols)
+        self._hash = hash((ncols, self.basis))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.basis)
 
-    def contains(self, v: RationalVector) -> bool:
-        """Membership test by elimination against the echelon rows."""
+    @property
+    def rows(self) -> tuple[RationalVector, ...]:
+        """The reduced row echelon rows: each basis row divided by its pivot."""
+        out = []
+        for row in self.basis:
+            p = next(v for v in row if v)
+            out.append(tuple(Fraction(v, p) for v in row))
+        return tuple(out)
+
+    def contains(self, v) -> bool:
+        """Membership test by elimination against the integer basis."""
         if len(v) != self.ncols:
             raise RankMismatch(f"vector of length {len(v)} in ambient dimension {self.ncols}")
-        residual = list(vector(v))
-        for row in self.rows:
-            pivot = next(j for j in range(self.ncols) if row[j] != 0)
-            factor = residual[pivot]
-            if factor:
-                for j in range(pivot, self.ncols):
-                    residual[j] -= factor * row[j]
-        return all(entry == 0 for entry in residual)
+        basis = {next(j for j, e in enumerate(row) if e): row for row in self.basis}
+        return not any(_reduce(basis, _integral(v)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalSubspace):
             return NotImplemented
-        return self.ncols == other.ncols and self.rows == other.rows
+        return self.ncols == other.ncols and self.basis == other.basis
 
     def __hash__(self) -> int:
         return self._hash

@@ -39,12 +39,16 @@ from .errors import InvariantViolation, IoError, ParseError
 
 
 class IntPolynomial:
-    """Integer polynomial in q, coefficients stored ascending and trimmed."""
+    """Integer polynomial in q, coefficients stored ascending and trimmed.
+
+    The coefficients are taken as given, so they must already be ints: the
+    recursion makes them so, and the cache loader parses them.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         self.coeffs = coeffs
@@ -224,10 +228,9 @@ class RTable:
             if y is x or not bruhat_leq(sys, y, x):
                 raise ParseError(f"{path}:{lineno}: {parts[0]} is not strictly below {parts[1]}")
             try:
-                coeffs = tuple(int(c) for c in parts[2].split(","))
+                poly = IntPolynomial([int(c) for c in parts[2].split(",")])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad coefficient list") from exc
-            poly = IntPolynomial(coeffs)
             gap = x.length - y.length
             if poly.degree != gap or poly.coeff(gap) != 1 or poly.coeff(0) != (-1) ** gap:
                 raise ParseError(

@@ -27,10 +27,10 @@ Unrolling only part of the chain, up to a pair (x', y') k steps down, gives
 
 with u = s_1 ... s_k.  So ``VTable`` walks the chain only until it reaches
 a pair already in the table (or the diagonal, where V is 0) and builds one
-echelon basis from those roots and the images of the stored rows, the same
-canonical basis the stepwise recursion reaches.  The result depends only on
-the stored subspace and the steps (s, down) taken, so the build is memoised
-on that key.  A whole-group fill in length order has already stored the pair
+echelon basis from those roots and the images under u of the stored integer
+basis, the same canonical basis the stepwise recursion reaches.  The result
+depends only on the stored subspace and the steps (s, down) taken, so the
+build is memoised on that key.  A whole-group fill in length order has already stored the pair
 one step below each pair, so each pair costs one step and one dict lookup,
 and only a new key costs a build (367 for D4's 9,817 pairs).  A lone query
 finds nothing stored, walks the whole chain and builds once.
@@ -69,7 +69,7 @@ from .errors import (
     IndexOutOfRange,
     ParseError,
 )
-from .reflection import RationalSubspace, apply_element, basis_vector
+from .reflection import RationalSubspace, basis_vector
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,9 @@ class VTable:
         span_key = (known, tuple(steps))
         value = self._spans.get(span_key)
         if value is None:
-            rows = roots + [apply_element(sys, u, row) for row in known.rows]
-            value = RationalSubspace(sys.rank, rows)
+            m = u.matrix
+            images = [[sum(a * b for a, b in zip(mr, row)) for mr in m] for row in known.basis]
+            value = RationalSubspace(sys.rank, roots + images)
             value = self._spans[span_key] = self._spaces.setdefault(value, value)
         entries[key] = value
         self.computed += 1
@@ -177,7 +178,7 @@ def singular_v(
     """
     spec.validate(sys)
     keep = [j for j in range(sys.rank) if j not in spec.indices]
-    return RationalSubspace(len(keep), [[row[j] for j in keep] for row in table.v(x, y).rows])
+    return RationalSubspace(len(keep), [[row[j] for j in keep] for row in table.v(x, y).basis])
 
 
 @dataclass(frozen=True)

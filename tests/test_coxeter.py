@@ -41,7 +41,7 @@ from verma_ext.coxeter import (
 )
 from verma_ext.errors import BudgetExceeded, InvalidType, InvariantViolation, ParseError, RankOverflow
 from verma_ext.verify import PRESETS
-from verma_ext.vtable import compute_all
+from verma_ext.vtable import VTable, compute_all
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,18 @@ def test_budget_rejects_large_groups():
     big = build_system("E7", budget=3_000_000)
     assert big.rank == 7
     assert len(big.positive_roots) == 63
+
+
+def test_single_pair_work_leaves_the_roots_unbuilt():
+    # Neither recursion reads the positive roots, so a single-pair query on
+    # E7 never pays for closing its 63 of them.
+    e7 = build_system("E7", budget=3_000_000)
+    x = element_from_word(e7, (0, 1, 2, 3, 4, 5, 6, 0, 2, 3))
+    y = element_from_word(e7, (1, 3))
+    assert rpoly.RTable(e7).r(y, x).degree == x.length - y.length
+    assert VTable(e7).v(x, y).dim > 0
+    assert "positive_roots" not in vars(e7)
+    assert len(e7.positive_roots) == 63
 
 
 def test_cartan_matrices():
@@ -288,8 +300,10 @@ def test_bruhat_recursion_matches_subword_oracle(text):
             if y.length <= cap:
                 assert bruhat_leq_lifting(sys, x, y) == bruhat_leq_oracle(sys, x, y)
     assert sys._below is None
-    comparable_pairs(sys)
+    pairs = comparable_pairs(sys)
     assert sys._below is not None
+    # in (length, matrix) order on x, then on y
+    assert pairs == tuple((x, y) for x in elems for y in elems if bruhat_leq_lifting(sys, y, x))
     for x in elems:
         for y in elems:
             assert bruhat_leq(sys, x, y) is bruhat_leq_lifting(sys, x, y)

@@ -30,6 +30,7 @@ from verma_ext.coxeter import (
     identity,
     longest_element,
     multiply,
+    reduced_word,
     right_multiply,
     simple_reflection,
 )
@@ -172,7 +173,7 @@ def root_reflections(sys):
     return found
 
 
-@pytest.mark.parametrize("text", PRESETS)
+@pytest.mark.parametrize("text", PRESETS + ("B4",))
 def test_v_is_spanned_by_bruhat_graph_edge_roots(text, system, vtable):
     # V(x, y) = span{beta in the positive roots : y < y s_beta <= x}: the
     # roots of the Bruhat-graph edges out of y inside [y, x] (Björner–Brenti,
@@ -194,6 +195,32 @@ def test_v_is_spanned_by_bruhat_graph_edge_roots(text, system, vtable):
         if edges not in spans:
             spans[edges] = RationalSubspace(sys.rank, edges)
         assert spans[edges].rows == table.v(x, y).rows, (text, x, y)
+
+
+@pytest.mark.parametrize("text", PRESETS)
+def test_dim_and_coefficient_are_unchanged_by_the_interval_symmetries(text, system, vtable, rtable):
+    # Inversion and conjugation by w0 are automorphisms of the Bruhat order;
+    # right and left multiplication by w0 reverse it (Björner–Brenti,
+    # Combinatorics of Coxeter Groups, §2.3).  The recursions strip only right
+    # descents, so the inverse pair reaches V(x, y) by other chains.
+    sys = system(text)
+    table, rt = vtable(text), rtable(text)
+    w0 = longest_element(sys)
+    elems = enumerate_elements(sys)
+    inverse = {g: element_from_word(sys, reduced_word(sys, g)[::-1]) for g in elems}
+    right = {g: multiply(sys, g, w0) for g in elems}
+    left = {g: multiply(sys, w0, g) for g in elems}
+    for x, y in comparable_pairs(sys):
+        want = (table.v(x, y).dim, gj_coefficient(sys, x, y, rt))
+        images = [
+            (inverse[x], inverse[y]),
+            (left[right[x]], left[right[y]]),
+            (right[y], right[x]),
+            (left[y], left[x]),
+        ]
+        for image in images:
+            got = (table.v(*image).dim, gj_coefficient(sys, *image, rt))
+            assert got == want, (text, x, y, image)
 
 
 def test_a3_divergence_has_four_edges_spanning_three_dimensions(system, vtable, rtable):
