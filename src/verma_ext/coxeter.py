@@ -23,15 +23,20 @@ and its elements are freed by reference counting.
 
 The Bruhat order has three routes.  ``comparable_pairs``, the one
 whole-group walk, builds a numbered index: per element position, the
-bitmask of the positions below it.  From then on ``bruhat_leq`` answers
-with one bit test; before that it calls ``bruhat_leq_lifting``, a memoized
-recursion on the lifting property, so single-pair queries on a large group
-stay lazy.
+bitmask of the positions below it, and the tuple of the elements below it.
+From then on ``bruhat_leq`` answers with one bit test; before that it calls
+``bruhat_leq_lifting``, a memoized recursion on the lifting property, so
+single-pair queries on a large group stay lazy.
 ``bruhat_leq_oracle`` decides order by subword enumeration of one reduced
 word, on bare matrices, to cross-check the other two; it refuses a word with
 more than an explicit budget of subwords.  ``descend`` is the one step, with
 its lifting check, that the R-polynomial, subspace and direct recursions all
 take.
+
+Every per-pair memo, here and in the tables built on a system, is a dict of
+rows: ``rows[x][y]`` for the pair y <= x, one dict per upper element keyed by
+the lower one, so no lookup builds an (x, y) tuple and no entry stores one.
+``PairView`` shows such rows as one read-only mapping keyed by pairs.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import hashlib
 import json
 import math
 import re
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from .errors import (
@@ -228,11 +234,11 @@ class GroupElement:
 
     __slots__ = ("matrix", "length", "id", "descents", "position")
 
-    def __init__(self, matrix: IntMatrix, length: int, gid: int):
+    def __init__(self, matrix: IntMatrix, length: int, gid: int, descents: int):
         self.matrix = matrix
         self.length = length
         self.id = gid
-        self.descents = sum(1 << i for i, col in enumerate(zip(*matrix)) if min(col) < 0)
+        self.descents = descents
         self.position = -1
 
     def __repr__(self) -> str:
@@ -240,12 +246,43 @@ class GroupElement:
         return f"GroupElement(len={self.length}, [{rows}])"
 
 
+class PairView(Mapping):
+    """Rows ``rows[x][y]``, keyed by the upper element, seen as one mapping keyed by pairs.
+
+    The keys are (x, y), or (y, x) with ``lower_first``.  The view is
+    read-only and live: the rows are the table's own, and it makes each
+    pair only when a caller reads it.
+    """
+
+    __slots__ = ("_rows", "_lower_first")
+
+    def __init__(self, rows: dict, lower_first: bool = False):
+        self._rows = rows
+        self._lower_first = lower_first
+
+    def __getitem__(self, key):
+        try:
+            x, y = key[::-1] if self._lower_first else key
+            return self._rows[x][y]
+        except (TypeError, ValueError):  # not a pair of elements
+            raise KeyError(key) from None
+
+    def __iter__(self):
+        for x, row in self._rows.items():
+            for y in row:
+                yield (y, x) if self._lower_first else (x, y)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows.values()))
+
+
 class CoxeterSystem:
     """A finite Weyl group with its Cartan data and per-group caches.
 
     The interned element tables are indexed by element id and the Bruhat
-    index by position in the (length, matrix) order; the lifting memo and
-    the element and pair lists hold the system's own GroupElements, keyed by
+    index by position in the (length, matrix) order; the lifting memo (rows
+    keyed by the upper element, each keyed by the lower) and the element
+    and lower-set lists hold the system's own GroupElements, keyed by
     identity, and the oracle's subword products are keyed by word.  All grow
     monotonically, and all derived tables hold a reference to their system,
     so sharing one system between tables shares the caches.  Pass a system
@@ -277,14 +314,14 @@ class CoxeterSystem:
         self._by_id: list[GroupElement] = []
         self._rmul: list[list[int]] = []  # id of g s_i, or -1 before first use
         self._words: list[tuple[int, ...] | None] = []
-        self._identity = _intern(self, eye, 0)
+        self._identity = _intern(self, eye, 0, 0)
         self._words[self._identity.id] = ()
         self._simples = tuple(right_multiply(self, self._identity, i) for i in range(n))
-        self._bruhat: dict[tuple[GroupElement, GroupElement], bool] = {}
+        self._bruhat: dict[GroupElement, dict[GroupElement, bool]] = {}  # upper -> lower -> x <= y
         self._below: list[int] | None = None  # the Bruhat index, by position
+        self._lower: list[tuple[GroupElement, ...]] | None = None  # the elements below, by position
         self._downsets: dict[tuple[int, ...], frozenset[IntMatrix]] = {(): frozenset((eye,))}
         self._elements: tuple[GroupElement, ...] | None = None
-        self._pairs: tuple[tuple[GroupElement, GroupElement], ...] | None = None
         self._longest: GroupElement | None = None
 
     @functools.cached_property
@@ -333,13 +370,13 @@ def _col_reflect(sys: CoxeterSystem, matrix: IntMatrix, i: int) -> IntMatrix:
     return tuple(out)
 
 
-def _intern(sys: CoxeterSystem, matrix: IntMatrix, length: int) -> GroupElement:
+def _intern(sys: CoxeterSystem, matrix: IntMatrix, length: int, descents: int) -> GroupElement:
     """The system's element with this matrix, given the next id on first sight."""
     gid = sys._index.get(matrix)
     if gid is None:
         gid = len(sys._by_id)
         sys._index[matrix] = gid
-        sys._by_id.append(GroupElement(matrix, length, gid))
+        sys._by_id.append(GroupElement(matrix, length, gid, descents))
         sys._rmul.append([-1] * sys.rank)
         sys._words.append(None)
     return sys._by_id[gid]
@@ -384,22 +421,33 @@ def multiply(sys: CoxeterSystem, a: GroupElement, b: GroupElement) -> GroupEleme
         tuple(sum(am[r][k] * bm[k][c] for k in range(n)) for c in range(n))
         for r in range(n)
     )
-    return _intern(sys, prod, recount_length(sys, prod))
+    descents = sum(1 << i for i, col in enumerate(zip(*prod)) if min(col) < 0)
+    return _intern(sys, prod, recount_length(sys, prod), descents)
 
 
 def right_multiply(sys: CoxeterSystem, g: GroupElement, i: int) -> GroupElement:
     """g * s_i: a lookup in the system's table, filled on first use.
 
     The fill copies the rows of g's matrix that are 0 in column i and
-    rewrites column i and its Dynkin neighbours in the others.
+    rewrites column i and its Dynkin neighbours in the others, so only
+    their descent bits can change.
     """
     if not 0 <= i < sys.rank:
         raise IndexOutOfRange(f"simple reflection index {i} outside 0..{sys.rank - 1}")
     row = sys._rmul[g.id]
     hid = row[i]
     if hid < 0:
+        matrix = _col_reflect(sys, g.matrix, i)
+        descents = g.descents ^ 1 << i  # column i is negated
+        for c, _ in sys._coupled[i]:
+            if c != i:  # a neighbour column is a root: its first nonzero entry is its sign
+                for r in matrix:
+                    if r[c]:
+                        break
+                if (r[c] < 0) != (descents >> c & 1):
+                    descents ^= 1 << c
         length = g.length - 1 if g.descents >> i & 1 else g.length + 1
-        hid = row[i] = _intern(sys, _col_reflect(sys, g.matrix, i), length).id
+        hid = row[i] = _intern(sys, matrix, length, descents).id
         sys._rmul[hid][i] = g.id
     return sys._by_id[hid]
 
@@ -503,8 +551,9 @@ def bruhat_leq_lifting(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> 
 
     For s a right descent of y: if s is also a descent of x then
     x <= y iff xs <= ys, otherwise x <= y iff x <= ys.  Each step strictly
-    shortens y, so the memo is keyed on (x, y) pairs with length(x) < length(y).
-    Both elements must be the system's own: equal lengths compare by identity.
+    shortens y, so the memo holds pairs with length(x) < length(y), in rows
+    keyed by y, each keyed by x.  Both elements must be the system's own:
+    equal lengths compare by identity.
     """
     if x.length > y.length:
         return False
@@ -512,18 +561,20 @@ def bruhat_leq_lifting(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> 
         return x is y
     if x.length == 0:
         return True
-    memo = sys._bruhat
-    key = (x, y)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+    row = sys._bruhat.get(y)
+    if row is None:
+        row = sys._bruhat[y] = {}  # the recursion reaches only shorter y
+    else:
+        cached = row.get(x)
+        if cached is not None:
+            return cached
     s = pick_descent(sys, y, "smallest")
     ys = right_multiply(sys, y, s)
     if x.descents >> s & 1:
         result = bruhat_leq_lifting(sys, right_multiply(sys, x, s), ys)
     else:
         result = bruhat_leq_lifting(sys, x, ys)
-    memo[key] = result
+    row[x] = result
     return result
 
 
@@ -611,17 +662,19 @@ def enumerate_elements(sys: CoxeterSystem) -> tuple[GroupElement, ...]:
     return sys._elements
 
 
-def comparable_pairs(sys: CoxeterSystem) -> tuple[tuple[GroupElement, GroupElement], ...]:
-    """All pairs (x, y) with y <= x, ordered by (length, matrix) on x then y.
+def comparable_pairs(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, GroupElement]]:
+    """An iterator over the pairs (x, y) with y <= x, by (length, matrix) on x then y.
 
-    Builds the system's Bruhat index on the way, numbered by position in
-    that order: ``sys._below[k]`` is the bitmask of the positions of the
-    elements <= w, the k-th element, built from its smallest right descent s
-    as D(w) = D(ws) | D(ws)s (Björner–Brenti, *Combinatorics of Coxeter Groups*,
-    §2.2).  Each x's pairs are its mask's set bits read lowest first, so the
-    walk costs O(pairs), not O(|W|^2).  Both are cached on the system.
+    The call builds the system's Bruhat index, numbered by position in that
+    order, before it returns: ``sys._below[k]`` is the bitmask of the
+    positions of the elements <= w, the k-th element, built from its
+    smallest right descent s as D(w) = D(ws) | D(ws)s (Björner–Brenti,
+    *Combinatorics of Coxeter Groups*, §2.2), and ``sys._lower[k]`` is the
+    tuple of those elements, read once off the mask's set bits lowest first,
+    so the build costs O(pairs), not O(|W|^2).  Both are cached on the
+    system; the pairs themselves are made as they are read, not stored.
     """
-    if sys._pairs is None:
+    if sys._lower is None:
         elements = enumerate_elements(sys)
         by_id = sys._by_id
         step = [[by_id[h].position for h in sys._rmul[g.id]] for g in elements]
@@ -638,10 +691,8 @@ def comparable_pairs(sys: CoxeterSystem) -> tuple[tuple[GroupElement, GroupEleme
                 image |= 1 << step[j][s]
             below.append(lower | image)
         sys._below = below
-        sys._pairs = tuple(
-            (x, elements[j]) for x, mask in zip(elements, below) for j in _bits(mask)
-        )
-    return sys._pairs
+        sys._lower = [tuple(map(elements.__getitem__, _bits(mask))) for mask in below]
+    return ((x, y) for x, lower in zip(sys._elements, sys._lower) for y in lower)
 
 
 def _bits(mask: int) -> list[int]:

@@ -26,6 +26,7 @@ from .coxeter import (
     DESCENT_POLICIES,
     CoxeterSystem,
     GroupElement,
+    PairView,
     bruhat_leq,
     check_below,
     check_policy,
@@ -126,17 +127,21 @@ def write_atomic(path: Path | str, text: str) -> None:
 class RTable:
     """Memo table of R-polynomials for one system, bound to a descent policy.
 
-    ``computed`` counts entries produced by the recursion (cache loads do not
-    count), which is how tests observe that a warm cache recomputes nothing.
-    Only comparable pairs are stored; incomparable lookups return the zero
-    polynomial without touching the table.
+    ``rows[x][y]`` is R(y, x), in one row per upper element x keyed by the
+    lower element y; ``entries`` is a read-only view of them keyed by the
+    pairs (y, x).  ``computed`` counts entries produced by the recursion
+    (cache loads do not count), which is how tests observe that a warm
+    cache recomputes nothing.  Only strictly comparable pairs are stored;
+    incomparable lookups return the zero polynomial without touching the
+    table.
     """
 
     def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
         check_policy(policy)
         self.sys = sys
         self.policy = policy
-        self.entries: dict[tuple[GroupElement, GroupElement], IntPolynomial] = {}
+        self.rows: dict[GroupElement, dict[GroupElement, IntPolynomial]] = {}
+        self.entries = PairView(self.rows, lower_first=True)
         self.computed = 0
 
     def r(self, y: GroupElement, x: GroupElement) -> IntPolynomial:
@@ -144,10 +149,11 @@ class RTable:
             return ONE
         if not bruhat_leq(self.sys, y, x):
             return ZERO
-        key = (y, x)
-        hit = self.entries.get(key)
-        if hit is not None:
-            return hit
+        row = self.rows.get(x)
+        if row is not None:
+            hit = row.get(y)
+            if hit is not None:
+                return hit
         _, xs, ys, down = descend(self.sys, x, y, self.policy)
         if down:
             value = self.r(ys, xs)
@@ -155,8 +161,10 @@ class RTable:
             a, b = self.r(y, xs).coeffs, self.r(ys, xs).coeffs
             b += (0,) * (len(a) - len(b))
             value = IntPolynomial([u + v - w for u, v, w in zip((0,) + a, (0,) + b, a + (0,))])
-        # the recursion only reaches shorter x, so key is not stored yet
-        self.entries[key] = value
+        # the recursion only reaches shorter x, so x's row is as it was
+        if row is None:
+            row = self.rows[x] = {}
+        row[y] = value
         self.computed += 1
         return value
 
@@ -170,29 +178,24 @@ class RTable:
             f"# system: {fingerprint(sys)}",
             f"# policy: {self.policy}",
         ]
-        items = sorted(
-            self.entries.items(),
-            key=lambda kv: (
-                kv[0][1].length,
-                kv[0][1].matrix,
-                kv[0][0].length,
-                kv[0][0].matrix,
-            ),
-        )
-        for (y, x), poly in items:
-            yw = word_text(sys, y)
+        order = lambda g: (g.length, g.matrix)  # noqa: E731
+        for x in sorted(self.rows, key=order):
+            row = self.rows[x]
             xw = word_text(sys, x)
-            cs = ",".join(str(c) for c in poly.coeffs)
-            lines.append(f"{yw};{xw};{cs}")
+            for y in sorted(row, key=order):
+                cs = ",".join(str(c) for c in row[y].coeffs)
+                lines.append(f"{word_text(sys, y)};{xw};{cs}")
         write_atomic(path, "\n".join(lines) + "\n")
 
     def load_csv(self, path: Path | str) -> int:
         """Merge entries from a cache file, validating each row's invariants.
 
-        Returns the number of rows loaded.  A row must name a pair y < x and
+        Returns the number of rows loaded.  A row must name a pair y < x,
         carry the degree, leading coefficient, and constant term forced by
-        the lengths; a row that does not is a ParseError, as is a system
-        fingerprint mismatch.
+        the lengths, vanish at q = 1, and have a nonnegative signed q
+        coefficient; a row that does not is a ParseError, as is a system
+        fingerprint mismatch.  A row that passes all of these can still be
+        wrong: ``verify``'s suite R recomputes every pair, ``report`` does not.
         """
         try:
             text = Path(path).read_text(encoding="utf-8")
@@ -236,9 +239,14 @@ class RTable:
                 raise ParseError(
                     f"{path}:{lineno}: row violates degree or term invariants for gap {gap}"
                 )
-            key = (y, x)
-            if key not in self.entries:
-                self.entries[key] = poly
+            if poly.eval_at(1) != 0 or _signed_q_coefficient(poly, gap) < 0:
+                raise ParseError(
+                    f"{path}:{lineno}: row has R(1) != 0 or a negative signed q-coefficient"
+                )
+            row = self.rows.get(x)
+            if row is None:
+                row = self.rows[x] = {}
+            row.setdefault(y, poly)
             loaded += 1
         return loaded
 
@@ -251,9 +259,7 @@ def gj_coefficient(sys: CoxeterSystem, x: GroupElement, y: GroupElement, table: 
     is not a data error but a broken structural guarantee, hence InvariantViolation.
     """
     check_below(sys, y, x)
-    poly = table.r(y, x)
-    sign = -1 if (x.length - y.length + 1) % 2 else 1
-    value = sign * poly.coeff(1)
+    value = _signed_q_coefficient(table.r(y, x), x.length - y.length)
     if value < 0:
         raise InvariantViolation(
             f"signed q-coefficient {value} < 0 at pair ({word_text(sys, x)}, {word_text(sys, y)})"
@@ -261,8 +267,14 @@ def gj_coefficient(sys: CoxeterSystem, x: GroupElement, y: GroupElement, table: 
     return value
 
 
-# Direct-route counts by pair (x, y), under one descent policy.
-DirectMemo = dict[tuple[GroupElement, GroupElement], int]
+def _signed_q_coefficient(poly: IntPolynomial, gap: int) -> int:
+    """The q^1 coefficient times (-1)**(gap + 1), which cancels its alternating sign."""
+    return poly.coeff(1) if gap % 2 else -poly.coeff(1)
+
+
+# Direct-route counts under one descent policy: memo[x][y] for the pair y <= x,
+# one row per upper element x keyed by the lower element y.
+DirectMemo = dict[GroupElement, dict[GroupElement, int]]
 
 
 def r_coeff_direct(
@@ -289,11 +301,14 @@ def r_coeff_direct(
     """
     if memo is None:
         memo = {}
-    key = (x, y)
-    if key in memo:
-        return memo[key]
+    row = memo.get(x)
+    if row is not None:
+        hit = row.get(y)
+        if hit is not None:
+            return hit
     check_policy(policy)
     check_below(sys, y, x)
+    top, bottom = x, y
     total = 0
     while x is not y:
         _, xs, ys, down = descend(sys, x, y, policy)
@@ -302,8 +317,13 @@ def r_coeff_direct(
         elif not bruhat_leq(sys, ys, xs):
             total += 1
         x = xs
-        if (x, y) in memo:
-            total += memo[(x, y)]
-            break
-    memo[key] = total
+        below = memo.get(x)
+        if below is not None:
+            count = below.get(y)
+            if count is not None:
+                total += count
+                break
+    if row is None:
+        row = memo[top] = {}
+    row[bottom] = total
     return total

@@ -54,6 +54,7 @@ from .coxeter import (
     DESCENT_POLICIES,
     CoxeterSystem,
     GroupElement,
+    PairView,
     bruhat_leq,
     check_below,
     check_policy,
@@ -100,7 +101,9 @@ class SingularSpec:
 class VTable:
     """Memoized V(x, y) values for one system under one descent policy.
 
-    ``entries`` maps each pair asked for to its subspace and ``computed``
+    ``rows[x][y]`` is the subspace of each pair asked for, in one row per
+    upper element x keyed by the lower element y; ``entries`` is a
+    read-only view of them keyed by the pairs (x, y), and ``computed``
     counts them.  ``_spaces`` interns the distinct subspaces, so equal
     entries are one object, and ``_spans`` memoises the echelon build on
     (known subspace, steps taken).
@@ -110,7 +113,8 @@ class VTable:
         check_policy(policy)
         self.sys = sys
         self.policy = policy
-        self.entries: dict[tuple[GroupElement, GroupElement], RationalSubspace] = {}
+        self.rows: dict[GroupElement, dict[GroupElement, RationalSubspace]] = {}
+        self.entries = PairView(self.rows)
         self.computed = 0
         self._zero = RationalSubspace(sys.rank)
         self._spaces: dict[RationalSubspace, RationalSubspace] = {self._zero: self._zero}
@@ -121,11 +125,13 @@ class VTable:
         return self._v(x, y)
 
     def _v(self, x: GroupElement, y: GroupElement) -> RationalSubspace:
-        key = (x, y)
-        entries = self.entries
-        hit = entries.get(key)
-        if hit is not None:
-            return hit
+        rows = self.rows
+        row = rows.get(x)
+        if row is not None:
+            hit = row.get(y)
+            if hit is not None:
+                return hit
+        top, bottom = x, y
         sys = self.sys
         u = identity(sys)  # s_1 ... s_{k-1}, the steps taken so far
         steps = []
@@ -137,20 +143,24 @@ class VTable:
             if down:
                 y = ys
             else:
-                roots.append([row[s] for row in u.matrix])
+                roots.append([r[s] for r in u.matrix])
             u = right_multiply(sys, u, s)
-            stored = entries.get((x, y))
-            if stored is not None:
-                known = stored
-                break
+            below = rows.get(x)
+            if below is not None:
+                stored = below.get(y)
+                if stored is not None:
+                    known = stored
+                    break
         span_key = (known, tuple(steps))
         value = self._spans.get(span_key)
         if value is None:
             m = u.matrix
-            images = [[sum(a * b for a, b in zip(mr, row)) for mr in m] for row in known.basis]
+            images = [[sum(a * b for a, b in zip(mr, r)) for mr in m] for r in known.basis]
             value = RationalSubspace(sys.rank, roots + images)
             value = self._spans[span_key] = self._spaces.setdefault(value, value)
-        entries[key] = value
+        if row is None:
+            row = rows[top] = {}
+        row[bottom] = value
         self.computed += 1
         return value
 

@@ -385,8 +385,10 @@ def test_rpoly_cache_write_through(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "corruption",
-    [b"e;0;1,1\n", "²;0;-1,1\n".encode(), b"\xff\xfe"],
-    ids=["row-breaks-invariants", "superscript-word", "not-utf8"],
+    [b"e;0;1,1\n", b"e;0,1,0;-1,-2,2,1\n", b"e;0,1,0;-1,1,1,1\n", "²;0;-1,1\n".encode(),
+     b"\xff\xfe"],
+    ids=["row-breaks-invariants", "negative-signed-q-coefficient", "nonzero-at-one",
+         "superscript-word", "not-utf8"],
 )
 def test_corrupt_rpoly_cache_is_domain_error(capsys, tmp_path, corruption):
     cache = tmp_path / "cache"
@@ -399,6 +401,22 @@ def test_corrupt_rpoly_cache_is_domain_error(capsys, tmp_path, corruption):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}")
     assert path.read_bytes() == before
+
+
+def test_well_shaped_wrong_cache_row_is_caught_by_verify_not_report(capsys, tmp_path):
+    # -1,4,-4,1 has the degree, end terms, R(1) = 0 and sign the loader
+    # checks, but R(e, w0) on A2 is -1,2,-2,1.
+    assert run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))[0] == 0
+    (path,) = tmp_path.glob("rpoly_A2-*.csv")
+    text = path.read_text()
+    assert "\ne;0,1,0;-1,2,-2,1\n" in text
+    path.write_text(text.replace("\ne;0,1,0;-1,2,-2,1\n", "\ne;0,1,0;-1,4,-4,1\n"))
+    assert run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))[0] == 0
+    (dims,) = tmp_path.glob("dims_A2-*.csv")
+    assert "0,1,0;e;2;4;0" in dims.read_text().splitlines()
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert code == 3
+    assert "\nR: checked=36 failed=1\n" in out
 
 
 def test_env_var_beats_cache_flag(capsys, tmp_path, monkeypatch):

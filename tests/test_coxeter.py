@@ -8,6 +8,7 @@ exhaustive subword oracle inside the tests themselves.
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -235,13 +236,13 @@ def test_enumeration_stops_once_it_passes_the_group_order(monkeypatch):
     # element per reduced word; the walk must stop at order + 1 elements.
     calls = 0
 
-    def fresh_intern(sys, matrix, length):
+    def fresh_intern(sys, matrix, length, descents):
         nonlocal calls
         calls += 1
         if calls > 10_000:
             raise AssertionError("enumeration ran away")
         gid = len(sys._by_id)
-        sys._by_id.append(coxeter.GroupElement(matrix, length, gid))
+        sys._by_id.append(coxeter.GroupElement(matrix, length, gid, descents))
         sys._rmul.append([-1] * sys.rank)
         sys._words.append(None)
         return sys._by_id[gid]
@@ -300,7 +301,7 @@ def test_bruhat_recursion_matches_subword_oracle(text):
             if y.length <= cap:
                 assert bruhat_leq_lifting(sys, x, y) == bruhat_leq_oracle(sys, x, y)
     assert sys._below is None
-    pairs = comparable_pairs(sys)
+    pairs = tuple(comparable_pairs(sys))
     assert sys._below is not None
     # in (length, matrix) order on x, then on y
     assert pairs == tuple((x, y) for x in elems for y in elems if bruhat_leq_lifting(sys, y, x))
@@ -317,7 +318,7 @@ def test_whole_group_fills_read_the_index_not_the_recursion():
     for x in elems:
         for y in elems:
             table.r(y, x)
-    assert table.computed == len(comparable_pairs(d4)) - len(elems)
+    assert table.computed == len(list(comparable_pairs(d4))) - len(elems)
     assert len(d4._bruhat) == 0
 
 
@@ -380,12 +381,35 @@ def test_right_multiply_is_an_interned_lookup(text, system):
             assert right_multiply(sys, h, i) is g
 
 
-@pytest.mark.parametrize("text", PRESETS + ("F4",))
-def test_descent_bitmask_matches_column_signs(text, system):
-    sys = system(text)
-    for g in enumerate_elements(sys):
-        scanned = _column_descents(g.matrix)
-        assert g.descents == sum(1 << i for i in scanned)
+@pytest.mark.parametrize("text", PRESETS + ("F4", "E7"))
+def test_descent_bitmask_matches_column_signs(text):
+    # right_multiply rereads only the columns it rewrites and multiply scans
+    # every column; each element either of them interns must carry the
+    # bitmask of a full scan.  On E7 the elements are those a few seeded
+    # queries intern lazily, with no enumeration.
+    sys = build_system(text, budget=3_000_000)
+    simples = [simple_reflection(sys, i) for i in range(sys.rank)]
+    products = [multiply(sys, a, b) for a in simples for b in simples]
+    # s_i s_j with i != j is new: multiply interns it
+    assert sum(p.id > sys.rank for p in products) == sys.rank * (sys.rank - 1)
+    rng = random.Random(15)
+    elems = [
+        element_from_word(sys, tuple(rng.randrange(sys.rank) for _ in range(rng.randrange(14))))
+        for _ in range(12)
+    ]
+    products += [multiply(sys, a, b) for a, b in zip(elems, elems[1:])]
+    if text == "E7":
+        rtable, vtable = rpoly.RTable(sys), VTable(sys)
+        for x in elems:
+            # a subword of a reduced word of x gives an element below x
+            y = element_from_word(sys, tuple(s for s in reduced_word(sys, x) if rng.random() < 0.5))
+            rtable.r(y, x)
+            vtable.v(x, y)
+        assert sys._elements is None
+    else:
+        assert len(enumerate_elements(sys)) == len(sys._by_id)
+    for g in sys._by_id:
+        assert g.descents == sum(1 << i for i in _column_descents(g.matrix))
 
 
 @pytest.mark.parametrize("text", PRESETS + ("F4",))

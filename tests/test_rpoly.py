@@ -253,9 +253,10 @@ def test_direct_memo_matches_a_fresh_chain_walk(text, policy, system):
     # the pass stops each chain at the first pair it already counted.
     sys = system(text)
     memo = _direct_pass(sys, RTable(sys, policy=policy))
-    assert len(memo) == len(comparable_pairs(sys))
-    for (x, y), count in memo.items():
-        assert r_coeff_direct(sys, x, y, policy) == count
+    assert sum(map(len, memo.values())) == len(list(comparable_pairs(sys)))
+    for x, row in memo.items():
+        for y, count in row.items():
+            assert r_coeff_direct(sys, x, y, policy) == count
 
 
 def test_direct_pass_takes_one_descent_step_per_pair(monkeypatch):
@@ -287,7 +288,7 @@ def test_direct_step_off_the_order_is_a_lifting_violation(monkeypatch, system):
     with pytest.raises(LiftingViolation):
         r_coeff_direct(a2, x, y)
     with pytest.raises(LiftingViolation):
-        r_coeff_direct(a2, x, y, memo={(identity(a2), identity(a2)): 0})
+        r_coeff_direct(a2, x, y, memo={identity(a2): {identity(a2): 0}})
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +317,39 @@ def test_cache_round_trip(tmp_path, system):
     # a warm table answers without recomputing anything
     _fill(fresh, a2)
     assert fresh.computed == 0
+
+
+A2_CACHE = """\
+# r-polynomial cache
+# system: A2-e036c5aaa6cc
+# policy: smallest
+e;0;-1,1
+e;1;-1,1
+e;1,0;1,-2,1
+0;1,0;-1,1
+1;1,0;-1,1
+e;0,1;1,-2,1
+0;0,1;-1,1
+1;0,1;-1,1
+e;0,1,0;-1,2,-2,1
+0;0,1,0;1,-2,1
+1;0,1,0;1,-2,1
+1,0;0,1,0;-1,1
+0,1;0,1,0;-1,1
+"""
+
+
+def test_cache_rows_are_sorted_by_x_then_y(tmp_path):
+    # Filled longest x first, so the file's order is the sort's, not the fill's.
+    a2 = build_system("A2")
+    table = RTable(a2)
+    elems = enumerate_elements(a2)
+    for x in reversed(elems):
+        for y in reversed(elems):
+            table.r(y, x)
+    path = tmp_path / "rpoly.csv"
+    table.save_csv(path)
+    assert path.read_text() == A2_CACHE
 
 
 def test_cache_rejects_wrong_system(tmp_path, system):

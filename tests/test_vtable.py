@@ -42,7 +42,7 @@ from verma_ext.errors import (
     ParseError,
 )
 from verma_ext.reflection import RationalSubspace, apply_element, basis_vector
-from verma_ext.rpoly import gj_coefficient, r_coeff_direct
+from verma_ext.rpoly import RTable, gj_coefficient, r_coeff_direct
 from verma_ext.verify import PRESETS
 from verma_ext.vtable import (
     SingularSpec,
@@ -59,7 +59,7 @@ from verma_ext.vtable import (
 
 def test_a2_pair_count_and_histogram(system, vtable):
     table = vtable("A2")
-    pairs = comparable_pairs(system("A2"))
+    pairs = list(comparable_pairs(system("A2")))
     assert len(pairs) == 19
     hist = Counter(table.v(x, y).dim for x, y in pairs)
     assert dict(hist) == {0: 6, 1: 8, 2: 5}
@@ -251,6 +251,32 @@ def test_policy_invariance(text, system, vtable):
     assert set(small.entries) == set(large.entries)
     for key, space in small.entries.items():
         assert large.entries[key] == space
+
+
+def test_entries_are_pair_keyed_views_of_the_rows(system):
+    # The tables store rows keyed by the upper element; ``entries`` must
+    # still read like the pair-keyed dicts it replaced: (x, y) for V and
+    # (y, x) for R.
+    sys = system("A3")
+    vtable, rtable = compute_all(sys), RTable(sys)
+    pairs = list(comparable_pairs(sys))
+    by_pair_v = {}
+    by_pair_r = {}
+    for x, y in pairs:
+        by_pair_v[(x, y)] = vtable.v(x, y)
+        if x is not y:
+            by_pair_r[(y, x)] = rtable.r(y, x)
+    assert len(vtable.entries) == len(by_pair_v) == len(pairs)
+    assert len(rtable.entries) == len(by_pair_r) == len(pairs) - len(enumerate_elements(sys))
+    assert vtable.entries == by_pair_v and by_pair_v == vtable.entries
+    assert rtable.entries == by_pair_r
+    assert all(pair in vtable.entries for pair in by_pair_v)
+    assert all(pair in rtable.entries for pair in by_pair_r)
+    x, y = pairs[-1][0], pairs[0][0]  # the longest element over the identity
+    assert (y, x) not in vtable.entries and (x, y) not in rtable.entries
+    assert (x,) not in vtable.entries and None not in rtable.entries
+    assert set(vtable.entries.values()) == set(by_pair_v.values())
+    assert len(set(rtable.entries.values())) == len(set(by_pair_r.values()))
 
 
 def test_compute_all_counts(system, vtable):
