@@ -21,7 +21,7 @@ and, once the group is enumerated, their position in the (length, matrix)
 order, but no reference to other elements or to the system, so a system
 and its elements are freed by reference counting.
 
-The Bruhat order has three routes.  ``comparable_pairs``, the one
+The Bruhat order has three routes.  ``comparable_rows``, the one
 whole-group walk, builds a numbered index: per element position, the
 bitmask of the positions below it, and the tuple of the elements below it.
 From then on ``bruhat_leq`` answers with one bit test; before that it calls
@@ -31,7 +31,8 @@ single-pair queries on a large group stay lazy.
 word, on bare matrices, to cross-check the other two; it refuses a word with
 more than an explicit budget of subwords.  ``descend`` is the one step, with
 its lifting check, that the R-polynomial, subspace and direct recursions all
-take.
+take; whole-group fills walk the index rows, pick the step's descent once
+per row, and take its per-pair half, ``descend_lower``, once per pair.
 
 Every per-pair memo, here and in the tables built on a system, is a dict of
 rows: ``rows[x][y]`` for the pair y <= x, one dict per upper element keyed by
@@ -283,10 +284,10 @@ class CoxeterSystem:
     index by position in the (length, matrix) order; the lifting memo (rows
     keyed by the upper element, each keyed by the lower) and the element
     and lower-set lists hold the system's own GroupElements, keyed by
-    identity, and the oracle's subword products are keyed by word.  All grow
-    monotonically, and all derived tables hold a reference to their system,
-    so sharing one system between tables shares the caches.  Pass a system
-    only elements it built.
+    identity, and so are the oracle's subword products.  All grow
+    monotonically but these two, which ``drop_order_memos`` empties; all
+    derived tables hold a reference to their system, so sharing one system
+    between tables shares the caches.  Pass a system only elements it built.
     """
 
     def __init__(self, descriptor: TypeDescriptor, budget: int = DEFAULT_BUDGET):
@@ -320,7 +321,7 @@ class CoxeterSystem:
         self._bruhat: dict[GroupElement, dict[GroupElement, bool]] = {}  # upper -> lower -> x <= y
         self._below: list[int] | None = None  # the Bruhat index, by position
         self._lower: list[tuple[GroupElement, ...]] | None = None  # the elements below, by position
-        self._downsets: dict[tuple[int, ...], frozenset[IntMatrix]] = {(): frozenset((eye,))}
+        self._downsets: dict[GroupElement, frozenset[IntMatrix]] = {}  # subword products
         self._elements: tuple[GroupElement, ...] | None = None
         self._longest: GroupElement | None = None
 
@@ -536,7 +537,7 @@ def word_text(sys: CoxeterSystem, g: GroupElement) -> str:
 def bruhat_leq(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
     """Decide x <= y in Bruhat order: one bit test once the system has its index.
 
-    ``comparable_pairs`` builds the index; before it exists the answer comes
+    ``comparable_rows`` builds the index; before it exists the answer comes
     from ``bruhat_leq_lifting``, so a single-pair query never enumerates the
     group.
     """
@@ -587,48 +588,59 @@ def check_below(sys: CoxeterSystem, y: GroupElement, x: GroupElement) -> None:
 def descend(
     sys: CoxeterSystem, x: GroupElement, y: GroupElement, policy: str
 ) -> tuple[int, GroupElement, GroupElement, bool]:
-    """One step of a pair recursion on the upper element: (s, xs, ys, down).
-
-    For y < x, s is the right descent of x that the checked ``policy``
-    picks and down says ys < y.  By the lifting property (Björner–Brenti,
-    *Combinatorics of Coxeter Groups*, §2.2) the pair the step recurses on
-    stays comparable: ys <= xs when down, y <= xs otherwise.  That is
-    checked here; a failure means the recursion itself is broken, so it
-    raises LiftingViolation rather than NotComparable.
-    """
+    """One step of a pair recursion on x: (s, xs, ys, down), s the descent ``policy`` picks."""
     s = pick_descent(sys, x, policy)
     xs = right_multiply(sys, x, s)
+    return (s, xs, *descend_lower(sys, x, s, xs, y))
+
+
+def descend_lower(
+    sys: CoxeterSystem, x: GroupElement, s: int, xs: GroupElement, y: GroupElement
+) -> tuple[GroupElement, bool]:
+    """The half of a descent step that depends on y < x: (ys, down), where down says ys < y.
+
+    By the lifting property (Björner–Brenti, *Combinatorics of Coxeter
+    Groups*, §2.2) the pair the step recurses on stays comparable: ys <= xs
+    when down, y <= xs otherwise.  That is checked here, by one bit test
+    once the system has its index; a failure means the recursion itself is
+    broken, so it raises LiftingViolation rather than NotComparable.
+    """
     ys = right_multiply(sys, y, s)
     down = ys.length < y.length
     if not bruhat_leq(sys, ys if down else y, xs):
         raise LiftingViolation(f"descent step left the Bruhat order at x={word_text(sys, x)}")
-    return s, xs, ys, down
+    return ys, down
 
 
 def bruhat_leq_oracle(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
-    """Decide x <= y by enumerating all subwords of one reduced word of y.
+    """Decide x <= y by enumerating the subwords of one reduced word of y."""
+    return x.matrix in subword_products(sys, y)
 
-    x <= y iff some subword of any fixed reduced word of y multiplies to x.
-    The products of the subwords of w + (s,) are those of w and their images
-    under s, so each word's set of matrices is built once from its prefix's
-    and kept; canonical words are prefix-closed, so a pass in length order
-    reflects each prefix's set once.  The call refuses a y whose 2**length(y)
-    subwords exceed ORACLE_BUDGET.
+
+def subword_products(sys: CoxeterSystem, y: GroupElement) -> frozenset[IntMatrix]:
+    """The matrices of the subwords of y's canonical reduced word, memoized per system.
+
+    x <= y iff x is among them.  The word of y is the word of ys plus s, for
+    s its smallest descent, so y's set is the set of ys and its images under
+    s.  The call refuses a y whose 2**length(y) subwords exceed ORACLE_BUDGET.
     """
     k = y.length
     if 2**k > ORACLE_BUDGET:
         raise BudgetExceeded(f"subword oracle needs 2**{k} products, budget is {ORACLE_BUDGET}")
-    return x.matrix in _subword_products(sys, reduced_word(sys, y))
-
-
-def _subword_products(sys: CoxeterSystem, word: tuple[int, ...]) -> frozenset[IntMatrix]:
-    downsets = sys._downsets
-    got = downsets.get(word)
+    got = sys._downsets.get(y)
     if got is None:
-        prefix = _subword_products(sys, word[:-1])
-        s = word[-1]
-        got = downsets[word] = prefix | {_col_reflect(sys, m, s) for m in prefix}
+        if not k:
+            return frozenset((y.matrix,))
+        s = pick_descent(sys, y, "smallest")
+        prefix = subword_products(sys, right_multiply(sys, y, s))
+        got = sys._downsets[y] = prefix | {_col_reflect(sys, m, s) for m in prefix}
     return got
+
+
+def drop_order_memos(sys: CoxeterSystem) -> None:
+    """Free the lifting memo and the subword products; the next call refills them."""
+    sys._bruhat.clear()
+    sys._downsets.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +674,8 @@ def enumerate_elements(sys: CoxeterSystem) -> tuple[GroupElement, ...]:
     return sys._elements
 
 
-def comparable_pairs(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, GroupElement]]:
-    """An iterator over the pairs (x, y) with y <= x, by (length, matrix) on x then y.
+def comparable_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, tuple[GroupElement, ...]]]:
+    """The rows (x, the tuple of the y <= x), by (length, matrix) on x, then on y: x ends its row.
 
     The call builds the system's Bruhat index, numbered by position in that
     order, before it returns: ``sys._below[k]`` is the bitmask of the
@@ -671,8 +683,7 @@ def comparable_pairs(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, GroupEl
     smallest right descent s as D(w) = D(ws) | D(ws)s (Björner–Brenti,
     *Combinatorics of Coxeter Groups*, §2.2), and ``sys._lower[k]`` is the
     tuple of those elements, read once off the mask's set bits lowest first,
-    so the build costs O(pairs), not O(|W|^2).  Both are cached on the
-    system; the pairs themselves are made as they are read, not stored.
+    so the build costs O(pairs), not O(|W|^2).  Both are cached on the system.
     """
     if sys._lower is None:
         elements = enumerate_elements(sys)
@@ -692,7 +703,12 @@ def comparable_pairs(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, GroupEl
             below.append(lower | image)
         sys._below = below
         sys._lower = [tuple(map(elements.__getitem__, _bits(mask))) for mask in below]
-    return ((x, y) for x, lower in zip(sys._elements, sys._lower) for y in lower)
+    return zip(sys._elements, sys._lower)
+
+
+def comparable_pairs(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, GroupElement]]:
+    """The pairs (x, y) with y <= x, read off ``comparable_rows`` as they are asked for."""
+    return ((x, y) for x, lower in comparable_rows(sys) for y in lower)
 
 
 def _bits(mask: int) -> list[int]:

@@ -9,6 +9,8 @@ element: for a right descent s of x,
 with R(x, x) = 1 and R(y, x) = 0 unless y <= x.  For comparable pairs the
 polynomial has degree length(x) - length(y), leading coefficient 1, constant
 term (-1)**(length(x) - length(y)), and vanishes at q = 1 when y < x.
+``RTable.r`` recurses from one pair; ``RTable.fill`` takes the same step
+and ascent formula over the rows of the Bruhat index, one step per pair.
 
 ``gj_coefficient`` extracts the q^1 coefficient with the sign that makes it
 a dimension count, and ``r_coeff_direct`` recomputes that number by an
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
 from .coxeter import (
@@ -30,10 +33,14 @@ from .coxeter import (
     bruhat_leq,
     check_below,
     check_policy,
+    comparable_rows,
     descend,
+    descend_lower,
     element_from_word,
     fingerprint,
     parse_word,
+    pick_descent,
+    right_multiply,
     word_text,
 )
 from .errors import InvariantViolation, IoError, ParseError
@@ -103,19 +110,20 @@ ZERO = IntPolynomial()
 ONE = IntPolynomial((1,))
 
 
-def write_atomic(path: Path | str, text: str) -> None:
-    """Replace the file at ``path`` by ``text`` in one step.
+def write_atomic(path: Path | str, pieces: Iterable[str]) -> None:
+    """Replace the file at ``path`` by the text of ``pieces`` in one step.
 
-    The text goes to a temp file beside the target, which ``os.replace``
-    then moves onto it, so a crashed or concurrent run never leaves a
-    half-written target; on any failure the temp file is removed and the
-    target keeps its old content.  There is no fsync: this guards against
-    a crashed process, not against power loss.
+    The pieces go to a temp file beside the target as they are made, which
+    ``os.replace`` then moves onto it, so a crashed or concurrent run never
+    leaves a half-written target; on any failure the temp file is removed
+    and the target keeps its old content.  No fsync: this guards against a
+    crashed process, not against power loss.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with tmp.open("w", encoding="utf-8") as out:
+            out.writelines(pieces)
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -155,18 +163,44 @@ class RTable:
             if hit is not None:
                 return hit
         _, xs, ys, down = descend(self.sys, x, y, self.policy)
-        if down:
-            value = self.r(ys, xs)
-        else:  # (q-1) a + q b = q (a + b) - a in one pass; b is zero or a degree below a
-            a, b = self.r(y, xs).coeffs, self.r(ys, xs).coeffs
-            b += (0,) * (len(a) - len(b))
-            value = IntPolynomial([u + v - w for u, v, w in zip((0,) + a, (0,) + b, a + (0,))])
+        value = self.r(ys, xs) if down else _ascent(self.r(y, xs), self.r(ys, xs))
         # the recursion only reaches shorter x, so x's row is as it was
         if row is None:
             row = self.rows[x] = {}
         row[y] = value
         self.computed += 1
         return value
+
+    def fill(self) -> None:
+        """Store R(y, x) for every pair y < x not loaded, walking the index rows in length order.
+
+        A row picks its descent s and reads the row of xs once; each pair
+        takes ``descend_lower``'s step.  An ascent is combined once per pair
+        of input objects, and equal results are one object (F4: 435 in all).
+        """
+        sys, rows = self.sys, self.rows
+        ascents: dict[tuple[int, int], IntPolynomial] = {}  # by the ids of inputs the rows keep
+        shared: dict[tuple[int, ...], IntPolynomial] = {}
+        for x, lower in comparable_rows(sys):
+            row = rows.setdefault(x, {}) if x.length else {}
+            todo = [y for y in lower[:-1] if y not in row]  # x ends its row
+            if not todo:  # the identity, or every pair below x loaded
+                continue
+            self.computed += len(todo)
+            s = pick_descent(sys, x, self.policy)
+            xs = right_multiply(sys, x, s)
+            below = {**rows.get(xs, {}), xs: ONE}
+            for y in todo:
+                ys, down = descend_lower(sys, x, s, xs, y)
+                if down:
+                    row[y] = below[ys]
+                else:
+                    a, b = below[y], below.get(ys, ZERO)
+                    value = ascents.get((id(a), id(b)))
+                    if value is None:
+                        value = _ascent(a, b)
+                        value = ascents[id(a), id(b)] = shared.setdefault(value.coeffs, value)
+                    row[y] = value
 
     # -- persistence -------------------------------------------------------
 
@@ -185,7 +219,7 @@ class RTable:
             for y in sorted(row, key=order):
                 cs = ",".join(str(c) for c in row[y].coeffs)
                 lines.append(f"{word_text(sys, y)};{xw};{cs}")
-        write_atomic(path, "\n".join(lines) + "\n")
+        write_atomic(path, (line + "\n" for line in lines))
 
     def load_csv(self, path: Path | str) -> int:
         """Merge entries from a cache file, validating each row's invariants.
@@ -249,6 +283,13 @@ class RTable:
             row.setdefault(y, poly)
             loaded += 1
         return loaded
+
+
+def _ascent(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """R(y, x) = (q-1) a + q b = q (a + b) - a on an ascent, a = R(y, xs), b = R(ys, xs)."""
+    a, b = a.coeffs, b.coeffs
+    b += (0,) * (len(a) - len(b))
+    return IntPolynomial([u + v - w for u, v, w in zip((0,) + a, (0,) + b, a + (0,))])
 
 
 def gj_coefficient(sys: CoxeterSystem, x: GroupElement, y: GroupElement, table: RTable) -> int:

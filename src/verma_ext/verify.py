@@ -1,7 +1,7 @@
 """Whole-group verification suites and report files.
 
-``run_verify`` builds one group, fills the R-polynomial and subspace tables,
-and runs six suites:
+``run_verify`` builds one group, fills the subspace and R-polynomial tables
+by walking the rows of its Bruhat index, and runs six suites:
 
     T  dim V(x, y) against both first-order coefficient routes, all pairs
     G  reflection representation sanity: involutions, braid orders, pairings
@@ -16,9 +16,9 @@ witness for the first failure.  Besides the run's tables, every suite takes
 ``memo``, the run's direct-route memo.  It is ``r_coeff_direct``'s own: that
 function alone reads and stores it, so suites T and R compute the direct
 route once per pair between them, and suite T, walking the pairs in length
-order, takes one step per pair.  ``run_report`` writes the
-dimension table, the R-polynomial cache, and a summary; everything written
-is deterministic except an explicit generated_at comment line.
+order, takes one step per pair.  ``run_report`` writes the R-polynomial
+cache, the dimension table, streamed row by row, and a summary; everything
+written is deterministic except an explicit generated_at comment line.
 """
 
 from __future__ import annotations
@@ -38,20 +38,22 @@ from .coxeter import (
     braid_order,
     bruhat_leq,
     bruhat_leq_lifting,
-    bruhat_leq_oracle,
     build_system,
     comparable_pairs,
+    comparable_rows,
+    drop_order_memos,
     enumerate_elements,
     fingerprint,
     identity,
     longest_element,
     multiply,
     simple_reflection,
+    subword_products,
     word_text,
 )
 from .errors import IoError
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
-from .rpoly import DirectMemo, RTable, ZERO, gj_coefficient, r_coeff_direct, write_atomic
+from .rpoly import DirectMemo, RTable, gj_coefficient, r_coeff_direct, write_atomic
 from .vtable import SingularSpec, VTable, compute_all, membership_report, singular_v
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
@@ -75,8 +77,8 @@ class SuiteResult:
     failed: int = 0
     witnesses: list = field(default_factory=list)
 
-    def note_failure(self, witness: dict) -> None:
-        """Count a failure, keeping only the first witness."""
+    def note_failure(self, witness: dict | None) -> None:
+        """Count a failure, keeping only the first witness; later ones may be None."""
         self.failed += 1
         if not self.witnesses:
             self.witnesses.append(witness)
@@ -84,6 +86,11 @@ class SuiteResult:
 
 # ---------------------------------------------------------------------------
 # suites
+
+
+def _witness(sys, x, y, **fields) -> dict:
+    """A failing pair's witness: the words of x and y, then the suite's own fields."""
+    return {"x": word_text(sys, x), "y": word_text(sys, y), **fields}
 
 
 def _suite_t(
@@ -98,14 +105,10 @@ def _suite_t(
         out.checked += 1
         if not (d == g == direct):
             out.note_failure(
-                {
-                    "x": word_text(sys, x),
-                    "y": word_text(sys, y),
-                    "dim": d,
-                    "gj": g,
-                    "direct": direct,
-                    "basis": vtable.v(x, y).to_json_dict()["basis"],
-                }
+                None  # only the first witness is kept, so only the first is built
+                if out.failed
+                else _witness(sys, x, y, dim=d, gj=g, direct=direct,
+                              basis=vtable.v(x, y).to_json_dict()["basis"])
             )
     return out
 
@@ -156,65 +159,51 @@ def _suite_b(sys, rtable, vtable, config: RunConfig, memo) -> SuiteResult:
     """Lifting recursion, Bruhat index and subword oracle agree on every pair within budget."""
     out = SuiteResult("B")
     cap = ORACLE_BUDGET.bit_length() - 1  # longest y whose 2**length subwords fit the budget
-    comparable_pairs(sys)  # builds the index bruhat_leq reads
     elements = enumerate_elements(sys)
-    for y in elements:
+    for y, lower in comparable_rows(sys):
         if y.length > cap:
             continue
+        below, products = set(lower), subword_products(sys, y)
         for x in elements:
             rec = bruhat_leq_lifting(sys, x, y)
-            index = bruhat_leq(sys, x, y)
-            oracle = bruhat_leq_oracle(sys, x, y)
+            index = x in below
+            oracle = x.matrix in products
             out.checked += 1
             if not rec == index == oracle:
-                out.note_failure(
-                    {
-                        "x": word_text(sys, x),
-                        "y": word_text(sys, y),
-                        "recursive": rec,
-                        "index": index,
-                        "oracle": oracle,
-                    }
-                )
+                out.note_failure(_witness(sys, x, y, recursive=rec, index=index, oracle=oracle))
+    drop_order_memos(sys)  # no later suite reads the memos this one filled
     return out
 
 
 def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, memo: DirectMemo) -> SuiteResult:
-    """Degree, leading and constant term, vanishing at 1, and route agreement."""
-    out = SuiteResult("R")
-    elements = enumerate_elements(sys)
-    for upper in elements:
-        for lower in elements:
-            poly = rtable.r(lower, upper)
-            out.checked += 1
-            if bruhat_leq(sys, lower, upper):
-                gap = upper.length - lower.length
-                ok = (
-                    poly.degree == gap
-                    and poly.coeff(gap) == 1
-                    and poly.coeff(0) == (-1) ** gap
-                    and (gap == 0 or poly.eval_at(1) == 0)
-                )
-                if ok:
-                    gj = gj_coefficient(sys, upper, lower, rtable)
-                    ok = gj == r_coeff_direct(sys, upper, lower, config.policy, memo)
-                if not ok:
-                    out.note_failure(
-                        {
-                            "x": word_text(sys, upper),
-                            "y": word_text(sys, lower),
-                            "coeffs": list(poly.coeffs),
-                        }
-                    )
-            elif poly != ZERO:
-                out.note_failure(
-                    {
-                        "x": word_text(sys, upper),
-                        "y": word_text(sys, lower),
-                        "coeffs": list(poly.coeffs),
-                        "reason": "nonzero for incomparable pair",
-                    }
-                )
+    """Degree, leading and constant term, vanishing at 1, and route agreement.
+
+    The comparable pairs are read off the index rows; R is 0 on all other
+    pairs when the table's row holds nothing else.  ``checked`` counts |W|^2.
+    """
+    out = SuiteResult("R", checked=len(enumerate_elements(sys)) ** 2)
+    for upper, lower in comparable_rows(sys):
+        bad = []
+        for y in lower:
+            poly = rtable.r(y, upper)
+            gap = upper.length - y.length
+            ok = (
+                poly.degree == gap
+                and poly.coeff(gap) == 1
+                and poly.coeff(0) == (-1) ** gap
+                and (gap == 0 or poly.eval_at(1) == 0)
+            )
+            if ok:
+                gj = gj_coefficient(sys, upper, y, rtable)
+                ok = gj == r_coeff_direct(sys, upper, y, config.policy, memo)
+            if not ok:
+                bad.append((y, poly, {}))
+        row = rtable.rows.get(upper, {})
+        if len(row) >= len(lower):  # more entries than pairs strictly below upper
+            reason = {"reason": "nonzero for incomparable pair"}
+            bad += [(y, p, reason) for y, p in row.items() if not bruhat_leq(sys, y, upper)]
+        for y, poly, extra in sorted(bad, key=lambda b: b[0].position):
+            out.note_failure(_witness(sys, upper, y, coeffs=list(poly.coeffs), **extra))
     return out
 
 
@@ -250,13 +239,7 @@ def _suite_m(sys, rtable, vtable: VTable, config, memo) -> SuiteResult:
         out.checked += 1
         if row.in_v != row.x_ge_ys:
             out.note_failure(
-                {
-                    "x": word_text(sys, row.x),
-                    "y": word_text(sys, row.y),
-                    "s": row.s,
-                    "in_v": row.in_v,
-                    "x_ge_ys": row.x_ge_ys,
-                }
+                _witness(sys, row.x, row.y, s=row.s, in_v=row.in_v, x_ge_ys=row.x_ge_ys)
             )
     return out
 
@@ -303,11 +286,14 @@ def save_rtable(config: RunConfig, sys: CoxeterSystem, rtable: RTable) -> None:
 def fill_tables(config: RunConfig, sys: CoxeterSystem) -> tuple[RTable, VTable]:
     """R-polynomial and subspace tables of one system, warm-loading the R cache.
 
-    The V fill walks the comparable pairs first, which builds the Bruhat
-    index, so the cache load's y < x check on every row is one bit test.
+    The V fill walks the index rows first, which builds the index, so the
+    cache load's y < x check on every row is one bit test.  The R fill then
+    computes only the pairs the cache did not hold.
     """
     vtable = compute_all(sys, policy=config.policy)
-    return load_rtable(config, sys), vtable
+    rtable = load_rtable(config, sys)
+    rtable.fill()
+    return rtable, vtable
 
 
 def build_tables(config: RunConfig) -> tuple[CoxeterSystem, RTable, VTable]:
@@ -345,18 +331,6 @@ def run_verify(config: RunConfig) -> dict:
 # report files
 
 
-def dimension_rows(
-    sys: CoxeterSystem, rtable: RTable, vtable: VTable
-) -> list[tuple[str, str, int, int, int]]:
-    """(x_word, y_word, dim, coefficient, match) for every comparable pair."""
-    rows = []
-    for x, y in comparable_pairs(sys):
-        d = vtable.v(x, y).dim
-        g = gj_coefficient(sys, x, y, rtable)
-        rows.append((word_text(sys, x), word_text(sys, y), d, g, 1 if d == g else 0))
-    return rows
-
-
 def run_report(config: RunConfig) -> dict:
     """Compute both tables for one group and write cache, dimension, summary files.
 
@@ -367,42 +341,46 @@ def run_report(config: RunConfig) -> dict:
     The output dir is made before any table is filled, so an unusable one
     fails the run before the whole-group work.  It is also the run's cache
     dir, so a second report warm-loads the R-polynomials the first wrote.
+    The dimension table is streamed from the index rows, which also give the summary's counts.
     """
     sys = build_system(config.type_text, budget=config.budget)
     out_dir = Path(config.cache_dir) if config.cache_dir is not None else Path("verma_ext_cache")
     _make_dir(out_dir, "output")
     config = replace(config, cache_dir=out_dir)
     rtable, vtable = fill_tables(config, sys)
-    rows = dimension_rows(sys, rtable, vtable)
-    histogram = Counter(row[3] for row in rows)
+    save_rtable(config, sys, rtable)
     fp = fingerprint(sys)
+    histogram, dims = Counter(), Counter()
+
+    def dimension_lines():
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        yield f"# dimension table\n# system: {fp}\n# generated_at: {stamp}\n"
+        yield "x_word;y_word;dimV;gj_coeff;match\n"
+        for x, lower in comparable_rows(sys):
+            xw = word_text(sys, x)
+            for y in lower:
+                d, g = vtable.v(x, y).dim, gj_coefficient(sys, x, y, rtable)
+                dims[d] += 1
+                histogram[g] += 1
+                yield f"{xw};{word_text(sys, y)};{d};{g};{int(d == g)}\n"
+
+    dims_path = out_dir / f"dims_{fp}.csv"
+    write_atomic(dims_path, dimension_lines())
     summary = {
         "system": fp,
         "type": str(sys.descriptor),
         "group_order": sys.group_order,
         "longest_length": longest_element(sys).length,
-        "comparable_pairs": len(rows),
-        "max_dim_v": max((r[2] for r in rows), default=0),
+        "comparable_pairs": dims.total(),
+        "max_dim_v": max(dims, default=0),
         "gj_histogram": {str(k): v for k, v in sorted(histogram.items())},
     }
-    save_rtable(config, sys, rtable)
-    rpoly_path = _rpoly_cache_path(out_dir, sys)
-    dims_path = out_dir / f"dims_{fp}.csv"
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    lines = [
-        "# dimension table",
-        f"# system: {fp}",
-        f"# generated_at: {stamp}",
-        "x_word;y_word;dimV;gj_coeff;match",
-    ]
-    lines.extend(";".join(str(v) for v in row) for row in rows)
-    write_atomic(dims_path, "\n".join(lines) + "\n")
     summary_path = out_dir / f"summary_{fp}.json"
-    write_atomic(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    write_atomic(summary_path, [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
     return {
         **summary,
         "paths": {
-            "rpoly": str(rpoly_path),
+            "rpoly": str(_rpoly_cache_path(out_dir, sys)),
             "dims": str(dims_path),
             "summary": str(summary_path),
         },

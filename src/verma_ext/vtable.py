@@ -9,8 +9,8 @@ x' = xs:
 
 where v_s is the simple-root vector of s.  The lifting property of the
 Bruhat order guarantees ys <= x' in the first branch and y <= x' in the
-second; ``coxeter.descend`` takes the step and checks both, raising
-LiftingViolation because a failure means the recursion itself is broken.
+second; ``coxeter.descend_lower`` checks both, raising LiftingViolation
+because a failure means the recursion itself is broken.
 
 Each step applies s to all that the later steps add, so along the chain of
 steps s_1, s_2, ... the recursion unrolls to
@@ -19,21 +19,14 @@ steps s_1, s_2, ... the recursion unrolls to
 
 As x = x_k s_k ... s_1 with lengths adding, u = s_1 ... s_{k-1} has u s_k > u,
 so u(v_{s_k}), column s_k of u's matrix, is an integer positive root
-(Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 4).
-
-Unrolling only part of the chain, up to a pair (x', y') k steps down, gives
-
-    V(x, y) = span{ ascent roots of steps 1..k }  +  u . V(x', y')
-
-with u = s_1 ... s_k.  So ``VTable`` walks the chain only until it reaches
-a pair already in the table (or the diagonal, where V is 0) and builds one
-echelon basis from those roots and the images under u of the stored integer
-basis, the same canonical basis the stepwise recursion reaches.  The result
-depends only on the stored subspace and the steps (s, down) taken, so the
-build is memoised on that key.  A whole-group fill in length order has already stored the pair
-one step below each pair, so each pair costs one step and one dict lookup,
-and only a new key costs a build (367 for D4's 9,817 pairs).  A lone query
-finds nothing stored, walks the whole chain and builds once.
+(Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 4).  A lone query
+walks its whole chain and builds one echelon basis from those roots.
+``compute_all`` instead walks the rows of the Bruhat index in length order:
+the row of x picks s and reads the row of xs once, and each pair takes one
+step to the stored pair below and builds from its basis and v_s.  Both
+builds are memoised on (known subspace, steps (s, down) taken), so only a
+new key costs one (366 for D4's 9,817 pairs), and both reach the canonical
+basis of the stepwise recursion.
 
 The recursion is policy-bound: which descent s gets stripped is a free
 choice (``coxeter.pick_descent``), and the computed subspace must not depend
@@ -59,12 +52,16 @@ from .coxeter import (
     check_below,
     check_policy,
     comparable_pairs,
+    comparable_rows,
     descend,
+    descend_lower,
     identity,
     longest_element,
     multiply,
+    pick_descent,
     reduced_word,
     right_multiply,
+    simple_reflection,
 )
 from .errors import (
     IndexOutOfRange,
@@ -125,8 +122,7 @@ class VTable:
         return self._v(x, y)
 
     def _v(self, x: GroupElement, y: GroupElement) -> RationalSubspace:
-        rows = self.rows
-        row = rows.get(x)
+        row = self.rows.get(x)
         if row is not None:
             hit = row.get(y)
             if hit is not None:
@@ -134,9 +130,7 @@ class VTable:
         top, bottom = x, y
         sys = self.sys
         u = identity(sys)  # s_1 ... s_{k-1}, the steps taken so far
-        steps = []
-        roots = []
-        known = self._zero
+        steps, roots = [], []
         while x is not y:
             s, x, ys, down = descend(sys, x, y, self.policy)
             steps.append((s, down))
@@ -145,31 +139,41 @@ class VTable:
             else:
                 roots.append([r[s] for r in u.matrix])
             u = right_multiply(sys, u, s)
-            below = rows.get(x)
-            if below is not None:
-                stored = below.get(y)
-                if stored is not None:
-                    known = stored
-                    break
-        span_key = (known, tuple(steps))
-        value = self._spans.get(span_key)
-        if value is None:
-            m = u.matrix
-            images = [[sum(a * b for a, b in zip(mr, r)) for mr in m] for r in known.basis]
-            value = RationalSubspace(sys.rank, roots + images)
-            value = self._spans[span_key] = self._spaces.setdefault(value, value)
+        value = self._span(self._zero, tuple(steps), u, roots)
         if row is None:
-            row = rows[top] = {}
+            row = self.rows[top] = {}
         row[bottom] = value
         self.computed += 1
         return value
 
+    def _span(self, known: RationalSubspace, steps, u: GroupElement, roots) -> RationalSubspace:
+        """span(roots) + u . known, memoised on (known, steps) and interned."""
+        value = self._spans.get((known, steps))
+        if value is None:
+            images = [[sum(a * b for a, b in zip(mr, r)) for mr in u.matrix] for r in known.basis]
+            value = RationalSubspace(self.sys.rank, roots + images)
+            value = self._spans[known, steps] = self._spaces.setdefault(value, value)
+        return value
+
 
 def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> VTable:
-    """Fill a table with V(x, y) for every comparable pair y <= x."""
+    """Fill a table with V(x, y) for every comparable pair y <= x, walking the index rows.
+
+    A row picks s and reads the row of xs once; a pair takes one step to the pair below.
+    """
     table = VTable(sys, policy=policy)
-    for x, y in comparable_pairs(sys):
-        table._v(x, y)
+    for x, lower in comparable_rows(sys):
+        row = table.rows[x] = {x: table._zero}
+        table.computed += len(lower)
+        if not x.length:
+            continue
+        s = pick_descent(sys, x, policy)
+        xs = right_multiply(sys, x, s)
+        below, g = table.rows[xs], simple_reflection(sys, s)
+        steps, roots = (((s, False),), ((s, True),)), ([[int(j == s) for j in range(sys.rank)]], [])
+        for y in lower[:-1]:  # x ends its row
+            ys, down = descend_lower(sys, x, s, xs, y)
+            row[y] = table._span(below[ys if down else y], steps[down], g, roots[down])
     return table
 
 

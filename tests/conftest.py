@@ -6,6 +6,8 @@ share one fill per type through the factory fixtures below.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from verma_ext.coxeter import build_system
@@ -54,3 +56,36 @@ def rtable(system):
         return _RTABLES[key]
 
     return get
+
+
+class _TornFile:
+    """A file open for writing that takes half of the first piece, then fails as a full disk does."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def write(self, data):
+        self._handle.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+
+@pytest.fixture
+def torn_writes(monkeypatch):
+    """Make every file opened for writing through ``Path.open`` tear on its first write."""
+    real_open = Path.open
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        return _TornFile(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(Path, "open", torn_open)

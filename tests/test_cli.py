@@ -560,17 +560,11 @@ def test_warm_report_leaves_the_rpoly_file_alone(capsys, tmp_path):
     assert rpoly.read_bytes() == body
 
 
-def test_failed_report_write_leaves_the_old_files(capsys, tmp_path, monkeypatch):
+def test_failed_report_write_leaves_the_old_files(capsys, tmp_path, request):
     code, _, _ = run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))
     assert code == 0
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    write_text = Path.write_text
-
-    def torn(target, data, *args, **kwargs):
-        write_text(target, data[: len(data) // 2], *args, **kwargs)
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(Path, "write_text", torn)
+    request.getfixturevalue("torn_writes")  # from here on, every write tears halfway
     code, out, err = run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))
     assert (code, out) == (1, "")
     assert "cannot write" in err

@@ -449,6 +449,25 @@ def test_each_matrix_is_one_element_after_a_verify_pass(text):
         assert sys._by_id[g.id] is g
 
 
+def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
+    # Suite B alone fills the lifting memo and the subword products; a whole
+    # verify pass drops both, and a later single-pair query refills the memo.
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(build_system(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "build_system", build)
+    payload = verify.run_verify(verify.RunConfig("B3"))
+    assert [s["checked"] for s in payload["suites"] if s["name"] == "B"] == [2304]
+    (sys,) = built
+    assert sys._bruhat == {}
+    assert sys._downsets == {}
+    assert bruhat_leq_lifting(sys, element_from_word(sys, (1,)), longest_element(sys))
+    assert sys._bruhat
+
+
 def test_pick_descent_on_identity_raises(system):
     for text in ["A1", "B3", "G2"]:
         sys = system(text)

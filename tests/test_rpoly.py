@@ -16,12 +16,14 @@ from pathlib import Path
 
 import pytest
 
+from verma_ext import coxeter as coxeter_module
 from verma_ext import rpoly as rpoly_module
 from verma_ext.coxeter import (
     bruhat_leq,
     build_system,
     comparable_pairs,
     descend,
+    descend_lower,
     element_from_word,
     enumerate_elements,
     identity,
@@ -194,6 +196,69 @@ def test_ascent_step_matches_polynomial_arithmetic(text, system):
     assert table.entries == memo
 
 
+@pytest.mark.parametrize("text", PRESETS + ("B4",))
+@pytest.mark.parametrize("policy", ["smallest", "largest"])
+def test_row_fill_matches_a_fresh_recursion(text, policy):
+    # A fresh table has nothing stored, so each query recurses down from its
+    # pair; the fill reads the row of xs instead.  B4 takes a fresh table
+    # per row, not per pair, to keep the test's time down.
+    sys = build_system(text)
+    table = RTable(sys, policy=policy)
+    table.fill()
+    elems = enumerate_elements(sys)
+    assert table.computed == len(table.entries) == len(list(comparable_pairs(sys))) - len(elems)
+    for x, row in table.rows.items():
+        fresh = RTable(sys, policy=policy)
+        for y, poly in row.items():
+            if text != "B4":
+                fresh = RTable(sys, policy=policy)
+            assert fresh.r(y, x) == poly, (text, policy, x, y)
+
+
+def test_fill_after_a_cache_load_computes_only_what_is_missing(tmp_path, system):
+    a3 = system("A3")
+    full = RTable(a3)
+    full.fill()
+    for name, keep in (("full", full.entries), ("part", list(full.entries)[::3])):
+        path = tmp_path / f"{name}.csv"
+        partial = RTable(a3)
+        for y, x in keep:
+            partial.r(y, x)
+        partial.save_csv(path)
+        warm = RTable(a3)
+        loaded = warm.load_csv(path)
+        kept = dict(warm.entries)
+        warm.fill()
+        assert warm.computed == len(full.entries) - loaded
+        assert warm.entries == full.entries
+        assert all(warm.entries[pair] is poly for pair, poly in kept.items())
+    assert loaded < len(full.entries)
+
+
+def test_suite_r_flags_stray_and_wrong_entries():
+    sys = build_system("A2")  # its own system, as the test plants entries
+    rtable = RTable(sys)
+    rtable.fill()
+    config = RunConfig("A2")
+    clean = _suite_r(sys, rtable, None, config, {})
+    assert (clean.checked, clean.failed) == (36, 0)
+    # an entry for the incomparable pair s1, s0
+    x, y = element_from_word(sys, (0,)), element_from_word(sys, (1,))
+    rtable.rows[x][y] = IntPolynomial((-1, 1))
+    stray = _suite_r(sys, rtable, None, config, {})
+    assert (stray.checked, stray.failed) == (36, 1)
+    assert stray.witnesses == [
+        {"x": "0", "y": "1", "coeffs": [-1, 1], "reason": "nonzero for incomparable pair"}
+    ]
+    del rtable.rows[x][y]
+    # a wrong polynomial that keeps every term invariant but not the coefficient
+    w0, e = longest_element(sys), identity(sys)
+    rtable.rows[w0][e] = IntPolynomial((-1, 3, -3, 1))
+    wrong = _suite_r(sys, rtable, None, config, {})
+    assert (wrong.checked, wrong.failed) == (36, 1)
+    assert wrong.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, 3, -3, 1]}]
+
+
 def test_bad_policy_rejected(system):
     with pytest.raises(InvalidType):
         RTable(system("A2"), policy="middle")
@@ -265,13 +330,13 @@ def test_direct_pass_takes_one_descent_step_per_pair(monkeypatch):
     sys = build_system("B3")
     steps = []
 
-    def counted(sys, x, y, policy):
+    def counted(sys, x, s, xs, y):
         steps.append((x, y))
-        return descend(sys, x, y, policy)
+        return descend_lower(sys, x, s, xs, y)
 
     table = RTable(sys)
-    _fill(table, sys)  # first, because the R recursion takes rpoly's descend too
-    monkeypatch.setattr(rpoly_module, "descend", counted)
+    _fill(table, sys)  # first, because the R recursion takes the shared step too
+    monkeypatch.setattr(coxeter_module, "descend_lower", counted)
     _direct_pass(sys, table)
     off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
     assert len(off_diagonal) == 799
@@ -413,7 +478,7 @@ def test_cache_load_builds_each_word_once(tmp_path, system, monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_failed_cache_write_keeps_the_old_file(tmp_path, system, monkeypatch):
+def test_failed_cache_write_keeps_the_old_file(tmp_path, system, request):
     a2 = system("A2")
     path = tmp_path / "rpoly.csv"
     small = RTable(a2)
@@ -422,13 +487,7 @@ def test_failed_cache_write_keeps_the_old_file(tmp_path, system, monkeypatch):
     before = path.read_bytes()
     full = RTable(a2)
     _fill(full, a2)
-    write_text = Path.write_text
-
-    def torn(target, data, *args, **kwargs):
-        write_text(target, data[: len(data) // 2], *args, **kwargs)
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(Path, "write_text", torn)
+    request.getfixturevalue("torn_writes")  # from here on, every write tears halfway
     with pytest.raises(IoError, match=f"cannot write {path}: "):
         full.save_csv(path)
     assert path.read_bytes() == before

@@ -24,7 +24,9 @@ from verma_ext.coxeter import (
     bruhat_leq,
     build_system,
     comparable_pairs,
+    comparable_rows,
     descend,
+    descend_lower,
     element_from_word,
     enumerate_elements,
     identity,
@@ -305,11 +307,11 @@ def test_fill_takes_one_descent_step_per_pair(monkeypatch):
     sys = build_system("B3")
     steps = []
 
-    def counted(sys, x, y, policy):
+    def counted(sys, x, s, xs, y):
         steps.append((x, y))
-        return descend(sys, x, y, policy)
+        return descend_lower(sys, x, s, xs, y)
 
-    monkeypatch.setattr(vtable_module, "descend", counted)
+    monkeypatch.setattr(vtable_module, "descend_lower", counted)
     table = compute_all(sys)
     off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
     assert len(off_diagonal) == 799
@@ -317,6 +319,17 @@ def test_fill_takes_one_descent_step_per_pair(monkeypatch):
     # equal subspaces are one object
     spaces = table.entries.values()
     assert len({id(v) for v in spaces}) == len(set(spaces))
+
+
+@pytest.mark.parametrize("fill", ["V", "R"])
+def test_row_fills_raise_when_the_index_says_a_step_left_the_order(fill):
+    # With every row of the index emptied to its diagonal, the first step
+    # off the diagonal fails its lifting check (a bit test against xs's row).
+    sys = build_system("A3")
+    rows = list(comparable_rows(sys))
+    sys._below = [1 << x.position for x, _ in rows]
+    with pytest.raises(LiftingViolation, match="x="):
+        compute_all(sys) if fill == "V" else RTable(sys).fill()
 
 
 # ---------------------------------------------------------------------------
