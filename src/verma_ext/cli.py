@@ -8,7 +8,9 @@
 
 Words are comma-separated simple reflection indices (0-based); ``e`` is the
 identity.  Exit codes: 0 success, 1 usage or configuration error, 2 domain
-error (incomparable pair, unparseable word), 3 verification failure.
+error (incomparable pair, unparseable word), 3 verification failure, 130
+interrupted (one line, ``interrupted``, on stderr), 141 stdout closed by its
+reader, with no traceback.
 
 Each command is declared once, as a row of ``_COMMANDS``: its help, its
 positional words, the flags it reads, its handler and its renderer.  The
@@ -283,7 +285,19 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(payload, indent=2, sort_keys=args.command == "report"))
         else:
             print(render(payload, args.format))
+        _sys.stdout.flush()  # so a closed pipe fails here, where it is caught, not at exit
         return 3 if _failed(payload) else 0
+    except KeyboardInterrupt:
+        print("interrupted", file=_sys.stderr)
+        return 130
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so the
+        # interpreter's final flush has nothing to fail on, as the docs of
+        # Python's signal module advise, and exit as a SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, _sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

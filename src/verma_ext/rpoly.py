@@ -21,8 +21,9 @@ must agree; the verification suites check that they do.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .coxeter import (
@@ -205,43 +206,48 @@ class RTable:
     # -- persistence -------------------------------------------------------
 
     def save_csv(self, path: Path | str) -> None:
-        """Write all stored entries as ``y_word;x_word;c0,c1,...,cd`` rows."""
-        sys = self.sys
-        lines = [
-            "# r-polynomial cache",
-            f"# system: {fingerprint(sys)}",
-            f"# policy: {self.policy}",
-        ]
-        order = lambda g: (g.length, g.matrix)  # noqa: E731
-        for x in sorted(self.rows, key=order):
-            row = self.rows[x]
-            xw = word_text(sys, x)
-            for y in sorted(row, key=order):
-                cs = ",".join(str(c) for c in row[y].coeffs)
-                lines.append(f"{word_text(sys, y)};{xw};{cs}")
-        write_atomic(path, (line + "\n" for line in lines))
+        """Write all stored entries as ``y_word;x_word;c0,c1,...,cd`` rows, streamed.
+
+        Each element's word text and each polynomial object's coefficient
+        text is formatted once per file.
+        """
+        sys, rows = self.sys, self.rows
+        word = functools.cache(lambda g: word_text(sys, g))
+        coeffs: dict[int, str] = {}  # by the id of a polynomial the rows keep
+
+        def lines():
+            yield f"# r-polynomial cache\n# system: {fingerprint(sys)}\n# policy: {self.policy}\n"
+            order = lambda g: (g.length, g.matrix)  # noqa: E731
+            for x in sorted(rows, key=order):
+                row, xw = rows[x], word(x)
+                for y in sorted(row, key=order):
+                    poly = row[y]
+                    cs = coeffs.get(id(poly))
+                    if cs is None:
+                        cs = coeffs[id(poly)] = ",".join(map(str, poly.coeffs))
+                    yield f"{word(y)};{xw};{cs}\n"
+
+        write_atomic(path, lines())
 
     def load_csv(self, path: Path | str) -> int:
-        """Merge entries from a cache file, validating each row's invariants.
+        """Merge entries from a cache file, streamed, validating each row.
 
         Returns the number of rows loaded.  A row must name a pair y < x,
         carry the degree, leading coefficient, and constant term forced by
         the lengths, vanish at q = 1, and have a nonnegative signed q
         coefficient; a row that does not is a ParseError, as is a system
-        fingerprint mismatch.  A row that passes all of these can still be
-        wrong: ``verify``'s suite R recomputes every pair, ``report`` does not.
+        fingerprint mismatch or a byte that is not UTF-8.  Every row's pair
+        is checked, but each distinct coefficient list is parsed and checked
+        once per gap, and the rows that carry it share one polynomial.  A
+        row that passes all of these can still be wrong: ``verify``'s suite
+        R recomputes every pair, ``report`` does not.
         """
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot read {path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
-        sys = self.sys
+        sys, rows = self.sys, self.rows
         expected_fp = fingerprint(sys)
         elements: dict[str, GroupElement] = {}  # word text -> element, for this load only
+        polys: dict[tuple[str, int], IntPolynomial] = {}  # (coefficient text, gap) -> checked
         loaded = 0
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(_text_lines(path), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -255,34 +261,72 @@ class RTable:
             parts = line.split(";")
             if len(parts) != 3:
                 raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            for word in parts[:2]:
-                if word not in elements:
-                    try:
-                        elements[word] = element_from_word(sys, parse_word(word))
-                    except ParseError as exc:
-                        raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            y, x = elements[parts[0]], elements[parts[1]]
+            yw, xw, cs = parts
+            y, x = elements.get(yw), elements.get(xw)
+            if y is None or x is None:  # a word this load has not met
+                for word in (yw, xw):
+                    if word not in elements:
+                        try:
+                            elements[word] = element_from_word(sys, parse_word(word))
+                        except ParseError as exc:
+                            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                y, x = elements[yw], elements[xw]
             if y is x or not bruhat_leq(sys, y, x):
-                raise ParseError(f"{path}:{lineno}: {parts[0]} is not strictly below {parts[1]}")
-            try:
-                poly = IntPolynomial([int(c) for c in parts[2].split(",")])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad coefficient list") from exc
-            gap = x.length - y.length
-            if poly.degree != gap or poly.coeff(gap) != 1 or poly.coeff(0) != (-1) ** gap:
-                raise ParseError(
-                    f"{path}:{lineno}: row violates degree or term invariants for gap {gap}"
-                )
-            if poly.eval_at(1) != 0 or _signed_q_coefficient(poly, gap) < 0:
-                raise ParseError(
-                    f"{path}:{lineno}: row has R(1) != 0 or a negative signed q-coefficient"
-                )
-            row = self.rows.get(x)
+                raise ParseError(f"{path}:{lineno}: {yw} is not strictly below {xw}")
+            key = (cs, x.length - y.length)
+            poly = polys.get(key)
+            if poly is None:
+                try:
+                    poly = polys[key] = _parse_checked(*key)
+                except ParseError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            row = rows.get(x)
             if row is None:
-                row = self.rows[x] = {}
+                row = rows[x] = {}
             row.setdefault(y, poly)
             loaded += 1
         return loaded
+
+
+def _text_lines(path: Path | str) -> Iterator[str]:
+    """The lines of a UTF-8 file as ``str.splitlines`` cuts its text, read about 64 KB at a time.
+
+    Each block is whole lines, decoded on its own, so a byte that is not
+    UTF-8 raises a ParseError whose position counts from the start of the
+    file, as a decode of the whole text would.
+    """
+    try:
+        with Path(path).open("rb") as data:
+            offset = 0
+            while block := data.readlines(1 << 16):
+                raw = b"".join(block)
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    start, end = offset + exc.start, offset + exc.end - 1
+                    where = (f"byte 0x{raw[exc.start]:02x} in position {start}" if start == end
+                             else f"bytes in position {start}-{end}")
+                    raise ParseError(
+                        f"{path}: not UTF-8 text: '{exc.encoding}' codec can't decode "
+                        f"{where}: {exc.reason}"
+                    ) from exc
+                yield from text.splitlines()
+                offset += len(raw)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_checked(text: str, gap: int) -> IntPolynomial:
+    """The polynomial of a cache row's coefficient list, checked against the pair's gap."""
+    try:
+        poly = IntPolynomial([int(c) for c in text.split(",")])
+    except ValueError as exc:
+        raise ParseError("bad coefficient list") from exc
+    if poly.degree != gap or poly.coeff(gap) != 1 or poly.coeff(0) != (-1) ** gap:
+        raise ParseError(f"row violates degree or term invariants for gap {gap}")
+    if poly.eval_at(1) != 0 or _signed_q_coefficient(poly, gap) < 0:
+        raise ParseError("row has R(1) != 0 or a negative signed q-coefficient")
+    return poly
 
 
 def _ascent(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -300,7 +344,12 @@ def gj_coefficient(sys: CoxeterSystem, x: GroupElement, y: GroupElement, table: 
     is not a data error but a broken structural guarantee, hence InvariantViolation.
     """
     check_below(sys, y, x)
-    value = _signed_q_coefficient(table.r(y, x), x.length - y.length)
+    return gj_from_poly(sys, x, y, table.r(y, x))
+
+
+def gj_from_poly(sys: CoxeterSystem, x: GroupElement, y: GroupElement, poly: IntPolynomial) -> int:
+    """``gj_coefficient`` of a pair y <= x whose R(y, x) = ``poly`` is in hand; not re-tested."""
+    value = _signed_q_coefficient(poly, x.length - y.length)
     if value < 0:
         raise InvariantViolation(
             f"signed q-coefficient {value} < 0 at pair ({word_text(sys, x)}, {word_text(sys, y)})"

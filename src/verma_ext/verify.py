@@ -53,7 +53,15 @@ from .coxeter import (
 )
 from .errors import IoError
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
-from .rpoly import DirectMemo, RTable, gj_coefficient, r_coeff_direct, write_atomic
+from .rpoly import (
+    ONE,
+    DirectMemo,
+    RTable,
+    gj_coefficient,
+    gj_from_poly,
+    r_coeff_direct,
+    write_atomic,
+)
 from .vtable import SingularSpec, VTable, compute_all, membership_report, singular_v
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
@@ -341,7 +349,8 @@ def run_report(config: RunConfig) -> dict:
     The output dir is made before any table is filled, so an unusable one
     fails the run before the whole-group work.  It is also the run's cache
     dir, so a second report warm-loads the R-polynomials the first wrote.
-    The dimension table is streamed from the index rows, which also give the summary's counts.
+    The dimension table is streamed from the index rows, reading both
+    filled tables' rows directly, and its lines also give the summary's counts.
     """
     sys = build_system(config.type_text, budget=config.budget)
     out_dir = Path(config.cache_dir) if config.cache_dir is not None else Path("verma_ext_cache")
@@ -356,13 +365,15 @@ def run_report(config: RunConfig) -> dict:
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         yield f"# dimension table\n# system: {fp}\n# generated_at: {stamp}\n"
         yield "x_word;y_word;dimV;gj_coeff;match\n"
+        words = [word_text(sys, g) for g in enumerate_elements(sys)]  # by position
         for x, lower in comparable_rows(sys):
-            xw = word_text(sys, x)
-            for y in lower:
-                d, g = vtable.v(x, y).dim, gj_coefficient(sys, x, y, rtable)
+            xw, vrow, rrow = words[x.position], vtable.rows[x], rtable.rows.get(x)
+            for y in lower:  # the index row's own pairs, so none is re-tested
+                d = vrow[y].dim
+                g = gj_from_poly(sys, x, y, ONE if y is x else rrow[y])
                 dims[d] += 1
                 histogram[g] += 1
-                yield f"{xw};{word_text(sys, y)};{d};{g};{int(d == g)}\n"
+                yield f"{xw};{words[y.position]};{d};{g};{int(d == g)}\n"
 
     dims_path = out_dir / f"dims_{fp}.csv"
     write_atomic(dims_path, dimension_lines())

@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,6 +15,9 @@ import pytest
 
 from verma_ext import cli, verify
 from verma_ext.cli import main
+from verma_ext.coxeter import DESCENT_POLICIES, build_system, comparable_pairs, word_text
+from verma_ext.rpoly import RTable, gj_coefficient
+from verma_ext.vtable import VTable
 
 A2_ENUMERATE_TEXT = """\
 type: A2
@@ -560,6 +564,30 @@ def test_warm_report_leaves_the_rpoly_file_alone(capsys, tmp_path):
     assert rpoly.read_bytes() == body
 
 
+def _reference_dimension_rows(type_text: str, policy: str) -> list[str]:
+    """The dimension table's rows, pair by pair from the guarded routes on a fresh system."""
+    group = build_system(type_text)
+    vtable, rtable = VTable(group, policy), RTable(group, policy)
+    rows = []
+    for x, y in comparable_pairs(group):
+        d, g = vtable.v(x, y).dim, gj_coefficient(group, x, y, rtable)
+        rows.append(f"{word_text(group, x)};{word_text(group, y)};{d};{g};{int(d == g)}")
+    return rows
+
+
+@pytest.mark.parametrize("policy", DESCENT_POLICIES)
+@pytest.mark.parametrize("type_text", [*verify.PRESETS, "B4"])
+def test_dimension_table_matches_the_pair_by_pair_reference(capsys, tmp_path, type_text, policy):
+    reference = _reference_dimension_rows(type_text, policy)
+    argv = ("report", "--type", type_text, "--descent-policy", policy, "--cache-dir", str(tmp_path))
+    for warm in (False, True):  # the second run loads the first one's R-polynomials
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert (json.loads(out)["rtable_computed"] == 0) == warm
+        (dims,) = tmp_path.glob("dims_*.csv")
+        assert dims.read_text().splitlines()[4:] == reference
+
+
 def test_failed_report_write_leaves_the_old_files(capsys, tmp_path, request):
     code, _, _ = run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))
     assert code == 0
@@ -610,6 +638,33 @@ def test_reused_parser_keeps_no_state_between_calls(capsys):
     assert code == 0 and "singular" in json.loads(out)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "singular" not in json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# interrupts and a closed stdout
+
+
+def test_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_verify", interrupted)
+    assert run(capsys, "verify", "--type", "A2") == (130, "", "interrupted\n")
+
+
+# B4's json is more than a buffer, so print fails; A2's text fits, so the flush does.
+@pytest.mark.parametrize("argv", [["--type", "B4", "--format", "json"], ["--type", "A2"]],
+                         ids=["print", "flush"])
+def test_closed_stdout_exits_141_without_traceback(capsys, monkeypatch, argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone, as after ``| head -1``
+    with open(write_end, "w") as closed, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", closed)
+        code = main(["enumerate", *argv])
+        # the interpreter's last flush of stdout now lands in devnull
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    assert code == 141
+    assert capsys.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------

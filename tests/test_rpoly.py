@@ -478,6 +478,51 @@ def test_cache_load_builds_each_word_once(tmp_path, system, monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_cache_coefficient_list_is_checked_at_each_gap(tmp_path, system):
+    # 1,-2,1 is (q-1)^2: right for the gap-2 pair (e, 1,0), wrong for the gap-3 pair (e, 0,1,0)
+    lines = A2_CACHE.replace("e;0,1,0;-1,2,-2,1", "e;0,1,0;1,-2,1").splitlines()
+    assert lines.index("e;1,0;1,-2,1") < lines.index("e;0,1,0;1,-2,1")
+    path = tmp_path / "rpoly.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        RTable(system("A2")).load_csv(path)
+    lineno = lines.index("e;0,1,0;1,-2,1") + 1
+    assert str(info.value) == f"{path}:{lineno}: row violates degree or term invariants for gap 3"
+
+
+def test_warm_load_keeps_one_polynomial_per_coefficient_list(tmp_path):
+    d4 = build_system("D4")
+    table = RTable(d4)
+    table.fill()
+    path = tmp_path / "rpoly.csv"
+    table.save_csv(path)
+    warm = RTable(d4)
+    assert warm.load_csv(path) == len(table.entries)
+    polys = [p for row in warm.rows.values() for p in row.values()]
+    assert len({id(p) for p in polys}) == len({p.coeffs for p in polys}) < len(polys) // 100
+
+
+@pytest.mark.parametrize(
+    "type_text, tail",
+    [("A2", b"\xff"), ("A2", b"e;0;-1,1\xe2\x82\ne;1;-1,1\n"), ("D4", b"\xff")],
+    ids=["byte", "cut-char", "past-the-first-block"],
+)
+def test_non_utf8_byte_after_valid_rows_names_its_file_offset(tmp_path, type_text, tail):
+    sys = build_system(type_text)
+    table = RTable(sys)
+    table.fill()
+    path = tmp_path / "rpoly.csv"
+    table.save_csv(path)
+    data = path.read_bytes() + tail
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    with pytest.raises(ParseError) as info:
+        RTable(sys).load_csv(path)
+    # the position counts from the start of the file, as a decode of all of it says
+    assert str(info.value) == f"{path}: not UTF-8 text: {whole.value}"
+
+
 def test_failed_cache_write_keeps_the_old_file(tmp_path, system, request):
     a2 = system("A2")
     path = tmp_path / "rpoly.csv"
