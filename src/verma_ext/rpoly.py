@@ -13,9 +13,9 @@ term (-1)**(length(x) - length(y)), and vanishes at q = 1 when y < x.
 and ascent formula over the rows of the Bruhat index, one step per pair.
 
 ``gj_coefficient`` extracts the q^1 coefficient with the sign that makes it
-a dimension count, and ``r_coeff_direct`` recomputes that number by an
-independent first-order recursion that never builds polynomials.  The two
-must agree; the verification suites check that they do.
+a dimension count; ``r_coeff_direct`` (one pair) and ``direct_rows`` (every
+pair) recompute it by a first-order recursion that never builds polynomials.
+The routes must agree; the verification suites check that they do.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 from .coxeter import (
@@ -176,12 +176,10 @@ class RTable:
         """Store R(y, x) for every pair y < x not loaded, walking the index rows in length order.
 
         A row picks its descent s and reads the row of xs once; each pair
-        takes ``descend_lower``'s step.  An ascent is combined once per pair
-        of input objects, and equal results are one object (F4: 435 in all).
+        takes ``descend_lower``'s step, and ``ascent_memo`` shares the
+        results (F4: 435 objects in all).
         """
-        sys, rows = self.sys, self.rows
-        ascents: dict[tuple[int, int], IntPolynomial] = {}  # by the ids of inputs the rows keep
-        shared: dict[tuple[int, ...], IntPolynomial] = {}
+        sys, rows, ascent = self.sys, self.rows, ascent_memo()
         for x, lower in comparable_rows(sys):
             row = rows.setdefault(x, {}) if x.length else {}
             todo = [y for y in lower[:-1] if y not in row]  # x ends its row
@@ -193,15 +191,7 @@ class RTable:
             below = {**rows.get(xs, {}), xs: ONE}
             for y in todo:
                 ys, down = descend_lower(sys, x, s, xs, y)
-                if down:
-                    row[y] = below[ys]
-                else:
-                    a, b = below[y], below.get(ys, ZERO)
-                    value = ascents.get((id(a), id(b)))
-                    if value is None:
-                        value = _ascent(a, b)
-                        value = ascents[id(a), id(b)] = shared.setdefault(value.coeffs, value)
-                    row[y] = value
+                row[y] = below[ys] if down else ascent(below[y], below.get(ys, ZERO))
 
     # -- persistence -------------------------------------------------------
 
@@ -240,7 +230,7 @@ class RTable:
         is checked, but each distinct coefficient list is parsed and checked
         once per gap, and the rows that carry it share one polynomial.  A
         row that passes all of these can still be wrong: ``verify``'s suite
-        R recomputes every pair, ``report`` does not.
+        R checks each row against the recursion; ``rpoly`` and ``report`` print it as loaded.
         """
         sys, rows = self.sys, self.rows
         expected_fp = fingerprint(sys)
@@ -336,6 +326,21 @@ def _ascent(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial([u + v - w for u, v, w in zip((0,) + a, (0,) + b, a + (0,))])
 
 
+def ascent_memo() -> Callable[[IntPolynomial, IntPolynomial], IntPolynomial]:
+    """The ascent formula memoised on the ids of inputs the caller keeps; one object per result."""
+    by_ids: dict[tuple[int, int], IntPolynomial] = {}
+    shared: dict[tuple[int, ...], IntPolynomial] = {}
+
+    def ascent(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+        value = by_ids.get((id(a), id(b)))
+        if value is None:
+            value = _ascent(a, b)
+            value = by_ids[id(a), id(b)] = shared.setdefault(value.coeffs, value)
+        return value
+
+    return ascent
+
+
 def gj_coefficient(sys: CoxeterSystem, x: GroupElement, y: GroupElement, table: RTable) -> int:
     """q^1 coefficient of the signed R-polynomial of y <= x; always nonnegative.
 
@@ -362,17 +367,8 @@ def _signed_q_coefficient(poly: IntPolynomial, gap: int) -> int:
     return poly.coeff(1) if gap % 2 else -poly.coeff(1)
 
 
-# Direct-route counts under one descent policy: memo[x][y] for the pair y <= x,
-# one row per upper element x keyed by the lower element y.
-DirectMemo = dict[GroupElement, dict[GroupElement, int]]
-
-
 def r_coeff_direct(
-    sys: CoxeterSystem,
-    x: GroupElement,
-    y: GroupElement,
-    policy: str = DESCENT_POLICIES[0],
-    memo: DirectMemo | None = None,
+    sys: CoxeterSystem, x: GroupElement, y: GroupElement, policy: str = DESCENT_POLICIES[0]
 ) -> int:
     """The same first-order coefficient by a direct descent recursion.
 
@@ -381,24 +377,9 @@ def r_coeff_direct(
     ys < y; the count for (x', y) when ys > y and x' >= ys; and one more
     than the count for (x', y) otherwise.  Each step shortens x, so the
     recursion is one chain of at most length(x) - length(y) steps.
-
-    ``memo`` holds the counts of pairs already counted under this policy
-    and is this function's own: it answers a pair it holds before any
-    check, as each count was checked when stored, and otherwise stops the
-    chain at the first pair it holds and stores the new count, so a
-    whole-group pass in length order takes one step per pair.  Without it
-    the chain runs down to the diagonal.
     """
-    if memo is None:
-        memo = {}
-    row = memo.get(x)
-    if row is not None:
-        hit = row.get(y)
-        if hit is not None:
-            return hit
     check_policy(policy)
     check_below(sys, y, x)
-    top, bottom = x, y
     total = 0
     while x is not y:
         _, xs, ys, down = descend(sys, x, y, policy)
@@ -407,13 +388,27 @@ def r_coeff_direct(
         elif not bruhat_leq(sys, ys, xs):
             total += 1
         x = xs
-        below = memo.get(x)
-        if below is not None:
-            count = below.get(y)
-            if count is not None:
-                total += count
-                break
-    if row is None:
-        row = memo[top] = {}
-    row[bottom] = total
     return total
+
+
+def direct_rows(
+    sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]
+) -> dict[GroupElement, dict[GroupElement, int]]:
+    """``r_coeff_direct``'s count for every pair y <= x, as rows[x][y], walking the index rows.
+
+    A row picks its descent s and reads the row of xs once; each pair takes
+    ``descend_lower``'s step to the counted pair below.
+    """
+    check_policy(policy)
+    rows: dict[GroupElement, dict[GroupElement, int]] = {}
+    for x, lower in comparable_rows(sys):
+        row = rows[x] = {x: 0}
+        if not x.length:
+            continue
+        s = pick_descent(sys, x, policy)
+        xs = right_multiply(sys, x, s)
+        below = rows[xs]
+        for y in lower[:-1]:  # x ends its row
+            ys, down = descend_lower(sys, x, s, xs, y)
+            row[y] = below[ys] if down else below[y] + (not bruhat_leq(sys, ys, xs))
+    return rows

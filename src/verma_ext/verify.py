@@ -12,11 +12,10 @@ by walking the rows of its Bruhat index, and runs six suites:
        rows where the prediction is asserted to be exact
 
 Each suite reports how many atomic checks ran and how many failed, plus a
-witness for the first failure.  Besides the run's tables, every suite takes
-``memo``, the run's direct-route memo.  It is ``r_coeff_direct``'s own: that
-function alone reads and stores it, so suites T and R compute the direct
-route once per pair between them, and suite T, walking the pairs in length
-order, takes one step per pair.  ``run_report`` writes the R-polynomial
+witness for the first failure.  Every suite takes the run's three filled
+tables: V, R and the direct route's counts (``rpoly.direct_rows``).  Suites
+T and R read their rows along the rows of the Bruhat index, so no pair is
+re-tested against the order.  ``run_report`` writes the R-polynomial
 cache, the dimension table, streamed row by row, and a summary; everything
 written is deterministic except an explicit generated_at comment line.
 """
@@ -39,29 +38,23 @@ from .coxeter import (
     bruhat_leq,
     bruhat_leq_lifting,
     build_system,
-    comparable_pairs,
     comparable_rows,
+    descend_lower,
     drop_order_memos,
     enumerate_elements,
     fingerprint,
     identity,
     longest_element,
     multiply,
+    pick_descent,
+    right_multiply,
     simple_reflection,
     subword_products,
     word_text,
 )
 from .errors import IoError
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
-from .rpoly import (
-    ONE,
-    DirectMemo,
-    RTable,
-    gj_coefficient,
-    gj_from_poly,
-    r_coeff_direct,
-    write_atomic,
-)
+from .rpoly import ONE, ZERO, RTable, ascent_memo, direct_rows, gj_from_poly, write_atomic
 from .vtable import SingularSpec, VTable, compute_all, membership_report, singular_v
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
@@ -101,27 +94,26 @@ def _witness(sys, x, y, **fields) -> dict:
     return {"x": word_text(sys, x), "y": word_text(sys, y), **fields}
 
 
-def _suite_t(
-    sys, rtable: RTable, vtable: VTable, config: RunConfig, memo: DirectMemo
-) -> SuiteResult:
+def _suite_t(sys, rtable: RTable, vtable: VTable, config: RunConfig, direct: dict) -> SuiteResult:
     """dim V(x, y) == signed q-coefficient == direct recursion, on every pair."""
     out = SuiteResult("T")
-    for x, y in comparable_pairs(sys):
-        d = vtable.v(x, y).dim
-        g = gj_coefficient(sys, x, y, rtable)
-        direct = r_coeff_direct(sys, x, y, config.policy, memo)
-        out.checked += 1
-        if not (d == g == direct):
-            out.note_failure(
-                None  # only the first witness is kept, so only the first is built
-                if out.failed
-                else _witness(sys, x, y, dim=d, gj=g, direct=direct,
-                              basis=vtable.v(x, y).to_json_dict()["basis"])
-            )
+    for x, lower in comparable_rows(sys):
+        vrow, rrow, drow = vtable.rows[x], rtable.rows.get(x), direct[x]
+        out.checked += len(lower)
+        for y in lower:
+            d = vrow[y].dim
+            g = gj_from_poly(sys, x, y, ONE if y is x else rrow[y])
+            if not (d == g == drow[y]):
+                out.note_failure(
+                    None  # only the first witness is kept, so only the first is built
+                    if out.failed
+                    else _witness(sys, x, y, dim=d, gj=g, direct=drow[y],
+                                  basis=vrow[y].to_json_dict()["basis"])
+                )
     return out
 
 
-def _suite_g(sys, rtable, vtable, config, memo) -> SuiteResult:
+def _suite_g(sys, rtable, vtable, config, direct) -> SuiteResult:
     """Reflection representation properties, checked from the Cartan data up."""
     out = SuiteResult("G")
     e = identity(sys)
@@ -163,7 +155,7 @@ def _suite_g(sys, rtable, vtable, config, memo) -> SuiteResult:
     return out
 
 
-def _suite_b(sys, rtable, vtable, config: RunConfig, memo) -> SuiteResult:
+def _suite_b(sys, rtable, vtable, config: RunConfig, direct) -> SuiteResult:
     """Lifting recursion, Bruhat index and subword oracle agree on every pair within budget."""
     out = SuiteResult("B")
     cap = ORACLE_BUDGET.bit_length() - 1  # longest y whose 2**length subwords fit the budget
@@ -183,30 +175,40 @@ def _suite_b(sys, rtable, vtable, config: RunConfig, memo) -> SuiteResult:
     return out
 
 
-def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, memo: DirectMemo) -> SuiteResult:
-    """Degree, leading and constant term, vanishing at 1, and route agreement.
+def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: dict) -> SuiteResult:
+    """Degree, leading and constant term, vanishing at 1, route agreement, and the recursion.
 
     The comparable pairs are read off the index rows; R is 0 on all other
-    pairs when the table's row holds nothing else.  ``checked`` counts |W|^2.
+    pairs when the table's row holds nothing else.  Each R(y, x) must equal
+    the recursion's step from the row of xs, so by induction every row,
+    loaded or computed, is the recursion's.  ``checked`` counts |W|^2.
     """
     out = SuiteResult("R", checked=len(enumerate_elements(sys)) ** 2)
+    ascent = ascent_memo()
     for upper, lower in comparable_rows(sys):
-        bad = []
-        for y in lower:
-            poly = rtable.r(y, upper)
-            gap = upper.length - y.length
+        bad, row, drow = [], rtable.rows.get(upper, {}), direct[upper]
+        if upper.length:  # the identity has no pair below it
+            s = pick_descent(sys, upper, rtable.policy)
+            xs = right_multiply(sys, upper, s)
+            below = {**rtable.rows.get(xs, {}), xs: ONE}
+        for y in lower[:-1]:  # upper ends its row, and R(upper, upper) = 1 is not stored
+            ys, down = descend_lower(sys, upper, s, xs, y)
+            if down:
+                step = below.get(ys, ZERO)
+            else:  # R(ys, xs) is 0 unless ys <= xs, whatever a stray entry says
+                b = below.get(ys, ZERO) if bruhat_leq(sys, ys, xs) else ZERO
+                step = ascent(below.get(y, ZERO), b)
+            poly, gap = row.get(y, ZERO), upper.length - y.length
             ok = (
                 poly.degree == gap
                 and poly.coeff(gap) == 1
                 and poly.coeff(0) == (-1) ** gap
-                and (gap == 0 or poly.eval_at(1) == 0)
+                and poly.eval_at(1) == 0
+                and gj_from_poly(sys, upper, y, poly) == drow[y]
+                and poly.coeffs == step.coeffs
             )
-            if ok:
-                gj = gj_coefficient(sys, upper, y, rtable)
-                ok = gj == r_coeff_direct(sys, upper, y, config.policy, memo)
             if not ok:
                 bad.append((y, poly, {}))
-        row = rtable.rows.get(upper, {})
         if len(row) >= len(lower):  # more entries than pairs strictly below upper
             reason = {"reason": "nonzero for incomparable pair"}
             bad += [(y, p, reason) for y, p in row.items() if not bruhat_leq(sys, y, upper)]
@@ -215,7 +217,7 @@ def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, memo: DirectMemo) -
     return out
 
 
-def _suite_s(sys, rtable, vtable: VTable, config: RunConfig, memo) -> SuiteResult:
+def _suite_s(sys, rtable, vtable: VTable, config: RunConfig, direct) -> SuiteResult:
     """Quotient dimension of V(longest, identity) for each singular subset."""
     out = SuiteResult("S")
     if config.singular:
@@ -240,7 +242,7 @@ def _suite_s(sys, rtable, vtable: VTable, config: RunConfig, memo) -> SuiteResul
     return out
 
 
-def _suite_m(sys, rtable, vtable: VTable, config, memo) -> SuiteResult:
+def _suite_m(sys, rtable, vtable: VTable, config, direct) -> SuiteResult:
     """On flagged report rows, membership of v_s must equal the prediction x >= ys."""
     out = SuiteResult("M")
     for row in membership_report(sys, vtable):
@@ -324,8 +326,8 @@ def run_verify(config: RunConfig) -> dict:
     """
     started = time.perf_counter()
     sys, rtable, vtable = build_tables(config)
-    memo: DirectMemo = {}
-    suites = [suite(sys, rtable, vtable, config, memo) for suite in _SUITES]
+    direct = direct_rows(sys, config.policy)
+    suites = [suite(sys, rtable, vtable, config, direct) for suite in _SUITES]
     save_rtable(config, sys, rtable)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return {

@@ -29,7 +29,7 @@ from verma_ext.coxeter import (
     longest_element,
     right_multiply,
 )
-from verma_ext.rpoly import gj_coefficient, r_coeff_direct
+from verma_ext.rpoly import direct_rows, gj_coefficient, r_coeff_direct
 from verma_ext.verify import (
     PRESETS,
     RunConfig,
@@ -87,7 +87,7 @@ def test_c01_dimension_equals_signed_q_coefficient(capsys, tables):
     witness = None
     for text in PRESETS:
         sys, rtable, vtable = tables(text)
-        result = _suite_t(sys, rtable, vtable, RunConfig(type_text=text), {})
+        result = _suite_t(sys, rtable, vtable, RunConfig(type_text=text), direct_rows(sys))
         pairs += result.checked
         if result.failed:
             bad[text] = result.failed
@@ -227,7 +227,7 @@ def test_c06_r_polynomial_invariants(capsys, tables):
     checked = 0
     for text in PRESETS:
         sys, rtable, vtable = tables(text)
-        result = _suite_r(sys, rtable, vtable, RunConfig(type_text=text), {})
+        result = _suite_r(sys, rtable, vtable, RunConfig(type_text=text), direct_rows(sys))
         checked += result.checked
         failed += result.failed
     _verdict(

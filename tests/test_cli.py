@@ -408,19 +408,31 @@ def test_corrupt_rpoly_cache_is_domain_error(capsys, tmp_path, corruption):
 
 
 def test_well_shaped_wrong_cache_row_is_caught_by_verify_not_report(capsys, tmp_path):
-    # -1,4,-4,1 has the degree, end terms, R(1) = 0 and sign the loader
-    # checks, but R(e, w0) on A2 is -1,2,-2,1.
-    assert run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))[0] == 0
-    (path,) = tmp_path.glob("rpoly_A2-*.csv")
-    text = path.read_text()
-    assert "\ne;0,1,0;-1,2,-2,1\n" in text
-    path.write_text(text.replace("\ne;0,1,0;-1,2,-2,1\n", "\ne;0,1,0;-1,4,-4,1\n"))
-    assert run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))[0] == 0
-    (dims,) = tmp_path.glob("dims_A2-*.csv")
-    assert "0,1,0;e;2;4;0" in dims.read_text().splitlines()
-    code, out, _ = run(capsys, "verify", "--type", "A2", "--cache-dir", str(tmp_path))
-    assert code == 3
-    assert "\nR: checked=36 failed=1\n" in out
+    # Each planted row has the degree, end terms, R(1) = 0 and sign the
+    # loader checks.  On A2 it also moves the q-coefficient of R(e, w0);
+    # on A3 it keeps that of R(e, 1,2,1,0), so only the recursion check of
+    # suite R can see it.  rpoly and report print the loaded row as loaded.
+    cases = [  # type, x, right row, wrong row, rendered, dims line, |W|^2
+        ("A2", "0,1,0", "-1,2,-2,1", "-1,4,-4,1", "q^3-4q^2+4q-1", "0,1,0;e;2;4;0", 36),
+        ("A3", "1,2,1,0", "1,-3,4,-3,1", "1,-3,5,-4,1", "q^4-4q^3+5q^2-3q+1", "1,2,1,0;e;3;3;1", 576),
+    ]
+    for text, x, right, wrong, rendered, dims_line, squared in cases:
+        cache = tmp_path / text
+        assert run(capsys, "report", "--type", text, "--cache-dir", str(cache))[0] == 0
+        (path,) = cache.glob(f"rpoly_{text}-*.csv")
+        rows = path.read_text()
+        assert f"\ne;{x};{right}\n" in rows
+        path.write_text(rows.replace(f"\ne;{x};{right}\n", f"\ne;{x};{wrong}\n"))
+        assert run(capsys, "report", "--type", text, "--cache-dir", str(cache))[0] == 0
+        (dims,) = cache.glob(f"dims_{text}-*.csv")
+        assert dims_line in dims.read_text().splitlines()
+        code, out, _ = run(capsys, "rpoly", "--type", text, x, "e", "--cache-dir", str(cache))
+        assert (code, out.split(",")[0]) == (0, rendered)
+        code, out, _ = run(capsys, "verify", "--type", text, "--cache-dir", str(cache))
+        assert code == 3
+        assert f"\nR: checked={squared} failed=1\n" in out
+        coeffs = wrong.replace(",", ", ")
+        assert f'  witness: {{"coeffs": [{coeffs}], "x": "{x}", "y": "e"}}\n' in out
 
 
 def test_env_var_beats_cache_flag(capsys, tmp_path, monkeypatch):

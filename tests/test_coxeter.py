@@ -437,10 +437,10 @@ def test_each_matrix_is_one_element_after_a_verify_pass(text):
     # no two ids of one system share a matrix.
     config = verify.RunConfig(text)
     sys, rtable, vtable = verify.build_tables(config)
-    memo = {}
+    direct = rpoly.direct_rows(sys, config.policy)
     counts = {}
     for suite in verify._SUITES:
-        result = suite(sys, rtable, vtable, config, memo)
+        result = suite(sys, rtable, vtable, config, direct)
         counts[result.name] = (result.checked, result.failed)
     assert counts == SUITE_COUNTS.get(text, counts)
     assert len({g.matrix for g in sys._by_id}) == len(sys._by_id)

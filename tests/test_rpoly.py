@@ -16,12 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from verma_ext import coxeter as coxeter_module
 from verma_ext import rpoly as rpoly_module
 from verma_ext.coxeter import (
     bruhat_leq,
     build_system,
     comparable_pairs,
+    comparable_rows,
     descend,
     descend_lower,
     element_from_word,
@@ -35,11 +35,11 @@ from verma_ext.rpoly import (
     ZERO,
     IntPolynomial,
     RTable,
+    direct_rows,
     gj_coefficient,
     r_coeff_direct,
 )
-from verma_ext.verify import PRESETS, RunConfig, _suite_r, _suite_t
-from verma_ext.vtable import compute_all
+from verma_ext.verify import PRESETS, RunConfig, _suite_r
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +239,13 @@ def test_suite_r_flags_stray_and_wrong_entries():
     sys = build_system("A2")  # its own system, as the test plants entries
     rtable = RTable(sys)
     rtable.fill()
-    config = RunConfig("A2")
-    clean = _suite_r(sys, rtable, None, config, {})
+    config, direct = RunConfig("A2"), direct_rows(sys)
+    clean = _suite_r(sys, rtable, None, config, direct)
     assert (clean.checked, clean.failed) == (36, 0)
     # an entry for the incomparable pair s1, s0
     x, y = element_from_word(sys, (0,)), element_from_word(sys, (1,))
     rtable.rows[x][y] = IntPolynomial((-1, 1))
-    stray = _suite_r(sys, rtable, None, config, {})
+    stray = _suite_r(sys, rtable, None, config, direct)
     assert (stray.checked, stray.failed) == (36, 1)
     assert stray.witnesses == [
         {"x": "0", "y": "1", "coeffs": [-1, 1], "reason": "nonzero for incomparable pair"}
@@ -254,7 +254,7 @@ def test_suite_r_flags_stray_and_wrong_entries():
     # a wrong polynomial that keeps every term invariant but not the coefficient
     w0, e = longest_element(sys), identity(sys)
     rtable.rows[w0][e] = IntPolynomial((-1, 3, -3, 1))
-    wrong = _suite_r(sys, rtable, None, config, {})
+    wrong = _suite_r(sys, rtable, None, config, direct)
     assert (wrong.checked, wrong.failed) == (36, 1)
     assert wrong.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, 3, -3, 1]}]
 
@@ -300,33 +300,21 @@ def test_coefficient_routes_agree(text, system, rtable):
                 assert gj_coefficient(sys, x, y, table) == r_coeff_direct(sys, x, y)
 
 
-def _direct_pass(sys, table):
-    """The direct-route memo a whole-group verify leaves after suites T and R."""
-    config = RunConfig(str(sys.descriptor), policy=table.policy)
-    memo = {}
-    _suite_t(sys, table, compute_all(sys, policy=table.policy), config, memo)
-    _suite_r(sys, table, None, config, memo)
-    return memo
-
-
-@pytest.mark.parametrize(
-    "text, policy",
-    [(t, p) for t in PRESETS for p in ("smallest", "largest") if (t, p) != ("D4", "largest")],
-)
+@pytest.mark.parametrize("text, policy", [(t, p) for t in PRESETS for p in ("smallest", "largest")])
 def test_direct_memo_matches_a_fresh_chain_walk(text, policy, system):
-    # A lone call has no memo, so it walks its chain down to the diagonal;
-    # the pass stops each chain at the first pair it already counted.
+    # A lone call walks its chain down to the diagonal; the whole-group
+    # fill takes one step from each pair to the counted pair below it.
     sys = system(text)
-    memo = _direct_pass(sys, RTable(sys, policy=policy))
-    assert sum(map(len, memo.values())) == len(list(comparable_pairs(sys)))
-    for x, row in memo.items():
+    rows = direct_rows(sys, policy)
+    assert sum(map(len, rows.values())) == len(list(comparable_pairs(sys)))
+    for x, row in rows.items():
         for y, count in row.items():
             assert r_coeff_direct(sys, x, y, policy) == count
 
 
 def test_direct_pass_takes_one_descent_step_per_pair(monkeypatch):
     # In length order every off-diagonal pair is one step above a counted
-    # pair, so the pass takes exactly one step from each.
+    # pair, so the fill takes exactly one step from each.
     sys = build_system("B3")
     steps = []
 
@@ -334,26 +322,29 @@ def test_direct_pass_takes_one_descent_step_per_pair(monkeypatch):
         steps.append((x, y))
         return descend_lower(sys, x, s, xs, y)
 
-    table = RTable(sys)
-    _fill(table, sys)  # first, because the R recursion takes the shared step too
-    monkeypatch.setattr(coxeter_module, "descend_lower", counted)
-    _direct_pass(sys, table)
+    monkeypatch.setattr(rpoly_module, "descend_lower", counted)
+    direct_rows(sys)
     off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
     assert len(off_diagonal) == 799
     assert steps == off_diagonal
 
 
 def test_direct_step_off_the_order_is_a_lifting_violation(monkeypatch, system):
-    # With the entry check skipped, s1 over s0 reaches the step, whose
-    # lifting check fires with or without a memo.
+    # With the entry check skipped, s1 over s0 reaches the lone chain's
+    # step, whose lifting check fires.
     a2 = system("A2")
     x = element_from_word(a2, (0,))
     y = element_from_word(a2, (1,))
-    monkeypatch.setattr(rpoly_module, "check_below", lambda sys, y, x: None)
-    with pytest.raises(LiftingViolation):
-        r_coeff_direct(a2, x, y)
-    with pytest.raises(LiftingViolation):
-        r_coeff_direct(a2, x, y, memo={identity(a2): {identity(a2): 0}})
+    with monkeypatch.context() as patch:
+        patch.setattr(rpoly_module, "check_below", lambda sys, y, x: None)
+        with pytest.raises(LiftingViolation):
+            r_coeff_direct(a2, x, y)
+    # With every row of the index emptied to its diagonal, the fill's first
+    # step off the diagonal fails the same check (a bit test against xs's row).
+    sys = build_system("A3")
+    sys._below = [1 << g.position for g, _ in comparable_rows(sys)]
+    with pytest.raises(LiftingViolation, match="x="):
+        direct_rows(sys)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Frozen suite counts of a whole D5 verify (1,920 elements, 745,377 comparable pairs).
 
+The counts are the same under both descent policies, which checks at
+whole-group scale that no table depends on the descent each step strips.
 A whole D5 verify takes over ten seconds, so this file stays out of the
 default collection (its name does not match ``test_*.py``) and CI runs it
 as a step of its own:
@@ -9,7 +11,10 @@ as a step of its own:
 
 from __future__ import annotations
 
+import pytest
+
 from verma_ext import verify
+from verma_ext.coxeter import DESCENT_POLICIES
 
 # (checked, failed) per suite
 D5_COUNTS = {
@@ -22,6 +27,7 @@ D5_COUNTS = {
 }
 
 
-def test_verify_d5_counts_are_frozen():
-    payload = verify.run_verify(verify.RunConfig("D5"))
+@pytest.mark.parametrize("policy", DESCENT_POLICIES)
+def test_verify_d5_counts_are_frozen(policy):
+    payload = verify.run_verify(verify.RunConfig("D5", policy=policy))
     assert {s["name"]: (s["checked"], s["failed"]) for s in payload["suites"]} == D5_COUNTS
