@@ -63,6 +63,7 @@ from .errors import (
 
 DEFAULT_BUDGET = 2_000_000
 ORACLE_BUDGET = 4096
+WHOLE_GROUP_LIMIT = 10_000  # elements: A6 (5,040) fits; E6 (51,840) would walk ~10^8 pairs
 
 # Which right descent a descent recursion strips; the first is the default.
 DESCENT_POLICIES = ("smallest", "largest")
@@ -684,7 +685,11 @@ def comparable_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, tuple[Gr
     *Combinatorics of Coxeter Groups*, §2.2), and ``sys._lower[k]`` is the
     tuple of those elements, read once off the mask's set bits lowest first,
     so the build costs O(pairs), not O(|W|^2).  Both are cached on the system.
+    A group over ``WHOLE_GROUP_LIMIT`` is refused, before it is enumerated.
     """
+    if sys.group_order > WHOLE_GROUP_LIMIT:
+        raise RankOverflow(f"group of type {sys.descriptor} has order {sys.group_order}, "
+                           f"over the whole-group limit {WHOLE_GROUP_LIMIT}")
     if sys._lower is None:
         elements = enumerate_elements(sys)
         by_id = sys._by_id

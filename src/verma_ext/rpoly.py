@@ -10,10 +10,10 @@ with R(x, x) = 1 and R(y, x) = 0 unless y <= x.  For comparable pairs the
 polynomial has degree length(x) - length(y), leading coefficient 1, constant
 term (-1)**(length(x) - length(y)), and vanishes at q = 1 when y < x.
 ``RTable.r`` recurses from one pair; ``RTable.fill`` takes the same step
-and ascent formula over the rows of the Bruhat index, one step per pair.
+over the rows of the Bruhat index, one step per pair; both share one ascent memo.
 
-``gj_coefficient`` extracts the q^1 coefficient with the sign that makes it
-a dimension count; ``r_coeff_direct`` (one pair) and ``direct_rows`` (every
+``IntPolynomial.gj`` is the q^1 coefficient with the sign that makes it a
+dimension count; ``r_coeff_direct`` (one pair) and ``direct_rows`` (every
 pair) recompute it by a first-order recursion that never builds polynomials.
 The routes must agree; the verification suites check that they do.
 """
@@ -51,16 +51,23 @@ class IntPolynomial:
     """Integer polynomial in q, coefficients stored ascending and trimmed.
 
     The coefficients are taken as given, so they must already be ints: the
-    recursion makes them so, and the cache loader parses them.
+    recursion makes them so, and the cache loader parses them.  ``gj`` is
+    the q^1 coefficient times (-1)**(degree + 1), 0 below degree 1;
+    ``r_shaped`` is the R-polynomial rule: degree >= 1, leading coefficient
+    1, constant term (-1)**degree, value 0 at q = 1 and ``gj`` >= 0.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "gj", "r_shaped")
 
     def __init__(self, coeffs=()):
         coeffs = tuple(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         self.coeffs = coeffs
+        degree = len(coeffs) - 1
+        self.gj = (coeffs[1] if degree % 2 else -coeffs[1]) if degree >= 1 else 0
+        self.r_shaped = (degree >= 1 and coeffs[-1] == 1 and coeffs[0] == (-1) ** degree
+                         and not sum(coeffs) and self.gj >= 0)
 
     @property
     def degree(self) -> int:
@@ -69,12 +76,6 @@ class IntPolynomial:
 
     def coeff(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def eval_at(self, value: int) -> int:
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * value + c
-        return total
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntPolynomial):
@@ -152,6 +153,7 @@ class RTable:
         self.rows: dict[GroupElement, dict[GroupElement, IntPolynomial]] = {}
         self.entries = PairView(self.rows, lower_first=True)
         self.computed = 0
+        self.ascent = ascent_memo()  # shared by ``r`` and ``fill``
 
     def r(self, y: GroupElement, x: GroupElement) -> IntPolynomial:
         if y is x:
@@ -164,7 +166,7 @@ class RTable:
             if hit is not None:
                 return hit
         _, xs, ys, down = descend(self.sys, x, y, self.policy)
-        value = self.r(ys, xs) if down else _ascent(self.r(y, xs), self.r(ys, xs))
+        value = self.r(ys, xs) if down else self.ascent(self.r(y, xs), self.r(ys, xs))
         # the recursion only reaches shorter x, so x's row is as it was
         if row is None:
             row = self.rows[x] = {}
@@ -176,10 +178,10 @@ class RTable:
         """Store R(y, x) for every pair y < x not loaded, walking the index rows in length order.
 
         A row picks its descent s and reads the row of xs once; each pair
-        takes ``descend_lower``'s step, and ``ascent_memo`` shares the
-        results (F4: 435 objects in all).
+        takes ``descend_lower``'s step, and the table's ascent memo shares
+        the results (F4: 435 objects in all).
         """
-        sys, rows, ascent = self.sys, self.rows, ascent_memo()
+        sys, rows, ascent = self.sys, self.rows, self.ascent
         for x, lower in comparable_rows(sys):
             row = rows.setdefault(x, {}) if x.length else {}
             todo = [y for y in lower[:-1] if y not in row]  # x ends its row
@@ -222,11 +224,10 @@ class RTable:
     def load_csv(self, path: Path | str) -> int:
         """Merge entries from a cache file, streamed, validating each row.
 
-        Returns the number of rows loaded.  A row must name a pair y < x,
-        carry the degree, leading coefficient, and constant term forced by
-        the lengths, vanish at q = 1, and have a nonnegative signed q
-        coefficient; a row that does not is a ParseError, as is a system
-        fingerprint mismatch or a byte that is not UTF-8.  Every row's pair
+        Returns the number of rows loaded.  A row must name a pair y < x and
+        carry an ``r_shaped`` polynomial of degree length(x) - length(y); a
+        row that does not is a ParseError, as is a system fingerprint
+        mismatch or a byte that is not UTF-8.  Every row's pair
         is checked, but each distinct coefficient list is parsed and checked
         once per gap, and the rows that carry it share one polynomial.  A
         row that passes all of these can still be wrong: ``verify``'s suite
@@ -314,27 +315,26 @@ def _parse_checked(text: str, gap: int) -> IntPolynomial:
         raise ParseError("bad coefficient list") from exc
     if poly.degree != gap or poly.coeff(gap) != 1 or poly.coeff(0) != (-1) ** gap:
         raise ParseError(f"row violates degree or term invariants for gap {gap}")
-    if poly.eval_at(1) != 0 or _signed_q_coefficient(poly, gap) < 0:
+    if not poly.r_shaped:
         raise ParseError("row has R(1) != 0 or a negative signed q-coefficient")
     return poly
 
 
-def _ascent(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """R(y, x) = (q-1) a + q b = q (a + b) - a on an ascent, a = R(y, xs), b = R(ys, xs)."""
-    a, b = a.coeffs, b.coeffs
-    b += (0,) * (len(a) - len(b))
-    return IntPolynomial([u + v - w for u, v, w in zip((0,) + a, (0,) + b, a + (0,))])
-
-
 def ascent_memo() -> Callable[[IntPolynomial, IntPolynomial], IntPolynomial]:
-    """The ascent formula memoised on the ids of inputs the caller keeps; one object per result."""
+    """R(y, x) = (q-1) a + q b = q (a + b) - a on an ascent, a = R(y, xs), b = R(ys, xs).
+
+    Memoised on the ids of inputs the caller keeps (a table never drops a
+    row it stored); one object per result.
+    """
     by_ids: dict[tuple[int, int], IntPolynomial] = {}
     shared: dict[tuple[int, ...], IntPolynomial] = {}
 
     def ascent(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         value = by_ids.get((id(a), id(b)))
         if value is None:
-            value = _ascent(a, b)
+            u, v = a.coeffs, b.coeffs
+            v += (0,) * (len(u) - len(v))
+            value = IntPolynomial([i + j - k for i, j, k in zip((0,) + u, (0,) + v, u + (0,))])
             value = by_ids[id(a), id(b)] = shared.setdefault(value.coeffs, value)
         return value
 
@@ -349,22 +349,12 @@ def gj_coefficient(sys: CoxeterSystem, x: GroupElement, y: GroupElement, table: 
     is not a data error but a broken structural guarantee, hence InvariantViolation.
     """
     check_below(sys, y, x)
-    return gj_from_poly(sys, x, y, table.r(y, x))
-
-
-def gj_from_poly(sys: CoxeterSystem, x: GroupElement, y: GroupElement, poly: IntPolynomial) -> int:
-    """``gj_coefficient`` of a pair y <= x whose R(y, x) = ``poly`` is in hand; not re-tested."""
-    value = _signed_q_coefficient(poly, x.length - y.length)
+    value = table.r(y, x).gj
     if value < 0:
         raise InvariantViolation(
             f"signed q-coefficient {value} < 0 at pair ({word_text(sys, x)}, {word_text(sys, y)})"
         )
     return value
-
-
-def _signed_q_coefficient(poly: IntPolynomial, gap: int) -> int:
-    """The q^1 coefficient times (-1)**(gap + 1), which cancels its alternating sign."""
-    return poly.coeff(1) if gap % 2 else -poly.coeff(1)
 
 
 def r_coeff_direct(

@@ -6,7 +6,7 @@ by walking the rows of its Bruhat index, and runs six suites:
     T  dim V(x, y) against both first-order coefficient routes, all pairs
     G  reflection representation sanity: involutions, braid orders, pairings
     B  Bruhat order: lifting recursion, bitmask index and subword oracle agree
-    R  R-polynomial degree/term invariants and route agreement
+    R  R-polynomial shape, route agreement and one recursion step per pair
     S  quotient dimensions for the configured singular subsets
     M  membership of v_s in V(x, y) against the order prediction, on the
        rows where the prediction is asserted to be exact
@@ -15,8 +15,10 @@ Each suite reports how many atomic checks ran and how many failed, plus a
 witness for the first failure.  Every suite takes the run's three filled
 tables: V, R and the direct route's counts (``rpoly.direct_rows``).  Suites
 T and R read their rows along the rows of the Bruhat index, so no pair is
-re-tested against the order.  ``run_report`` writes the R-polynomial
-cache, the dimension table, streamed row by row, and a summary; everything
+re-tested against the order, and read each R-polynomial's shape and signed
+q-coefficient off the polynomial (``r_shaped`` and ``gj``, computed once
+per distinct polynomial).  ``run_report`` writes the R-polynomial cache,
+the dimension table, streamed row by row, and a summary; everything
 written is deterministic except an explicit generated_at comment line.
 """
 
@@ -54,7 +56,7 @@ from .coxeter import (
 )
 from .errors import IoError
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
-from .rpoly import ONE, ZERO, RTable, ascent_memo, direct_rows, gj_from_poly, write_atomic
+from .rpoly import ONE, ZERO, RTable, ascent_memo, direct_rows, write_atomic
 from .vtable import SingularSpec, VTable, compute_all, membership_report, singular_v
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
@@ -101,8 +103,7 @@ def _suite_t(sys, rtable: RTable, vtable: VTable, config: RunConfig, direct: dic
         vrow, rrow, drow = vtable.rows[x], rtable.rows.get(x), direct[x]
         out.checked += len(lower)
         for y in lower:
-            d = vrow[y].dim
-            g = gj_from_poly(sys, x, y, ONE if y is x else rrow[y])
+            d, g = vrow[y].dim, (ONE if y is x else rrow[y]).gj
             if not (d == g == drow[y]):
                 out.note_failure(
                     None  # only the first witness is kept, so only the first is built
@@ -176,9 +177,10 @@ def _suite_b(sys, rtable, vtable, config: RunConfig, direct) -> SuiteResult:
 
 
 def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: dict) -> SuiteResult:
-    """Degree, leading and constant term, vanishing at 1, route agreement, and the recursion.
+    """Each stored R(y, x): its shape, its count against the direct route, and one recursion step.
 
-    The comparable pairs are read off the index rows; R is 0 on all other
+    A row passes when its degree is the pair's gap, it is ``r_shaped``, its
+    ``gj`` is the direct count and it equals the recursion's step.  The comparable pairs are read off the index rows; R is 0 on all other
     pairs when the table's row holds nothing else.  Each R(y, x) must equal
     the recursion's step from the row of xs, so by induction every row,
     loaded or computed, is the recursion's.  ``checked`` counts |W|^2.
@@ -198,16 +200,9 @@ def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: dict) -> Su
             else:  # R(ys, xs) is 0 unless ys <= xs, whatever a stray entry says
                 b = below.get(ys, ZERO) if bruhat_leq(sys, ys, xs) else ZERO
                 step = ascent(below.get(y, ZERO), b)
-            poly, gap = row.get(y, ZERO), upper.length - y.length
-            ok = (
-                poly.degree == gap
-                and poly.coeff(gap) == 1
-                and poly.coeff(0) == (-1) ** gap
-                and poly.eval_at(1) == 0
-                and gj_from_poly(sys, upper, y, poly) == drow[y]
-                and poly.coeffs == step.coeffs
-            )
-            if not ok:
+            poly = row.get(y, ZERO)
+            if not (poly.degree == upper.length - y.length and poly.r_shaped
+                    and poly.gj == drow[y] and poly.coeffs == step.coeffs):
                 bad.append((y, poly, {}))
         if len(row) >= len(lower):  # more entries than pairs strictly below upper
             reason = {"reason": "nonzero for incomparable pair"}
@@ -372,7 +367,7 @@ def run_report(config: RunConfig) -> dict:
             xw, vrow, rrow = words[x.position], vtable.rows[x], rtable.rows.get(x)
             for y in lower:  # the index row's own pairs, so none is re-tested
                 d = vrow[y].dim
-                g = gj_from_poly(sys, x, y, ONE if y is x else rrow[y])
+                g = (ONE if y is x else rrow[y]).gj
                 dims[d] += 1
                 histogram[g] += 1
                 yield f"{xw};{words[y.position]};{d};{g};{int(d == g)}\n"

@@ -51,10 +51,10 @@ from .coxeter import (
     bruhat_leq,
     check_below,
     check_policy,
-    comparable_pairs,
     comparable_rows,
     descend,
     descend_lower,
+    enumerate_elements,
     identity,
     longest_element,
     multiply,
@@ -215,27 +215,24 @@ class MembershipRow:
 
 def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
     """Membership rows for every comparable pair and every simple reflection
-    on which the order prediction is asserted to be exact."""
+    on which the order prediction is asserted to be exact.  Such a row's x
+    and y each have at most two letters in w0 g, so only those are paired."""
     if sys.rank < 2:
         return []
     w0 = longest_element(sys)
-    support: dict[GroupElement, frozenset[int]] = {}
-
-    def coset_letters(g: GroupElement) -> frozenset[int]:
-        got = support.get(g)
-        if got is None:
-            got = frozenset(reduced_word(sys, multiply(sys, w0, g)))
-            support[g] = got
-        return got
-
+    letters = {g: frozenset(reduced_word(sys, multiply(sys, w0, g))) for g in enumerate_elements(sys)}
+    few = [g for g, support in letters.items() if len(support) <= 2]
     rows = []
-    for x, y in comparable_pairs(sys):
-        for s in range(sys.rank):
-            if (x.descents | y.descents) >> s & 1:
+    for i, x in enumerate(few):
+        for y in few[: i + 1]:
+            if not bruhat_leq(sys, y, x):
                 continue
-            if len((coset_letters(x) | coset_letters(y)) - {s}) > 1:
-                continue
-            x_ge_ys = bruhat_leq(sys, right_multiply(sys, y, s), x)
-            in_v = table._v(x, y).contains(basis_vector(sys, s))
-            rows.append(MembershipRow(x, y, s, x_ge_ys, in_v))
+            for s in range(sys.rank):
+                if (x.descents | y.descents) >> s & 1:
+                    continue
+                if len((letters[x] | letters[y]) - {s}) > 1:
+                    continue
+                x_ge_ys = bruhat_leq(sys, right_multiply(sys, y, s), x)
+                in_v = table._v(x, y).contains(basis_vector(sys, s))
+                rows.append(MembershipRow(x, y, s, x_ge_ys, in_v))
     return rows

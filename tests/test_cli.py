@@ -447,6 +447,16 @@ def test_env_var_beats_cache_flag(capsys, tmp_path, monkeypatch):
     assert not flag_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_whole_group_commands_refuse_groups_over_the_limit(command, capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--type", "E6", "--cache-dir", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err == "error: group of type E6 has order 51840, over the whole-group limit 10000\n"
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
 def test_rpoly_unwritable_cache_is_usage_error(capsys, tmp_path):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")

@@ -26,6 +26,7 @@ from verma_ext.coxeter import (
     build_cartan,
     build_system,
     comparable_pairs,
+    comparable_rows,
     element_from_word,
     enumerate_elements,
     fingerprint,
@@ -94,6 +95,18 @@ def test_budget_rejects_large_groups():
     big = build_system("E7", budget=3_000_000)
     assert big.rank == 7
     assert len(big.positive_roots) == 63
+
+
+def test_whole_group_work_refuses_groups_over_the_limit():
+    # E6 is within the order budget, but its Bruhat index would hold a few
+    # hundred million pairs: the walk is refused before any enumeration
+    e6 = build_system("E6")
+    assert e6.group_order == 51_840 > coxeter.WHOLE_GROUP_LIMIT
+    with pytest.raises(RankOverflow, match="E6 has order 51840, over the whole-group limit 10000"):
+        comparable_rows(e6)
+    assert e6._elements is None and e6._lower is None
+    # A6, the largest group whose whole runs are measured, is admitted
+    assert build_system("A6").group_order == 5_040 <= coxeter.WHOLE_GROUP_LIMIT
 
 
 def test_single_pair_work_leaves_the_roots_unbuilt():

@@ -29,7 +29,14 @@ from verma_ext.coxeter import (
     identity,
     longest_element,
 )
-from verma_ext.errors import InvalidType, IoError, LiftingViolation, NotComparable, ParseError
+from verma_ext.errors import (
+    InvalidType,
+    InvariantViolation,
+    IoError,
+    LiftingViolation,
+    NotComparable,
+    ParseError,
+)
 from verma_ext.rpoly import (
     ONE,
     ZERO,
@@ -82,10 +89,29 @@ Q_MINUS_ONE = (-1, 1)
 
 
 def test_polynomial_eval():
+    # R(1) is the sum of the coefficients
     square = IntPolynomial(_mul(Q_MINUS_ONE, Q_MINUS_ONE))
-    assert square.eval_at(1) == 0
-    assert square.eval_at(3) == 4
-    assert ZERO.eval_at(7) == 0
+    assert sum(square.coeffs) == 0
+    assert sum(ZERO.coeffs) == 0
+
+
+def test_signed_coefficient_and_r_shape_are_read_off_the_polynomial():
+    # gj is the q^1 coefficient times (-1)**(degree + 1); r_shaped needs
+    # degree >= 1, leading 1, constant (-1)**degree, R(1) = 0 and gj >= 0
+    assert (ZERO.gj, ZERO.r_shaped) == (0, False)
+    assert (ONE.gj, ONE.r_shaped) == (0, False)
+    power = (1,)
+    for k in range(1, 5):
+        power = _mul(power, Q_MINUS_ONE)
+        poly = IntPolynomial(power)
+        assert (poly.degree, poly.gj, poly.r_shaped) == (k, k, True), power
+    well_shaped_wrong = IntPolynomial((-1, 3, -3, 1))  # R(e, w0) of A2 with gj 3, not 2
+    assert (well_shaped_wrong.gj, well_shaped_wrong.r_shaped) == (3, True)
+    negative = IntPolynomial((-1, -1, 1, 1))
+    assert (negative.gj, negative.r_shaped) == (-1, False)
+    off_at_one = IntPolynomial((-1, 1, 0, 1))
+    assert sum(off_at_one.coeffs) != 0
+    assert (off_at_one.gj, off_at_one.r_shaped) == (1, False)
 
 
 def test_polynomial_str():
@@ -154,7 +180,8 @@ def test_invariants_on_all_pairs(text, system, rtable):
             assert poly.coeff(gap) == 1
             assert poly.coeff(0) == (-1) ** gap
             if gap > 0:
-                assert poly.eval_at(1) == 0
+                assert sum(poly.coeffs) == 0
+                assert poly.r_shaped
 
 
 def test_policy_independence(system, rtable):
@@ -257,6 +284,39 @@ def test_suite_r_flags_stray_and_wrong_entries():
     wrong = _suite_r(sys, rtable, None, config, direct)
     assert (wrong.checked, wrong.failed) == (36, 1)
     assert wrong.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, 3, -3, 1]}]
+
+
+def test_suite_r_counts_a_negative_coefficient_row_as_a_failure():
+    # every other invariant holds, but the signed q-coefficient is -1
+    sys = build_system("A2")  # its own system, as the test plants an entry
+    rtable = RTable(sys)
+    rtable.fill()
+    w0, e = longest_element(sys), identity(sys)
+    rtable.rows[w0][e] = IntPolynomial((-1, -1, 1, 1))
+    result = _suite_r(sys, rtable, None, RunConfig("A2"), direct_rows(sys))
+    assert (result.checked, result.failed) == (36, 1)
+    assert result.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, -1, 1, 1]}]
+
+
+def test_gj_coefficient_of_a_negative_coefficient_row_is_an_invariant_violation():
+    sys = build_system("A2")  # its own system, as the test plants an entry
+    rtable = RTable(sys)
+    w0, e = longest_element(sys), identity(sys)
+    rtable.rows[w0] = {e: IntPolynomial((-1, -1, 1, 1))}
+    with pytest.raises(InvariantViolation, match=r"signed q-coefficient -1 < 0 at pair \(0,1,0, e\)"):
+        gj_coefficient(sys, w0, e, rtable)
+
+
+def test_lazy_table_holds_one_object_per_distinct_polynomial():
+    # r() shares the table's ascent memo with fill(), so pairs filled one
+    # query at a time share polynomials as a filled table does
+    sys = build_system("B3")
+    table = RTable(sys)
+    for x, y in comparable_pairs(sys):
+        table.r(y, x)
+    values = [poly for row in table.rows.values() for poly in row.values()]
+    assert len(values) == 799
+    assert len({id(poly) for poly in values}) == len({poly.coeffs for poly in values}) == 19
 
 
 def test_bad_policy_rejected(system):

@@ -175,17 +175,20 @@ def root_reflections(sys):
     return found
 
 
-@pytest.mark.parametrize("text", PRESETS + ("B4",))
-def test_v_is_spanned_by_bruhat_graph_edge_roots(text, system, vtable):
-    # V(x, y) = span{beta in the positive roots : y < y s_beta <= x}: the
-    # roots of the Bruhat-graph edges out of y inside [y, x] (Björner–Brenti,
-    # Combinatorics of Coxeter Groups, ch. 2).  Shares no descent chain,
-    # policy or unrolling with the table.
-    sys = system(text)
-    table = vtable(text)
+def edge_root_decomposition(sys, table):
+    """Check V(x, y) = span(edge roots) and dim V <= gj <= #edges on every pair; histogram the rest.
+
+    The edges of (x, y) are the positive roots beta with y < y s_beta <= x
+    (the Bruhat-graph edges out of y inside [y, x]), read off a per-y list
+    of (beta, y s_beta).  Returns the divergent pairs (gj != dim V) counted
+    by (gj - dim V, #edges - gj).
+    """
     reflections = root_reflections(sys)
+    rtable = RTable(sys)
+    rtable.fill()
     ascents = {}  # y -> [(beta, y s_beta)] over the betas with y < y s_beta
     spans = {}
+    divergent = Counter()
     for x, y in comparable_pairs(sys):
         if y not in ascents:
             ascents[y] = [
@@ -196,7 +199,37 @@ def test_v_is_spanned_by_bruhat_graph_edge_roots(text, system, vtable):
         edges = tuple(beta for beta, h in ascents[y] if bruhat_leq(sys, h, x))
         if edges not in spans:
             spans[edges] = RationalSubspace(sys.rank, edges)
-        assert spans[edges].rows == table.v(x, y).rows, (text, x, y)
+        space = table.rows[x][y]
+        assert spans[edges] == space, (x, y)  # canonical bases, so subspace equality
+        if y is x:
+            continue
+        gj = rtable.rows[x][y].gj
+        assert space.dim <= gj <= len(edges), (x, y)
+        if gj != space.dim:
+            divergent[gj - space.dim, len(edges) - gj] += 1
+    return divergent
+
+
+# divergent pairs by (gj - dim V, #edges - gj)
+EDGE_HISTOGRAMS = {
+    "D4": {(1, 0): 192, (1, 1): 108, (1, 2): 57, (1, 3): 15, (2, 0): 5},
+    "B4": {
+        (1, 0): 916, (1, 1): 737, (1, 2): 554, (1, 3): 352, (1, 4): 153, (1, 5): 32,
+        (2, 0): 33, (2, 1): 12, (2, 2): 1,
+    },
+}
+
+
+@pytest.mark.parametrize("text", PRESETS + ("B4",))
+def test_v_is_spanned_by_bruhat_graph_edge_roots(text, system, vtable):
+    # V(x, y) = span{beta in the positive roots : y < y s_beta <= x}: the
+    # roots of the Bruhat-graph edges out of y inside [y, x] (Björner–Brenti,
+    # Combinatorics of Coxeter Groups, ch. 2).  Shares no descent chain,
+    # policy or unrolling with the table.  So "how far" splits as
+    # gj - dim V = (#edges - rank of the edge roots) - (#edges - gj).
+    divergent = edge_root_decomposition(system(text), vtable(text))
+    if text in EDGE_HISTOGRAMS:
+        assert divergent == EDGE_HISTOGRAMS[text]
 
 
 @pytest.mark.parametrize("text", PRESETS)
@@ -437,6 +470,31 @@ def test_singular_projection_matches_the_echelon_route(text, system, vtable):
 def test_membership_report_shape(text, flagged, system, vtable):
     report = membership_report(system(text), vtable(text))
     assert len(report) == flagged
+
+
+def all_pairs_membership_rows(sys, table):
+    """The membership rows by filtering every comparable pair and every s: the reference for the report."""
+    w0 = longest_element(sys)
+    letters = {g: frozenset(reduced_word(sys, multiply(sys, w0, g))) for g in enumerate_elements(sys)}
+    rows = []
+    for x, y in comparable_pairs(sys):
+        for s in range(sys.rank):
+            if (x.descents | y.descents) >> s & 1:
+                continue
+            if len((letters[x] | letters[y]) - {s}) > 1:
+                continue
+            x_ge_ys = bruhat_leq(sys, right_multiply(sys, y, s), x)
+            in_v = table.v(x, y).contains(basis_vector(sys, s))
+            rows.append(vtable_module.MembershipRow(x, y, s, x_ge_ys, in_v))
+    return rows
+
+
+@pytest.mark.parametrize("text", [t for t in PRESETS if t != "A1"] + ["B4"])
+def test_membership_report_pairs_only_the_elements_its_rows_can_hold(text, system, vtable):
+    # a row's x and y each have at most two letters in the support of w0 g;
+    # pairing only those must give the all-pairs filter's rows, in its order
+    sys, table = system(text), vtable(text)
+    assert membership_report(sys, table) == all_pairs_membership_rows(sys, table)
 
 
 @pytest.mark.parametrize("text", ["A2", "B2", "G2"])
