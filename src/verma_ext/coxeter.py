@@ -711,11 +711,6 @@ def comparable_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, tuple[Gr
     return zip(sys._elements, sys._lower)
 
 
-def comparable_pairs(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, GroupElement]]:
-    """The pairs (x, y) with y <= x, read off ``comparable_rows`` as they are asked for."""
-    return ((x, y) for x, lower in comparable_rows(sys) for y in lower)
-
-
 def _bits(mask: int) -> list[int]:
     """The positions of the set bits of mask, lowest first."""
     digits = bin(mask)[:1:-1]  # least significant first, without the "0b"

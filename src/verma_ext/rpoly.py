@@ -138,12 +138,14 @@ class RTable:
     """Memo table of R-polynomials for one system, bound to a descent policy.
 
     ``rows[x][y]`` is R(y, x), in one row per upper element x keyed by the
-    lower element y; ``entries`` is a read-only view of them keyed by the
-    pairs (y, x).  ``computed`` counts entries produced by the recursion
-    (cache loads do not count), which is how tests observe that a warm
-    cache recomputes nothing.  Only strictly comparable pairs are stored;
+    lower element y; each row starts as {x: ONE}, so it holds its diagonal,
+    and ``entries`` is a read-only view of the rows keyed by the pairs
+    (y, x).  ``computed`` counts the strict pairs y < x produced by the
+    recursion (cache loads do not count), which is how tests observe that a
+    warm cache recomputes nothing.  Only comparable pairs are stored;
     incomparable lookups return the zero polynomial without touching the
-    table.
+    table.  ``fill`` alone makes the identity's row, which no strict pair
+    needs; the cache file holds the strict pairs only.
     """
 
     def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
@@ -160,17 +162,13 @@ class RTable:
             return ONE
         if not bruhat_leq(self.sys, y, x):
             return ZERO
-        row = self.rows.get(x)
-        if row is not None:
-            hit = row.get(y)
-            if hit is not None:
-                return hit
+        row = self.rows.get(x) or self.rows.setdefault(x, {x: ONE})
+        hit = row.get(y)
+        if hit is not None:
+            return hit
         _, xs, ys, down = descend(self.sys, x, y, self.policy)
-        value = self.r(ys, xs) if down else self.ascent(self.r(y, xs), self.r(ys, xs))
-        # the recursion only reaches shorter x, so x's row is as it was
-        if row is None:
-            row = self.rows[x] = {}
-        row[y] = value
+        # the recursion only reaches shorter x, so it leaves x's row as it is
+        value = row[y] = self.r(ys, xs) if down else self.ascent(self.r(y, xs), self.r(ys, xs))
         self.computed += 1
         return value
 
@@ -183,14 +181,14 @@ class RTable:
         """
         sys, rows, ascent = self.sys, self.rows, self.ascent
         for x, lower in comparable_rows(sys):
-            row = rows.setdefault(x, {}) if x.length else {}
-            todo = [y for y in lower[:-1] if y not in row]  # x ends its row
+            row = rows.setdefault(x, {x: ONE})
+            todo = [y for y in lower if y not in row]
             if not todo:  # the identity, or every pair below x loaded
                 continue
             self.computed += len(todo)
             s = pick_descent(sys, x, self.policy)
             xs = right_multiply(sys, x, s)
-            below = {**rows.get(xs, {}), xs: ONE}
+            below = rows[xs]
             for y in todo:
                 ys, down = descend_lower(sys, x, s, xs, y)
                 row[y] = below[ys] if down else ascent(below[y], below.get(ys, ZERO))
@@ -198,7 +196,7 @@ class RTable:
     # -- persistence -------------------------------------------------------
 
     def save_csv(self, path: Path | str) -> None:
-        """Write all stored entries as ``y_word;x_word;c0,c1,...,cd`` rows, streamed.
+        """Write the stored strict pairs y < x as ``y_word;x_word;c0,c1,...,cd`` rows, streamed.
 
         Each element's word text and each polynomial object's coefficient
         text is formatted once per file.
@@ -213,6 +211,8 @@ class RTable:
             for x in sorted(rows, key=order):
                 row, xw = rows[x], word(x)
                 for y in sorted(row, key=order):
+                    if y is x:
+                        continue
                     poly = row[y]
                     cs = coeffs.get(id(poly))
                     if cs is None:
@@ -271,9 +271,7 @@ class RTable:
                     poly = polys[key] = _parse_checked(*key)
                 except ParseError as exc:
                     raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            row = rows.get(x)
-            if row is None:
-                row = rows[x] = {}
+            row = rows.get(x) or rows.setdefault(x, {x: ONE})
             row.setdefault(y, poly)
             loaded += 1
         return loaded

@@ -56,7 +56,7 @@ from .coxeter import (
 )
 from .errors import IoError
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
-from .rpoly import ONE, ZERO, RTable, ascent_memo, direct_rows, write_atomic
+from .rpoly import ZERO, RTable, ascent_memo, direct_rows, write_atomic
 from .vtable import SingularSpec, VTable, compute_all, membership_report, singular_v
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
@@ -100,10 +100,10 @@ def _suite_t(sys, rtable: RTable, vtable: VTable, config: RunConfig, direct: dic
     """dim V(x, y) == signed q-coefficient == direct recursion, on every pair."""
     out = SuiteResult("T")
     for x, lower in comparable_rows(sys):
-        vrow, rrow, drow = vtable.rows[x], rtable.rows.get(x), direct[x]
+        vrow, rrow, drow = vtable.rows[x], rtable.rows[x], direct[x]
         out.checked += len(lower)
         for y in lower:
-            d, g = vrow[y].dim, (ONE if y is x else rrow[y]).gj
+            d, g = vrow[y].dim, rrow[y].gj
             if not (d == g == drow[y]):
                 out.note_failure(
                     None  # only the first witness is kept, so only the first is built
@@ -179,21 +179,23 @@ def _suite_b(sys, rtable, vtable, config: RunConfig, direct) -> SuiteResult:
 def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: dict) -> SuiteResult:
     """Each stored R(y, x): its shape, its count against the direct route, and one recursion step.
 
-    A row passes when its degree is the pair's gap, it is ``r_shaped``, its
-    ``gj`` is the direct count and it equals the recursion's step.  The comparable pairs are read off the index rows; R is 0 on all other
-    pairs when the table's row holds nothing else.  Each R(y, x) must equal
-    the recursion's step from the row of xs, so by induction every row,
-    loaded or computed, is the recursion's.  ``checked`` counts |W|^2.
+    An entry passes when its degree is the pair's gap, it is ``r_shaped``,
+    its ``gj`` is the direct count and it equals the recursion's step.  The
+    comparable pairs are read off the index rows; R is 0 on all other pairs
+    when the table's row holds no more than its index row.  Each R(y, x)
+    must equal the recursion's step from the row of xs, so by induction
+    every row, loaded or computed, is the recursion's.  ``checked`` counts
+    |W|^2.
     """
     out = SuiteResult("R", checked=len(enumerate_elements(sys)) ** 2)
     ascent = ascent_memo()
     for upper, lower in comparable_rows(sys):
-        bad, row, drow = [], rtable.rows.get(upper, {}), direct[upper]
+        bad, row, drow = [], rtable.rows[upper], direct[upper]
         if upper.length:  # the identity has no pair below it
             s = pick_descent(sys, upper, rtable.policy)
             xs = right_multiply(sys, upper, s)
-            below = {**rtable.rows.get(xs, {}), xs: ONE}
-        for y in lower[:-1]:  # upper ends its row, and R(upper, upper) = 1 is not stored
+            below = rtable.rows[xs]
+        for y in lower[:-1]:  # upper ends its row; the table makes its diagonal R(upper, upper) = 1
             ys, down = descend_lower(sys, upper, s, xs, y)
             if down:
                 step = below.get(ys, ZERO)
@@ -204,7 +206,7 @@ def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: dict) -> Su
             if not (poly.degree == upper.length - y.length and poly.r_shaped
                     and poly.gj == drow[y] and poly.coeffs == step.coeffs):
                 bad.append((y, poly, {}))
-        if len(row) >= len(lower):  # more entries than pairs strictly below upper
+        if len(row) > len(lower):  # the row holds more than its index row
             reason = {"reason": "nonzero for incomparable pair"}
             bad += [(y, p, reason) for y, p in row.items() if not bruhat_leq(sys, y, upper)]
         for y, poly, extra in sorted(bad, key=lambda b: b[0].position):
@@ -364,10 +366,9 @@ def run_report(config: RunConfig) -> dict:
         yield "x_word;y_word;dimV;gj_coeff;match\n"
         words = [word_text(sys, g) for g in enumerate_elements(sys)]  # by position
         for x, lower in comparable_rows(sys):
-            xw, vrow, rrow = words[x.position], vtable.rows[x], rtable.rows.get(x)
+            xw, vrow, rrow = words[x.position], vtable.rows[x], rtable.rows[x]
             for y in lower:  # the index row's own pairs, so none is re-tested
-                d = vrow[y].dim
-                g = (ONE if y is x else rrow[y]).gj
+                d, g = vrow[y].dim, rrow[y].gj
                 dims[d] += 1
                 histogram[g] += 1
                 yield f"{xw};{words[y.position]};{d};{g};{int(d == g)}\n"

@@ -99,11 +99,12 @@ class VTable:
     """Memoized V(x, y) values for one system under one descent policy.
 
     ``rows[x][y]`` is the subspace of each pair asked for, in one row per
-    upper element x keyed by the lower element y; ``entries`` is a
-    read-only view of them keyed by the pairs (x, y), and ``computed``
-    counts them.  ``_spaces`` interns the distinct subspaces, so equal
-    entries are one object, and ``_spans`` memoises the echelon build on
-    (known subspace, steps taken).
+    upper element x keyed by the lower element y; each row starts as
+    {x: 0}, so it holds its diagonal.  ``entries`` is a read-only view of
+    the rows keyed by the pairs (x, y), and ``computed`` counts the entries
+    built.  ``_spaces`` interns the distinct subspaces, so equal entries
+    are one object, and ``_spans`` memoises the echelon build on (known
+    subspace, steps taken).
     """
 
     def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
@@ -122,13 +123,11 @@ class VTable:
         return self._v(x, y)
 
     def _v(self, x: GroupElement, y: GroupElement) -> RationalSubspace:
-        row = self.rows.get(x)
-        if row is not None:
-            hit = row.get(y)
-            if hit is not None:
-                return hit
-        top, bottom = x, y
-        sys = self.sys
+        row = self.rows.get(x) or self.rows.setdefault(x, {x: self._zero})
+        hit = row.get(y)
+        if hit is not None:
+            return hit
+        bottom, sys = y, self.sys
         u = identity(sys)  # s_1 ... s_{k-1}, the steps taken so far
         steps, roots = [], []
         while x is not y:
@@ -139,10 +138,7 @@ class VTable:
             else:
                 roots.append([r[s] for r in u.matrix])
             u = right_multiply(sys, u, s)
-        value = self._span(self._zero, tuple(steps), u, roots)
-        if row is None:
-            row = self.rows[top] = {}
-        row[bottom] = value
+        value = row[bottom] = self._span(self._zero, tuple(steps), u, roots)
         self.computed += 1
         return value
 
@@ -215,13 +211,19 @@ class MembershipRow:
 
 def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
     """Membership rows for every comparable pair and every simple reflection
-    on which the order prediction is asserted to be exact.  Such a row's x
-    and y each have at most two letters in w0 g, so only those are paired."""
+    on which the order prediction is asserted to be exact.
+
+    Such a row's x and y each have at most two letters in the support of
+    w0 g, so only those elements are paired.  Every such pair y <= x with an
+    ascent s of y has a row: w0 x <= w0 y puts supp(w0 x) inside
+    supp(w0 y), and s, a descent of w0 y, is one of its at most two letters,
+    so the pair lies in the coset w0 W' of W' = <supp(w0 y)>, which holds s.
+    """
     if sys.rank < 2:
         return []
     w0 = longest_element(sys)
-    letters = {g: frozenset(reduced_word(sys, multiply(sys, w0, g))) for g in enumerate_elements(sys)}
-    few = [g for g, support in letters.items() if len(support) <= 2]
+    few = [g for g in enumerate_elements(sys)
+           if len(set(reduced_word(sys, multiply(sys, w0, g)))) <= 2]
     rows = []
     for i, x in enumerate(few):
         for y in few[: i + 1]:
@@ -229,8 +231,6 @@ def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
                 continue
             for s in range(sys.rank):
                 if (x.descents | y.descents) >> s & 1:
-                    continue
-                if len((letters[x] | letters[y]) - {s}) > 1:
                     continue
                 x_ge_ys = bruhat_leq(sys, right_multiply(sys, y, s), x)
                 in_v = table._v(x, y).contains(basis_vector(sys, s))

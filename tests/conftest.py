@@ -10,9 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from verma_ext.coxeter import build_system
+from verma_ext.coxeter import build_system, comparable_rows
 from verma_ext.rpoly import RTable
 from verma_ext.vtable import compute_all
+
+def comparable_pairs(sys):
+    """The pairs (x, y) with y <= x, read off the rows of the Bruhat index as they are asked for."""
+    return ((x, y) for x, lower in comparable_rows(sys) for y in lower)
+
 
 _SYSTEMS: dict[str, object] = {}
 _VTABLES: dict[str, object] = {}

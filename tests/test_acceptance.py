@@ -20,10 +20,10 @@ import time
 
 import pytest
 
+from conftest import comparable_pairs
 from verma_ext.coxeter import (
     braid_order,
     bruhat_leq,
-    comparable_pairs,
     enumerate_elements,
     identity,
     longest_element,

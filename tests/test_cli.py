@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import comparable_pairs
 from verma_ext import cli, verify
 from verma_ext.cli import main
-from verma_ext.coxeter import DESCENT_POLICIES, build_system, comparable_pairs, word_text
+from verma_ext.coxeter import DESCENT_POLICIES, build_system, fingerprint, word_text
+from verma_ext.errors import InvariantViolation, LiftingViolation
 from verma_ext.rpoly import RTable, gj_coefficient
 from verma_ext.vtable import VTable
 
@@ -467,6 +469,14 @@ def test_rpoly_unwritable_cache_is_usage_error(capsys, tmp_path):
     assert "cannot create cache dir" in err
 
 
+def test_unreadable_cache_is_one_line_and_exit_1(capsys, tmp_path):
+    cache = tmp_path / f"rpoly_{fingerprint(build_system('A2'))}.csv"
+    cache.mkdir()  # exists, so the run loads it, but it cannot be read as a file
+    code, out, err = run(capsys, "verify", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {cache}: ") and err.count("\n") == 1
+
+
 def test_report_unusable_output_dir_fails_before_filling(capsys, tmp_path, monkeypatch):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")
@@ -672,6 +682,17 @@ def test_interrupt_is_one_line_and_exit_130(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "cmd_verify", interrupted)
     assert run(capsys, "verify", "--type", "A2") == (130, "", "interrupted\n")
+
+
+@pytest.mark.parametrize("error", [LiftingViolation, InvariantViolation])
+def test_broken_guarantee_is_one_line_and_exit_3(capsys, monkeypatch, error):
+    def broken(config):
+        raise error("guarantee broken at pair (0,1,0, e)")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    assert run(capsys, "verify", "--type", "A2") == (
+        3, "", "verification failure: guarantee broken at pair (0,1,0, e)\n"
+    )
 
 
 # B4's json is more than a buffer, so print fails; A2's text fits, so the flush does.

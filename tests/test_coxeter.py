@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from conftest import comparable_pairs
 from verma_ext import cli, coxeter, rpoly, verify
 from verma_ext.cli import main
 from verma_ext.coxeter import (
@@ -25,7 +26,6 @@ from verma_ext.coxeter import (
     bruhat_leq_oracle,
     build_cartan,
     build_system,
-    comparable_pairs,
     comparable_rows,
     element_from_word,
     enumerate_elements,
@@ -479,6 +479,18 @@ def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
     assert sys._downsets == {}
     assert bruhat_leq_lifting(sys, element_from_word(sys, (1,)), longest_element(sys))
     assert sys._bruhat
+
+
+def test_suite_b_flags_an_index_row_that_lost_an_element():
+    sys = build_system("A2")  # its own system, as the test plants a fault in its index
+    list(comparable_rows(sys))
+    w0, e = longest_element(sys), identity(sys)
+    sys._lower[w0.position] = tuple(y for y in sys._lower[w0.position] if y is not e)
+    result = verify._suite_b(sys, None, None, verify.RunConfig("A2"), {})
+    assert (result.checked, result.failed) == (36, 1)
+    assert result.witnesses == [
+        {"x": "e", "y": "0,1,0", "recursive": True, "index": False, "oracle": True}
+    ]
 
 
 def test_pick_descent_on_identity_raises(system):

@@ -24,7 +24,7 @@ from verma_ext.coxeter import (  # noqa: E402
     parse_word,
 )
 from verma_ext.errors import VermaExtError  # noqa: E402
-from verma_ext.rpoly import RTable  # noqa: E402
+from verma_ext.rpoly import ONE, RTable  # noqa: E402
 from verma_ext.vtable import SingularSpec  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -107,6 +107,9 @@ def test_mutated_cache_loads_checked_rows_or_raises_a_package_error(a2_cache, da
     except VermaExtError:
         return
     for (y, x), poly in table.entries.items():
+        if y is x:  # each row holds its diagonal, which the file never carries
+            assert poly == ONE
+            continue
         gap = x.length - y.length
         assert y is not x and bruhat_leq(sys, y, x)
         assert poly.degree == gap and poly.coeff(gap) == 1 and poly.coeff(0) == (-1) ** gap

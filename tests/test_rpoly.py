@@ -16,11 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import comparable_pairs
 from verma_ext import rpoly as rpoly_module
 from verma_ext.coxeter import (
     bruhat_leq,
     build_system,
-    comparable_pairs,
     comparable_rows,
     descend,
     descend_lower,
@@ -220,7 +220,8 @@ def test_ascent_step_matches_polynomial_arithmetic(text, system):
     memo = {}
     for x, y in comparable_pairs(sys):
         assert table.r(y, x) == polynomial_r(sys, y, x, memo)
-    assert table.entries == memo
+    # each row also holds its diagonal; no strict pair has the identity above it
+    assert table.entries == {**memo, **{(x, x): ONE for x in table.rows}}
 
 
 @pytest.mark.parametrize("text", PRESETS + ("B4",))
@@ -232,8 +233,8 @@ def test_row_fill_matches_a_fresh_recursion(text, policy):
     sys = build_system(text)
     table = RTable(sys, policy=policy)
     table.fill()
-    elems = enumerate_elements(sys)
-    assert table.computed == len(table.entries) == len(list(comparable_pairs(sys))) - len(elems)
+    elems, pairs = enumerate_elements(sys), len(list(comparable_pairs(sys)))
+    assert table.computed == pairs - len(elems) and len(table.entries) == pairs
     for x, row in table.rows.items():
         fresh = RTable(sys, policy=policy)
         for y, poly in row.items():
@@ -246,7 +247,8 @@ def test_fill_after_a_cache_load_computes_only_what_is_missing(tmp_path, system)
     a3 = system("A3")
     full = RTable(a3)
     full.fill()
-    for name, keep in (("full", full.entries), ("part", list(full.entries)[::3])):
+    strict = [(y, x) for y, x in full.entries if y is not x]  # what a cache file holds
+    for name, keep in (("full", strict), ("part", strict[::3])):
         path = tmp_path / f"{name}.csv"
         partial = RTable(a3)
         for y, x in keep:
@@ -256,10 +258,10 @@ def test_fill_after_a_cache_load_computes_only_what_is_missing(tmp_path, system)
         loaded = warm.load_csv(path)
         kept = dict(warm.entries)
         warm.fill()
-        assert warm.computed == len(full.entries) - loaded
+        assert warm.computed == len(strict) - loaded
         assert warm.entries == full.entries
         assert all(warm.entries[pair] is poly for pair, poly in kept.items())
-    assert loaded < len(full.entries)
+    assert loaded < len(strict)
 
 
 def test_suite_r_flags_stray_and_wrong_entries():
@@ -314,7 +316,7 @@ def test_lazy_table_holds_one_object_per_distinct_polynomial():
     table = RTable(sys)
     for x, y in comparable_pairs(sys):
         table.r(y, x)
-    values = [poly for row in table.rows.values() for poly in row.values()]
+    values = [poly for x, row in table.rows.items() for y, poly in row.items() if y is not x]
     assert len(values) == 799
     assert len({id(poly) for poly in values}) == len({poly.coeffs for poly in values}) == 19
 
@@ -424,10 +426,12 @@ def test_cache_round_trip(tmp_path, system):
     _fill(table, a2)
     path = tmp_path / "rpoly.csv"
     table.save_csv(path)
+    # blank and blank-looking lines are skipped
+    path.write_text(path.read_text().replace("\n", "\n\n", 3) + "  \n")
 
     fresh = RTable(a2)
     loaded = fresh.load_csv(path)
-    assert loaded == len(table.entries) > 0
+    assert loaded == len(table.entries) - len(table.rows) > 0  # no row's diagonal is in the file
     assert fresh.computed == 0
     assert fresh.entries == table.entries
     # a warm table answers without recomputing anything
@@ -524,7 +528,8 @@ def test_cache_load_builds_each_word_once(tmp_path, system, monkeypatch):
 
     monkeypatch.setattr(rpoly_module, "element_from_word", counted)
     fresh = RTable(a3)
-    assert fresh.load_csv(path) == len(table.entries) > len(enumerate_elements(a3))
+    loaded = fresh.load_csv(path)
+    assert loaded == len(table.entries) - len(table.rows) > len(enumerate_elements(a3))
     assert fresh.entries == table.entries
     assert set(calls.values()) == {1}
 
@@ -548,7 +553,7 @@ def test_warm_load_keeps_one_polynomial_per_coefficient_list(tmp_path):
     path = tmp_path / "rpoly.csv"
     table.save_csv(path)
     warm = RTable(d4)
-    assert warm.load_csv(path) == len(table.entries)
+    assert warm.load_csv(path) == len(table.entries) - len(table.rows)
     polys = [p for row in warm.rows.values() for p in row.values()]
     assert len({id(p) for p in polys}) == len({p.coeffs for p in polys}) < len(polys) // 100
 

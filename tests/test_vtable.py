@@ -19,11 +19,11 @@ from collections import Counter
 
 import pytest
 
+from conftest import comparable_pairs
 from verma_ext import vtable as vtable_module
 from verma_ext.coxeter import (
     bruhat_leq,
     build_system,
-    comparable_pairs,
     comparable_rows,
     descend,
     descend_lower,
@@ -44,8 +44,8 @@ from verma_ext.errors import (
     ParseError,
 )
 from verma_ext.reflection import RationalSubspace, apply_element, basis_vector
-from verma_ext.rpoly import RTable, gj_coefficient, r_coeff_direct
-from verma_ext.verify import PRESETS
+from verma_ext.rpoly import ONE, RTable, gj_coefficient, r_coeff_direct
+from verma_ext.verify import PRESETS, RunConfig, _suite_m, _suite_s
 from verma_ext.vtable import (
     SingularSpec,
     VTable,
@@ -301,8 +301,10 @@ def test_entries_are_pair_keyed_views_of_the_rows(system):
         by_pair_v[(x, y)] = vtable.v(x, y)
         if x is not y:
             by_pair_r[(y, x)] = rtable.r(y, x)
+            by_pair_r[(x, x)] = ONE  # the row of x holds its diagonal
     assert len(vtable.entries) == len(by_pair_v) == len(pairs)
-    assert len(rtable.entries) == len(by_pair_r) == len(pairs) - len(enumerate_elements(sys))
+    # a lazy table makes no row for the identity, which is above no strict pair
+    assert len(rtable.entries) == len(by_pair_r) == len(pairs) - 1
     assert vtable.entries == by_pair_v and by_pair_v == vtable.entries
     assert rtable.entries == by_pair_r
     assert all(pair in vtable.entries for pair in by_pair_v)
@@ -386,6 +388,16 @@ def test_singular_spec_validation(system):
     spec = SingularSpec.parse("5")
     with pytest.raises(IndexOutOfRange):
         spec.validate(system("A2"))
+
+
+def test_suite_s_flags_a_wrong_top_space(system):
+    sys = system("A2")
+    table = compute_all(sys)  # its own table, as the test plants an entry
+    table.rows[longest_element(sys)][identity(sys)] = RationalSubspace(sys.rank)
+    result = _suite_s(sys, None, table, RunConfig("A2"), {})
+    # the subsets {}, {0}, {1} and {0,1}: only the last expects the zero quotient
+    assert (result.checked, result.failed) == (4, 3)
+    assert result.witnesses == [{"subset": "", "dim": 0, "expected": 2}]
 
 
 def test_singular_dims_on_b2(system, vtable):
@@ -495,6 +507,17 @@ def test_membership_report_pairs_only_the_elements_its_rows_can_hold(text, syste
     # pairing only those must give the all-pairs filter's rows, in its order
     sys, table = system(text), vtable(text)
     assert membership_report(sys, table) == all_pairs_membership_rows(sys, table)
+
+
+def test_suite_m_flags_a_row_whose_membership_flipped(system):
+    sys = system("A2")
+    table = compute_all(sys)  # its own table, as the test plants an entry
+    x, y = element_from_word(sys, (1, 0)), identity(sys)
+    assert table.rows[x][y].dim == 2  # v_1 is in it, as x >= y s_1 predicts
+    table.rows[x][y] = RationalSubspace(sys.rank)
+    result = _suite_m(sys, None, table, RunConfig("A2"), {})
+    assert (result.checked, result.failed) == (12, 1)
+    assert result.witnesses == [{"x": "1,0", "y": "e", "s": 1, "in_v": False, "x_ge_ys": True}]
 
 
 @pytest.mark.parametrize("text", ["A2", "B2", "G2"])
