@@ -37,7 +37,6 @@ per row, and take its per-pair half, ``descend_lower``, once per pair.
 Every per-pair memo, here and in the tables built on a system, is a dict of
 rows: ``rows[x][y]`` for the pair y <= x, one dict per upper element keyed by
 the lower one, so no lookup builds an (x, y) tuple and no entry stores one.
-``PairView`` shows such rows as one read-only mapping keyed by pairs.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ import hashlib
 import json
 import math
 import re
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -246,36 +245,6 @@ class GroupElement:
     def __repr__(self) -> str:
         rows = ";".join(",".join(str(v) for v in row) for row in self.matrix)
         return f"GroupElement(len={self.length}, [{rows}])"
-
-
-class PairView(Mapping):
-    """Rows ``rows[x][y]``, keyed by the upper element, seen as one mapping keyed by pairs.
-
-    The keys are (x, y), or (y, x) with ``lower_first``.  The view is
-    read-only and live: the rows are the table's own, and it makes each
-    pair only when a caller reads it.
-    """
-
-    __slots__ = ("_rows", "_lower_first")
-
-    def __init__(self, rows: dict, lower_first: bool = False):
-        self._rows = rows
-        self._lower_first = lower_first
-
-    def __getitem__(self, key):
-        try:
-            x, y = key[::-1] if self._lower_first else key
-            return self._rows[x][y]
-        except (TypeError, ValueError):  # not a pair of elements
-            raise KeyError(key) from None
-
-    def __iter__(self):
-        for x, row in self._rows.items():
-            for y in row:
-                yield (y, x) if self._lower_first else (x, y)
-
-    def __len__(self) -> int:
-        return sum(map(len, self._rows.values()))
 
 
 class CoxeterSystem:

@@ -30,7 +30,6 @@ from .coxeter import (
     DESCENT_POLICIES,
     CoxeterSystem,
     GroupElement,
-    PairView,
     bruhat_leq,
     check_below,
     check_policy,
@@ -138,14 +137,13 @@ class RTable:
     """Memo table of R-polynomials for one system, bound to a descent policy.
 
     ``rows[x][y]`` is R(y, x), in one row per upper element x keyed by the
-    lower element y; each row starts as {x: ONE}, so it holds its diagonal,
-    and ``entries`` is a read-only view of the rows keyed by the pairs
-    (y, x).  ``computed`` counts the strict pairs y < x produced by the
-    recursion (cache loads do not count), which is how tests observe that a
-    warm cache recomputes nothing.  Only comparable pairs are stored;
-    incomparable lookups return the zero polynomial without touching the
-    table.  ``fill`` alone makes the identity's row, which no strict pair
-    needs; the cache file holds the strict pairs only.
+    lower element y; each row starts as {x: ONE}, so it holds its diagonal.
+    ``computed`` counts the strict pairs y < x the recursion produced (cache
+    loads do not count), so tests see that a warm cache recomputes nothing.
+    Only comparable pairs are stored; incomparable lookups return the zero
+    polynomial without touching the table.  ``fill`` alone makes the
+    identity's row, which no strict pair needs; the cache file holds the
+    strict pairs only.
     """
 
     def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
@@ -153,7 +151,6 @@ class RTable:
         self.sys = sys
         self.policy = policy
         self.rows: dict[GroupElement, dict[GroupElement, IntPolynomial]] = {}
-        self.entries = PairView(self.rows, lower_first=True)
         self.computed = 0
         self.ascent = ascent_memo()  # shared by ``r`` and ``fill``
 
@@ -226,51 +223,40 @@ class RTable:
 
         Returns the number of rows loaded.  A row must name a pair y < x and
         carry an ``r_shaped`` polynomial of degree length(x) - length(y); a
-        row that does not is a ParseError, as is a system fingerprint
-        mismatch or a byte that is not UTF-8.  Every row's pair
-        is checked, but each distinct coefficient list is parsed and checked
-        once per gap, and the rows that carry it share one polynomial.  A
-        row that passes all of these can still be wrong: ``verify``'s suite
-        R checks each row against the recursion; ``rpoly`` and ``report`` print it as loaded.
+        row that does not, or a system fingerprint mismatch, is a ParseError
+        that names ``path:lineno``, as is a byte that is not UTF-8 (by file
+        offset).  Each distinct coefficient list is parsed and checked once
+        per gap, and the rows that carry it share one polynomial.  A row that
+        passes all of these can still be wrong: ``verify``'s suite R checks it
+        against the recursion; ``rpoly`` and ``report`` print it as loaded.
         """
         sys, rows = self.sys, self.rows
-        expected_fp = fingerprint(sys)
-        elements: dict[str, GroupElement] = {}  # word text -> element, for this load only
+        fp = fingerprint(sys)
+        words: dict[str, GroupElement] = {}  # word text -> element, for this load only
         polys: dict[tuple[str, int], IntPolynomial] = {}  # (coefficient text, gap) -> checked
         loaded = 0
         for lineno, line in enumerate(_text_lines(path), start=1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                if line.startswith("# system:") and line.split(":", 1)[1].strip() != expected_fp:
-                    raise ParseError(
-                        f"{path}:{lineno}: cache was built for {line.split(':', 1)[1].strip()}, "
-                        f"this system is {expected_fp}"
-                    )
-                continue
-            parts = line.split(";")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            yw, xw, cs = parts
-            y, x = elements.get(yw), elements.get(xw)
-            if y is None or x is None:  # a word this load has not met
-                for word in (yw, xw):
-                    if word not in elements:
-                        try:
-                            elements[word] = element_from_word(sys, parse_word(word))
-                        except ParseError as exc:
-                            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-                y, x = elements[yw], elements[xw]
-            if y is x or not bruhat_leq(sys, y, x):
-                raise ParseError(f"{path}:{lineno}: {yw} is not strictly below {xw}")
-            key = (cs, x.length - y.length)
-            poly = polys.get(key)
-            if poly is None:
-                try:
-                    poly = polys[key] = _parse_checked(*key)
-                except ParseError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            try:
+                if line.startswith("#"):
+                    found = line.split(":", 1)[-1].strip()
+                    if line.startswith("# system:") and found != fp:
+                        raise ParseError(f"cache was built for {found}, this system is {fp}")
+                    continue
+                parts = line.split(";")
+                if len(parts) != 3:
+                    raise ParseError(f"expected 3 fields, got {len(parts)}")
+                yw, xw, cs = parts
+                y = words.get(yw) or words.setdefault(yw, element_from_word(sys, parse_word(yw)))
+                x = words.get(xw) or words.setdefault(xw, element_from_word(sys, parse_word(xw)))
+                if y is x or not bruhat_leq(sys, y, x):
+                    raise ParseError(f"{yw} is not strictly below {xw}")
+                key = (cs, x.length - y.length)
+                poly = polys.get(key) or polys.setdefault(key, _parse_checked(*key))
+            except ParseError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
             row = rows.get(x) or rows.setdefault(x, {x: ONE})
             row.setdefault(y, poly)
             loaded += 1

@@ -342,8 +342,8 @@ def run_report(config: RunConfig) -> dict:
     """Compute both tables for one group and write cache, dimension, summary files.
 
     Returns the dict written to ``summary_*.json`` plus ``paths`` (the three
-    files written) and ``rtable_computed`` and ``vtable_computed`` (table
-    entries computed rather than loaded).
+    files written) and ``rtable_computed`` and ``vtable_computed`` (strict
+    pairs computed rather than loaded).
 
     The output dir is made before any table is filled, so an unusable one
     fails the run before the whole-group work.  It is also the run's cache

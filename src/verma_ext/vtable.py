@@ -47,17 +47,16 @@ from .coxeter import (
     DESCENT_POLICIES,
     CoxeterSystem,
     GroupElement,
-    PairView,
     bruhat_leq,
     check_below,
     check_policy,
     comparable_rows,
     descend,
     descend_lower,
+    element_from_word,
     enumerate_elements,
     identity,
     longest_element,
-    multiply,
     pick_descent,
     reduced_word,
     right_multiply,
@@ -100,11 +99,10 @@ class VTable:
 
     ``rows[x][y]`` is the subspace of each pair asked for, in one row per
     upper element x keyed by the lower element y; each row starts as
-    {x: 0}, so it holds its diagonal.  ``entries`` is a read-only view of
-    the rows keyed by the pairs (x, y), and ``computed`` counts the entries
-    built.  ``_spaces`` interns the distinct subspaces, so equal entries
-    are one object, and ``_spans`` memoises the echelon build on (known
-    subspace, steps taken).
+    {x: 0}, so it holds its diagonal.  ``computed`` counts the strict pairs
+    y < x built, as ``RTable.computed`` does.  ``_spaces`` interns the
+    distinct subspaces, so equal entries are one object, and ``_spans``
+    memoises the echelon build on (known subspace, steps taken).
     """
 
     def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
@@ -112,7 +110,6 @@ class VTable:
         self.sys = sys
         self.policy = policy
         self.rows: dict[GroupElement, dict[GroupElement, RationalSubspace]] = {}
-        self.entries = PairView(self.rows)
         self.computed = 0
         self._zero = RationalSubspace(sys.rank)
         self._spaces: dict[RationalSubspace, RationalSubspace] = {self._zero: self._zero}
@@ -160,7 +157,7 @@ def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> VTable
     table = VTable(sys, policy=policy)
     for x, lower in comparable_rows(sys):
         row = table.rows[x] = {x: table._zero}
-        table.computed += len(lower)
+        table.computed += len(lower) - 1
         if not x.length:
             continue
         s = pick_descent(sys, x, policy)
@@ -214,16 +211,17 @@ def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
     on which the order prediction is asserted to be exact.
 
     Such a row's x and y each have at most two letters in the support of
-    w0 g, so only those elements are paired.  Every such pair y <= x with an
-    ascent s of y has a row: w0 x <= w0 y puts supp(w0 x) inside
-    supp(w0 y), and s, a descent of w0 y, is one of its at most two letters,
-    so the pair lies in the coset w0 W' of W' = <supp(w0 y)>, which holds s.
+    w0 g, made from the words of w0 and g by right multiplications, so only
+    those elements are paired.  Every such pair y <= x with an ascent s of y
+    has a row: w0 x <= w0 y puts supp(w0 x) inside supp(w0 y), and s, a
+    descent of w0 y, is one of its at most two letters, so the pair lies in
+    the coset w0 W' of W' = <supp(w0 y)>, which holds s.
     """
     if sys.rank < 2:
         return []
-    w0 = longest_element(sys)
+    w0 = reduced_word(sys, longest_element(sys))
     few = [g for g in enumerate_elements(sys)
-           if len(set(reduced_word(sys, multiply(sys, w0, g)))) <= 2]
+           if len(set(reduced_word(sys, element_from_word(sys, w0 + reduced_word(sys, g))))) <= 2]
     rows = []
     for i, x in enumerate(few):
         for y in few[: i + 1]:

@@ -136,11 +136,13 @@ def test_c02_three_code_paths_agree(capsys, tables):
     for text in PRESETS:
         sys, rtable, vtable = tables(text)
         other = compute_all(sys, policy="largest")
-        assert set(other.entries) == set(vtable.entries)
-        for key, space in vtable.entries.items():
-            policy_subspaces += 1
-            if other.entries[key] != space:
-                policy_diff += 1
+        assert {x: row.keys() for x, row in other.rows.items()} == {
+            x: row.keys() for x, row in vtable.rows.items()}
+        for x, row in vtable.rows.items():
+            for y, space in row.items():
+                policy_subspaces += 1
+                if other.rows[x][y] != space:
+                    policy_diff += 1
         for x, y in comparable_pairs(sys):
             checked += 1
             gj = gj_coefficient(sys, x, y, rtable)
@@ -269,11 +271,13 @@ def test_c08_descent_policy_robustness(capsys, tables):
     for text in ("A3", "B2"):
         sys, _, vtable = tables(text)
         other = compute_all(sys, policy="largest")
-        assert set(other.entries) == set(vtable.entries)
-        for key, space in vtable.entries.items():
-            checked += 1
-            if other.entries[key] != space:
-                mismatches += 1
+        assert {x: row.keys() for x, row in other.rows.items()} == {
+            x: row.keys() for x, row in vtable.rows.items()}
+        for x, row in vtable.rows.items():
+            for y, space in row.items():
+                checked += 1
+                if other.rows[x][y] != space:
+                    mismatches += 1
     _verdict(
         capsys,
         8,

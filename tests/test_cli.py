@@ -51,7 +51,7 @@ A2_REPORT_JSON = """\
   "rtable_computed": 13,
   "system": "A2-e036c5aaa6cc",
   "type": "A2",
-  "vtable_computed": 19
+  "vtable_computed": 13
 }
 """
 

@@ -106,10 +106,11 @@ def test_mutated_cache_loads_checked_rows_or_raises_a_package_error(a2_cache, da
         table.load_csv(path)
     except VermaExtError:
         return
-    for (y, x), poly in table.entries.items():
-        if y is x:  # each row holds its diagonal, which the file never carries
-            assert poly == ONE
-            continue
-        gap = x.length - y.length
-        assert y is not x and bruhat_leq(sys, y, x)
-        assert poly.degree == gap and poly.coeff(gap) == 1 and poly.coeff(0) == (-1) ** gap
+    for x, row in table.rows.items():
+        for y, poly in row.items():
+            if y is x:  # each row holds its diagonal, which the file never carries
+                assert poly == ONE
+                continue
+            gap = x.length - y.length
+            assert y is not x and bruhat_leq(sys, y, x)
+            assert poly.degree == gap and poly.coeff(gap) == 1 and poly.coeff(0) == (-1) ** gap

@@ -221,7 +221,10 @@ def test_ascent_step_matches_polynomial_arithmetic(text, system):
     for x, y in comparable_pairs(sys):
         assert table.r(y, x) == polynomial_r(sys, y, x, memo)
     # each row also holds its diagonal; no strict pair has the identity above it
-    assert table.entries == {**memo, **{(x, x): ONE for x in table.rows}}
+    expected = {}
+    for (y, x), poly in memo.items():
+        expected.setdefault(x, {x: ONE})[y] = poly
+    assert table.rows == expected
 
 
 @pytest.mark.parametrize("text", PRESETS + ("B4",))
@@ -234,7 +237,7 @@ def test_row_fill_matches_a_fresh_recursion(text, policy):
     table = RTable(sys, policy=policy)
     table.fill()
     elems, pairs = enumerate_elements(sys), len(list(comparable_pairs(sys)))
-    assert table.computed == pairs - len(elems) and len(table.entries) == pairs
+    assert table.computed == pairs - len(elems) and sum(map(len, table.rows.values())) == pairs
     for x, row in table.rows.items():
         fresh = RTable(sys, policy=policy)
         for y, poly in row.items():
@@ -247,7 +250,7 @@ def test_fill_after_a_cache_load_computes_only_what_is_missing(tmp_path, system)
     a3 = system("A3")
     full = RTable(a3)
     full.fill()
-    strict = [(y, x) for y, x in full.entries if y is not x]  # what a cache file holds
+    strict = [(y, x) for x, row in full.rows.items() for y in row if y is not x]  # the file's pairs
     for name, keep in (("full", strict), ("part", strict[::3])):
         path = tmp_path / f"{name}.csv"
         partial = RTable(a3)
@@ -256,11 +259,11 @@ def test_fill_after_a_cache_load_computes_only_what_is_missing(tmp_path, system)
         partial.save_csv(path)
         warm = RTable(a3)
         loaded = warm.load_csv(path)
-        kept = dict(warm.entries)
+        kept = {x: dict(row) for x, row in warm.rows.items()}
         warm.fill()
         assert warm.computed == len(strict) - loaded
-        assert warm.entries == full.entries
-        assert all(warm.entries[pair] is poly for pair, poly in kept.items())
+        assert warm.rows == full.rows
+        assert all(warm.rows[x][y] is poly for x, row in kept.items() for y, poly in row.items())
     assert loaded < len(strict)
 
 
@@ -431,9 +434,10 @@ def test_cache_round_trip(tmp_path, system):
 
     fresh = RTable(a2)
     loaded = fresh.load_csv(path)
-    assert loaded == len(table.entries) - len(table.rows) > 0  # no row's diagonal is in the file
+    # no row's diagonal is in the file
+    assert loaded == sum(len(row) - 1 for row in table.rows.values()) > 0
     assert fresh.computed == 0
-    assert fresh.entries == table.entries
+    assert fresh.rows == table.rows
     # a warm table answers without recomputing anything
     _fill(fresh, a2)
     assert fresh.computed == 0
@@ -529,8 +533,8 @@ def test_cache_load_builds_each_word_once(tmp_path, system, monkeypatch):
     monkeypatch.setattr(rpoly_module, "element_from_word", counted)
     fresh = RTable(a3)
     loaded = fresh.load_csv(path)
-    assert loaded == len(table.entries) - len(table.rows) > len(enumerate_elements(a3))
-    assert fresh.entries == table.entries
+    assert loaded == sum(len(row) - 1 for row in table.rows.values()) > len(enumerate_elements(a3))
+    assert fresh.rows == table.rows
     assert set(calls.values()) == {1}
 
 
@@ -546,6 +550,37 @@ def test_cache_coefficient_list_is_checked_at_each_gap(tmp_path, system):
     assert str(info.value) == f"{path}:{lineno}: row violates degree or term invariants for gap 3"
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("# system: A2-e036c5aaa6cc", "# system: B2-000000000000",
+         "cache was built for B2-000000000000, this system is A2-e036c5aaa6cc"),
+        (None, "e;0", "expected 3 fields, got 2"),
+        (None, "0,x;0,1,0;-1,1", "bad word letter 'x' in '0,x'"),
+        (None, "e;2;-1,1", "word letter 2 outside 0..1"),
+        (None, "1;0;-1,1", "1 is not strictly below 0"),
+        (None, "0;0;-1,1", "0 is not strictly below 0"),
+        (None, "e;0;-1,one", "bad coefficient list"),
+        (None, "e;0;-1,2", "row violates degree or term invariants for gap 1"),
+        (None, "e;1,0;1,-3,1", "row has R(1) != 0 or a negative signed q-coefficient"),
+        (None, "e;0,1,0;-1,-1,1,1", "row has R(1) != 0 or a negative signed q-coefficient"),
+    ],
+    ids=["system", "fields", "letter", "range", "not-below", "diagonal", "coefficients",
+         "degree", "r-at-1", "gj"],
+)
+def test_each_bad_cache_row_names_its_line(tmp_path, system, old, new, message):
+    lines = A2_CACHE.splitlines()
+    if old is None:
+        lines.append(new)
+    else:
+        lines[lines.index(old)] = new
+    path = tmp_path / "rpoly.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        RTable(system("A2")).load_csv(path)
+    assert str(info.value) == f"{path}:{lines.index(new) + 1}: {message}"
+
+
 def test_warm_load_keeps_one_polynomial_per_coefficient_list(tmp_path):
     d4 = build_system("D4")
     table = RTable(d4)
@@ -553,7 +588,7 @@ def test_warm_load_keeps_one_polynomial_per_coefficient_list(tmp_path):
     path = tmp_path / "rpoly.csv"
     table.save_csv(path)
     warm = RTable(d4)
-    assert warm.load_csv(path) == len(table.entries) - len(table.rows)
+    assert warm.load_csv(path) == sum(len(row) - 1 for row in table.rows.values())
     polys = [p for row in warm.rows.values() for p in row.values()]
     assert len({id(p) for p in polys}) == len({p.coeffs for p in polys}) < len(polys) // 100
 

@@ -283,44 +283,31 @@ def test_policy_invariance(text, system, vtable):
     sys = system(text)
     small = vtable(text)
     large = compute_all(sys, policy="largest")
-    assert set(small.entries) == set(large.entries)
-    for key, space in small.entries.items():
-        assert large.entries[key] == space
+    assert small.rows == large.rows
 
 
-def test_entries_are_pair_keyed_views_of_the_rows(system):
-    # The tables store rows keyed by the upper element; ``entries`` must
-    # still read like the pair-keyed dicts it replaced: (x, y) for V and
-    # (y, x) for R.
+def test_rows_are_keyed_by_the_upper_element(system):
+    # Both tables store rows[x][y] for the pair y <= x: V(x, y) and R(y, x).
     sys = system("A3")
     vtable, rtable = compute_all(sys), RTable(sys)
     pairs = list(comparable_pairs(sys))
-    by_pair_v = {}
-    by_pair_r = {}
+    rows_v, rows_r = {}, {}
     for x, y in pairs:
-        by_pair_v[(x, y)] = vtable.v(x, y)
+        rows_v.setdefault(x, {})[y] = vtable.v(x, y)
         if x is not y:
-            by_pair_r[(y, x)] = rtable.r(y, x)
-            by_pair_r[(x, x)] = ONE  # the row of x holds its diagonal
-    assert len(vtable.entries) == len(by_pair_v) == len(pairs)
+            rows_r.setdefault(x, {x: ONE})[y] = rtable.r(y, x)  # the row of x holds its diagonal
+    assert sum(map(len, vtable.rows.values())) == len(pairs)
     # a lazy table makes no row for the identity, which is above no strict pair
-    assert len(rtable.entries) == len(by_pair_r) == len(pairs) - 1
-    assert vtable.entries == by_pair_v and by_pair_v == vtable.entries
-    assert rtable.entries == by_pair_r
-    assert all(pair in vtable.entries for pair in by_pair_v)
-    assert all(pair in rtable.entries for pair in by_pair_r)
-    x, y = pairs[-1][0], pairs[0][0]  # the longest element over the identity
-    assert (y, x) not in vtable.entries and (x, y) not in rtable.entries
-    assert (x,) not in vtable.entries and None not in rtable.entries
-    assert set(vtable.entries.values()) == set(by_pair_v.values())
-    assert len(set(rtable.entries.values())) == len(set(by_pair_r.values()))
+    assert sum(map(len, rtable.rows.values())) == len(pairs) - 1
+    assert vtable.rows == rows_v and rtable.rows == rows_r
 
 
 def test_compute_all_counts(system, vtable):
-    assert len(vtable("A2").entries) == 19
-    assert len(vtable("B2").entries) == 33
-    assert len(vtable("G2").entries) == 73
-    assert vtable("A2").computed == 19
+    assert sum(map(len, vtable("A2").rows.values())) == 19
+    assert sum(map(len, vtable("B2").rows.values())) == 33
+    assert sum(map(len, vtable("G2").rows.values())) == 73
+    # strict pairs only, as RTable.computed counts them
+    assert vtable("A2").computed == 13
 
 
 @pytest.mark.parametrize(
@@ -332,8 +319,9 @@ def test_fill_matches_a_fresh_chain_walk(text, policy, system, vtable):
     # diagonal and builds its span once; the fill stops at stored pairs.
     sys = system(text)
     table = vtable(text) if policy == "smallest" else compute_all(sys, policy=policy)
-    for (x, y), space in table.entries.items():
-        assert VTable(sys, policy).v(x, y) == space
+    for x, row in table.rows.items():
+        for y, space in row.items():
+            assert VTable(sys, policy).v(x, y) == space
 
 
 def test_fill_takes_one_descent_step_per_pair(monkeypatch):
@@ -352,7 +340,7 @@ def test_fill_takes_one_descent_step_per_pair(monkeypatch):
     assert len(off_diagonal) == 799
     assert steps == off_diagonal
     # equal subspaces are one object
-    spaces = table.entries.values()
+    spaces = [space for row in table.rows.values() for space in row.values()]
     assert len({id(v) for v in spaces}) == len(set(spaces))
 
 
@@ -507,6 +495,17 @@ def test_membership_report_pairs_only_the_elements_its_rows_can_hold(text, syste
     # pairing only those must give the all-pairs filter's rows, in its order
     sys, table = system(text), vtable(text)
     assert membership_report(sys, table) == all_pairs_membership_rows(sys, table)
+
+
+@pytest.mark.parametrize("text", PRESETS + ("B4",))
+def test_membership_selection_matches_the_multiply_route(text, system):
+    # the report reads w0 g off the words of w0 and g by right multiplications;
+    # multiply, suite G's group-law route, must give the same element for every g
+    sys = system(text)
+    w0 = longest_element(sys)
+    word = reduced_word(sys, w0)
+    for g in enumerate_elements(sys):
+        assert element_from_word(sys, word + reduced_word(sys, g)) is multiply(sys, w0, g)
 
 
 def test_suite_m_flags_a_row_whose_membership_flipped(system):
