@@ -232,7 +232,7 @@ _COMMANDS = {
               lambda config, x, y: cmd_rpoly(config, x, y), _render_rpoly),
     "vspace": ("the subspace V(x, y)", ("x_word", "y_word"), ("--descent-policy", "--singular"),
                lambda config, x, y: cmd_vspace(config, x, y), _render_vspace),
-    "verify": ("run all verification suites", (), ("--descent-policy", "--cache-dir", "--singular"),
+    "verify": ("run all verification suites", (), ("--descent-policy", "--cache-dir"),
                lambda config: cmd_verify(config), _render_verify),
     "report": ("write cache, dimension and summary files", (), ("--descent-policy", "--cache-dir"),
                lambda config: cmd_report(config), _render_report),

@@ -31,8 +31,8 @@ single-pair queries on a large group stay lazy.
 word, on bare matrices, to cross-check the other two; it refuses a word with
 more than an explicit budget of subwords.  ``descend`` is the one step, with
 its lifting check, that the R-polynomial, subspace and direct recursions all
-take; whole-group fills walk the index rows, pick the step's descent once
-per row, and take its per-pair half, ``descend_lower``, once per pair.
+take; ``fill_rows``, their tables' one whole-group fill walk, picks its
+descent once per index row and takes its half ``descend_lower`` once per pair.
 
 Every per-pair memo, here and in the tables built on a system, is a dict of
 rows: ``rows[x][y]`` for the pair y <= x, one dict per upper element keyed by
@@ -46,7 +46,7 @@ import hashlib
 import json
 import math
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -689,6 +689,32 @@ def _bits(mask: int) -> list[int]:
         found.append(k)
         k = digits.find("1", k + 1)
     return found
+
+
+def fill_rows(sys: CoxeterSystem, policy: str, rows: dict, diagonal, step: Callable) -> int:
+    """Store ``rows[x][y]`` for every pair y < x the rows lack; return how many it stored.
+
+    The rows are walked in ``comparable_rows`` order, so the row of xs is
+    whole before the row of x; a new row starts as {x: diagonal}.  A row
+    that lacks a pair picks its descent s under the checked ``policy`` and
+    reads the row of xs, below, once; each pair it lacks takes
+    ``descend_lower``'s step and stores ``step(s, xs, below, y, ys, down)``.
+    """
+    stored = 0
+    for x, lower in comparable_rows(sys):
+        row = rows.get(x)
+        todo = [y for y in lower[:-1] if y not in row] if row else lower[:-1]  # x ends its row
+        if row is None:
+            row = rows[x] = {x: diagonal}
+        if todo:
+            s = pick_descent(sys, x, policy)
+            xs = right_multiply(sys, x, s)
+            below = rows[xs]
+            for y in todo:
+                ys, down = descend_lower(sys, x, s, xs, y)
+                row[y] = step(s, xs, below, y, ys, down)
+            stored += len(todo)
+    return stored
 
 
 def longest_element(sys: CoxeterSystem) -> GroupElement:

@@ -10,7 +10,7 @@ with R(x, x) = 1 and R(y, x) = 0 unless y <= x.  For comparable pairs the
 polynomial has degree length(x) - length(y), leading coefficient 1, constant
 term (-1)**(length(x) - length(y)), and vanishes at q = 1 when y < x.
 ``RTable.r`` recurses from one pair; ``RTable.fill`` takes the same step
-over the rows of the Bruhat index, one step per pair; both share one ascent memo.
+by ``coxeter.fill_rows``, once per pair; both share one ascent memo.
 
 ``IntPolynomial.gj`` is the q^1 coefficient with the sign that makes it a
 dimension count; ``r_coeff_direct`` (one pair) and ``direct_rows`` (every
@@ -33,14 +33,11 @@ from .coxeter import (
     bruhat_leq,
     check_below,
     check_policy,
-    comparable_rows,
     descend,
-    descend_lower,
     element_from_word,
     fingerprint,
+    fill_rows,
     parse_word,
-    pick_descent,
-    right_multiply,
     word_text,
 )
 from .errors import InvariantViolation, IoError, ParseError
@@ -170,25 +167,15 @@ class RTable:
         return value
 
     def fill(self) -> None:
-        """Store R(y, x) for every pair y < x not loaded, walking the index rows in length order.
+        """Store R(y, x) for every pair y < x not loaded, by ``fill_rows``.
 
-        A row picks its descent s and reads the row of xs once; each pair
-        takes ``descend_lower``'s step, and the table's ascent memo shares
-        the results (F4: 435 objects in all).
+        Each pair takes one step from the row of xs, and the table's ascent
+        memo shares the results (F4: 435 objects in all).
         """
-        sys, rows, ascent = self.sys, self.rows, self.ascent
-        for x, lower in comparable_rows(sys):
-            row = rows.setdefault(x, {x: ONE})
-            todo = [y for y in lower if y not in row]
-            if not todo:  # the identity, or every pair below x loaded
-                continue
-            self.computed += len(todo)
-            s = pick_descent(sys, x, self.policy)
-            xs = right_multiply(sys, x, s)
-            below = rows[xs]
-            for y in todo:
-                ys, down = descend_lower(sys, x, s, xs, y)
-                row[y] = below[ys] if down else ascent(below[y], below.get(ys, ZERO))
+        ascent = self.ascent
+        self.computed += fill_rows(
+            self.sys, self.policy, self.rows, ONE, lambda s, xs, below, y, ys, down:
+            below[ys] if down else ascent(below[y], below.get(ys, ZERO)))
 
     # -- persistence -------------------------------------------------------
 
@@ -293,10 +280,10 @@ def _text_lines(path: Path | str) -> Iterator[str]:
 
 def _parse_checked(text: str, gap: int) -> IntPolynomial:
     """The polynomial of a cache row's coefficient list, checked against the pair's gap."""
-    try:
-        poly = IntPolynomial([int(c) for c in text.split(",")])
-    except ValueError as exc:
-        raise ParseError("bad coefficient list") from exc
+    pieces = [c.strip() for c in text.split(",")]  # int() would also take "+1" and "١"
+    if not all(c.removeprefix("-").isascii() and c.removeprefix("-").isdigit() for c in pieces):
+        raise ParseError("bad coefficient list")
+    poly = IntPolynomial(map(int, pieces))
     if poly.degree != gap or poly.coeff(gap) != 1 or poly.coeff(0) != (-1) ** gap:
         raise ParseError(f"row violates degree or term invariants for gap {gap}")
     if not poly.r_shaped:
@@ -365,24 +352,13 @@ def r_coeff_direct(
     return total
 
 
-def direct_rows(
-    sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]
-) -> dict[GroupElement, dict[GroupElement, int]]:
-    """``r_coeff_direct``'s count for every pair y <= x, as rows[x][y], walking the index rows.
+def direct_rows(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> dict[GroupElement, dict]:
+    """``r_coeff_direct``'s count for every pair y <= x, as rows[x][y], filled by ``fill_rows``.
 
-    A row picks its descent s and reads the row of xs once; each pair takes
-    ``descend_lower``'s step to the counted pair below.
+    Each pair takes one step to the counted pair below.
     """
     check_policy(policy)
     rows: dict[GroupElement, dict[GroupElement, int]] = {}
-    for x, lower in comparable_rows(sys):
-        row = rows[x] = {x: 0}
-        if not x.length:
-            continue
-        s = pick_descent(sys, x, policy)
-        xs = right_multiply(sys, x, s)
-        below = rows[xs]
-        for y in lower[:-1]:  # x ends its row
-            ys, down = descend_lower(sys, x, s, xs, y)
-            row[y] = below[ys] if down else below[y] + (not bruhat_leq(sys, ys, xs))
+    fill_rows(sys, policy, rows, 0, lambda s, xs, below, y, ys, down:
+              below[ys] if down else below[y] + (not bruhat_leq(sys, ys, xs)))
     return rows

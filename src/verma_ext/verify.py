@@ -7,7 +7,7 @@ by walking the rows of its Bruhat index, and runs six suites:
     G  reflection representation sanity: involutions, braid orders, pairings
     B  Bruhat order: lifting recursion, bitmask index and subword oracle agree
     R  R-polynomial shape, route agreement and one recursion step per pair
-    S  quotient dimensions for the configured singular subsets
+    S  quotient dimensions for every singular subset
     M  membership of v_s in V(x, y) against the order prediction, on the
        rows where the prediction is asserted to be exact
 
@@ -29,6 +29,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import combinations
 from pathlib import Path
 
 from .coxeter import (
@@ -64,7 +65,7 @@ PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2
 
 @dataclass
 class RunConfig:
-    """All knobs for one verification or report run."""
+    """All knobs for one run of a command; ``singular`` is read only by ``vspace``."""
 
     type_text: str
     budget: int = DEFAULT_BUDGET
@@ -215,27 +216,16 @@ def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: dict) -> Su
 
 
 def _suite_s(sys, rtable, vtable: VTable, config: RunConfig, direct) -> SuiteResult:
-    """Quotient dimension of V(longest, identity) for each singular subset."""
+    """Quotient dimension of V(longest, identity) for every singular subset."""
     out = SuiteResult("S")
-    if config.singular:
-        subsets = list(config.singular)
-    else:
-        indices = range(sys.rank)
-        subsets = [
-            SingularSpec(frozenset(i for i in indices if mask >> i & 1))
-            for mask in range(1 << sys.rank)
-        ]
-        subsets.sort(key=lambda s: (len(s.indices), sorted(s.indices)))
-    w0 = longest_element(sys)
-    e = identity(sys)
-    for spec in subsets:
-        space = singular_v(sys, vtable, spec, w0, e)
-        expected = sys.rank - len(spec.indices)
-        out.checked += 1
-        if space.dim != expected:
-            out.note_failure(
-                {"subset": str(spec), "dim": space.dim, "expected": expected}
-            )
+    w0, e = longest_element(sys), identity(sys)
+    for k in range(sys.rank + 1):  # by size, then lexicographically
+        for subset in combinations(range(sys.rank), k):
+            spec = SingularSpec(frozenset(subset))
+            space = singular_v(sys, vtable, spec, w0, e)
+            out.checked += 1
+            if space.dim != sys.rank - k:
+                out.note_failure({"subset": str(spec), "dim": space.dim, "expected": sys.rank - k})
     return out
 
 
@@ -303,18 +293,6 @@ def fill_tables(config: RunConfig, sys: CoxeterSystem) -> tuple[RTable, VTable]:
     return rtable, vtable
 
 
-def build_tables(config: RunConfig) -> tuple[CoxeterSystem, RTable, VTable]:
-    """System plus its filled R-polynomial and subspace tables.
-
-    The singular subsets are checked against the system first, so a bad
-    index fails the run before the whole-group work.
-    """
-    sys = build_system(config.type_text, budget=config.budget)
-    for spec in config.singular:
-        spec.validate(sys)
-    return (sys, *fill_tables(config, sys))
-
-
 def run_verify(config: RunConfig) -> dict:
     """Run every suite on one group and persist the R-polynomial cache.
 
@@ -322,7 +300,8 @@ def run_verify(config: RunConfig) -> dict:
     each suite's counts and first witness, and the elapsed milliseconds.
     """
     started = time.perf_counter()
-    sys, rtable, vtable = build_tables(config)
+    sys = build_system(config.type_text, budget=config.budget)
+    rtable, vtable = fill_tables(config, sys)
     direct = direct_rows(sys, config.policy)
     suites = [suite(sys, rtable, vtable, config, direct) for suite in _SUITES]
     save_rtable(config, sys, rtable)

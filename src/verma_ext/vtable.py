@@ -9,7 +9,7 @@ x' = xs:
 
 where v_s is the simple-root vector of s.  The lifting property of the
 Bruhat order guarantees ys <= x' in the first branch and y <= x' in the
-second; ``coxeter.descend_lower`` checks both, raising LiftingViolation
+second; ``coxeter.descend`` checks both, raising LiftingViolation
 because a failure means the recursion itself is broken.
 
 Each step applies s to all that the later steps add, so along the chain of
@@ -21,15 +21,15 @@ As x = x_k s_k ... s_1 with lengths adding, u = s_1 ... s_{k-1} has u s_k > u,
 so u(v_{s_k}), column s_k of u's matrix, is an integer positive root
 (Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 4).  A lone query
 walks its whole chain and builds one echelon basis from those roots.
-``compute_all`` instead walks the rows of the Bruhat index in length order:
-the row of x picks s and reads the row of xs once, and each pair takes one
-step to the stored pair below and builds from its basis and v_s.  Both
-builds are memoised on (known subspace, steps (s, down) taken), so only a
-new key costs one (366 for D4's 9,817 pairs), and both reach the canonical
-basis of the stepwise recursion.
+``compute_all`` instead fills every pair by ``coxeter.fill_rows``, the one
+whole-group fill walk: each pair takes one step to the stored pair below
+and builds from its basis and v_s.  Both builds are memoised on (known
+subspace, steps (s, down) taken), so only a new key costs one (366 for
+D4's 9,817 pairs), and both reach the canonical basis of the stepwise
+recursion.
 
 The recursion is policy-bound: which descent s gets stripped is a free
-choice (``coxeter.pick_descent``), and the computed subspace must not depend
+choice (the table's descent policy), and the computed subspace must not depend
 on it.  Tables built under the non-default policy exist to check exactly
 that independence.
 
@@ -50,14 +50,12 @@ from .coxeter import (
     bruhat_leq,
     check_below,
     check_policy,
-    comparable_rows,
     descend,
-    descend_lower,
     element_from_word,
     enumerate_elements,
+    fill_rows,
     identity,
     longest_element,
-    pick_descent,
     reduced_word,
     right_multiply,
     simple_reflection,
@@ -150,23 +148,23 @@ class VTable:
 
 
 def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> VTable:
-    """Fill a table with V(x, y) for every comparable pair y <= x, walking the index rows.
+    """Fill a table with V(x, y) for every comparable pair y <= x, by ``fill_rows``.
 
-    A row picks s and reads the row of xs once; a pair takes one step to the pair below.
+    A pair's step reads the span memo itself, with each descent's moves made once.
     """
     table = VTable(sys, policy=policy)
-    for x, lower in comparable_rows(sys):
-        row = table.rows[x] = {x: table._zero}
-        table.computed += len(lower) - 1
-        if not x.length:
-            continue
-        s = pick_descent(sys, x, policy)
-        xs = right_multiply(sys, x, s)
-        below, g = table.rows[xs], simple_reflection(sys, s)
-        steps, roots = (((s, False),), ((s, True),)), ([[int(j == s) for j in range(sys.rank)]], [])
-        for y in lower[:-1]:  # x ends its row
-            ys, down = descend_lower(sys, x, s, xs, y)
-            row[y] = table._span(below[ys if down else y], steps[down], g, roots[down])
+    spans, span = table._spans, table._span
+    # moves[s][down]: (s as an element, the steps key, the roots the step adds)
+    moves = [((simple_reflection(sys, s), ((s, False),), [[int(j == s) for j in range(sys.rank)]]),
+              (simple_reflection(sys, s), ((s, True),), [])) for s in range(sys.rank)]
+
+    def step(s, xs, below, y, ys, down):
+        known = below[ys] if down else below[y]
+        g, steps, roots = moves[s][down]
+        value = spans.get((known, steps))
+        return span(known, steps, g, roots) if value is None else value
+
+    table.computed = fill_rows(sys, policy, table.rows, table._zero, step)
     return table
 
 

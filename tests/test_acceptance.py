@@ -24,6 +24,7 @@ from conftest import comparable_pairs
 from verma_ext.coxeter import (
     braid_order,
     bruhat_leq,
+    build_system,
     enumerate_elements,
     identity,
     longest_element,
@@ -33,7 +34,7 @@ from verma_ext.rpoly import direct_rows, gj_coefficient, r_coeff_direct
 from verma_ext.verify import (
     PRESETS,
     RunConfig,
-    build_tables,
+    fill_tables,
     run_report,
     run_verify,
     _suite_b,
@@ -60,7 +61,9 @@ def tables():
 
     def get(text: str):
         if text not in _TABLES:
-            _TABLES[text] = build_tables(RunConfig(type_text=text))
+            config = RunConfig(type_text=text)
+            sys = build_system(config.type_text, budget=config.budget)
+            _TABLES[text] = (sys, *fill_tables(config, sys))
         return _TABLES[text]
 
     return get

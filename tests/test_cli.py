@@ -355,19 +355,21 @@ def test_verify_b4_counts_are_frozen(capsys):
 
 
 def test_verify_singular_out_of_range_fails_before_filling(capsys, monkeypatch):
+    # verify takes no --singular: the parser refuses it before any table is filled
     def fill(*args, **kwargs):
-        raise AssertionError("a table was filled before --singular was checked")
+        raise AssertionError("a table was filled for a refused command line")
 
     monkeypatch.setattr(verify, "compute_all", fill)
-    code, _, err = run(capsys, "verify", "--type", "A2", "--singular", "9")
+    code, out, err = run(capsys, "verify", "--type", "A2", "--singular", "9")
     assert code == 1
-    assert "singular index 9 outside 0..1" in err
+    assert out == ""
+    assert "unrecognized arguments: --singular 9" in err
 
 
-def test_verify_singular_flag_restricts_suite(capsys):
-    code, out, _ = run(capsys, "verify", "--type", "B2", "--singular", "0")
+def test_verify_suite_s_checks_every_subset(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "B2")
     assert code == 0
-    assert "S: checked=1 failed=0" in out.splitlines()
+    assert "S: checked=4 failed=0" in out.splitlines()
 
 
 # ---------------------------------------------------------------------------

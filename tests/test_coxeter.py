@@ -335,6 +335,38 @@ def test_whole_group_fills_read_the_index_not_the_recursion():
     assert len(d4._bruhat) == 0
 
 
+def test_fill_rows_steps_once_per_missing_strict_pair():
+    # Every third row is seeded with its diagonal and the first half of its
+    # pairs; the walk keeps those objects and steps once for each pair the
+    # rows lack, in index-row order, never for a diagonal.
+    sys = build_system("B3")
+    index = list(comparable_rows(sys))
+    rows, seeded, expected = {}, {}, []
+    for k, (x, lower) in enumerate(index):
+        if k % 3 == 0:
+            rows[x] = {y: object() for y in (x, *lower[: len(lower) // 2])}
+            seeded[x] = dict(rows[x])
+        expected += [(x, y) for y in lower[:-1] if y not in seeded.get(x, ())]
+    diagonal, stepped = object(), []
+
+    def step(s, xs, below, y, ys, down):
+        x = right_multiply(sys, xs, s)
+        assert s == pick_descent(sys, x, "smallest") and below is rows[xs]
+        assert ys is right_multiply(sys, y, s) and down == (ys.length < y.length)
+        stepped.append((x, y, object()))
+        return stepped[-1][2]
+
+    assert coxeter.fill_rows(sys, "smallest", rows, diagonal, step) == len(expected)
+    assert [(x, y) for x, y, _ in stepped] == expected
+    assert 0 < len(expected) < 799
+    for x, y, value in stepped:
+        assert rows[x][y] is value
+    for x, lower in index:
+        assert set(rows[x]) == set(lower)
+        assert rows[x][x] is seeded[x][x] if x in seeded else rows[x][x] is diagonal
+        assert all(rows[x][y] is value for y, value in seeded.get(x, {}).items())
+
+
 def test_subword_oracle_refuses_words_past_its_budget():
     # 2**12 subwords fit ORACLE_BUDGET = 4096 and 2**13 do not; D5's
     # longest element, of length 20, is far past the cap
@@ -449,7 +481,8 @@ def test_each_matrix_is_one_element_after_a_verify_pass(text):
     # Equality of elements is identity, which is group equality only while
     # no two ids of one system share a matrix.
     config = verify.RunConfig(text)
-    sys, rtable, vtable = verify.build_tables(config)
+    sys = build_system(config.type_text, budget=config.budget)
+    rtable, vtable = verify.fill_tables(config, sys)
     direct = rpoly.direct_rows(sys, config.policy)
     counts = {}
     for suite in verify._SUITES:

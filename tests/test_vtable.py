@@ -20,6 +20,7 @@ from collections import Counter
 import pytest
 
 from conftest import comparable_pairs
+from verma_ext import coxeter
 from verma_ext import vtable as vtable_module
 from verma_ext.coxeter import (
     bruhat_leq,
@@ -44,7 +45,7 @@ from verma_ext.errors import (
     ParseError,
 )
 from verma_ext.reflection import RationalSubspace, apply_element, basis_vector
-from verma_ext.rpoly import ONE, RTable, gj_coefficient, r_coeff_direct
+from verma_ext.rpoly import ONE, RTable, direct_rows, gj_coefficient, r_coeff_direct
 from verma_ext.verify import PRESETS, RunConfig, _suite_m, _suite_s
 from verma_ext.vtable import (
     SingularSpec,
@@ -324,9 +325,10 @@ def test_fill_matches_a_fresh_chain_walk(text, policy, system, vtable):
             assert VTable(sys, policy).v(x, y) == space
 
 
-def test_fill_takes_one_descent_step_per_pair(monkeypatch):
+@pytest.mark.parametrize("fill", ["V", "R", "direct"])
+def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch):
     # In length order every off-diagonal pair is one step above a stored
-    # pair, so the fill takes exactly one step from each.
+    # pair, so each fill takes exactly one step from each.
     sys = build_system("B3")
     steps = []
 
@@ -334,14 +336,22 @@ def test_fill_takes_one_descent_step_per_pair(monkeypatch):
         steps.append((x, y))
         return descend_lower(sys, x, s, xs, y)
 
-    monkeypatch.setattr(vtable_module, "descend_lower", counted)
-    table = compute_all(sys)
+    monkeypatch.setattr(coxeter, "descend_lower", counted)
+    if fill == "V":
+        rows = compute_all(sys).rows
+    elif fill == "R":
+        table = RTable(sys)
+        table.fill()
+        rows = table.rows
+    else:
+        rows = direct_rows(sys)
     off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
     assert len(off_diagonal) == 799
     assert steps == off_diagonal
-    # equal subspaces are one object
-    spaces = [space for row in table.rows.values() for space in row.values()]
-    assert len({id(v) for v in spaces}) == len(set(spaces))
+    assert sum(map(len, rows.values())) == 799 + len(rows)
+    if fill == "V":  # equal subspaces are one object
+        spaces = [space for row in rows.values() for space in row.values()]
+        assert len({id(v) for v in spaces}) == len(set(spaces))
 
 
 @pytest.mark.parametrize("fill", ["V", "R"])
