@@ -255,9 +255,10 @@ class CoxeterSystem:
     keyed by the upper element, each keyed by the lower) and the element
     and lower-set lists hold the system's own GroupElements, keyed by
     identity, and so are the oracle's subword products.  All grow
-    monotonically but these two, which ``drop_order_memos`` empties; all
-    derived tables hold a reference to their system, so sharing one system
-    between tables shares the caches.  Pass a system only elements it built.
+    monotonically but the subword products, which ``drop_order_memos``
+    empties; all derived tables hold a reference to their system, so
+    sharing one system between tables shares the caches.  Pass a system
+    only elements it built.
     """
 
     def __init__(self, descriptor: TypeDescriptor, budget: int = DEFAULT_BUDGET):
@@ -608,8 +609,7 @@ def subword_products(sys: CoxeterSystem, y: GroupElement) -> frozenset[IntMatrix
 
 
 def drop_order_memos(sys: CoxeterSystem) -> None:
-    """Free the lifting memo and the subword products; the next call refills them."""
-    sys._bruhat.clear()
+    """Free the subword products; the next call refills them."""
     sys._downsets.clear()
 
 
@@ -661,8 +661,7 @@ def comparable_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, tuple[Gr
                            f"over the whole-group limit {WHOLE_GROUP_LIMIT}")
     if sys._lower is None:
         elements = enumerate_elements(sys)
-        by_id = sys._by_id
-        step = [[by_id[h].position for h in sys._rmul[g.id]] for g in elements]
+        steps = _right_steps(sys)
         below: list[int] = []
         for k, w in enumerate(elements):
             d = w.descents
@@ -670,14 +669,28 @@ def comparable_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, tuple[Gr
                 below.append(1 << k)
                 continue
             s = (d & -d).bit_length() - 1
-            lower = below[step[k][s]]  # ws is shorter, so already built
-            image = 0
-            for j in _bits(lower):
-                image |= 1 << step[j][s]
-            below.append(lower | image)
+            lower = below[steps[s][k]]  # ws is shorter, so already built
+            below.append(lower | _right_image(lower, steps[s]))
         sys._below = below
         sys._lower = [tuple(map(elements.__getitem__, _bits(mask))) for mask in below]
     return zip(sys._elements, sys._lower)
+
+
+def _right_steps(sys: CoxeterSystem) -> list[list[int]]:
+    """Per simple reflection s, the position of g s for each element g, by position.
+
+    Read off the table of right products, which ``enumerate_elements`` fills.
+    """
+    elements, by_id, rmul = enumerate_elements(sys), sys._by_id, sys._rmul
+    return [[by_id[rmul[g.id][s]].position for g in elements] for s in range(sys.rank)]
+
+
+def _right_image(mask: int, step: list[int]) -> int:
+    """The image of a mask under right multiplication by s, for ``step = _right_steps(sys)[s]``."""
+    image = 0
+    for j in _bits(mask):
+        image |= 1 << step[j]
+    return image
 
 
 def _bits(mask: int) -> list[int]:

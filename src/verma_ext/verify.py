@@ -5,7 +5,8 @@ by walking the rows of its Bruhat index, and runs six suites:
 
     T  dim V(x, y) against both first-order coefficient routes, all pairs
     G  reflection representation sanity: involutions, braid orders, pairings
-    B  Bruhat order: lifting recursion, bitmask index and subword oracle agree
+    B  Bruhat order: lifting recursion, bitmask index and subword oracle agree,
+       compared as one mask of the x <= y per y
     R  R-polynomial shape, route agreement and one recursion step per pair
     S  quotient dimensions for every singular subset
     M  membership of v_s in V(x, y) against the order prediction, on the
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from itertools import combinations
@@ -37,9 +39,9 @@ from .coxeter import (
     ORACLE_BUDGET,
     DESCENT_POLICIES,
     CoxeterSystem,
+    GroupElement,
     braid_order,
     bruhat_leq,
-    bruhat_leq_lifting,
     build_system,
     comparable_rows,
     descend_lower,
@@ -54,6 +56,8 @@ from .coxeter import (
     simple_reflection,
     subword_products,
     word_text,
+    _right_image,
+    _right_steps,
 )
 from .errors import IoError
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
@@ -81,9 +85,9 @@ class SuiteResult:
     failed: int = 0
     witnesses: list = field(default_factory=list)
 
-    def note_failure(self, witness: dict | None) -> None:
-        """Count a failure, keeping only the first witness; later ones may be None."""
-        self.failed += 1
+    def note_failure(self, witness: dict | None, count: int = 1) -> None:
+        """Count failures, keeping only the first witness; later ones may be None."""
+        self.failed += count
         if not self.witnesses:
             self.witnesses.append(witness)
 
@@ -157,23 +161,61 @@ def _suite_g(sys, rtable, vtable, config, direct) -> SuiteResult:
     return out
 
 
-def _suite_b(sys, rtable, vtable, config: RunConfig, direct) -> SuiteResult:
-    """Lifting recursion, Bruhat index and subword oracle agree on every pair within budget."""
-    out = SuiteResult("B")
+def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
+    """(y, index, lifting, oracle) for each y within the oracle's budget, by position.
+
+    Each row is the bitmask of the positions of the x <= y, by one route:
+    y's index tuple from ``comparable_rows``; the lifting property on the
+    lifting row L of ys, for s the largest descent of y (x <= y iff x <= ys
+    when xs > x, iff xs <= ys when xs < x), that is A | A s for A the
+    elements of L with ascent s, where the index takes the smallest descent
+    and D(ws) | D(ws) s; and y's subword products, mapped to positions.
+    """
+    rows = comparable_rows(sys)  # refuses a group too large to walk, before anything else
     cap = ORACLE_BUDGET.bit_length() - 1  # longest y whose 2**length subwords fit the budget
     elements = enumerate_elements(sys)
-    for y, lower in comparable_rows(sys):
+    steps = _right_steps(sys)
+    has_descent = [sum(1 << g.position for g in elements if g.descents >> s & 1)
+                   for s in range(sys.rank)]
+    position = {g.matrix: g.position for g in elements}
+    lifting = [1]  # by position: the identity is below itself alone
+    for y, lower in rows:  # in length order, so the first y past the cap ends the walk
         if y.length > cap:
-            continue
-        below, products = set(lower), subword_products(sys, y)
-        for x in elements:
-            rec = bruhat_leq_lifting(sys, x, y)
-            index = x in below
-            oracle = x.matrix in products
-            out.checked += 1
-            if not rec == index == oracle:
-                out.note_failure(_witness(sys, x, y, recursive=rec, index=index, oracle=oracle))
-    drop_order_memos(sys)  # no later suite reads the memos this one filled
+            break
+        if y.descents:
+            s = y.descents.bit_length() - 1
+            ascents = lifting[steps[s][y.position]] & ~has_descent[s]
+            lifting.append(ascents | _right_image(ascents, steps[s]))
+        index = oracle = 0
+        for x in lower:
+            index |= 1 << x.position
+        for matrix in subword_products(sys, y):
+            oracle |= 1 << position[matrix]
+        yield y, index, lifting[y.position], oracle
+
+
+def _suite_b(sys, rtable, vtable, config: RunConfig, direct) -> SuiteResult:
+    """Lifting recursion, Bruhat index and subword oracle agree on every pair within budget.
+
+    The routes are compared as one mask per y (``_order_rows``), which checks
+    |W| pairs; each set bit of (index ^ lifting) | (index ^ oracle) is a failed
+    pair, and the witness is the first, by position of y and then of x.
+    """
+    out = SuiteResult("B")
+    elements = enumerate_elements(sys)
+    for y, index, lifting, oracle in _order_rows(sys):
+        out.checked += len(elements)
+        wrong = (index ^ lifting) | (index ^ oracle)
+        if wrong:
+            k = (wrong & -wrong).bit_length() - 1
+            out.note_failure(
+                None  # only the first witness is kept, so only the first is built
+                if out.failed
+                else _witness(sys, elements[k], y, recursive=bool(lifting >> k & 1),
+                              index=bool(index >> k & 1), oracle=bool(oracle >> k & 1)),
+                wrong.bit_count(),
+            )
+    drop_order_memos(sys)  # no later suite reads the subword products this one filled
     return out
 
 

@@ -40,6 +40,7 @@ from verma_ext.coxeter import (
     reduced_word,
     right_multiply,
     simple_reflection,
+    word_text,
 )
 from verma_ext.errors import BudgetExceeded, InvalidType, InvariantViolation, ParseError, RankOverflow
 from verma_ext.verify import PRESETS
@@ -523,6 +524,57 @@ def test_suite_b_flags_an_index_row_that_lost_an_element():
     assert (result.checked, result.failed) == (36, 1)
     assert result.witnesses == [
         {"x": "e", "y": "0,1,0", "recursive": True, "index": False, "oracle": True}
+    ]
+
+
+@pytest.mark.parametrize("text", PRESETS + ("B4",))
+def test_suite_b_rows_match_the_recursion_and_the_oracle_pair_by_pair(text):
+    # Suite B compares whole rows, so each bit of its lifting and oracle rows
+    # is checked here against the single-pair routes, on a fresh system.
+    sys = build_system(text)
+    elems = enumerate_elements(sys)
+    cap = ORACLE_BUDGET.bit_length() - 1
+    seen = []
+    for y, index, lifting, oracle in verify._order_rows(sys):
+        seen.append(y)
+        for x in elems:
+            assert bool(lifting >> x.position & 1) is bruhat_leq_lifting(sys, x, y)
+            assert bool(oracle >> x.position & 1) is bruhat_leq_oracle(sys, x, y)
+            assert bool(index >> x.position & 1) is bruhat_leq(sys, x, y)
+    assert seen == [y for y in elems if y.length <= cap]
+
+
+@pytest.mark.parametrize("text", ["A2", "B2"])
+def test_suite_b_flags_an_oracle_row_that_lost_a_matrix(text, monkeypatch):
+    # Every row above the identity loses the identity's matrix, so each
+    # y != e fails once, at x = e.
+    sys = build_system(text)
+    e = identity(sys)
+
+    def lossy(sys, y):
+        return coxeter.subword_products(sys, y) - ({e.matrix} if y is not e else set())
+
+    monkeypatch.setattr(verify, "subword_products", lossy)
+    result = verify._suite_b(sys, None, None, verify.RunConfig(text), {})
+    elems = enumerate_elements(sys)
+    assert (result.checked, result.failed) == (len(elems) ** 2, len(elems) - 1)
+    assert result.witnesses == [
+        {"x": "e", "y": word_text(sys, elems[1]), "recursive": True, "index": True,
+         "oracle": False}
+    ]
+
+
+def test_suite_b_counts_each_pair_an_index_row_lost():
+    sys = build_system("A3")  # its own system, as the test plants a fault in its index
+    list(comparable_rows(sys))
+    w0 = longest_element(sys)
+    lost = sys._lower[w0.position][7], sys._lower[w0.position][3]
+    sys._lower[w0.position] = tuple(y for y in sys._lower[w0.position] if y not in lost)
+    result = verify._suite_b(sys, None, None, verify.RunConfig("A3"), {})
+    assert (result.checked, result.failed) == (24 * 24, 2)
+    assert result.witnesses == [
+        {"x": word_text(sys, lost[1]), "y": "0,1,2,0,1,0", "recursive": True,
+         "index": False, "oracle": True}
     ]
 
 
