@@ -31,8 +31,10 @@ single-pair queries on a large group stay lazy.
 word, on bare matrices, to cross-check the other two; it refuses a word with
 more than an explicit budget of subwords.  ``descend`` is the one step, with
 its lifting check, that the R-polynomial, subspace and direct recursions all
-take; ``fill_rows``, their tables' one whole-group fill walk, picks its
-descent once per index row and takes its half ``descend_lower`` once per pair.
+take.  ``descent_rows`` takes its half ``descend_lower`` once per strict
+pair and policy and keeps, per index row, x's descent s, xs and the ys
+aligned with the row; ``fill_rows``, the tables' one whole-group fill walk,
+and suite R read those rows instead of stepping again.
 
 Every per-pair memo, here and in the tables built on a system, is a dict of
 rows: ``rows[x][y]`` for the pair y <= x, one dict per upper element keyed by
@@ -247,6 +249,10 @@ class GroupElement:
         return f"GroupElement(len={self.length}, [{rows}])"
 
 
+# One index row's descent step under a policy: (s, xs, the ys of the row's strict pairs).
+DescentRow = tuple[int, GroupElement | None, tuple[GroupElement, ...]]
+
+
 class CoxeterSystem:
     """A finite Weyl group with its Cartan data and per-group caches.
 
@@ -254,11 +260,13 @@ class CoxeterSystem:
     index by position in the (length, matrix) order; the lifting memo (rows
     keyed by the upper element, each keyed by the lower) and the element
     and lower-set lists hold the system's own GroupElements, keyed by
-    identity, and so are the oracle's subword products.  All grow
-    monotonically but the subword products, which ``drop_order_memos``
-    empties; all derived tables hold a reference to their system, so
-    sharing one system between tables shares the caches.  Pass a system
-    only elements it built.
+    identity, and so are the oracle's subword products.  Beside the index,
+    ``descent_rows`` caches each policy's descent step per index row.  The
+    oracle's column reflections are memoized per simple reflection on bare
+    matrices.  All grow monotonically but the subword products and the
+    reflection memo, which ``drop_order_memos`` empties; all derived tables
+    hold a reference to their system, so sharing one system between tables
+    shares the caches.  Pass a system only elements it built.
     """
 
     def __init__(self, descriptor: TypeDescriptor, budget: int = DEFAULT_BUDGET):
@@ -292,7 +300,9 @@ class CoxeterSystem:
         self._bruhat: dict[GroupElement, dict[GroupElement, bool]] = {}  # upper -> lower -> x <= y
         self._below: list[int] | None = None  # the Bruhat index, by position
         self._lower: list[tuple[GroupElement, ...]] | None = None  # the elements below, by position
+        self._descent_rows: dict[str, list[DescentRow]] = {}  # by policy, then by position
         self._downsets: dict[GroupElement, frozenset[IntMatrix]] = {}  # subword products
+        self._reflected: list[dict[IntMatrix, IntMatrix]] = [{} for _ in range(n)]  # m -> m s_i
         self._elements: tuple[GroupElement, ...] | None = None
         self._longest: GroupElement | None = None
 
@@ -593,7 +603,10 @@ def subword_products(sys: CoxeterSystem, y: GroupElement) -> frozenset[IntMatrix
 
     x <= y iff x is among them.  The word of y is the word of ys plus s, for
     s its smallest descent, so y's set is the set of ys and its images under
-    s.  The call refuses a y whose 2**length(y) subwords exceed ORACLE_BUDGET.
+    s.  Each matrix is reflected by s once per system: ``sys._reflected[s]``
+    keeps m -> m s keyed by the bare matrix, never by an element's id or
+    position, so the oracle stays independent of the interned tables.  The
+    call refuses a y whose 2**length(y) subwords exceed ORACLE_BUDGET.
     """
     k = y.length
     if 2**k > ORACLE_BUDGET:
@@ -604,13 +617,19 @@ def subword_products(sys: CoxeterSystem, y: GroupElement) -> frozenset[IntMatrix
             return frozenset((y.matrix,))
         s = pick_descent(sys, y, "smallest")
         prefix = subword_products(sys, right_multiply(sys, y, s))
-        got = sys._downsets[y] = prefix | {_col_reflect(sys, m, s) for m in prefix}
+        reflected = sys._reflected[s]
+        for m in prefix:
+            if m not in reflected:
+                reflected[m] = _col_reflect(sys, m, s)
+        got = sys._downsets[y] = prefix.union(map(reflected.__getitem__, prefix))
     return got
 
 
 def drop_order_memos(sys: CoxeterSystem) -> None:
-    """Free the subword products; the next call refills them."""
+    """Free the subword products and the reflections they took; the next call refills them."""
     sys._downsets.clear()
+    for memo in sys._reflected:
+        memo.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -704,29 +723,52 @@ def _bits(mask: int) -> list[int]:
     return found
 
 
+def descent_rows(sys: CoxeterSystem, policy: str) -> list[DescentRow]:
+    """Per index row, by position, the descent step of x under ``policy``: (s, xs, lowered).
+
+    ``lowered`` is aligned with the strict part of x's index row: lowered[k]
+    is ys for y the k-th element of ``sys._lower[x.position]``, and the row
+    ends before x.  The identity's row is (-1, None, ()).  Each strict pair
+    takes ``descend_lower`` once, with its lifting check, when a policy's
+    rows are first asked for; they are cached on the system beside the index.
+    """
+    check_policy(policy)
+    got = sys._descent_rows.get(policy)
+    if got is None:
+        got = []
+        for x, lower in comparable_rows(sys):
+            if not x.descents:
+                got.append((-1, None, ()))
+                continue
+            s = pick_descent(sys, x, policy)
+            xs = right_multiply(sys, x, s)
+            got.append((s, xs, tuple([descend_lower(sys, x, s, xs, y)[0] for y in lower[:-1]])))
+        sys._descent_rows[policy] = got
+    return got
+
+
 def fill_rows(sys: CoxeterSystem, policy: str, rows: dict, diagonal, step: Callable) -> int:
     """Store ``rows[x][y]`` for every pair y < x the rows lack; return how many it stored.
 
-    The rows are walked in ``comparable_rows`` order, so the row of xs is
-    whole before the row of x; a new row starts as {x: diagonal}.  A row
-    that lacks a pair picks its descent s under the checked ``policy`` and
-    reads the row of xs, below, once; each pair it lacks takes
-    ``descend_lower``'s step and stores ``step(s, xs, below, y, ys, down)``.
+    The rows are walked in ``comparable_rows`` order beside ``descent_rows``,
+    so the row of xs is whole before the row of x; a new row starts as
+    {x: diagonal}.  Each pair a row lacks stores ``step(s, xs, below, y, ys,
+    down)``, for below the row of xs and down whether ys < y, with s, xs and
+    ys read off the descent rows: the walk takes no descent step of its own.
     """
     stored = 0
-    for x, lower in comparable_rows(sys):
+    for (x, lower), (s, xs, lowered) in zip(comparable_rows(sys), descent_rows(sys, policy)):
+        pairs = zip(lower, lowered)  # lowered ends before x, which ends its row
         row = rows.get(x)
-        todo = [y for y in lower[:-1] if y not in row] if row else lower[:-1]  # x ends its row
         if row is None:
             row = rows[x] = {x: diagonal}
-        if todo:
-            s = pick_descent(sys, x, policy)
-            xs = right_multiply(sys, x, s)
-            below = rows[xs]
-            for y in todo:
-                ys, down = descend_lower(sys, x, s, xs, y)
-                row[y] = step(s, xs, below, y, ys, down)
-            stored += len(todo)
+        else:
+            pairs = [(y, ys) for y, ys in pairs if y not in row]
+        if lowered:
+            below, before = rows[xs], len(row)
+            for y, ys in pairs:
+                row[y] = step(s, xs, below, y, ys, ys.length < y.length)
+            stored += len(row) - before
     return stored
 
 

@@ -357,7 +357,6 @@ def direct_rows(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> dict[G
 
     Each pair takes one step to the counted pair below.
     """
-    check_policy(policy)
     rows: dict[GroupElement, dict[GroupElement, int]] = {}
     fill_rows(sys, policy, rows, 0, lambda s, xs, below, y, ys, down:
               below[ys] if down else below[y] + (not bruhat_leq(sys, ys, xs)))

@@ -7,7 +7,8 @@ by walking the rows of its Bruhat index, and runs six suites:
     G  reflection representation sanity: involutions, braid orders, pairings
     B  Bruhat order: lifting recursion, bitmask index and subword oracle agree,
        compared as one mask of the x <= y per y
-    R  R-polynomial shape, route agreement and one recursion step per pair
+    R  R-polynomial shape, route agreement and one recursion step per pair,
+       the step read off the fills' shared descent rows
     S  quotient dimensions for every singular subset
     M  membership of v_s in V(x, y) against the order prediction, on the
        rows where the prediction is asserted to be exact
@@ -44,15 +45,13 @@ from .coxeter import (
     bruhat_leq,
     build_system,
     comparable_rows,
-    descend_lower,
+    descent_rows,
     drop_order_memos,
     enumerate_elements,
     fingerprint,
     identity,
     longest_element,
     multiply,
-    pick_descent,
-    right_multiply,
     simple_reflection,
     subword_products,
     word_text,
@@ -227,20 +226,20 @@ def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: dict) -> Su
     comparable pairs are read off the index rows; R is 0 on all other pairs
     when the table's row holds no more than its index row.  Each R(y, x)
     must equal the recursion's step from the row of xs, so by induction
-    every row, loaded or computed, is the recursion's.  ``checked`` counts
-    |W|^2.
+    every row, loaded or computed, is the recursion's.  The step's xs and ys
+    are read off the table policy's ``descent_rows``, which the fills
+    already took.  ``checked`` counts |W|^2.
     """
     out = SuiteResult("R", checked=len(enumerate_elements(sys)) ** 2)
     ascent = ascent_memo()
-    for upper, lower in comparable_rows(sys):
+    steps = descent_rows(sys, rtable.policy)
+    for (upper, lower), (_, xs, lowered) in zip(comparable_rows(sys), steps):
         bad, row, drow = [], rtable.rows[upper], direct[upper]
-        if upper.length:  # the identity has no pair below it
-            s = pick_descent(sys, upper, rtable.policy)
-            xs = right_multiply(sys, upper, s)
+        if lowered:  # the identity has no pair below it
             below = rtable.rows[xs]
-        for y in lower[:-1]:  # upper ends its row; the table makes its diagonal R(upper, upper) = 1
-            ys, down = descend_lower(sys, upper, s, xs, y)
-            if down:
+        # lowered ends before upper, which ends its row; the table makes R(upper, upper) = 1
+        for y, ys in zip(lower, lowered):
+            if ys.length < y.length:
                 step = below.get(ys, ZERO)
             else:  # R(ys, xs) is 0 unless ys <= xs, whatever a stray entry says
                 b = below.get(ys, ZERO) if bruhat_leq(sys, ys, xs) else ZERO

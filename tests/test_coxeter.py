@@ -497,8 +497,9 @@ def test_each_matrix_is_one_element_after_a_verify_pass(text):
 
 
 def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
-    # Suite B alone fills the lifting memo and the subword products; a whole
-    # verify pass drops both, and a later single-pair query refills the memo.
+    # Suite B alone fills the subword products and the reflections they
+    # take; a whole verify pass drops both and leaves the lifting memo
+    # empty, and a later single-pair query refills the memo.
     built = []
 
     def build(*args, **kwargs):
@@ -511,6 +512,7 @@ def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
     (sys,) = built
     assert sys._bruhat == {}
     assert sys._downsets == {}
+    assert sys._reflected == [{}] * sys.rank  # the oracle's column reflections
     assert bruhat_leq_lifting(sys, element_from_word(sys, (1,)), longest_element(sys))
     assert sys._bruhat
 

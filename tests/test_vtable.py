@@ -20,19 +20,22 @@ from collections import Counter
 import pytest
 
 from conftest import comparable_pairs
-from verma_ext import coxeter
+from verma_ext import coxeter, verify
 from verma_ext import vtable as vtable_module
 from verma_ext.coxeter import (
+    DESCENT_POLICIES,
     bruhat_leq,
     build_system,
     comparable_rows,
     descend,
     descend_lower,
+    descent_rows,
     element_from_word,
     enumerate_elements,
     identity,
     longest_element,
     multiply,
+    pick_descent,
     reduced_word,
     right_multiply,
     simple_reflection,
@@ -325,10 +328,12 @@ def test_fill_matches_a_fresh_chain_walk(text, policy, system, vtable):
             assert VTable(sys, policy).v(x, y) == space
 
 
-@pytest.mark.parametrize("fill", ["V", "R", "direct"])
-def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch):
+@pytest.mark.parametrize("fill", ["V", "R", "direct", "verify"])
+def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch, system):
     # In length order every off-diagonal pair is one step above a stored
-    # pair, so each fill takes exactly one step from each.
+    # pair, so each fill takes exactly one step from each.  The steps are
+    # kept per system and policy, so a whole verify pass, whose three fills
+    # and suite R read them, takes each step once too.
     sys = build_system("B3")
     steps = []
 
@@ -337,6 +342,28 @@ def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch):
         return descend_lower(sys, x, s, xs, y)
 
     monkeypatch.setattr(coxeter, "descend_lower", counted)
+    if fill == "verify":
+        for policy in DESCENT_POLICIES:
+            sys = build_system("B3")
+            monkeypatch.setattr(verify, "build_system", lambda *args, **kwargs: sys)
+            steps.clear()
+            verify.run_verify(RunConfig("B3", policy=policy))
+            off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
+            assert len(off_diagonal) == 799
+            assert steps == off_diagonal
+        # each kept step is the pair's own: lowered lines up with the strict index row
+        for text in (*PRESETS, "B4"):
+            sys = system(text)
+            for policy in DESCENT_POLICIES:
+                for (x, lower), (s, xs, lowered) in zip(comparable_rows(sys),
+                                                        descent_rows(sys, policy)):
+                    assert len(lowered) == len(lower) - 1
+                    if lowered:
+                        assert s == pick_descent(sys, x, policy)
+                        assert xs is right_multiply(sys, x, s)
+                    for k, ys in enumerate(lowered):
+                        assert ys is right_multiply(sys, lower[k], s)
+        return
     if fill == "V":
         rows = compute_all(sys).rows
     elif fill == "R":
