@@ -32,13 +32,17 @@ word, on bare matrices, to cross-check the other two; it refuses a word with
 more than an explicit budget of subwords.  ``descend`` is the one step, with
 its lifting check, that the R-polynomial, subspace and direct recursions all
 take.  ``descent_rows`` takes its half ``descend_lower`` once per strict
-pair and policy and keeps, per index row, x's descent s, xs and the ys
-aligned with the row; ``fill_rows``, the tables' one whole-group fill walk,
-and suite R read those rows instead of stepping again.
+pair and policy and keeps, per index row, x's descent s, xs and two slots
+per pair into the row of xs; ``fill_rows``, the tables' one whole-group fill
+walk, and suite R read those slots instead of stepping again.
 
-Every per-pair memo, here and in the tables built on a system, is a dict of
-rows: ``rows[x][y]`` for the pair y <= x, one dict per upper element keyed by
-the lower one, so no lookup builds an (x, y) tuple and no entry stores one.
+A filled table is a list by position of rows aligned with the index rows:
+entry k of x's row belongs to the pair (x, ``sys._lower[x.position][k]``),
+and the row ends with its diagonal.  ``slot`` finds a pair's entry by a bit
+count on the index.  The memos that single-pair work fills (the lifting
+memo here, the tables' lazy memos) are dicts of sparse rows instead:
+``memo[x][y]`` for the pair y <= x, keyed by the elements, so no lookup
+builds an (x, y) tuple and no entry stores one.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ import hashlib
 import json
 import math
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import (
     BudgetExceeded,
@@ -249,8 +254,8 @@ class GroupElement:
         return f"GroupElement(len={self.length}, [{rows}])"
 
 
-# One index row's descent step under a policy: (s, xs, the ys of the row's strict pairs).
-DescentRow = tuple[int, GroupElement | None, tuple[GroupElement, ...]]
+# One index row's descent step under a policy: (s, xs, then two arrays with one slot per strict pair).
+DescentRow = tuple[int, GroupElement | None, Sequence[int], Sequence[int]]
 
 
 class CoxeterSystem:
@@ -261,12 +266,13 @@ class CoxeterSystem:
     keyed by the upper element, each keyed by the lower) and the element
     and lower-set lists hold the system's own GroupElements, keyed by
     identity, and so are the oracle's subword products.  Beside the index,
-    ``descent_rows`` caches each policy's descent step per index row.  The
-    oracle's column reflections are memoized per simple reflection on bare
-    matrices.  All grow monotonically but the subword products and the
-    reflection memo, which ``drop_order_memos`` empties; all derived tables
-    hold a reference to their system, so sharing one system between tables
-    shares the caches.  Pass a system only elements it built.
+    ``descent_rows`` caches each policy's descent step per index row, as
+    slots into the row of xs.  The oracle's column reflections are memoized
+    per simple reflection on bare matrices.  All grow monotonically but the
+    subword products and the reflection memo, which ``drop_order_memos``
+    empties; all derived tables hold a reference to their system, so sharing
+    one system between tables shares the caches.  Pass a system only
+    elements it built.
     """
 
     def __init__(self, descriptor: TypeDescriptor, budget: int = DEFAULT_BUDGET):
@@ -712,64 +718,74 @@ def _right_image(mask: int, step: list[int]) -> int:
     return image
 
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of mask, lowest first."""
-    digits = bin(mask)[:1:-1]  # least significant first, without the "0b"
-    found = []
-    k = digits.find("1")
-    while k >= 0:
-        found.append(k)
-        k = digits.find("1", k + 1)
-    return found
+    """The positions of the set bits of mask, lowest first, picked out at C speed."""
+    digits = bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)  # least significant first
+    return list(compress(range(len(digits)), digits))
 
 
 def descent_rows(sys: CoxeterSystem, policy: str) -> list[DescentRow]:
-    """Per index row, by position, the descent step of x under ``policy``: (s, xs, lowered).
+    """Per index row, by position, the descent step of x under ``policy``: (s, xs, first, second).
 
-    ``lowered`` is aligned with the strict part of x's index row: lowered[k]
-    is ys for y the k-th element of ``sys._lower[x.position]``, and the row
-    ends before x.  The identity's row is (-1, None, ()).  Each strict pair
+    ``first`` and ``second`` are arrays aligned with the strict part of x's
+    index row, of slots into the row of xs, ``sys._lower[xs.position]``.
+    For y the k-th element of x's row and down whether ys < y, first[k] is
+    the slot of ys when down and of y otherwise, and second[k] is the slot
+    of ys, or -1 when ys is not below xs; so down is first[k] == second[k].
+    The identity's row is (-1, None) and two empty arrays.  Each strict pair
     takes ``descend_lower`` once, with its lifting check, when a policy's
-    rows are first asked for; they are cached on the system beside the index.
+    rows are first asked for; they are cached on the system beside the
+    index.  One position -> slot list, filled from the row of xs and
+    cleared after, finds the slots, so the build is O(pairs).
     """
     check_policy(policy)
     got = sys._descent_rows.get(policy)
     if got is None:
+        from array import array  # a shared library: only whole-group work pays for loading it
+
         got = []
+        where = [-1] * sys.group_order  # by position: the slot in the row of xs, or -1
         for x, lower in comparable_rows(sys):
             if not x.descents:
-                got.append((-1, None, ()))
+                got.append((-1, None, array("i"), array("i")))
                 continue
             s = pick_descent(sys, x, policy)
             xs = right_multiply(sys, x, s)
-            got.append((s, xs, tuple([descend_lower(sys, x, s, xs, y)[0] for y in lower[:-1]])))
+            below = sys._lower[xs.position]
+            for k, g in enumerate(below):
+                where[g.position] = k
+            lowered = [descend_lower(sys, x, s, xs, y)[0] for y in lower[:-1]]
+            first = array("i", [where[(ys if ys.length < y.length else y).position]
+                                for y, ys in zip(lower, lowered)])
+            second = array("i", [where[ys.position] for ys in lowered])
+            for g in below:
+                where[g.position] = -1
+            got.append((s, xs, first, second))
         sys._descent_rows[policy] = got
     return got
 
 
-def fill_rows(sys: CoxeterSystem, policy: str, rows: dict, diagonal, step: Callable) -> int:
-    """Store ``rows[x][y]`` for every pair y < x the rows lack; return how many it stored.
+def slot(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> int:
+    """The index of y in x's index row, for y <= x once the index is built: a bit count."""
+    return (sys._below[x.position] & ((1 << y.position) - 1)).bit_count()
 
-    The rows are walked in ``comparable_rows`` order beside ``descent_rows``,
-    so the row of xs is whole before the row of x; a new row starts as
-    {x: diagonal}.  Each pair a row lacks stores ``step(s, xs, below, y, ys,
-    down)``, for below the row of xs and down whether ys < y, with s, xs and
-    ys read off the descent rows: the walk takes no descent step of its own.
+
+def fill_rows(sys: CoxeterSystem, policy: str, fill_row: Callable) -> list:
+    """One filled row per index row, by position: ``fill_row(x, s, below, first, second)``.
+
+    The rows are made in ``comparable_rows`` order beside ``descent_rows``,
+    so the row of xs is whole before the row of x is asked for; below is
+    that row (None for the identity) and first and second are x's slots
+    into it.  A row must be aligned with x's index row and end with its
+    diagonal.  The walk takes no descent step of its own.
     """
-    stored = 0
-    for (x, lower), (s, xs, lowered) in zip(comparable_rows(sys), descent_rows(sys, policy)):
-        pairs = zip(lower, lowered)  # lowered ends before x, which ends its row
-        row = rows.get(x)
-        if row is None:
-            row = rows[x] = {x: diagonal}
-        else:
-            pairs = [(y, ys) for y, ys in pairs if y not in row]
-        if lowered:
-            below, before = rows[xs], len(row)
-            for y, ys in pairs:
-                row[y] = step(s, xs, below, y, ys, ys.length < y.length)
-            stored += len(row) - before
-    return stored
+    rows: list = []
+    for (x, _), (s, xs, first, second) in zip(comparable_rows(sys), descent_rows(sys, policy)):
+        rows.append(fill_row(x, s, None if xs is None else rows[xs.position], first, second))
+    return rows
 
 
 def longest_element(sys: CoxeterSystem) -> GroupElement:

@@ -9,8 +9,9 @@ element: for a right descent s of x,
 with R(x, x) = 1 and R(y, x) = 0 unless y <= x.  For comparable pairs the
 polynomial has degree length(x) - length(y), leading coefficient 1, constant
 term (-1)**(length(x) - length(y)), and vanishes at q = 1 when y < x.
-``RTable.r`` recurses from one pair; ``RTable.fill`` takes the same step
-by ``coxeter.fill_rows``, once per pair; both share one ascent memo.
+``RTable.r`` recurses from one pair into a sparse memo; ``RTable.fill``
+takes the same step by ``coxeter.fill_rows``, once per pair, into rows
+aligned with the Bruhat index; both share one ascent memo.
 
 ``IntPolynomial.gj`` is the q^1 coefficient with the sign that makes it a
 dimension count; ``r_coeff_direct`` (one pair) and ``direct_rows`` (every
@@ -33,11 +34,13 @@ from .coxeter import (
     bruhat_leq,
     check_below,
     check_policy,
+    comparable_rows,
     descend,
     element_from_word,
     fingerprint,
     fill_rows,
     parse_word,
+    slot,
     word_text,
 )
 from .errors import InvariantViolation, IoError, ParseError
@@ -131,23 +134,26 @@ def write_atomic(path: Path | str, pieces: Iterable[str]) -> None:
 
 
 class RTable:
-    """Memo table of R-polynomials for one system, bound to a descent policy.
+    """R-polynomials of one system, bound to a descent policy.
 
-    ``rows[x][y]`` is R(y, x), in one row per upper element x keyed by the
-    lower element y; each row starts as {x: ONE}, so it holds its diagonal.
+    Before ``fill``, ``r`` and ``load_csv`` keep R(y, x) in a sparse memo,
+    ``_memo[x][y]``, one row per upper element x keyed by the lower element
+    y; each row starts as {x: ONE}, so it holds its diagonal.  ``fill``
+    makes ``rows``, by position, each aligned with the index row of x and
+    ending with R(x, x) = ONE; it takes the memo's entries for the pairs of
+    the index, then drops the memo, and from then on ``r`` reads ``rows``.
     ``computed`` counts the strict pairs y < x the recursion produced (cache
     loads do not count), so tests see that a warm cache recomputes nothing.
-    Only comparable pairs are stored; incomparable lookups return the zero
-    polynomial without touching the table.  ``fill`` alone makes the
-    identity's row, which no strict pair needs; the cache file holds the
-    strict pairs only.
+    Incomparable lookups return the zero polynomial without touching the
+    table.  The cache file holds the strict pairs only.
     """
 
     def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
         check_policy(policy)
         self.sys = sys
         self.policy = policy
-        self.rows: dict[GroupElement, dict[GroupElement, IntPolynomial]] = {}
+        self.rows: list[list[IntPolynomial]] | None = None
+        self._memo: dict[GroupElement, dict[GroupElement, IntPolynomial]] = {}
         self.computed = 0
         self.ascent = ascent_memo()  # shared by ``r`` and ``fill``
 
@@ -156,7 +162,9 @@ class RTable:
             return ONE
         if not bruhat_leq(self.sys, y, x):
             return ZERO
-        row = self.rows.get(x) or self.rows.setdefault(x, {x: ONE})
+        if self.rows is not None:
+            return self.rows[x.position][slot(self.sys, x, y)]
+        row = self._memo.get(x) or self._memo.setdefault(x, {x: ONE})
         hit = row.get(y)
         if hit is not None:
             return hit
@@ -167,15 +175,48 @@ class RTable:
         return value
 
     def fill(self) -> None:
-        """Store R(y, x) for every pair y < x not loaded, by ``fill_rows``.
+        """Make ``rows``: every pair y < x takes the memo's entry, or else one step, by ``fill_rows``.
 
-        Each pair takes one step from the row of xs, and the table's ascent
-        memo shares the results (F4: 435 objects in all).
+        Each step reads the row of xs, and the table's ascent memo shares the
+        results (F4: 435 objects in all).  The memo's entries for pairs off
+        the index are never read.
         """
-        ascent = self.ascent
-        self.computed += fill_rows(
-            self.sys, self.policy, self.rows, ONE, lambda s, xs, below, y, ys, down:
-            below[ys] if down else ascent(below[y], below.get(ys, ZERO)))
+        sys, ascent, memo = self.sys, self.ascent, self._memo
+
+        def fill_row(x, s, below, first, second):
+            loaded = memo.pop(x, None)
+            if loaded is None:
+                row = r_steps(ascent, below, first, second)
+                row.append(ONE)
+                self.computed += len(first)
+                return row
+            row = list(map(loaded.get, sys._lower[x.position]))  # x's index row, as the memo holds it
+            row[-1] = ONE
+            missing = [k for k, poly in enumerate(row) if poly is None]
+            if missing:
+                steps = r_steps(ascent, below, first, second)
+                for k in missing:
+                    row[k] = steps[k]
+                self.computed += len(missing)
+            return row
+
+        self.rows = fill_rows(sys, self.policy, fill_row)
+        memo.clear()
+
+    def _pairs(self) -> Iterator[tuple[GroupElement, GroupElement, IntPolynomial]]:
+        """The stored strict pairs as (x, y, R(y, x)), by (length, matrix) on x, then on y."""
+        if self.rows is not None:
+            for (x, lower), row in zip(comparable_rows(self.sys), self.rows):
+                for y, poly in zip(lower[:-1], row):
+                    yield x, y, poly
+            return
+        memo = self._memo
+        order = lambda g: (g.length, g.matrix)  # noqa: E731
+        for x in sorted(memo, key=order):
+            row = memo[x]
+            for y in sorted(row, key=order):
+                if y is not x:
+                    yield x, y, row[y]
 
     # -- persistence -------------------------------------------------------
 
@@ -185,39 +226,34 @@ class RTable:
         Each element's word text and each polynomial object's coefficient
         text is formatted once per file.
         """
-        sys, rows = self.sys, self.rows
+        sys = self.sys
         word = functools.cache(lambda g: word_text(sys, g))
-        coeffs: dict[int, str] = {}  # by the id of a polynomial the rows keep
+        coeffs: dict[int, str] = {}  # by the id of a polynomial the table keeps
 
         def lines():
             yield f"# r-polynomial cache\n# system: {fingerprint(sys)}\n# policy: {self.policy}\n"
-            order = lambda g: (g.length, g.matrix)  # noqa: E731
-            for x in sorted(rows, key=order):
-                row, xw = rows[x], word(x)
-                for y in sorted(row, key=order):
-                    if y is x:
-                        continue
-                    poly = row[y]
-                    cs = coeffs.get(id(poly))
-                    if cs is None:
-                        cs = coeffs[id(poly)] = ",".join(map(str, poly.coeffs))
-                    yield f"{word(y)};{xw};{cs}\n"
+            for x, y, poly in self._pairs():
+                cs = coeffs.get(id(poly))
+                if cs is None:
+                    cs = coeffs[id(poly)] = ",".join(map(str, poly.coeffs))
+                yield f"{word(y)};{word(x)};{cs}\n"
 
         write_atomic(path, lines())
 
     def load_csv(self, path: Path | str) -> int:
-        """Merge entries from a cache file, streamed, validating each row.
+        """Merge entries from a cache file into the memo, streamed, validating each row.
 
-        Returns the number of rows loaded.  A row must name a pair y < x and
-        carry an ``r_shaped`` polynomial of degree length(x) - length(y); a
-        row that does not, or a system fingerprint mismatch, is a ParseError
-        that names ``path:lineno``, as is a byte that is not UTF-8 (by file
-        offset).  Each distinct coefficient list is parsed and checked once
-        per gap, and the rows that carry it share one polynomial.  A row that
-        passes all of these can still be wrong: ``verify``'s suite R checks it
+        Load before ``fill``, which reads the memo.  Returns the number of
+        rows loaded.  A row must name a pair y < x and carry an ``r_shaped``
+        polynomial of degree length(x) - length(y); a row that does not, or
+        a system fingerprint mismatch, is a ParseError that names
+        ``path:lineno``, as is a byte that is not UTF-8 (by file offset).
+        Each distinct coefficient list is parsed and checked once per gap,
+        and the rows that carry it share one polynomial.  A row that passes
+        all of these can still be wrong: ``verify``'s suite R checks it
         against the recursion; ``rpoly`` and ``report`` print it as loaded.
         """
-        sys, rows = self.sys, self.rows
+        sys, rows = self.sys, self._memo
         fp = fingerprint(sys)
         words: dict[str, GroupElement] = {}  # word text -> element, for this load only
         polys: dict[tuple[str, int], IntPolynomial] = {}  # (coefficient text, gap) -> checked
@@ -352,12 +388,22 @@ def r_coeff_direct(
     return total
 
 
-def direct_rows(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> dict[GroupElement, dict]:
-    """``r_coeff_direct``'s count for every pair y <= x, as rows[x][y], filled by ``fill_rows``.
+def r_steps(ascent: Callable, below: list | None, first, second) -> list[IntPolynomial]:
+    """R(y, x) for each strict pair of x's row, one step from the row of xs, below.
 
-    Each pair takes one step to the counted pair below.
+    first and second are the pairs' slots into below (``coxeter.descent_rows``):
+    R(ys, xs) when they are equal, as ys < y, and otherwise the ascent of
+    R(y, xs) and R(ys, xs), which is 0 when second is -1, as ys is not below xs.
     """
-    rows: dict[GroupElement, dict[GroupElement, int]] = {}
-    fill_rows(sys, policy, rows, 0, lambda s, xs, below, y, ys, down:
-              below[ys] if down else below[y] + (not bruhat_leq(sys, ys, xs)))
-    return rows
+    return [below[a] if a == b else ascent(below[a], below[b] if b >= 0 else ZERO)
+            for a, b in zip(first, second)]
+
+
+def direct_rows(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> list[bytes]:
+    """``r_coeff_direct``'s count for every pair y <= x, by ``fill_rows``: rows aligned with the index.
+
+    Each pair takes one step to the counted pair below, and counts one more
+    when it ascends to a ys that is not below xs: then its second slot is -1.
+    """
+    return fill_rows(sys, policy, lambda x, s, below, first, second:
+                     bytes([below[a] + (b < 0) for a, b in zip(first, second)] + [0]))

@@ -15,13 +15,15 @@ by walking the rows of its Bruhat index, and runs six suites:
 
 Each suite reports how many atomic checks ran and how many failed, plus a
 witness for the first failure.  Every suite takes the run's three filled
-tables: V, R and the direct route's counts (``rpoly.direct_rows``).  Suites
-T and R read their rows along the rows of the Bruhat index, so no pair is
-re-tested against the order, and read each R-polynomial's shape and signed
-q-coefficient off the polynomial (``r_shaped`` and ``gj``, computed once
-per distinct polynomial).  ``run_report`` writes the R-polynomial cache,
-the dimension table, streamed row by row, and a summary; everything
-written is deterministic except an explicit generated_at comment line.
+tables: V, R and the direct route's counts (``rpoly.direct_rows``), each a
+list of rows aligned with the rows of the Bruhat index.  Suites T and R and
+the dimension table zip those rows with the index rows, so no pair is
+looked up by element or re-tested against the order, and read each
+R-polynomial's shape and signed q-coefficient off the polynomial
+(``r_shaped`` and ``gj``, computed once per distinct polynomial).
+``run_report`` writes the R-polynomial cache, the dimension table, streamed
+row by row, and a summary; everything written is deterministic except an
+explicit generated_at comment line.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .coxeter import (
     CoxeterSystem,
     GroupElement,
     braid_order,
-    bruhat_leq,
     build_system,
     comparable_rows,
     descent_rows,
@@ -60,7 +61,7 @@ from .coxeter import (
 )
 from .errors import IoError
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
-from .rpoly import ZERO, RTable, ascent_memo, direct_rows, write_atomic
+from .rpoly import RTable, ascent_memo, direct_rows, r_steps, write_atomic
 from .vtable import SingularSpec, VTable, compute_all, membership_report, singular_v
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
@@ -100,20 +101,19 @@ def _witness(sys, x, y, **fields) -> dict:
     return {"x": word_text(sys, x), "y": word_text(sys, y), **fields}
 
 
-def _suite_t(sys, rtable: RTable, vtable: VTable, config: RunConfig, direct: dict) -> SuiteResult:
+def _suite_t(sys, rtable: RTable, vtable: VTable, config: RunConfig, direct: list) -> SuiteResult:
     """dim V(x, y) == signed q-coefficient == direct recursion, on every pair."""
     out = SuiteResult("T")
-    for x, lower in comparable_rows(sys):
-        vrow, rrow, drow = vtable.rows[x], rtable.rows[x], direct[x]
+    for (x, lower), vrow, rrow, drow in zip(comparable_rows(sys), vtable.rows, rtable.rows, direct):
         out.checked += len(lower)
-        for y in lower:
-            d, g = vrow[y].dim, rrow[y].gj
-            if not (d == g == drow[y]):
+        for y, space, poly, count in zip(lower, vrow, rrow, drow):
+            d, g = space.dim, poly.gj
+            if not (d == g == count):
                 out.note_failure(
                     None  # only the first witness is kept, so only the first is built
                     if out.failed
-                    else _witness(sys, x, y, dim=d, gj=g, direct=drow[y],
-                                  basis=vrow[y].to_json_dict()["basis"])
+                    else _witness(sys, x, y, dim=d, gj=g, direct=count,
+                                  basis=space.to_json_dict()["basis"])
                 )
     return out
 
@@ -218,41 +218,33 @@ def _suite_b(sys, rtable, vtable, config: RunConfig, direct) -> SuiteResult:
     return out
 
 
-def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: dict) -> SuiteResult:
+def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: list) -> SuiteResult:
     """Each stored R(y, x): its shape, its count against the direct route, and one recursion step.
 
     An entry passes when its degree is the pair's gap, it is ``r_shaped``,
     its ``gj`` is the direct count and it equals the recursion's step.  The
-    comparable pairs are read off the index rows; R is 0 on all other pairs
-    when the table's row holds no more than its index row.  Each R(y, x)
-    must equal the recursion's step from the row of xs, so by induction
-    every row, loaded or computed, is the recursion's.  The step's xs and ys
+    rows are aligned with the index rows, so they hold the comparable pairs
+    and no other: R is 0 on every other pair.  Each R(y, x) must equal the
+    recursion's step from the row of xs, so by induction every row, loaded
+    or computed, is the recursion's.  The step's slots into the row of xs
     are read off the table policy's ``descent_rows``, which the fills
-    already took.  ``checked`` counts |W|^2.
+    already took, by ``rpoly.r_steps`` with an ascent memo of the suite's
+    own.  ``checked`` counts |W|^2.
     """
     out = SuiteResult("R", checked=len(enumerate_elements(sys)) ** 2)
-    ascent = ascent_memo()
-    steps = descent_rows(sys, rtable.policy)
-    for (upper, lower), (_, xs, lowered) in zip(comparable_rows(sys), steps):
-        bad, row, drow = [], rtable.rows[upper], direct[upper]
-        if lowered:  # the identity has no pair below it
-            below = rtable.rows[xs]
-        # lowered ends before upper, which ends its row; the table makes R(upper, upper) = 1
-        for y, ys in zip(lower, lowered):
-            if ys.length < y.length:
-                step = below.get(ys, ZERO)
-            else:  # R(ys, xs) is 0 unless ys <= xs, whatever a stray entry says
-                b = below.get(ys, ZERO) if bruhat_leq(sys, ys, xs) else ZERO
-                step = ascent(below.get(y, ZERO), b)
-            poly = row.get(y, ZERO)
-            if not (poly.degree == upper.length - y.length and poly.r_shaped
-                    and poly.gj == drow[y] and poly.coeffs == step.coeffs):
-                bad.append((y, poly, {}))
-        if len(row) > len(lower):  # the row holds more than its index row
-            reason = {"reason": "nonzero for incomparable pair"}
-            bad += [(y, p, reason) for y, p in row.items() if not bruhat_leq(sys, y, upper)]
-        for y, poly, extra in sorted(bad, key=lambda b: b[0].position):
-            out.note_failure(_witness(sys, upper, y, coeffs=list(poly.coeffs), **extra))
+    ascent, rows = ascent_memo(), rtable.rows
+    for (upper, lower), (_, xs, first, second), row, drow in zip(
+            comparable_rows(sys), descent_rows(sys, rtable.policy), rows, direct):
+        steps = r_steps(ascent, None if xs is None else rows[xs.position], first, second)
+        # the steps end before upper, which ends its row; the table makes R(upper, upper) = 1
+        for y, step, poly, count in zip(lower, steps, row, drow):
+            if not (poly.degree == upper.length - y.length and poly.r_shaped and poly.gj == count
+                    and poly.coeffs == step.coeffs):
+                out.note_failure(
+                    None  # only the first witness is kept, so only the first is built
+                    if out.failed
+                    else _witness(sys, upper, y, coeffs=list(poly.coeffs))
+                )
     return out
 
 
@@ -368,8 +360,8 @@ def run_report(config: RunConfig) -> dict:
     The output dir is made before any table is filled, so an unusable one
     fails the run before the whole-group work.  It is also the run's cache
     dir, so a second report warm-loads the R-polynomials the first wrote.
-    The dimension table is streamed from the index rows, reading both
-    filled tables' rows directly, and its lines also give the summary's counts.
+    The dimension table is streamed from the index rows zipped with both
+    filled tables' rows, and its lines also give the summary's counts.
     """
     sys = build_system(config.type_text, budget=config.budget)
     out_dir = Path(config.cache_dir) if config.cache_dir is not None else Path("verma_ext_cache")
@@ -385,10 +377,10 @@ def run_report(config: RunConfig) -> dict:
         yield f"# dimension table\n# system: {fp}\n# generated_at: {stamp}\n"
         yield "x_word;y_word;dimV;gj_coeff;match\n"
         words = [word_text(sys, g) for g in enumerate_elements(sys)]  # by position
-        for x, lower in comparable_rows(sys):
-            xw, vrow, rrow = words[x.position], vtable.rows[x], rtable.rows[x]
-            for y in lower:  # the index row's own pairs, so none is re-tested
-                d, g = vrow[y].dim, rrow[y].gj
+        for (x, lower), vrow, rrow in zip(comparable_rows(sys), vtable.rows, rtable.rows):
+            xw = words[x.position]
+            for y, space, poly in zip(lower, vrow, rrow):  # the index row's own pairs
+                d, g = space.dim, poly.gj
                 dims[d] += 1
                 histogram[g] += 1
                 yield f"{xw};{words[y.position]};{d};{g};{int(d == g)}\n"

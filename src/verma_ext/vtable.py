@@ -22,11 +22,11 @@ so u(v_{s_k}), column s_k of u's matrix, is an integer positive root
 (Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 4).  A lone query
 walks its whole chain and builds one echelon basis from those roots.
 ``compute_all`` instead fills every pair by ``coxeter.fill_rows``, the one
-whole-group fill walk: each pair takes one step to the stored pair below
-and builds from its basis and v_s.  Both builds are memoised on (known
-subspace, steps (s, down) taken), so only a new key costs one (366 for
-D4's 9,817 pairs), and both reach the canonical basis of the stepwise
-recursion.
+whole-group fill walk, into rows aligned with the Bruhat index: each pair
+takes one step to the stored pair below and builds from its basis and v_s.
+Both builds are memoised on (known subspace, steps (s, down) taken), so
+only a new key costs one (366 for D4's 9,817 pairs), and both reach the
+canonical basis of the stepwise recursion.
 
 The recursion is policy-bound: which descent s gets stripped is a free
 choice (the table's descent policy), and the computed subspace must not depend
@@ -42,6 +42,7 @@ pairs inside a rank-two parabolic pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .coxeter import (
     DESCENT_POLICIES,
@@ -59,6 +60,7 @@ from .coxeter import (
     reduced_word,
     right_multiply,
     simple_reflection,
+    slot,
 )
 from .errors import (
     IndexOutOfRange,
@@ -93,21 +95,25 @@ class SingularSpec:
 
 
 class VTable:
-    """Memoized V(x, y) values for one system under one descent policy.
+    """V(x, y) for one system under one descent policy.
 
-    ``rows[x][y]`` is the subspace of each pair asked for, in one row per
-    upper element x keyed by the lower element y; each row starts as
-    {x: 0}, so it holds its diagonal.  ``computed`` counts the strict pairs
-    y < x built, as ``RTable.computed`` does.  ``_spaces`` interns the
-    distinct subspaces, so equal entries are one object, and ``_spans``
-    memoises the echelon build on (known subspace, steps taken).
+    A single-pair query keeps its subspace in a sparse memo, ``_memo[x][y]``,
+    one row per upper element x keyed by the lower element y; each row starts
+    as {x: 0}, so it holds its diagonal.  ``compute_all`` makes ``rows``
+    instead, by position, each aligned with the index row of x and ending
+    with V(x, x) = 0, and from then on queries read ``rows``.  ``computed``
+    counts the strict pairs y < x built, as ``RTable.computed`` does.
+    ``_spaces`` interns the distinct subspaces, so equal entries are one
+    object, and ``_spans`` memoises the echelon build on (known subspace,
+    steps taken).
     """
 
     def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
         check_policy(policy)
         self.sys = sys
         self.policy = policy
-        self.rows: dict[GroupElement, dict[GroupElement, RationalSubspace]] = {}
+        self.rows: list[list[RationalSubspace]] | None = None
+        self._memo: dict[GroupElement, dict[GroupElement, RationalSubspace]] = {}
         self.computed = 0
         self._zero = RationalSubspace(sys.rank)
         self._spaces: dict[RationalSubspace, RationalSubspace] = {self._zero: self._zero}
@@ -118,7 +124,9 @@ class VTable:
         return self._v(x, y)
 
     def _v(self, x: GroupElement, y: GroupElement) -> RationalSubspace:
-        row = self.rows.get(x) or self.rows.setdefault(x, {x: self._zero})
+        if self.rows is not None:
+            return self.rows[x.position][slot(self.sys, x, y)]
+        row = self._memo.get(x) or self._memo.setdefault(x, {x: self._zero})
         hit = row.get(y)
         if hit is not None:
             return hit
@@ -141,30 +149,39 @@ class VTable:
         """span(roots) + u . known, memoised on (known, steps) and interned."""
         value = self._spans.get((known, steps))
         if value is None:
-            images = [[sum(a * b for a, b in zip(mr, r)) for mr in u.matrix] for r in known.basis]
+            images = [[sum(map(mul, mr, r)) for mr in u.matrix] for r in known.basis]
             value = RationalSubspace(self.sys.rank, roots + images)
             value = self._spans[known, steps] = self._spaces.setdefault(value, value)
         return value
 
 
 def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> VTable:
-    """Fill a table with V(x, y) for every comparable pair y <= x, by ``fill_rows``.
+    """Fill a table's ``rows`` with V(x, y) for every comparable pair y <= x, by ``fill_rows``.
 
-    A pair's step reads the span memo itself, with each descent's moves made once.
+    A pair's step is memoised per (s, down) on the id of the known subspace
+    it builds from, which the table interns and so keeps alive: no pair
+    hashes a subspace, and each descent's moves are made once.
     """
     table = VTable(sys, policy=policy)
-    spans, span = table._spans, table._span
-    # moves[s][down]: (s as an element, the steps key, the roots the step adds)
-    moves = [((simple_reflection(sys, s), ((s, False),), [[int(j == s) for j in range(sys.rank)]]),
-              (simple_reflection(sys, s), ((s, True),), [])) for s in range(sys.rank)]
+    zero, span = table._zero, table._span
+    # moves[s][down]: (the steps key, s as an element, the roots the step adds)
+    moves = [((((s, False),), simple_reflection(sys, s), [[int(j == s) for j in range(sys.rank)]]),
+              (((s, True),), simple_reflection(sys, s), [])) for s in range(sys.rank)]
+    built = [({}, {}) for _ in range(sys.rank)]  # [s][down]: id of the known subspace -> V
 
-    def step(s, xs, below, y, ys, down):
-        known = below[ys] if down else below[y]
-        g, steps, roots = moves[s][down]
-        value = spans.get((known, steps))
-        return span(known, steps, g, roots) if value is None else value
+    def build(s, down, known):
+        value = built[s][down][id(known)] = span(known, *moves[s][down])
+        return value
 
-    table.computed = fill_rows(sys, policy, table.rows, table._zero, step)
+    def fill_row(x, s, below, first, second):
+        memos = built[s]
+        row = [memos[a == b].get(id(below[a])) or build(s, a == b, below[a])
+               for a, b in zip(first, second)]
+        row.append(zero)
+        return row
+
+    table.rows = fill_rows(sys, policy, fill_row)
+    table.computed = sum(map(len, table.rows)) - len(table.rows)
     return table
 
 

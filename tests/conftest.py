@@ -19,6 +19,15 @@ def comparable_pairs(sys):
     return ((x, y) for x, lower in comparable_rows(sys) for y in lower)
 
 
+def filled_pairs(sys, rows):
+    """(x, y, entry) for every pair y <= x of a filled table's rows, checking they align with the index."""
+    index = list(comparable_rows(sys))
+    assert len(rows) == len(index)
+    for (x, lower), row in zip(index, rows):
+        assert len(row) == len(lower)
+        yield from ((x, y, entry) for y, entry in zip(lower, row))
+
+
 _SYSTEMS: dict[str, object] = {}
 _VTABLES: dict[str, object] = {}
 _RTABLES: dict[str, object] = {}

@@ -336,36 +336,28 @@ def test_whole_group_fills_read_the_index_not_the_recursion():
     assert len(d4._bruhat) == 0
 
 
-def test_fill_rows_steps_once_per_missing_strict_pair():
-    # Every third row is seeded with its diagonal and the first half of its
-    # pairs; the walk keeps those objects and steps once for each pair the
-    # rows lack, in index-row order, never for a diagonal.
+def test_fill_rows_makes_each_row_once_from_the_row_of_xs(monkeypatch):
+    # One call per index row, in position order, handed x's descent, the
+    # row of xs (already made) and x's slots into it; the walk keeps each
+    # row as made and takes no descent step of its own.
     sys = build_system("B3")
     index = list(comparable_rows(sys))
-    rows, seeded, expected = {}, {}, []
-    for k, (x, lower) in enumerate(index):
-        if k % 3 == 0:
-            rows[x] = {y: object() for y in (x, *lower[: len(lower) // 2])}
-            seeded[x] = dict(rows[x])
-        expected += [(x, y) for y in lower[:-1] if y not in seeded.get(x, ())]
-    diagonal, stepped = object(), []
+    steps = coxeter.descent_rows(sys, "smallest")
+    made = []
 
-    def step(s, xs, below, y, ys, down):
-        x = right_multiply(sys, xs, s)
-        assert s == pick_descent(sys, x, "smallest") and below is rows[xs]
-        assert ys is right_multiply(sys, y, s) and down == (ys.length < y.length)
-        stepped.append((x, y, object()))
-        return stepped[-1][2]
+    def fill_row(x, s, below, first, second):
+        lower = index[len(made)][1]
+        step_s, xs, step_first, step_second = steps[len(made)]
+        assert x is lower[-1] and x.position == len(made)
+        assert (s, first, second) == (step_s, step_first, step_second)
+        assert below is (None if xs is None else made[xs.position])
+        made.append([object() for _ in lower])
+        return made[-1]
 
-    assert coxeter.fill_rows(sys, "smallest", rows, diagonal, step) == len(expected)
-    assert [(x, y) for x, y, _ in stepped] == expected
-    assert 0 < len(expected) < 799
-    for x, y, value in stepped:
-        assert rows[x][y] is value
-    for x, lower in index:
-        assert set(rows[x]) == set(lower)
-        assert rows[x][x] is seeded[x][x] if x in seeded else rows[x][x] is diagonal
-        assert all(rows[x][y] is value for y, value in seeded.get(x, {}).items())
+    monkeypatch.setattr(coxeter, "descend_lower", None)  # the descent rows are already built
+    rows = coxeter.fill_rows(sys, "smallest", fill_row)
+    assert len(rows) == len(made) == len(index) == 48
+    assert all(row is want for row, want in zip(rows, made))
 
 
 def test_subword_oracle_refuses_words_past_its_budget():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import comparable_pairs
+from conftest import comparable_pairs, filled_pairs
 from verma_ext import rpoly as rpoly_module
 from verma_ext.coxeter import (
     bruhat_leq,
@@ -27,6 +27,7 @@ from verma_ext.coxeter import (
     enumerate_elements,
     identity,
     longest_element,
+    slot,
 )
 from verma_ext.errors import (
     InvalidType,
@@ -223,7 +224,7 @@ def test_ascent_step_matches_polynomial_arithmetic(text, system):
     expected = {}
     for (y, x), poly in memo.items():
         expected.setdefault(x, {x: ONE})[y] = poly
-    assert table.rows == expected
+    assert table._memo == expected and table.rows is None
 
 
 @pytest.mark.parametrize("text", PRESETS + ("B4",))
@@ -236,20 +237,19 @@ def test_row_fill_matches_a_fresh_recursion(text, policy):
     table = RTable(sys, policy=policy)
     table.fill()
     elems, pairs = enumerate_elements(sys), len(list(comparable_pairs(sys)))
-    assert table.computed == pairs - len(elems) and sum(map(len, table.rows.values())) == pairs
-    for x, row in table.rows.items():
-        fresh = RTable(sys, policy=policy)
-        for y, poly in row.items():
-            if text != "B4":
-                fresh = RTable(sys, policy=policy)
-            assert fresh.r(y, x) == poly, (text, policy, x, y)
+    assert table.computed == pairs - len(elems) and sum(map(len, table.rows)) == pairs
+    fresh = last = None
+    for x, y, poly in filled_pairs(sys, table.rows):
+        if text != "B4" or x is not last:
+            fresh, last = RTable(sys, policy=policy), x
+        assert fresh.r(y, x) == poly, (text, policy, x, y)
 
 
 def test_fill_after_a_cache_load_computes_only_what_is_missing(tmp_path, system):
     a3 = system("A3")
     full = RTable(a3)
     full.fill()
-    strict = [(y, x) for x, row in full.rows.items() for y in row if y is not x]  # the file's pairs
+    strict = [(y, x) for x, y, _ in filled_pairs(a3, full.rows) if y is not x]  # the file's pairs
     for name, keep in (("full", strict), ("part", strict[::3])):
         path = tmp_path / f"{name}.csv"
         partial = RTable(a3)
@@ -258,33 +258,31 @@ def test_fill_after_a_cache_load_computes_only_what_is_missing(tmp_path, system)
         partial.save_csv(path)
         warm = RTable(a3)
         loaded = warm.load_csv(path)
-        kept = {x: dict(row) for x, row in warm.rows.items()}
+        kept = {x: dict(row) for x, row in warm._memo.items()}
         warm.fill()
         assert warm.computed == len(strict) - loaded
-        assert warm.rows == full.rows
-        assert all(warm.rows[x][y] is poly for x, row in kept.items() for y, poly in row.items())
+        assert warm.rows == full.rows and warm._memo == {}  # the fill took the memo's entries
+        assert all(warm.r(y, x) is poly for x, row in kept.items() for y, poly in row.items())
     assert loaded < len(strict)
 
 
-def test_suite_r_flags_stray_and_wrong_entries():
+def test_suite_r_flags_wrong_entries_and_never_sees_stray_ones():
     sys = build_system("A2")  # its own system, as the test plants entries
+    # an entry for the incomparable pair s1, s0, planted in the lazy memo before the fill
+    x, y = element_from_word(sys, (0,)), element_from_word(sys, (1,))
+    stray = IntPolynomial((-1, 1))
     rtable = RTable(sys)
+    rtable._memo[x] = {x: ONE, y: stray}
     rtable.fill()
+    assert rtable.computed == 13 and rtable._memo == {}
+    assert not any(poly is stray for row in rtable.rows for poly in row)
+    assert rtable.r(y, x) is ZERO
     config, direct = RunConfig("A2"), direct_rows(sys)
     clean = _suite_r(sys, rtable, None, config, direct)
     assert (clean.checked, clean.failed) == (36, 0)
-    # an entry for the incomparable pair s1, s0
-    x, y = element_from_word(sys, (0,)), element_from_word(sys, (1,))
-    rtable.rows[x][y] = IntPolynomial((-1, 1))
-    stray = _suite_r(sys, rtable, None, config, direct)
-    assert (stray.checked, stray.failed) == (36, 1)
-    assert stray.witnesses == [
-        {"x": "0", "y": "1", "coeffs": [-1, 1], "reason": "nonzero for incomparable pair"}
-    ]
-    del rtable.rows[x][y]
     # a wrong polynomial that keeps every term invariant but not the coefficient
     w0, e = longest_element(sys), identity(sys)
-    rtable.rows[w0][e] = IntPolynomial((-1, 3, -3, 1))
+    rtable.rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, 3, -3, 1))
     wrong = _suite_r(sys, rtable, None, config, direct)
     assert (wrong.checked, wrong.failed) == (36, 1)
     assert wrong.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, 3, -3, 1]}]
@@ -296,7 +294,7 @@ def test_suite_r_counts_a_negative_coefficient_row_as_a_failure():
     rtable = RTable(sys)
     rtable.fill()
     w0, e = longest_element(sys), identity(sys)
-    rtable.rows[w0][e] = IntPolynomial((-1, -1, 1, 1))
+    rtable.rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, -1, 1, 1))
     result = _suite_r(sys, rtable, None, RunConfig("A2"), direct_rows(sys))
     assert (result.checked, result.failed) == (36, 1)
     assert result.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, -1, 1, 1]}]
@@ -306,7 +304,7 @@ def test_gj_coefficient_of_a_negative_coefficient_row_is_an_invariant_violation(
     sys = build_system("A2")  # its own system, as the test plants an entry
     rtable = RTable(sys)
     w0, e = longest_element(sys), identity(sys)
-    rtable.rows[w0] = {e: IntPolynomial((-1, -1, 1, 1))}
+    rtable._memo[w0] = {e: IntPolynomial((-1, -1, 1, 1))}
     with pytest.raises(InvariantViolation, match=r"signed q-coefficient -1 < 0 at pair \(0,1,0, e\)"):
         gj_coefficient(sys, w0, e, rtable)
 
@@ -318,7 +316,7 @@ def test_lazy_table_holds_one_object_per_distinct_polynomial():
     table = RTable(sys)
     for x, y in comparable_pairs(sys):
         table.r(y, x)
-    values = [poly for x, row in table.rows.items() for y, poly in row.items() if y is not x]
+    values = [poly for x, row in table._memo.items() for y, poly in row.items() if y is not x]
     assert len(values) == 799
     assert len({id(poly) for poly in values}) == len({poly.coeffs for poly in values}) == 19
 
@@ -370,10 +368,11 @@ def test_direct_memo_matches_a_fresh_chain_walk(text, policy, system):
     # fill takes one step from each pair to the counted pair below it.
     sys = system(text)
     rows = direct_rows(sys, policy)
-    assert sum(map(len, rows.values())) == len(list(comparable_pairs(sys)))
-    for x, row in rows.items():
-        for y, count in row.items():
-            assert r_coeff_direct(sys, x, y, policy) == count
+    assert all(type(row) is bytes for row in rows)
+    entries = list(filled_pairs(sys, rows))
+    assert len(entries) == len(list(comparable_pairs(sys)))
+    for x, y, count in entries:
+        assert r_coeff_direct(sys, x, y, policy) == count
 
 
 def test_direct_step_off_the_order_is_a_lifting_violation(monkeypatch, system):
@@ -417,9 +416,9 @@ def test_cache_round_trip(tmp_path, system):
     fresh = RTable(a2)
     loaded = fresh.load_csv(path)
     # no row's diagonal is in the file
-    assert loaded == sum(len(row) - 1 for row in table.rows.values()) > 0
+    assert loaded == sum(len(row) - 1 for row in table._memo.values()) > 0
     assert fresh.computed == 0
-    assert fresh.rows == table.rows
+    assert fresh._memo == table._memo
     # a warm table answers without recomputing anything
     _fill(fresh, a2)
     assert fresh.computed == 0
@@ -515,8 +514,8 @@ def test_cache_load_builds_each_word_once(tmp_path, system, monkeypatch):
     monkeypatch.setattr(rpoly_module, "element_from_word", counted)
     fresh = RTable(a3)
     loaded = fresh.load_csv(path)
-    assert loaded == sum(len(row) - 1 for row in table.rows.values()) > len(enumerate_elements(a3))
-    assert fresh.rows == table.rows
+    assert loaded == sum(len(row) - 1 for row in table._memo.values()) > len(enumerate_elements(a3))
+    assert fresh._memo == table._memo
     assert set(calls.values()) == {1}
 
 
@@ -565,6 +564,30 @@ def test_each_bad_cache_row_names_its_line(tmp_path, system, old, new, message):
     assert str(info.value) == f"{path}:{lines.index(new) + 1}: {message}"
 
 
+@pytest.mark.parametrize("text", ["A3", "B3", "D4"])
+@pytest.mark.parametrize("policy", ["smallest", "largest"])
+def test_cache_file_is_the_same_from_filled_rows_and_from_the_lazy_memo(tmp_path, text, policy):
+    # A filled table writes its aligned rows, a lazy one its sparse memo, and
+    # a warm table fills its rows from the memo it loaded: one file, byte for byte.
+    sys = build_system(text)
+    filled, lazy = RTable(sys, policy=policy), RTable(sys, policy=policy)
+    filled.fill()
+    for x, y in comparable_pairs(sys):
+        lazy.r(y, x)
+    assert filled.rows is not None and lazy.rows is None
+    filled.save_csv(tmp_path / "filled.csv")
+    lazy.save_csv(tmp_path / "lazy.csv")
+    warm = RTable(sys, policy=policy)
+    warm.load_csv(tmp_path / "filled.csv")
+    warm.fill()
+    assert warm.computed == 0
+    warm.save_csv(tmp_path / "warm.csv")
+    data = (tmp_path / "filled.csv").read_bytes()
+    assert data.count(b"\n") == 3 + len(list(comparable_pairs(sys))) - len(enumerate_elements(sys))
+    assert (tmp_path / "lazy.csv").read_bytes() == data
+    assert (tmp_path / "warm.csv").read_bytes() == data
+
+
 def test_warm_load_keeps_one_polynomial_per_coefficient_list(tmp_path):
     d4 = build_system("D4")
     table = RTable(d4)
@@ -572,8 +595,8 @@ def test_warm_load_keeps_one_polynomial_per_coefficient_list(tmp_path):
     path = tmp_path / "rpoly.csv"
     table.save_csv(path)
     warm = RTable(d4)
-    assert warm.load_csv(path) == sum(len(row) - 1 for row in table.rows.values())
-    polys = [p for row in warm.rows.values() for p in row.values()]
+    assert warm.load_csv(path) == sum(len(row) - 1 for row in table.rows)
+    polys = [p for row in warm._memo.values() for p in row.values()]
     assert len({id(p) for p in polys}) == len({p.coeffs for p in polys}) < len(polys) // 100
 
 

@@ -19,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import comparable_pairs
+from conftest import comparable_pairs, filled_pairs
 from verma_ext import coxeter, verify
 from verma_ext import vtable as vtable_module
 from verma_ext.coxeter import (
@@ -39,6 +39,7 @@ from verma_ext.coxeter import (
     reduced_word,
     right_multiply,
     simple_reflection,
+    slot,
 )
 from verma_ext.errors import (
     IndexOutOfRange,
@@ -193,7 +194,8 @@ def edge_root_decomposition(sys, table):
     ascents = {}  # y -> [(beta, y s_beta)] over the betas with y < y s_beta
     spans = {}
     divergent = Counter()
-    for x, y in comparable_pairs(sys):
+    for (x, y, space), (_, _, poly) in zip(filled_pairs(sys, table.rows),
+                                           filled_pairs(sys, rtable.rows)):
         if y not in ascents:
             ascents[y] = [
                 (beta, h)
@@ -203,11 +205,10 @@ def edge_root_decomposition(sys, table):
         edges = tuple(beta for beta, h in ascents[y] if bruhat_leq(sys, h, x))
         if edges not in spans:
             spans[edges] = RationalSubspace(sys.rank, edges)
-        space = table.rows[x][y]
         assert spans[edges] == space, (x, y)  # canonical bases, so subspace equality
         if y is x:
             continue
-        gj = rtable.rows[x][y].gj
+        gj = poly.gj
         assert space.dim <= gj <= len(edges), (x, y)
         if gj != space.dim:
             divergent[gj - space.dim, len(edges) - gj] += 1
@@ -291,25 +292,30 @@ def test_policy_invariance(text, system, vtable):
 
 
 def test_rows_are_keyed_by_the_upper_element(system):
-    # Both tables store rows[x][y] for the pair y <= x: V(x, y) and R(y, x).
+    # A filled table keeps the row of x at x's position, aligned with x's
+    # index row, and a query reads its pair's slot there; a lazy table keeps
+    # memo[x][y] for the pair y <= x.  Both hold V(x, y) and R(y, x).
     sys = system("A3")
     vtable, rtable = compute_all(sys), RTable(sys)
     pairs = list(comparable_pairs(sys))
-    rows_v, rows_r = {}, {}
+    rows_v, rows_r = [], {}
     for x, y in pairs:
-        rows_v.setdefault(x, {})[y] = vtable.v(x, y)
+        if x.position == len(rows_v):
+            rows_v.append([])
+        rows_v[x.position].append(vtable.v(x, y))
         if x is not y:
             rows_r.setdefault(x, {x: ONE})[y] = rtable.r(y, x)  # the row of x holds its diagonal
-    assert sum(map(len, vtable.rows.values())) == len(pairs)
+    assert sum(map(len, vtable.rows)) == len(pairs)
+    assert [list(map(id, row)) for row in vtable.rows] == [list(map(id, row)) for row in rows_v]
     # a lazy table makes no row for the identity, which is above no strict pair
-    assert sum(map(len, rtable.rows.values())) == len(pairs) - 1
-    assert vtable.rows == rows_v and rtable.rows == rows_r
+    assert sum(map(len, rtable._memo.values())) == len(pairs) - 1
+    assert rtable._memo == rows_r and rtable.rows is None
 
 
 def test_compute_all_counts(system, vtable):
-    assert sum(map(len, vtable("A2").rows.values())) == 19
-    assert sum(map(len, vtable("B2").rows.values())) == 33
-    assert sum(map(len, vtable("G2").rows.values())) == 73
+    assert sum(map(len, vtable("A2").rows)) == 19
+    assert sum(map(len, vtable("B2").rows)) == 33
+    assert sum(map(len, vtable("G2").rows)) == 73
     # strict pairs only, as RTable.computed counts them
     assert vtable("A2").computed == 13
 
@@ -323,9 +329,8 @@ def test_fill_matches_a_fresh_chain_walk(text, policy, system, vtable):
     # diagonal and builds its span once; the fill stops at stored pairs.
     sys = system(text)
     table = vtable(text) if policy == "smallest" else compute_all(sys, policy=policy)
-    for x, row in table.rows.items():
-        for y, space in row.items():
-            assert VTable(sys, policy).v(x, y) == space
+    for x, y, space in filled_pairs(sys, table.rows):
+        assert VTable(sys, policy).v(x, y) == space
 
 
 @pytest.mark.parametrize("fill", ["V", "R", "direct", "verify"])
@@ -351,18 +356,28 @@ def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch, system):
             off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
             assert len(off_diagonal) == 799
             assert steps == off_diagonal
-        # each kept step is the pair's own: lowered lines up with the strict index row
+        # each kept step is the pair's own: its slots read back, from the
+        # row of xs, ys or y for the pair below and ys when ys <= xs
         for text in (*PRESETS, "B4"):
             sys = system(text)
             for policy in DESCENT_POLICIES:
-                for (x, lower), (s, xs, lowered) in zip(comparable_rows(sys),
-                                                        descent_rows(sys, policy)):
-                    assert len(lowered) == len(lower) - 1
-                    if lowered:
-                        assert s == pick_descent(sys, x, policy)
-                        assert xs is right_multiply(sys, x, s)
-                    for k, ys in enumerate(lowered):
-                        assert ys is right_multiply(sys, lower[k], s)
+                for (x, lower), (s, xs, first, second) in zip(comparable_rows(sys),
+                                                              descent_rows(sys, policy)):
+                    assert first.typecode == second.typecode == "i"
+                    assert len(first) == len(second) == len(lower) - 1
+                    if not first:
+                        assert (x, s, xs) == (identity(sys), -1, None)
+                        continue
+                    assert s == pick_descent(sys, x, policy)
+                    assert xs is right_multiply(sys, x, s)
+                    below = sys._lower[xs.position]
+                    for y, a, b in zip(lower, first, second):
+                        ys = right_multiply(sys, y, s)
+                        assert a >= 0 and below[a] is (ys if ys.length < y.length else y)
+                        if bruhat_leq(sys, ys, xs):
+                            assert b >= 0 and below[b] is ys
+                        else:
+                            assert b == -1
         return
     if fill == "V":
         rows = compute_all(sys).rows
@@ -375,9 +390,9 @@ def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch, system):
     off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
     assert len(off_diagonal) == 799
     assert steps == off_diagonal
-    assert sum(map(len, rows.values())) == 799 + len(rows)
+    assert sum(map(len, rows)) == 799 + len(rows)
     if fill == "V":  # equal subspaces are one object
-        spaces = [space for row in rows.values() for space in row.values()]
+        spaces = [space for row in rows for space in row]
         assert len({id(v) for v in spaces}) == len(set(spaces))
 
 
@@ -418,7 +433,8 @@ def test_singular_spec_validation(system):
 def test_suite_s_flags_a_wrong_top_space(system):
     sys = system("A2")
     table = compute_all(sys)  # its own table, as the test plants an entry
-    table.rows[longest_element(sys)][identity(sys)] = RationalSubspace(sys.rank)
+    w0, e = longest_element(sys), identity(sys)
+    table.rows[w0.position][slot(sys, w0, e)] = RationalSubspace(sys.rank)
     result = _suite_s(sys, None, table, RunConfig("A2"), {})
     # the subsets {}, {0}, {1} and {0,1}: only the last expects the zero quotient
     assert (result.checked, result.failed) == (4, 3)
@@ -549,8 +565,8 @@ def test_suite_m_flags_a_row_whose_membership_flipped(system):
     sys = system("A2")
     table = compute_all(sys)  # its own table, as the test plants an entry
     x, y = element_from_word(sys, (1, 0)), identity(sys)
-    assert table.rows[x][y].dim == 2  # v_1 is in it, as x >= y s_1 predicts
-    table.rows[x][y] = RationalSubspace(sys.rank)
+    assert table.rows[x.position][slot(sys, x, y)].dim == 2  # v_1 is in it, as x >= y s_1 predicts
+    table.rows[x.position][slot(sys, x, y)] = RationalSubspace(sys.rank)
     result = _suite_m(sys, None, table, RunConfig("A2"), {})
     assert (result.checked, result.failed) == (12, 1)
     assert result.witnesses == [{"x": "1,0", "y": "e", "s": 1, "in_v": False, "x_ge_ys": True}]
