@@ -28,12 +28,12 @@ From then on ``bruhat_leq`` answers with one bit test; before that it calls
 ``bruhat_leq_lifting``, a memoized recursion on the lifting property, so
 single-pair queries on a large group stay lazy.
 ``bruhat_leq_oracle`` decides order by subword enumeration of one reduced
-word, on bare matrices, to cross-check the other two; it refuses a word with
-more than an explicit budget of subwords.  ``descend`` is the one step, with
-its lifting check, that the R-polynomial, subspace and direct recursions all
-take.  ``descent_rows`` takes its half ``descend_lower`` once per strict
-pair and policy and keeps, per index row, x's descent s, xs and two slots
-per pair into the row of xs; ``fill_rows``, the tables' one whole-group fill
+word, on bare matrices it numbers itself, to cross-check the other two; it
+refuses a word with more than an explicit budget of subwords.  ``descend``
+is the one step, with its lifting check, of the single-pair recursions.
+``descent_rows`` takes it for every strict pair, a row at a time by maps
+over positions, and keeps per index row x's descent s, xs and two slots per
+pair into the row of xs; ``fill_rows``, the tables' one whole-group fill
 walk, and suite R read those slots instead of stepping again.
 
 A filled table is a list by position of rows aligned with the index rows:
@@ -55,6 +55,7 @@ import re
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
+from operator import attrgetter
 
 from .errors import (
     BudgetExceeded,
@@ -267,12 +268,12 @@ class CoxeterSystem:
     and lower-set lists hold the system's own GroupElements, keyed by
     identity, and so are the oracle's subword products.  Beside the index,
     ``descent_rows`` caches each policy's descent step per index row, as
-    slots into the row of xs.  The oracle's column reflections are memoized
-    per simple reflection on bare matrices.  All grow monotonically but the
-    subword products and the reflection memo, which ``drop_order_memos``
-    empties; all derived tables hold a reference to their system, so sharing
-    one system between tables shares the caches.  Pass a system only
-    elements it built.
+    slots into the row of xs.  The oracle numbers the bare matrices it
+    reaches and memoizes, per s, the number of each one's column
+    reflection.  All grow monotonically but the oracle's tables, which
+    ``drop_order_memos`` empties; all derived tables hold a reference to
+    their system, so sharing one system between tables shares the caches.
+    Pass a system only elements it built.
     """
 
     def __init__(self, descriptor: TypeDescriptor, budget: int = DEFAULT_BUDGET):
@@ -307,8 +308,10 @@ class CoxeterSystem:
         self._below: list[int] | None = None  # the Bruhat index, by position
         self._lower: list[tuple[GroupElement, ...]] | None = None  # the elements below, by position
         self._descent_rows: dict[str, list[DescentRow]] = {}  # by policy, then by position
-        self._downsets: dict[GroupElement, frozenset[IntMatrix]] = {}  # subword products
-        self._reflected: list[dict[IntMatrix, IntMatrix]] = [{} for _ in range(n)]  # m -> m s_i
+        self._downsets: dict[GroupElement, frozenset[int]] = {}  # subword products, numbered
+        self._numbers: dict[IntMatrix, int] = {}  # the oracle's number for each matrix it reached
+        self._numbered: list[IntMatrix] = []  # the matrix of each number
+        self._reflected: list[dict[int, int]] = [{} for _ in range(n)]  # number of m -> of m s_i
         self._elements: tuple[GroupElement, ...] | None = None
         self._longest: GroupElement | None = None
 
@@ -575,44 +578,48 @@ def check_below(sys: CoxeterSystem, y: GroupElement, x: GroupElement) -> None:
 def descend(
     sys: CoxeterSystem, x: GroupElement, y: GroupElement, policy: str
 ) -> tuple[int, GroupElement, GroupElement, bool]:
-    """One step of a pair recursion on x: (s, xs, ys, down), s the descent ``policy`` picks."""
+    """One step of a pair recursion on x: (s, xs, ys, down), s the descent ``policy`` picks.
+
+    down says ys < y.  By the lifting property (Björner–Brenti,
+    *Combinatorics of Coxeter Groups*, §2.2) the pair the step recurses on
+    stays comparable: ys <= xs when down, y <= xs otherwise.  That is
+    checked here, by one bit test once the system has its index; a failure
+    means the recursion itself is broken, so it raises LiftingViolation
+    rather than NotComparable.
+    """
     s = pick_descent(sys, x, policy)
     xs = right_multiply(sys, x, s)
-    return (s, xs, *descend_lower(sys, x, s, xs, y))
-
-
-def descend_lower(
-    sys: CoxeterSystem, x: GroupElement, s: int, xs: GroupElement, y: GroupElement
-) -> tuple[GroupElement, bool]:
-    """The half of a descent step that depends on y < x: (ys, down), where down says ys < y.
-
-    By the lifting property (Björner–Brenti, *Combinatorics of Coxeter
-    Groups*, §2.2) the pair the step recurses on stays comparable: ys <= xs
-    when down, y <= xs otherwise.  That is checked here, by one bit test
-    once the system has its index; a failure means the recursion itself is
-    broken, so it raises LiftingViolation rather than NotComparable.
-    """
     ys = right_multiply(sys, y, s)
     down = ys.length < y.length
     if not bruhat_leq(sys, ys if down else y, xs):
         raise LiftingViolation(f"descent step left the Bruhat order at x={word_text(sys, x)}")
-    return ys, down
+    return s, xs, ys, down
 
 
 def bruhat_leq_oracle(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
     """Decide x <= y by enumerating the subwords of one reduced word of y."""
-    return x.matrix in subword_products(sys, y)
+    products = subword_products(sys, y)
+    return sys._numbers.get(x.matrix) in products
 
 
-def subword_products(sys: CoxeterSystem, y: GroupElement) -> frozenset[IntMatrix]:
-    """The matrices of the subwords of y's canonical reduced word, memoized per system.
+def _number(sys: CoxeterSystem, matrix: IntMatrix) -> int:
+    """The oracle's number for a bare matrix, given the next one on first sight."""
+    n = sys._numbers.get(matrix)
+    if n is None:
+        n = sys._numbers[matrix] = len(sys._numbered)
+        sys._numbered.append(matrix)
+    return n
 
-    x <= y iff x is among them.  The word of y is the word of ys plus s, for
-    s its smallest descent, so y's set is the set of ys and its images under
-    s.  Each matrix is reflected by s once per system: ``sys._reflected[s]``
-    keeps m -> m s keyed by the bare matrix, never by an element's id or
-    position, so the oracle stays independent of the interned tables.  The
-    call refuses a y whose 2**length(y) subwords exceed ORACLE_BUDGET.
+
+def subword_products(sys: CoxeterSystem, y: GroupElement) -> frozenset[int]:
+    """The oracle's numbers of the subwords of y's canonical reduced word, memoized per system.
+
+    x <= y iff x's matrix has a number among them.  The word of y is the
+    word of ys plus s, for s its smallest descent, so y's set is the set of
+    ys and its images under s.  The oracle numbers each bare matrix on first
+    sight (``sys._numbers``; ``sys._numbered`` maps back), never by an
+    element's id or position, and reflects each number by s once
+    (``sys._reflected[s]``).  It refuses 2**length(y) > ORACLE_BUDGET.
     """
     k = y.length
     if 2**k > ORACLE_BUDGET:
@@ -620,20 +627,21 @@ def subword_products(sys: CoxeterSystem, y: GroupElement) -> frozenset[IntMatrix
     got = sys._downsets.get(y)
     if got is None:
         if not k:
-            return frozenset((y.matrix,))
+            return frozenset((_number(sys, y.matrix),))
         s = pick_descent(sys, y, "smallest")
         prefix = subword_products(sys, right_multiply(sys, y, s))
-        reflected = sys._reflected[s]
-        for m in prefix:
-            if m not in reflected:
-                reflected[m] = _col_reflect(sys, m, s)
+        reflected, numbered = sys._reflected[s], sys._numbered
+        for n in prefix.difference(reflected):
+            reflected[n] = _number(sys, _col_reflect(sys, numbered[n], s))
         got = sys._downsets[y] = prefix.union(map(reflected.__getitem__, prefix))
     return got
 
 
 def drop_order_memos(sys: CoxeterSystem) -> None:
-    """Free the subword products and the reflections they took; the next call refills them."""
+    """Free the subword products, the oracle's numbers and their reflections; the next call refills them."""
     sys._downsets.clear()
+    sys._numbers.clear()
+    sys._numbered.clear()
     for memo in sys._reflected:
         memo.clear()
 
@@ -735,34 +743,39 @@ def descent_rows(sys: CoxeterSystem, policy: str) -> list[DescentRow]:
     For y the k-th element of x's row and down whether ys < y, first[k] is
     the slot of ys when down and of y otherwise, and second[k] is the slot
     of ys, or -1 when ys is not below xs; so down is first[k] == second[k].
-    The identity's row is (-1, None) and two empty arrays.  Each strict pair
-    takes ``descend_lower`` once, with its lifting check, when a policy's
-    rows are first asked for; they are cached on the system beside the
-    index.  One position -> slot list, filled from the row of xs and
-    cleared after, finds the slots, so the build is O(pairs).
+    The identity's row is (-1, None) and two empty arrays.  A row is maps
+    over positions, with no call per pair: ys by ``_right_steps``, the
+    shorter of y and ys by a table of min(p, ps) (positions go by length),
+    and slots by a position -> slot list set from the index mask of xs.  A
+    -1 in ``first`` breaks the lifting property (see ``descend``) and
+    raises LiftingViolation.  The rows are cached per policy on the system.
     """
     check_policy(policy)
     got = sys._descent_rows.get(policy)
     if got is None:
         from array import array  # a shared library: only whole-group work pays for loading it
 
-        got = []
+        steps = _right_steps(sys)
+        lows = [list(map(min, range(len(step)), step)) for step in steps]
         where = [-1] * sys.group_order  # by position: the slot in the row of xs, or -1
+        position = attrgetter("position")
+        got = []
         for x, lower in comparable_rows(sys):
             if not x.descents:
                 got.append((-1, None, array("i"), array("i")))
                 continue
             s = pick_descent(sys, x, policy)
             xs = right_multiply(sys, x, s)
-            below = sys._lower[xs.position]
-            for k, g in enumerate(below):
-                where[g.position] = k
-            lowered = [descend_lower(sys, x, s, xs, y)[0] for y in lower[:-1]]
-            first = array("i", [where[(ys if ys.length < y.length else y).position]
-                                for y, ys in zip(lower, lowered)])
-            second = array("i", [where[ys.position] for ys in lowered])
-            for g in below:
-                where[g.position] = -1
+            below = _bits(sys._below[xs.position])
+            for k, p in enumerate(below):
+                where[p] = k
+            ps = list(map(position, lower[:-1]))
+            first = array("i", map(where.__getitem__, map(lows[s].__getitem__, ps)))
+            second = array("i", map(where.__getitem__, map(steps[s].__getitem__, ps)))
+            for p in below:
+                where[p] = -1
+            if -1 in first:
+                raise LiftingViolation(f"descent step left the Bruhat order at x={word_text(sys, x)}")
             got.append((s, xs, first, second))
         sys._descent_rows[policy] = got
     return got

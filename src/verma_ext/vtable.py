@@ -23,10 +23,11 @@ so u(v_{s_k}), column s_k of u's matrix, is an integer positive root
 walks its whole chain and builds one echelon basis from those roots.
 ``compute_all`` instead fills every pair by ``coxeter.fill_rows``, the one
 whole-group fill walk, into rows aligned with the Bruhat index: each pair
-takes one step to the stored pair below and builds from its basis and v_s.
-Both builds are memoised on (known subspace, steps (s, down) taken), so
-only a new key costs one (366 for D4's 9,817 pairs), and both reach the
-canonical basis of the stepwise recursion.
+takes one step to the stored pair below.  A down step builds s . known; an
+up step builds span(v_s, known), with no matrix product, since s moves a
+vector only along v_s.  Both builds are memoised on the known subspace and
+the step, so only a new key costs one (366 for D4's 9,817 pairs), and both
+reach the canonical basis of the stepwise recursion.
 
 The recursion is policy-bound: which descent s gets stripped is a free
 choice (the table's descent policy), and the computed subspace must not depend
@@ -160,17 +161,22 @@ def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> VTable
 
     A pair's step is memoised per (s, down) on the id of the known subspace
     it builds from, which the table interns and so keeps alive: no pair
-    hashes a subspace, and each descent's moves are made once.
+    hashes a subspace, and each descent's moves are made once.  An up step
+    builds span(v_s, known) with no matrix product, as s . W + K v_s is
+    W + K v_s; a down step builds s . known.
     """
     table = VTable(sys, policy=policy)
-    zero, span = table._zero, table._span
-    # moves[s][down]: (the steps key, s as an element, the roots the step adds)
-    moves = [((((s, False),), simple_reflection(sys, s), [[int(j == s) for j in range(sys.rank)]]),
-              (((s, True),), simple_reflection(sys, s), [])) for s in range(sys.rank)]
+    zero, span, spaces = table._zero, table._span, table._spaces
+    units = [tuple(int(j == s) for j in range(sys.rank)) for s in range(sys.rank)]  # v_s
     built = [({}, {}) for _ in range(sys.rank)]  # [s][down]: id of the known subspace -> V
 
     def build(s, down, known):
-        value = built[s][down][id(known)] = span(known, *moves[s][down])
+        if down:
+            value = span(known, ((s, True),), simple_reflection(sys, s), [])
+        else:
+            value = RationalSubspace(sys.rank, [units[s], *known.basis])
+            value = spaces.setdefault(value, value)
+        built[s][down][id(known)] = value
         return value
 
     def fill_row(x, s, below, first, second):

@@ -354,7 +354,7 @@ def test_fill_rows_makes_each_row_once_from_the_row_of_xs(monkeypatch):
         made.append([object() for _ in lower])
         return made[-1]
 
-    monkeypatch.setattr(coxeter, "descend_lower", None)  # the descent rows are already built
+    monkeypatch.setattr(coxeter, "descend", None)  # the descent rows are already built
     rows = coxeter.fill_rows(sys, "smallest", fill_row)
     assert len(rows) == len(made) == len(index) == 48
     assert all(row is want for row, want in zip(rows, made))
@@ -489,9 +489,10 @@ def test_each_matrix_is_one_element_after_a_verify_pass(text):
 
 
 def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
-    # Suite B alone fills the subword products and the reflections they
-    # take; a whole verify pass drops both and leaves the lifting memo
-    # empty, and a later single-pair query refills the memo.
+    # Suite B alone fills the subword products, the oracle's numbers for
+    # their matrices and the reflections they take; a whole verify pass
+    # drops all three and leaves the lifting memo empty, and a later
+    # single-pair query refills the memo.
     built = []
 
     def build(*args, **kwargs):
@@ -504,6 +505,7 @@ def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
     (sys,) = built
     assert sys._bruhat == {}
     assert sys._downsets == {}
+    assert sys._numbers == {} and sys._numbered == []  # the oracle's number table
     assert sys._reflected == [{}] * sys.rank  # the oracle's column reflections
     assert bruhat_leq_lifting(sys, element_from_word(sys, (1,)), longest_element(sys))
     assert sys._bruhat
@@ -540,13 +542,14 @@ def test_suite_b_rows_match_the_recursion_and_the_oracle_pair_by_pair(text):
 
 @pytest.mark.parametrize("text", ["A2", "B2"])
 def test_suite_b_flags_an_oracle_row_that_lost_a_matrix(text, monkeypatch):
-    # Every row above the identity loses the identity's matrix, so each
-    # y != e fails once, at x = e.
+    # Every row above the identity loses the oracle's number for the
+    # identity's matrix, so each y != e fails once, at x = e.
     sys = build_system(text)
     e = identity(sys)
 
     def lossy(sys, y):
-        return coxeter.subword_products(sys, y) - ({e.matrix} if y is not e else set())
+        products = coxeter.subword_products(sys, y)
+        return products - ({sys._numbers[e.matrix]} if y is not e else set())
 
     monkeypatch.setattr(verify, "subword_products", lossy)
     result = verify._suite_b(sys, None, None, verify.RunConfig(text), {})

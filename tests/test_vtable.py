@@ -21,6 +21,7 @@ import pytest
 
 from conftest import comparable_pairs, filled_pairs
 from verma_ext import coxeter, verify
+from verma_ext import rpoly as rpoly_module
 from verma_ext import vtable as vtable_module
 from verma_ext.coxeter import (
     DESCENT_POLICIES,
@@ -28,7 +29,6 @@ from verma_ext.coxeter import (
     build_system,
     comparable_rows,
     descend,
-    descend_lower,
     descent_rows,
     element_from_word,
     enumerate_elements,
@@ -337,25 +337,28 @@ def test_fill_matches_a_fresh_chain_walk(text, policy, system, vtable):
 def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch, system):
     # In length order every off-diagonal pair is one step above a stored
     # pair, so each fill takes exactly one step from each.  The steps are
-    # kept per system and policy, so a whole verify pass, whose three fills
-    # and suite R read them, takes each step once too.
+    # kept per system and policy as rows over the index rows, built with no
+    # call per pair: neither the build nor a fill calls ``descend``, and a
+    # whole verify pass, whose three fills and suite R read them, builds
+    # each policy's rows once.
+    def no_step(*args):
+        raise AssertionError("a row fill took a single-pair descent step")
+
+    for module in (coxeter, rpoly_module, vtable_module):
+        monkeypatch.setattr(module, "descend", no_step)
     sys = build_system("B3")
-    steps = []
-
-    def counted(sys, x, s, xs, y):
-        steps.append((x, y))
-        return descend_lower(sys, x, s, xs, y)
-
-    monkeypatch.setattr(coxeter, "descend_lower", counted)
     if fill == "verify":
         for policy in DESCENT_POLICIES:
             sys = build_system("B3")
             monkeypatch.setattr(verify, "build_system", lambda *args, **kwargs: sys)
-            steps.clear()
             verify.run_verify(RunConfig("B3", policy=policy))
             off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
             assert len(off_diagonal) == 799
-            assert steps == off_diagonal
+            assert list(sys._descent_rows) == [policy]
+            covered = [(x, y) for (x, lower), (_, _, first, _) in
+                       zip(comparable_rows(sys), sys._descent_rows[policy])
+                       for y, _ in zip(lower, first)]
+            assert covered == off_diagonal
         # each kept step is the pair's own: its slots read back, from the
         # row of xs, ys or y for the pair below and ys when ys <= xs
         for text in (*PRESETS, "B4"):
@@ -387,13 +390,32 @@ def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch, system):
         rows = table.rows
     else:
         rows = direct_rows(sys)
-    off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
-    assert len(off_diagonal) == 799
-    assert steps == off_diagonal
     assert sum(map(len, rows)) == 799 + len(rows)
     if fill == "V":  # equal subspaces are one object
         spaces = [space for row in rows for space in row]
         assert len({id(v) for v in spaces}) == len(set(spaces))
+
+
+@pytest.mark.parametrize("text", PRESETS + ("B4",))
+@pytest.mark.parametrize("policy", DESCENT_POLICIES)
+def test_up_moves_equal_the_matrix_product_route(text, policy, system):
+    # An up step builds span(v_s, known) with no matrix product; each
+    # distinct up move the fill made must equal s . known + K v_s, with s
+    # applied to the known basis by its matrix.
+    sys = system(text)
+    rows = compute_all(sys, policy=policy).rows
+    seen = set()
+    for (x, _), (s, xs, first, second), row in zip(comparable_rows(sys),
+                                                  descent_rows(sys, policy), rows):
+        g = None if xs is None else simple_reflection(sys, s)
+        for a, b, space in zip(first, second, row):
+            known = rows[xs.position][a]
+            if a == b or (s, id(known)) in seen:
+                continue
+            seen.add((s, id(known)))
+            images = [apply_element(sys, g, r) for r in known.basis]
+            assert space == RationalSubspace(sys.rank, [*images, basis_vector(sys, s)])
+    assert seen
 
 
 @pytest.mark.parametrize("fill", ["V", "R"])

@@ -47,9 +47,10 @@ COUNTS = {
     },
 }
 
-# A whole A6 verify peaked at 206 MB (CPython 3.11, Linux x86-64); the
-# bound leaves room for other interpreters and stays under 500 MB.
-A6_PEAK_MB = 300
+# A whole A6 verify peaked at 147 MB (CPython 3.11, Linux x86-64); the
+# bound leaves room for other interpreters and stays under 206 MB, the peak
+# when suite B ran after the fills.
+A6_PEAK_MB = 200
 
 CHILD = """
 import contextlib, io, json, resource
