@@ -79,7 +79,7 @@ def cmd_rpoly(config: RunConfig, x_word: str, y_word: str) -> dict:
     rtable = load_rtable(config, sys)
     gj = gj_coefficient(sys, x, y, rtable)  # raises NotComparable when y !<= x
     poly = rtable.r(y, x)
-    save_rtable(config, sys, rtable)
+    save_rtable(config, sys, rtable, rtable.memo_pairs())
     return {
         "system": fingerprint(sys),
         "x": word_text(sys, x),
@@ -95,16 +95,16 @@ def cmd_vspace(config: RunConfig, x_word: str, y_word: str) -> dict:
     sys = build_system(config.type_text, budget=config.budget)
     x = element_from_word(sys, parse_word(x_word))
     y = element_from_word(sys, parse_word(y_word))
-    table = VTable(sys, policy=config.policy)
+    space = VTable(sys, policy=config.policy).v(x, y)
     payload = {
         "system": fingerprint(sys),
         "x": word_text(sys, x),
         "y": word_text(sys, y),
-        "space": table.v(x, y).to_json_dict(),
+        "space": space.to_json_dict(),
     }
     if config.singular:
         payload["singular"] = [
-            {"subset": str(spec), "image": singular_v(sys, table, spec, x, y).to_json_dict()}
+            {"subset": str(spec), "image": singular_v(sys, space, spec).to_json_dict()}
             for spec in config.singular
         ]
     return payload

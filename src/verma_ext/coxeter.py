@@ -36,13 +36,14 @@ over positions, and keeps per index row x's descent s, xs and two slots per
 pair into the row of xs; ``fill_rows``, the tables' one whole-group fill
 walk, and suite R read those slots instead of stepping again.
 
-A filled table is a list by position of rows aligned with the index rows:
-entry k of x's row belongs to the pair (x, ``sys._lower[x.position][k]``),
-and the row ends with its diagonal.  ``slot`` finds a pair's entry by a bit
-count on the index.  The memos that single-pair work fills (the lifting
-memo here, the tables' lazy memos) are dicts of sparse rows instead:
-``memo[x][y]`` for the pair y <= x, keyed by the elements, so no lookup
-builds an (x, y) tuple and no entry stores one.
+The whole-group fills (``vtable.compute_all``, ``RTable.fill``,
+``rpoly.direct_rows``) return a list by position of rows aligned with the
+index rows, which no table keeps: entry k of x's row belongs to the pair
+(x, ``sys._lower[x.position][k]``), and the row ends with its diagonal.
+``slot`` finds a pair's entry by a bit count on the index.  The memos that
+single-pair work fills (the lifting memo here, the tables' lazy memos) are
+dicts of sparse rows instead: ``memo[x][y]`` for the pair y <= x, keyed by
+the elements, so no lookup builds an (x, y) tuple and no entry stores one.
 """
 
 from __future__ import annotations

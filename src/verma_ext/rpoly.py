@@ -10,8 +10,8 @@ with R(x, x) = 1 and R(y, x) = 0 unless y <= x.  For comparable pairs the
 polynomial has degree length(x) - length(y), leading coefficient 1, constant
 term (-1)**(length(x) - length(y)), and vanishes at q = 1 when y < x.
 ``RTable.r`` recurses from one pair into a sparse memo; ``RTable.fill``
-takes the same step by ``coxeter.fill_rows``, once per pair, into rows
-aligned with the Bruhat index; both share one ascent memo.
+takes the same step by ``coxeter.fill_rows``, once per pair, and returns
+rows aligned with the Bruhat index; both share one ascent memo.
 
 ``IntPolynomial.gj`` is the q^1 coefficient with the sign that makes it a
 dimension count; ``r_coeff_direct`` (one pair) and ``direct_rows`` (every
@@ -34,13 +34,11 @@ from .coxeter import (
     bruhat_leq,
     check_below,
     check_policy,
-    comparable_rows,
     descend,
     element_from_word,
     fingerprint,
     fill_rows,
     parse_word,
-    slot,
     word_text,
 )
 from .errors import InvariantViolation, IoError, ParseError
@@ -136,23 +134,20 @@ def write_atomic(path: Path | str, pieces: Iterable[str]) -> None:
 class RTable:
     """R-polynomials of one system, bound to a descent policy.
 
-    Before ``fill``, ``r`` and ``load_csv`` keep R(y, x) in a sparse memo,
-    ``_memo[x][y]``, one row per upper element x keyed by the lower element
-    y; each row starts as {x: ONE}, so it holds its diagonal.  ``fill``
-    makes ``rows``, by position, each aligned with the index row of x and
-    ending with R(x, x) = ONE; it takes the memo's entries for the pairs of
-    the index, then drops the memo, and from then on ``r`` reads ``rows``.
-    ``computed`` counts the strict pairs y < x the recursion produced (cache
-    loads do not count), so tests see that a warm cache recomputes nothing.
-    Incomparable lookups return the zero polynomial without touching the
-    table.  The cache file holds the strict pairs only.
+    ``r`` and ``load_csv`` keep R(y, x) in a sparse memo, ``_memo[x][y]``,
+    one row per upper element x keyed by the lower element y; each row
+    starts as {x: ONE}, so it holds its diagonal.  ``fill`` returns every
+    pair's R(y, x) as rows and empties the memo.  ``computed`` counts the
+    strict pairs y < x the recursion produced (cache loads do not count),
+    so tests see that a warm cache recomputes nothing.  Incomparable
+    lookups return the zero polynomial without touching the table.  The
+    cache file holds the strict pairs only.
     """
 
     def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
         check_policy(policy)
         self.sys = sys
         self.policy = policy
-        self.rows: list[list[IntPolynomial]] | None = None
         self._memo: dict[GroupElement, dict[GroupElement, IntPolynomial]] = {}
         self.computed = 0
         self.ascent = ascent_memo()  # shared by ``r`` and ``fill``
@@ -162,8 +157,6 @@ class RTable:
             return ONE
         if not bruhat_leq(self.sys, y, x):
             return ZERO
-        if self.rows is not None:
-            return self.rows[x.position][slot(self.sys, x, y)]
         row = self._memo.get(x) or self._memo.setdefault(x, {x: ONE})
         hit = row.get(y)
         if hit is not None:
@@ -174,12 +167,13 @@ class RTable:
         self.computed += 1
         return value
 
-    def fill(self) -> None:
-        """Make ``rows``: every pair y < x takes the memo's entry, or else one step, by ``fill_rows``.
+    def fill(self) -> list[list[IntPolynomial]]:
+        """R(y, x) for every pair y <= x, by ``fill_rows``: rows aligned with the index rows.
 
-        Each step reads the row of xs, and the table's ascent memo shares the
-        results (F4: 435 objects in all).  The memo's entries for pairs off
-        the index are never read.
+        Each row ends with ONE.  A pair the memo holds takes that entry, every
+        other pair one step from the row of xs, counted in ``computed``; the
+        ascent memo shares the results (F4: 435 objects in all).  The fill
+        empties the memo, whose entries for pairs off the index are never read.
         """
         sys, ascent, memo = self.sys, self.ascent, self._memo
 
@@ -200,16 +194,13 @@ class RTable:
                 self.computed += len(missing)
             return row
 
-        self.rows = fill_rows(sys, self.policy, fill_row)
+        rows = fill_rows(sys, self.policy, fill_row)
         memo.clear()
+        self.ascent = ascent_memo()  # its keys are ids of entries the table no longer keeps
+        return rows
 
-    def _pairs(self) -> Iterator[tuple[GroupElement, GroupElement, IntPolynomial]]:
-        """The stored strict pairs as (x, y, R(y, x)), by (length, matrix) on x, then on y."""
-        if self.rows is not None:
-            for (x, lower), row in zip(comparable_rows(self.sys), self.rows):
-                for y, poly in zip(lower[:-1], row):
-                    yield x, y, poly
-            return
+    def memo_pairs(self) -> Iterator[tuple[GroupElement, GroupElement, IntPolynomial]]:
+        """The memo's strict pairs as (x, y, R(y, x)), by (length, matrix) on x, then on y."""
         memo = self._memo
         order = lambda g: (g.length, g.matrix)  # noqa: E731
         for x in sorted(memo, key=order):
@@ -220,19 +211,21 @@ class RTable:
 
     # -- persistence -------------------------------------------------------
 
-    def save_csv(self, path: Path | str) -> None:
-        """Write the stored strict pairs y < x as ``y_word;x_word;c0,c1,...,cd`` rows, streamed.
+    def save_csv(self, path: Path | str, pairs: Iterable[tuple]) -> None:
+        """Write strict pairs (x, y, R(y, x)) as ``y_word;x_word;c0,c1,...,cd`` rows, streamed.
 
-        Each element's word text and each polynomial object's coefficient
-        text is formatted once per file.
+        The pairs come by (length, matrix) on x, then on y, as ``memo_pairs``
+        and filled rows zipped with the index rows give them.  Each element's
+        word text and each polynomial object's coefficient text is formatted
+        once per file.
         """
         sys = self.sys
         word = functools.cache(lambda g: word_text(sys, g))
-        coeffs: dict[int, str] = {}  # by the id of a polynomial the table keeps
+        coeffs: dict[int, str] = {}  # by the id of a polynomial the pairs' source keeps
 
         def lines():
             yield f"# r-polynomial cache\n# system: {fingerprint(sys)}\n# policy: {self.policy}\n"
-            for x, y, poly in self._pairs():
+            for x, y, poly in pairs:
                 cs = coeffs.get(id(poly))
                 if cs is None:
                     cs = coeffs[id(poly)] = ",".join(map(str, poly.coeffs))
@@ -243,7 +236,7 @@ class RTable:
     def load_csv(self, path: Path | str) -> int:
         """Merge entries from a cache file into the memo, streamed, validating each row.
 
-        Load before ``fill``, which reads the memo.  Returns the number of
+        Load before ``fill``, which takes its entries.  Returns the number of
         rows loaded.  A row must name a pair y < x and carry an ``r_shaped``
         polynomial of degree length(x) - length(y); a row that does not, or
         a system fingerprint mismatch, is a ParseError that names
@@ -330,8 +323,8 @@ def _parse_checked(text: str, gap: int) -> IntPolynomial:
 def ascent_memo() -> Callable[[IntPolynomial, IntPolynomial], IntPolynomial]:
     """R(y, x) = (q-1) a + q b = q (a + b) - a on an ascent, a = R(y, xs), b = R(ys, xs).
 
-    Memoised on the ids of inputs the caller keeps (a table never drops a
-    row it stored); one object per result.
+    Memoised on the ids of inputs the caller keeps alive (``RTable.fill``
+    renews the table's when it empties its memo); one object per result.
     """
     by_ids: dict[tuple[int, int], IntPolynomial] = {}
     shared: dict[tuple[int, ...], IntPolynomial] = {}

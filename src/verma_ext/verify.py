@@ -1,8 +1,8 @@
 """Whole-group verification suites and report files.
 
-``run_verify`` builds one group, fills the subspace and R-polynomial tables
-by walking the rows of its Bruhat index, and runs six suites, listed in
-output order (B, which reads no table, runs before the fills):
+``run_verify`` builds one group, fills the subspace, R-polynomial and direct
+count rows by walking the rows of its Bruhat index, and runs six suites,
+listed in output order (B, which reads no rows, runs before the fills):
 
     T  dim V(x, y) against both first-order coefficient routes, all pairs
     G  reflection representation sanity: involutions, braid orders, pairings
@@ -15,13 +15,13 @@ output order (B, which reads no table, runs before the fills):
        rows where the prediction is asserted to be exact
 
 Each suite reports how many atomic checks ran and how many failed, plus a
-witness for the first failure.  Every suite takes the run's three filled
-tables: V, R and the direct route's counts (``rpoly.direct_rows``), each a
-list of rows aligned with the rows of the Bruhat index.  Suites T and R and
-the dimension table zip those rows with the index rows, so no pair is
-looked up by element or re-tested against the order, and read each
-R-polynomial's shape and signed q-coefficient off the polynomial
-(``r_shaped`` and ``gj``, computed once per distinct polynomial).
+witness for the first failure.  Every suite takes the system, the run's V,
+R and direct count rows (``compute_all``, ``RTable.fill``, ``direct_rows``),
+each a list aligned with the rows of the Bruhat index, and the policy.
+Suites T and R, the dimension table and the R cache zip those rows with the
+index rows, so no pair is looked up by element or re-tested against the
+order, and read each R-polynomial's shape and signed q-coefficient off the
+polynomial (``r_shaped`` and ``gj``, computed once per distinct polynomial).
 ``run_report`` writes the R-polynomial cache, the dimension table, streamed
 row by row, and a summary; everything written is deterministic except an
 explicit generated_at comment line.
@@ -63,14 +63,14 @@ from .coxeter import (
 from .errors import IoError
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
 from .rpoly import RTable, ascent_memo, direct_rows, r_steps, write_atomic
-from .vtable import SingularSpec, VTable, compute_all, membership_report, singular_v
+from .vtable import SingularSpec, compute_all, membership_report, singular_v
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
 
 
 @dataclass
 class RunConfig:
-    """All knobs for one run of a command; ``singular`` is read only by ``vspace``."""
+    """The options of one command run; no suite reads it, and only ``vspace`` reads ``singular``."""
 
     type_text: str
     budget: int = DEFAULT_BUDGET
@@ -102,10 +102,10 @@ def _witness(sys, x, y, **fields) -> dict:
     return {"x": word_text(sys, x), "y": word_text(sys, y), **fields}
 
 
-def _suite_t(sys, rtable: RTable, vtable: VTable, config: RunConfig, direct: list) -> SuiteResult:
+def _suite_t(sys, vrows: list, rrows: list, drows: list, policy) -> SuiteResult:
     """dim V(x, y) == signed q-coefficient == direct recursion, on every pair."""
     out = SuiteResult("T")
-    for (x, lower), vrow, rrow, drow in zip(comparable_rows(sys), vtable.rows, rtable.rows, direct):
+    for (x, lower), vrow, rrow, drow in zip(comparable_rows(sys), vrows, rrows, drows):
         out.checked += len(lower)
         for y, space, poly, count in zip(lower, vrow, rrow, drow):
             d, g = space.dim, poly.gj
@@ -119,7 +119,7 @@ def _suite_t(sys, rtable: RTable, vtable: VTable, config: RunConfig, direct: lis
     return out
 
 
-def _suite_g(sys, rtable, vtable, config, direct) -> SuiteResult:
+def _suite_g(sys, vrows, rrows, drows, policy) -> SuiteResult:
     """Reflection representation properties, checked from the Cartan data up."""
     out = SuiteResult("G")
     e = identity(sys)
@@ -197,7 +197,7 @@ def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
         yield y, index, lifting[y.position], oracle
 
 
-def _suite_b(sys, rtable, vtable, config: RunConfig, direct) -> SuiteResult:
+def _suite_b(sys, vrows, rrows, drows, policy) -> SuiteResult:
     """Lifting recursion, Bruhat index and subword oracle agree on every pair within budget.
 
     The routes are compared as one mask per y (``_order_rows``), which checks
@@ -222,7 +222,7 @@ def _suite_b(sys, rtable, vtable, config: RunConfig, direct) -> SuiteResult:
     return out
 
 
-def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: list) -> SuiteResult:
+def _suite_r(sys, vrows, rrows: list, drows: list, policy: str) -> SuiteResult:
     """Each stored R(y, x): its shape, its count against the direct route, and one recursion step.
 
     An entry passes when its degree is the pair's gap, it is ``r_shaped``,
@@ -231,16 +231,16 @@ def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: list) -> Su
     and no other: R is 0 on every other pair.  Each R(y, x) must equal the
     recursion's step from the row of xs, so by induction every row, loaded
     or computed, is the recursion's.  The step's slots into the row of xs
-    are read off the table policy's ``descent_rows``, which the fills
+    are read off the policy's ``descent_rows``, which the fills
     already took, by ``rpoly.r_steps`` with an ascent memo of the suite's
     own.  ``checked`` counts |W|^2.
     """
     out = SuiteResult("R", checked=len(enumerate_elements(sys)) ** 2)
-    ascent, rows = ascent_memo(), rtable.rows
+    ascent = ascent_memo()
     for (upper, lower), (_, xs, first, second), row, drow in zip(
-            comparable_rows(sys), descent_rows(sys, rtable.policy), rows, direct):
-        steps = r_steps(ascent, None if xs is None else rows[xs.position], first, second)
-        # the steps end before upper, which ends its row; the table makes R(upper, upper) = 1
+            comparable_rows(sys), descent_rows(sys, policy), rrows, drows):
+        steps = r_steps(ascent, None if xs is None else rrows[xs.position], first, second)
+        # the steps end before upper, which ends its row; the fill makes R(upper, upper) = 1
         for y, step, poly, count in zip(lower, steps, row, drow):
             if not (poly.degree == upper.length - y.length and poly.r_shaped and poly.gj == count
                     and poly.coeffs == step.coeffs):
@@ -252,24 +252,24 @@ def _suite_r(sys, rtable: RTable, vtable, config: RunConfig, direct: list) -> Su
     return out
 
 
-def _suite_s(sys, rtable, vtable: VTable, config: RunConfig, direct) -> SuiteResult:
+def _suite_s(sys, vrows: list, rrows, drows, policy) -> SuiteResult:
     """Quotient dimension of V(longest, identity) for every singular subset."""
     out = SuiteResult("S")
-    w0, e = longest_element(sys), identity(sys)
+    top = vrows[longest_element(sys).position][0]  # V(w0, e): the identity is first in every row
     for k in range(sys.rank + 1):  # by size, then lexicographically
         for subset in combinations(range(sys.rank), k):
             spec = SingularSpec(frozenset(subset))
-            space = singular_v(sys, vtable, spec, w0, e)
+            space = singular_v(sys, top, spec)
             out.checked += 1
             if space.dim != sys.rank - k:
                 out.note_failure({"subset": str(spec), "dim": space.dim, "expected": sys.rank - k})
     return out
 
 
-def _suite_m(sys, rtable, vtable: VTable, config, direct) -> SuiteResult:
+def _suite_m(sys, vrows: list, rrows, drows, policy) -> SuiteResult:
     """On flagged report rows, membership of v_s must equal the prediction x >= ys."""
     out = SuiteResult("M")
-    for row in membership_report(sys, vtable):
+    for row in membership_report(sys, vrows):
         out.checked += 1
         if row.in_v != row.x_ge_ys:
             out.note_failure(
@@ -278,7 +278,7 @@ def _suite_m(sys, rtable, vtable: VTable, config, direct) -> SuiteResult:
     return out
 
 
-# In output order; suite B runs first, so its subword products are freed before the tables exist.
+# In output order; suite B runs first, so its subword products are freed before the fills.
 _SUITES = (_suite_t, _suite_g, _suite_b, _suite_r, _suite_s, _suite_m)
 _ORDER_SUITE = _SUITES.index(_suite_b)
 
@@ -304,8 +304,15 @@ def _make_dir(path: Path, what: str) -> None:
         raise IoError(f"cannot create {what} dir {path}: {exc}") from exc
 
 
-def save_rtable(config: RunConfig, sys: CoxeterSystem, rtable: RTable) -> None:
-    """Write the R-polynomial table into the cache dir, if the run has one.
+def _strict_pairs(sys: CoxeterSystem, rows: list) -> Iterator[tuple]:
+    """(x, y, entry) for each strict pair y < x of filled rows, in the index rows' order."""
+    for (x, lower), row in zip(comparable_rows(sys), rows):
+        for y, entry in zip(lower[:-1], row):
+            yield x, y, entry
+
+
+def save_rtable(config: RunConfig, sys: CoxeterSystem, rtable: RTable, pairs: Iterator) -> None:
+    """Write the pairs (x, y, R(y, x)) into the cache dir by ``save_csv``, if the run has one.
 
     A cache file the run computed nothing beyond already holds these rows,
     so it is left as it is.
@@ -316,20 +323,21 @@ def save_rtable(config: RunConfig, sys: CoxeterSystem, rtable: RTable) -> None:
     if rtable.computed == 0 and cache.exists():
         return
     _make_dir(cache.parent, "cache")
-    rtable.save_csv(cache)
+    rtable.save_csv(cache, pairs)
 
 
-def fill_tables(config: RunConfig, sys: CoxeterSystem) -> tuple[RTable, VTable]:
-    """R-polynomial and subspace tables of one system, warm-loading the R cache.
+def fill_tables(config: RunConfig, sys: CoxeterSystem) -> tuple[list, list, int]:
+    """(V rows, R rows, R pairs computed) of one system; the R fill reads and writes the cache.
 
     The V fill walks the index rows first, which builds the index if suite
     B has not, so the cache load's y < x check on every row is one bit
     test.  The R fill then computes only the pairs the cache did not hold.
     """
-    vtable = compute_all(sys, policy=config.policy)
+    vrows = compute_all(sys, policy=config.policy)
     rtable = load_rtable(config, sys)
-    rtable.fill()
-    return rtable, vtable
+    rrows = rtable.fill()
+    save_rtable(config, sys, rtable, _strict_pairs(sys, rrows))
+    return vrows, rrows, rtable.computed
 
 
 def run_verify(config: RunConfig) -> dict:
@@ -340,12 +348,11 @@ def run_verify(config: RunConfig) -> dict:
     """
     started = time.perf_counter()
     sys = build_system(config.type_text, budget=config.budget)
-    order = _SUITES[_ORDER_SUITE](sys, None, None, config, None)
-    rtable, vtable = fill_tables(config, sys)
-    direct = direct_rows(sys, config.policy)
-    suites = [order if k == _ORDER_SUITE else suite(sys, rtable, vtable, config, direct)
+    order = _SUITES[_ORDER_SUITE](sys, None, None, None, config.policy)
+    vrows, rrows, _ = fill_tables(config, sys)
+    drows = direct_rows(sys, config.policy)
+    suites = [order if k == _ORDER_SUITE else suite(sys, vrows, rrows, drows, config.policy)
               for k, suite in enumerate(_SUITES)]
-    save_rtable(config, sys, rtable)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return {
         "system": fingerprint(sys),
@@ -365,18 +372,17 @@ def run_report(config: RunConfig) -> dict:
     files written) and ``rtable_computed`` and ``vtable_computed`` (strict
     pairs computed rather than loaded).
 
-    The output dir is made before any table is filled, so an unusable one
+    The output dir is made before any row is filled, so an unusable one
     fails the run before the whole-group work.  It is also the run's cache
     dir, so a second report warm-loads the R-polynomials the first wrote.
-    The dimension table is streamed from the index rows zipped with both
-    filled tables' rows, and its lines also give the summary's counts.
+    The dimension table is streamed from the index rows zipped with the V
+    and R rows, and its lines also give the summary's counts.
     """
     sys = build_system(config.type_text, budget=config.budget)
     out_dir = Path(config.cache_dir) if config.cache_dir is not None else Path("verma_ext_cache")
     _make_dir(out_dir, "output")
     config = replace(config, cache_dir=out_dir)
-    rtable, vtable = fill_tables(config, sys)
-    save_rtable(config, sys, rtable)
+    vrows, rrows, rtable_computed = fill_tables(config, sys)
     fp = fingerprint(sys)
     histogram, dims = Counter(), Counter()
 
@@ -385,7 +391,7 @@ def run_report(config: RunConfig) -> dict:
         yield f"# dimension table\n# system: {fp}\n# generated_at: {stamp}\n"
         yield "x_word;y_word;dimV;gj_coeff;match\n"
         words = [word_text(sys, g) for g in enumerate_elements(sys)]  # by position
-        for (x, lower), vrow, rrow in zip(comparable_rows(sys), vtable.rows, rtable.rows):
+        for (x, lower), vrow, rrow in zip(comparable_rows(sys), vrows, rrows):
             xw = words[x.position]
             for y, space, poly in zip(lower, vrow, rrow):  # the index row's own pairs
                 d, g = space.dim, poly.gj
@@ -413,6 +419,6 @@ def run_report(config: RunConfig) -> dict:
             "dims": str(dims_path),
             "summary": str(summary_path),
         },
-        "rtable_computed": rtable.computed,
-        "vtable_computed": vtable.computed,
+        "rtable_computed": rtable_computed,
+        "vtable_computed": sum(map(len, vrows)) - len(vrows),
     }

@@ -19,25 +19,26 @@ steps s_1, s_2, ... the recursion unrolls to
 
 As x = x_k s_k ... s_1 with lengths adding, u = s_1 ... s_{k-1} has u s_k > u,
 so u(v_{s_k}), column s_k of u's matrix, is an integer positive root
-(Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 4).  A lone query
-walks its whole chain and builds one echelon basis from those roots.
-``compute_all`` instead fills every pair by ``coxeter.fill_rows``, the one
-whole-group fill walk, into rows aligned with the Bruhat index: each pair
-takes one step to the stored pair below.  A down step builds s . known; an
-up step builds span(v_s, known), with no matrix product, since s moves a
-vector only along v_s.  Both builds are memoised on the known subspace and
-the step, so only a new key costs one (366 for D4's 9,817 pairs), and both
-reach the canonical basis of the stepwise recursion.
+(Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 4).  A lone query,
+``VTable.v``, walks its whole chain and builds one echelon basis from those
+roots.  ``compute_all`` instead fills every pair by ``coxeter.fill_rows``,
+the one whole-group fill walk, and returns rows aligned with the Bruhat
+index: each pair takes one step to the filled pair below.  A down step
+builds s . known; an up step builds span(v_s, known), with no matrix
+product, since s moves a vector only along v_s.  Both builds are memoised
+on the known subspace and the step, so only a new key costs one (366 for
+D4's 9,817 pairs), and both reach the canonical basis of the stepwise
+recursion.
 
 The recursion is policy-bound: which descent s gets stripped is a free
 choice (the table's descent policy), and the computed subspace must not depend
 on it.  Tables built under the non-default policy exist to check exactly
 that independence.
 
-``singular_v`` passes to the quotient by the span of a chosen set of simple
-root vectors, and ``membership_report`` tabulates whether v_s lies in
-V(x, y) against the order relation x >= ys that predicts membership for
-pairs inside a rank-two parabolic pattern.
+``singular_v`` passes a subspace to the quotient by the span of a chosen set
+of simple root vectors, and ``membership_report`` tabulates, from filled
+rows, whether v_s lies in V(x, y) against the order relation x >= ys that
+predicts membership for pairs inside a rank-two parabolic pattern.
 """
 
 from __future__ import annotations
@@ -96,37 +97,24 @@ class SingularSpec:
 
 
 class VTable:
-    """V(x, y) for one system under one descent policy.
+    """V(x, y) for one system under one descent policy, one pair at a time.
 
-    A single-pair query keeps its subspace in a sparse memo, ``_memo[x][y]``,
-    one row per upper element x keyed by the lower element y; each row starts
-    as {x: 0}, so it holds its diagonal.  ``compute_all`` makes ``rows``
-    instead, by position, each aligned with the index row of x and ending
-    with V(x, x) = 0, and from then on queries read ``rows``.  ``computed``
-    counts the strict pairs y < x built, as ``RTable.computed`` does.
-    ``_spaces`` interns the distinct subspaces, so equal entries are one
-    object, and ``_spans`` memoises the echelon build on (known subspace,
-    steps taken).
+    ``v`` keeps its subspaces in a sparse memo, ``_memo[x][y]``, one row per
+    upper element x keyed by the lower element y; each row starts as
+    {x: 0}, so it holds its diagonal.  ``_spans`` memoises the echelon build
+    on the steps of a pair's chain, which determine the roots it spans.
     """
 
     def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
         check_policy(policy)
         self.sys = sys
         self.policy = policy
-        self.rows: list[list[RationalSubspace]] | None = None
         self._memo: dict[GroupElement, dict[GroupElement, RationalSubspace]] = {}
-        self.computed = 0
         self._zero = RationalSubspace(sys.rank)
-        self._spaces: dict[RationalSubspace, RationalSubspace] = {self._zero: self._zero}
-        self._spans: dict[tuple[RationalSubspace, tuple[tuple[int, bool], ...]], RationalSubspace] = {}
+        self._spans: dict[tuple[tuple[int, bool], ...], RationalSubspace] = {}
 
     def v(self, x: GroupElement, y: GroupElement) -> RationalSubspace:
         check_below(self.sys, y, x)
-        return self._v(x, y)
-
-    def _v(self, x: GroupElement, y: GroupElement) -> RationalSubspace:
-        if self.rows is not None:
-            return self.rows[x.position][slot(self.sys, x, y)]
         row = self._memo.get(x) or self._memo.setdefault(x, {x: self._zero})
         hit = row.get(y)
         if hit is not None:
@@ -142,41 +130,33 @@ class VTable:
             else:
                 roots.append([r[s] for r in u.matrix])
             u = right_multiply(sys, u, s)
-        value = row[bottom] = self._span(self._zero, tuple(steps), u, roots)
-        self.computed += 1
-        return value
-
-    def _span(self, known: RationalSubspace, steps, u: GroupElement, roots) -> RationalSubspace:
-        """span(roots) + u . known, memoised on (known, steps) and interned."""
-        value = self._spans.get((known, steps))
-        if value is None:
-            images = [[sum(map(mul, mr, r)) for mr in u.matrix] for r in known.basis]
-            value = RationalSubspace(self.sys.rank, roots + images)
-            value = self._spans[known, steps] = self._spaces.setdefault(value, value)
+        steps = tuple(steps)
+        value = row[bottom] = self._spans.get(steps) or self._spans.setdefault(
+            steps, RationalSubspace(sys.rank, roots))
         return value
 
 
-def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> VTable:
-    """Fill a table's ``rows`` with V(x, y) for every comparable pair y <= x, by ``fill_rows``.
+def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> list[list[RationalSubspace]]:
+    """V(x, y) for every pair y <= x, by ``fill_rows``: rows by position, aligned with the index rows.
 
-    A pair's step is memoised per (s, down) on the id of the known subspace
-    it builds from, which the table interns and so keeps alive: no pair
-    hashes a subspace, and each descent's moves are made once.  An up step
-    builds span(v_s, known) with no matrix product, as s . W + K v_s is
-    W + K v_s; a down step builds s . known.
+    Each row ends with V(x, x) = 0.  A pair's step is memoised per (s, down)
+    on the id of the known subspace it builds from, which the fill interns
+    and so keeps alive: no pair hashes a subspace, and each descent's moves
+    are made once.  An up step builds span(v_s, known) with no matrix
+    product, as s . W + K v_s is W + K v_s; a down step builds s . known.
     """
-    table = VTable(sys, policy=policy)
-    zero, span, spaces = table._zero, table._span, table._spaces
+    zero = RationalSubspace(sys.rank)
+    spaces = {zero: zero}  # interned: equal subspaces are one object
     units = [tuple(int(j == s) for j in range(sys.rank)) for s in range(sys.rank)]  # v_s
     built = [({}, {}) for _ in range(sys.rank)]  # [s][down]: id of the known subspace -> V
 
     def build(s, down, known):
         if down:
-            value = span(known, ((s, True),), simple_reflection(sys, s), [])
+            g = simple_reflection(sys, s).matrix
+            value = RationalSubspace(sys.rank, [[sum(map(mul, gr, r)) for gr in g] for r in known.basis])
         else:
             value = RationalSubspace(sys.rank, [units[s], *known.basis])
-            value = spaces.setdefault(value, value)
-        built[s][down][id(known)] = value
+        value = built[s][down][id(known)] = spaces.setdefault(value, value)
         return value
 
     def fill_row(x, s, below, first, second):
@@ -186,27 +166,19 @@ def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> VTable
         row.append(zero)
         return row
 
-    table.rows = fill_rows(sys, policy, fill_row)
-    table.computed = sum(map(len, table.rows)) - len(table.rows)
-    return table
+    return fill_rows(sys, policy, fill_row)
 
 
-def singular_v(
-    sys: CoxeterSystem,
-    table: VTable,
-    spec: SingularSpec,
-    x: GroupElement,
-    y: GroupElement,
-) -> RationalSubspace:
-    """Image of V(x, y) in the quotient by span{v_s : s in spec}.
+def singular_v(sys: CoxeterSystem, space: RationalSubspace, spec: SingularSpec) -> RationalSubspace:
+    """Image of the subspace ``space`` (a V(x, y)) in the quotient by span{v_s : s in spec}.
 
     The v_s are standard basis vectors, so the quotient map deletes the
-    coordinates in spec: the image is the span of V(x, y)'s rows with those
-    coordinates dropped, in ambient dimension rank - |spec|.
+    coordinates in spec: the image is the span of the subspace's rows with
+    those coordinates dropped, in ambient dimension rank - |spec|.
     """
     spec.validate(sys)
     keep = [j for j in range(sys.rank) if j not in spec.indices]
-    return RationalSubspace(len(keep), [[row[j] for j in keep] for row in table.v(x, y).basis])
+    return RationalSubspace(len(keep), [[row[j] for j in keep] for row in space.basis])
 
 
 @dataclass(frozen=True)
@@ -227,9 +199,9 @@ class MembershipRow:
     in_v: bool
 
 
-def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
-    """Membership rows for every comparable pair and every simple reflection
-    on which the order prediction is asserted to be exact.
+def membership_report(sys: CoxeterSystem, vrows: list[list[RationalSubspace]]) -> list[MembershipRow]:
+    """Membership rows, read off ``compute_all``'s rows, for every comparable pair
+    and every simple reflection on which the order prediction is asserted to be exact.
 
     Such a row's x and y each have at most two letters in the support of
     w0 g, made from the words of w0 and g by right multiplications, so only
@@ -252,6 +224,6 @@ def membership_report(sys: CoxeterSystem, table: VTable) -> list[MembershipRow]:
                 if (x.descents | y.descents) >> s & 1:
                     continue
                 x_ge_ys = bruhat_leq(sys, right_multiply(sys, y, s), x)
-                in_v = table._v(x, y).contains(basis_vector(sys, s))
+                in_v = vrows[x.position][slot(sys, x, y)].contains(basis_vector(sys, s))
                 rows.append(MembershipRow(x, y, s, x_ge_ys, in_v))
     return rows

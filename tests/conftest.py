@@ -1,7 +1,7 @@
-"""Shared fixtures: built systems and filled tables are cached per session.
+"""Shared fixtures: built systems, filled V rows and lazy R tables are cached per session.
 
-Group construction is cheap but table fills are quadratic in |W|, so tests
-share one fill per type through the factory fixtures below.
+Group construction is cheap but whole-group fills are quadratic in |W|, so
+tests share one fill per type through the factory fixtures below.
 """
 
 from __future__ import annotations
@@ -10,13 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from verma_ext.coxeter import build_system, comparable_rows
+from verma_ext.coxeter import build_system, comparable_rows, slot
 from verma_ext.rpoly import RTable
 from verma_ext.vtable import compute_all
 
 def comparable_pairs(sys):
     """The pairs (x, y) with y <= x, read off the rows of the Bruhat index as they are asked for."""
     return ((x, y) for x, lower in comparable_rows(sys) for y in lower)
+
+
+def reader(sys, rows):
+    """``read(x, y)``: the entry of filled rows for the pair y <= x, found by ``slot``."""
+    return lambda x, y: rows[x.position][slot(sys, x, y)]
 
 
 def filled_pairs(sys, rows):
@@ -48,7 +53,7 @@ def system():
 
 @pytest.fixture(scope="session")
 def vtable(system):
-    """Factory returning a fully populated VTable (smallest-descent policy)."""
+    """Factory returning ``compute_all``'s V rows of a type (smallest-descent policy), aligned with the index rows."""
 
     def get(type_text: str):
         key = type_text.upper()
@@ -61,7 +66,7 @@ def vtable(system):
 
 @pytest.fixture(scope="session")
 def rtable(system):
-    """Factory returning a session-shared RTable (filled lazily by callers)."""
+    """Factory returning a session-shared lazy RTable, whose memo fills as callers query it."""
 
     def get(type_text: str):
         key = type_text.upper()

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from conftest import comparable_pairs
+from conftest import comparable_pairs, reader
 from verma_ext.coxeter import (
     braid_order,
     bruhat_leq,
@@ -30,7 +30,7 @@ from verma_ext.coxeter import (
     longest_element,
     right_multiply,
 )
-from verma_ext.rpoly import direct_rows, gj_coefficient, r_coeff_direct
+from verma_ext.rpoly import direct_rows, r_coeff_direct
 from verma_ext.verify import (
     PRESETS,
     RunConfig,
@@ -57,13 +57,14 @@ FIRST_WITNESS = ("A3", "0,1,2,1,0", "1", 3, 4)
 
 @pytest.fixture(scope="module")
 def tables():
-    """(system, rtable, vtable) per preset, built once for the whole gate."""
+    """(system, R rows, V rows) per preset, filled once for the whole gate."""
 
     def get(text: str):
         if text not in _TABLES:
             config = RunConfig(type_text=text)
             sys = build_system(config.type_text, budget=config.budget)
-            _TABLES[text] = (sys, *fill_tables(config, sys))
+            vrows, rrows, _ = fill_tables(config, sys)
+            _TABLES[text] = (sys, rrows, vrows)
         return _TABLES[text]
 
     return get
@@ -89,8 +90,9 @@ def test_c01_dimension_equals_signed_q_coefficient(capsys, tables):
     pairs = 0
     witness = None
     for text in PRESETS:
-        sys, rtable, vtable = tables(text)
-        result = _suite_t(sys, rtable, vtable, RunConfig(type_text=text), direct_rows(sys))
+        sys, rrows, vrows = tables(text)
+        result = _suite_t(sys, vrows, rrows, direct_rows(sys), "smallest")
+        r, v = reader(sys, rrows), reader(sys, vrows)
         pairs += result.checked
         if result.failed:
             bad[text] = result.failed
@@ -100,10 +102,10 @@ def test_c01_dimension_equals_signed_q_coefficient(capsys, tables):
                 w = result.witnesses[0]
                 witness = (text, w["x"], w["y"], w["dim"], w["gj"])
         for x, y in comparable_pairs(sys):
-            gj = gj_coefficient(sys, x, y, rtable)
+            gj = r(x, y).gj
             if gj > sys.rank:
                 above_rank[text] = above_rank.get(text, 0) + 1
-                if vtable.v(x, y).dim == gj:
+                if v(x, y).dim == gj:
                     above_rank_agreeing += 1
     elapsed = time.perf_counter() - started
     ok = (
@@ -137,19 +139,20 @@ def test_c02_three_code_paths_agree(capsys, tables):
     policy_subspaces = 0
     policy_diff = 0
     for text in PRESETS:
-        sys, rtable, vtable = tables(text)
+        sys, rrows, vrows = tables(text)
+        r, v = reader(sys, rrows), reader(sys, vrows)
         other = compute_all(sys, policy="largest")
-        assert list(map(len, other.rows)) == list(map(len, vtable.rows))
-        for row, other_row in zip(vtable.rows, other.rows):  # both aligned with the index rows
+        assert list(map(len, other)) == list(map(len, vrows))
+        for row, other_row in zip(vrows, other):  # both aligned with the index rows
             for space, other_space in zip(row, other_row):
                 policy_subspaces += 1
                 if other_space != space:
                     policy_diff += 1
         for x, y in comparable_pairs(sys):
             checked += 1
-            gj = gj_coefficient(sys, x, y, rtable)
+            gj = r(x, y).gj
             direct = {r_coeff_direct(sys, x, y, policy=p) for p in ("smallest", "largest")}
-            dim = vtable.v(x, y).dim
+            dim = v(x, y).dim
             if direct != {gj}:
                 gj_vs_direct += 1
             if gj != dim:
@@ -171,17 +174,17 @@ def test_c02_three_code_paths_agree(capsys, tables):
 def test_c03_bottom_pair_full_and_singular_dims(capsys, tables):
     problems = []
     for text in PRESETS:
-        sys, _, vtable = tables(text)
-        if vtable.v(longest_element(sys), identity(sys)).dim != sys.rank:
+        sys, _, vrows = tables(text)
+        if reader(sys, vrows)(longest_element(sys), identity(sys)).dim != sys.rank:
             problems.append(f"{text} bottom pair not full")
     subset_checks = 0
     for text in ("A2", "B2", "A1xA2"):
-        sys, _, vtable = tables(text)
-        w0, e = longest_element(sys), identity(sys)
+        sys, _, vrows = tables(text)
+        top = reader(sys, vrows)(longest_element(sys), identity(sys))
         for mask in range(1 << sys.rank):
             subset = frozenset(i for i in range(sys.rank) if mask >> i & 1)
             spec = SingularSpec(subset)
-            image = singular_v(sys, vtable, spec, w0, e)
+            image = singular_v(sys, top, spec)
             subset_checks += 1
             if image.dim != sys.rank - len(subset):
                 problems.append(f"{text} subset {spec}")
@@ -199,8 +202,8 @@ def test_c04_reflection_representation_properties(capsys, tables):
     failed = 0
     checked = 0
     for text in PRESETS:
-        sys, rtable, vtable = tables(text)
-        result = _suite_g(sys, rtable, vtable, RunConfig(type_text=text), {})
+        sys, rrows, vrows = tables(text)
+        result = _suite_g(sys, vrows, rrows, None, "smallest")
         checked += result.checked
         failed += result.failed
     g2 = tables("G2")[0]
@@ -219,8 +222,8 @@ def test_c05_bruhat_recursion_vs_subword_oracle(capsys, tables):
     details = []
     failed = 0
     for text in ("A3", "B2"):
-        sys, rtable, vtable = tables(text)
-        result = _suite_b(sys, rtable, vtable, RunConfig(type_text=text), {})
+        sys, rrows, vrows = tables(text)
+        result = _suite_b(sys, vrows, rrows, None, "smallest")
         failed += result.failed
         details.append(f"{text} {result.checked} ordered pairs")
     _verdict(capsys, 5, failed == 0, f"{' and '.join(details)}, {failed} disagreements")
@@ -230,8 +233,8 @@ def test_c06_r_polynomial_invariants(capsys, tables):
     failed = 0
     checked = 0
     for text in PRESETS:
-        sys, rtable, vtable = tables(text)
-        result = _suite_r(sys, rtable, vtable, RunConfig(type_text=text), direct_rows(sys))
+        sys, rrows, vrows = tables(text)
+        result = _suite_r(sys, vrows, rrows, direct_rows(sys), "smallest")
         checked += result.checked
         failed += result.failed
     _verdict(
@@ -247,7 +250,8 @@ def test_c07_top_row_counts_coset_conditions(capsys, tables):
     checked = 0
     failed = 0
     for text in ("A3", "B3"):
-        sys, _, vtable = tables(text)
+        sys, _, vrows = tables(text)
+        v = reader(sys, vrows)
         w0 = longest_element(sys)
         for x in enumerate_elements(sys):
             expected = sum(
@@ -256,7 +260,7 @@ def test_c07_top_row_counts_coset_conditions(capsys, tables):
                 if bruhat_leq(sys, x, right_multiply(sys, w0, s))
             )
             checked += 1
-            if vtable.v(w0, x).dim != expected:
+            if v(w0, x).dim != expected:
                 failed += 1
     _verdict(
         capsys,
@@ -271,10 +275,10 @@ def test_c08_descent_policy_robustness(capsys, tables):
     mismatches = 0
     checked = 0
     for text in ("A3", "B2"):
-        sys, _, vtable = tables(text)
+        sys, _, vrows = tables(text)
         other = compute_all(sys, policy="largest")
-        assert list(map(len, other.rows)) == list(map(len, vtable.rows))
-        for row, other_row in zip(vtable.rows, other.rows):  # both aligned with the index rows
+        assert list(map(len, other)) == list(map(len, vrows))
+        for row, other_row in zip(vrows, other):  # both aligned with the index rows
             for space, other_space in zip(row, other_row):
                 checked += 1
                 if other_space != space:
@@ -292,8 +296,8 @@ def test_c09_rank_two_membership_biconditional(capsys, tables):
     failed = 0
     flagged = 0
     for text in ("A2", "B2", "G2"):
-        sys, rtable, vtable = tables(text)
-        result = _suite_m(sys, rtable, vtable, RunConfig(type_text=text), {})
+        sys, rrows, vrows = tables(text)
+        result = _suite_m(sys, vrows, rrows, None, "smallest")
         flagged += result.checked
         failed += result.failed
     _verdict(

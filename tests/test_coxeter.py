@@ -475,11 +475,11 @@ def test_each_matrix_is_one_element_after_a_verify_pass(text):
     # no two ids of one system share a matrix.
     config = verify.RunConfig(text)
     sys = build_system(config.type_text, budget=config.budget)
-    rtable, vtable = verify.fill_tables(config, sys)
-    direct = rpoly.direct_rows(sys, config.policy)
+    vrows, rrows, _ = verify.fill_tables(config, sys)
+    drows = rpoly.direct_rows(sys, config.policy)
     counts = {}
     for suite in verify._SUITES:
-        result = suite(sys, rtable, vtable, config, direct)
+        result = suite(sys, vrows, rrows, drows, config.policy)
         counts[result.name] = (result.checked, result.failed)
     assert counts == SUITE_COUNTS.get(text, counts)
     assert len({g.matrix for g in sys._by_id}) == len(sys._by_id)
@@ -516,7 +516,7 @@ def test_suite_b_flags_an_index_row_that_lost_an_element():
     list(comparable_rows(sys))
     w0, e = longest_element(sys), identity(sys)
     sys._lower[w0.position] = tuple(y for y in sys._lower[w0.position] if y is not e)
-    result = verify._suite_b(sys, None, None, verify.RunConfig("A2"), {})
+    result = verify._suite_b(sys, None, None, None, None)
     assert (result.checked, result.failed) == (36, 1)
     assert result.witnesses == [
         {"x": "e", "y": "0,1,0", "recursive": True, "index": False, "oracle": True}
@@ -552,7 +552,7 @@ def test_suite_b_flags_an_oracle_row_that_lost_a_matrix(text, monkeypatch):
         return products - ({sys._numbers[e.matrix]} if y is not e else set())
 
     monkeypatch.setattr(verify, "subword_products", lossy)
-    result = verify._suite_b(sys, None, None, verify.RunConfig(text), {})
+    result = verify._suite_b(sys, None, None, None, None)
     elems = enumerate_elements(sys)
     assert (result.checked, result.failed) == (len(elems) ** 2, len(elems) - 1)
     assert result.witnesses == [
@@ -567,7 +567,7 @@ def test_suite_b_counts_each_pair_an_index_row_lost():
     w0 = longest_element(sys)
     lost = sys._lower[w0.position][7], sys._lower[w0.position][3]
     sys._lower[w0.position] = tuple(y for y in sys._lower[w0.position] if y not in lost)
-    result = verify._suite_b(sys, None, None, verify.RunConfig("A3"), {})
+    result = verify._suite_b(sys, None, None, None, None)
     assert (result.checked, result.failed) == (24 * 24, 2)
     assert result.witnesses == [
         {"x": word_text(sys, lost[1]), "y": "0,1,2,0,1,0", "recursive": True,

@@ -78,7 +78,7 @@ def a2_cache(tmp_path_factory):
         for y in elements:
             table.r(y, x)
     path = tmp_path_factory.mktemp("cache") / "rpoly.csv"
-    table.save_csv(path)
+    table.save_csv(path, table.memo_pairs())
     return sys, path.read_bytes(), path
 
 

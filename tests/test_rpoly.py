@@ -46,7 +46,7 @@ from verma_ext.rpoly import (
     gj_coefficient,
     r_coeff_direct,
 )
-from verma_ext.verify import PRESETS, RunConfig, _suite_r
+from verma_ext.verify import PRESETS, _strict_pairs, _suite_r
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def test_ascent_step_matches_polynomial_arithmetic(text, system):
     expected = {}
     for (y, x), poly in memo.items():
         expected.setdefault(x, {x: ONE})[y] = poly
-    assert table._memo == expected and table.rows is None
+    assert table._memo == expected and not hasattr(table, "rows")
 
 
 @pytest.mark.parametrize("text", PRESETS + ("B4",))
@@ -235,11 +235,11 @@ def test_row_fill_matches_a_fresh_recursion(text, policy):
     # per row, not per pair, to keep the test's time down.
     sys = build_system(text)
     table = RTable(sys, policy=policy)
-    table.fill()
+    rows = table.fill()
     elems, pairs = enumerate_elements(sys), len(list(comparable_pairs(sys)))
-    assert table.computed == pairs - len(elems) and sum(map(len, table.rows)) == pairs
+    assert table.computed == pairs - len(elems) and sum(map(len, rows)) == pairs
     fresh = last = None
-    for x, y, poly in filled_pairs(sys, table.rows):
+    for x, y, poly in filled_pairs(sys, rows):
         if text != "B4" or x is not last:
             fresh, last = RTable(sys, policy=policy), x
         assert fresh.r(y, x) == poly, (text, policy, x, y)
@@ -247,22 +247,21 @@ def test_row_fill_matches_a_fresh_recursion(text, policy):
 
 def test_fill_after_a_cache_load_computes_only_what_is_missing(tmp_path, system):
     a3 = system("A3")
-    full = RTable(a3)
-    full.fill()
-    strict = [(y, x) for x, y, _ in filled_pairs(a3, full.rows) if y is not x]  # the file's pairs
+    full = RTable(a3).fill()
+    strict = [(y, x) for x, y, _ in filled_pairs(a3, full) if y is not x]  # the file's pairs
     for name, keep in (("full", strict), ("part", strict[::3])):
         path = tmp_path / f"{name}.csv"
         partial = RTable(a3)
         for y, x in keep:
             partial.r(y, x)
-        partial.save_csv(path)
+        partial.save_csv(path, partial.memo_pairs())
         warm = RTable(a3)
         loaded = warm.load_csv(path)
         kept = {x: dict(row) for x, row in warm._memo.items()}
-        warm.fill()
+        rows = warm.fill()
         assert warm.computed == len(strict) - loaded
-        assert warm.rows == full.rows and warm._memo == {}  # the fill took the memo's entries
-        assert all(warm.r(y, x) is poly for x, row in kept.items() for y, poly in row.items())
+        assert rows == full and warm._memo == {}  # the fill took the memo's entries
+        assert all(rows[x.position][slot(a3, x, y)] is poly for x, row in kept.items() for y, poly in row.items())
     assert loaded < len(strict)
 
 
@@ -273,17 +272,17 @@ def test_suite_r_flags_wrong_entries_and_never_sees_stray_ones():
     stray = IntPolynomial((-1, 1))
     rtable = RTable(sys)
     rtable._memo[x] = {x: ONE, y: stray}
-    rtable.fill()
+    rows = rtable.fill()
     assert rtable.computed == 13 and rtable._memo == {}
-    assert not any(poly is stray for row in rtable.rows for poly in row)
+    assert not any(poly is stray for row in rows for poly in row)
     assert rtable.r(y, x) is ZERO
-    config, direct = RunConfig("A2"), direct_rows(sys)
-    clean = _suite_r(sys, rtable, None, config, direct)
+    direct = direct_rows(sys)
+    clean = _suite_r(sys, None, rows, direct, "smallest")
     assert (clean.checked, clean.failed) == (36, 0)
     # a wrong polynomial that keeps every term invariant but not the coefficient
     w0, e = longest_element(sys), identity(sys)
-    rtable.rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, 3, -3, 1))
-    wrong = _suite_r(sys, rtable, None, config, direct)
+    rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, 3, -3, 1))
+    wrong = _suite_r(sys, None, rows, direct, "smallest")
     assert (wrong.checked, wrong.failed) == (36, 1)
     assert wrong.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, 3, -3, 1]}]
 
@@ -291,11 +290,10 @@ def test_suite_r_flags_wrong_entries_and_never_sees_stray_ones():
 def test_suite_r_counts_a_negative_coefficient_row_as_a_failure():
     # every other invariant holds, but the signed q-coefficient is -1
     sys = build_system("A2")  # its own system, as the test plants an entry
-    rtable = RTable(sys)
-    rtable.fill()
+    rows = RTable(sys).fill()
     w0, e = longest_element(sys), identity(sys)
-    rtable.rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, -1, 1, 1))
-    result = _suite_r(sys, rtable, None, RunConfig("A2"), direct_rows(sys))
+    rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, -1, 1, 1))
+    result = _suite_r(sys, None, rows, direct_rows(sys), "smallest")
     assert (result.checked, result.failed) == (36, 1)
     assert result.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, -1, 1, 1]}]
 
@@ -311,7 +309,7 @@ def test_gj_coefficient_of_a_negative_coefficient_row_is_an_invariant_violation(
 
 def test_lazy_table_holds_one_object_per_distinct_polynomial():
     # r() shares the table's ascent memo with fill(), so pairs filled one
-    # query at a time share polynomials as a filled table does
+    # query at a time share polynomials as filled rows do
     sys = build_system("B3")
     table = RTable(sys)
     for x, y in comparable_pairs(sys):
@@ -409,7 +407,7 @@ def test_cache_round_trip(tmp_path, system):
     table = RTable(a2)
     _fill(table, a2)
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path)
+    table.save_csv(path, table.memo_pairs())
     # blank and blank-looking lines are skipped
     path.write_text(path.read_text().replace("\n", "\n\n", 3) + "  \n")
 
@@ -453,7 +451,7 @@ def test_cache_rows_are_sorted_by_x_then_y(tmp_path):
         for y in reversed(elems):
             table.r(y, x)
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path)
+    table.save_csv(path, table.memo_pairs())
     assert path.read_text() == A2_CACHE
 
 
@@ -462,7 +460,7 @@ def test_cache_rejects_wrong_system(tmp_path, system):
     table = RTable(a2)
     _fill(table, a2)
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path)
+    table.save_csv(path, table.memo_pairs())
     with pytest.raises(ParseError):
         RTable(system("B2")).load_csv(path)
 
@@ -472,7 +470,7 @@ def test_cache_rejects_corrupt_coefficients(tmp_path, system):
     table = RTable(a2)
     _fill(table, a2)
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path)
+    table.save_csv(path, table.memo_pairs())
     text = path.read_text()
     # break one row's leading coefficient: invariants must catch it
     bad = text.replace("e;0,1,0;-1,2,-2,1", "e;0,1,0;-1,2,-2,2")
@@ -490,7 +488,7 @@ def test_cache_rejects_pairs_not_below(tmp_path, system, row):
     table = RTable(b2)
     _fill(table, b2)
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path)
+    table.save_csv(path, table.memo_pairs())
     lines = path.read_text().splitlines() + [row]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as info:
@@ -503,7 +501,7 @@ def test_cache_load_builds_each_word_once(tmp_path, system, monkeypatch):
     table = RTable(a3)
     _fill(table, a3)
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path)
+    table.save_csv(path, table.memo_pairs())
     calls = Counter()
     build = rpoly_module.element_from_word
 
@@ -567,21 +565,21 @@ def test_each_bad_cache_row_names_its_line(tmp_path, system, old, new, message):
 @pytest.mark.parametrize("text", ["A3", "B3", "D4"])
 @pytest.mark.parametrize("policy", ["smallest", "largest"])
 def test_cache_file_is_the_same_from_filled_rows_and_from_the_lazy_memo(tmp_path, text, policy):
-    # A filled table writes its aligned rows, a lazy one its sparse memo, and
-    # a warm table fills its rows from the memo it loaded: one file, byte for byte.
+    # Filled rows are written zipped with the index rows, a lazy table's
+    # sparse memo by its sort, and a warm fill takes the memo it loaded: one
+    # file, byte for byte.
     sys = build_system(text)
     filled, lazy = RTable(sys, policy=policy), RTable(sys, policy=policy)
-    filled.fill()
+    rows = filled.fill()
     for x, y in comparable_pairs(sys):
         lazy.r(y, x)
-    assert filled.rows is not None and lazy.rows is None
-    filled.save_csv(tmp_path / "filled.csv")
-    lazy.save_csv(tmp_path / "lazy.csv")
+    filled.save_csv(tmp_path / "filled.csv", _strict_pairs(sys, rows))
+    lazy.save_csv(tmp_path / "lazy.csv", lazy.memo_pairs())
     warm = RTable(sys, policy=policy)
     warm.load_csv(tmp_path / "filled.csv")
-    warm.fill()
+    warm_rows = warm.fill()
     assert warm.computed == 0
-    warm.save_csv(tmp_path / "warm.csv")
+    warm.save_csv(tmp_path / "warm.csv", _strict_pairs(sys, warm_rows))
     data = (tmp_path / "filled.csv").read_bytes()
     assert data.count(b"\n") == 3 + len(list(comparable_pairs(sys))) - len(enumerate_elements(sys))
     assert (tmp_path / "lazy.csv").read_bytes() == data
@@ -591,11 +589,11 @@ def test_cache_file_is_the_same_from_filled_rows_and_from_the_lazy_memo(tmp_path
 def test_warm_load_keeps_one_polynomial_per_coefficient_list(tmp_path):
     d4 = build_system("D4")
     table = RTable(d4)
-    table.fill()
+    rows = table.fill()
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path)
+    table.save_csv(path, _strict_pairs(d4, rows))
     warm = RTable(d4)
-    assert warm.load_csv(path) == sum(len(row) - 1 for row in table.rows)
+    assert warm.load_csv(path) == sum(len(row) - 1 for row in rows)
     polys = [p for row in warm._memo.values() for p in row.values()]
     assert len({id(p) for p in polys}) == len({p.coeffs for p in polys}) < len(polys) // 100
 
@@ -608,9 +606,8 @@ def test_warm_load_keeps_one_polynomial_per_coefficient_list(tmp_path):
 def test_non_utf8_byte_after_valid_rows_names_its_file_offset(tmp_path, type_text, tail):
     sys = build_system(type_text)
     table = RTable(sys)
-    table.fill()
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path)
+    table.save_csv(path, _strict_pairs(sys, table.fill()))
     data = path.read_bytes() + tail
     path.write_bytes(data)
     with pytest.raises(UnicodeDecodeError) as whole:
@@ -626,13 +623,13 @@ def test_failed_cache_write_keeps_the_old_file(tmp_path, system, request):
     path = tmp_path / "rpoly.csv"
     small = RTable(a2)
     small.r(identity(a2), element_from_word(a2, (0,)))
-    small.save_csv(path)
+    small.save_csv(path, small.memo_pairs())
     before = path.read_bytes()
     full = RTable(a2)
     _fill(full, a2)
     request.getfixturevalue("torn_writes")  # from here on, every write tears halfway
     with pytest.raises(IoError, match=f"cannot write {path}: "):
-        full.save_csv(path)
+        full.save_csv(path, full.memo_pairs())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["rpoly.csv"]
 
@@ -642,7 +639,7 @@ def test_cache_file_shape(tmp_path, system):
     table = RTable(a2)
     _fill(table, a2)
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path)
+    table.save_csv(path, table.memo_pairs())
     lines = path.read_text().splitlines()
     assert lines[0] == "# r-polynomial cache"
     assert lines[1].startswith("# system: A2-")

@@ -1,8 +1,9 @@
 """The edge-root route and the "how far" decomposition on every strict pair of F4.
 
 On each pair y <= x, V(x, y) is the span of the Bruhat-graph edge roots
-{beta : y < y s_beta <= x}, and dim V <= gj <= #edges, so the distance
-gj - dim V splits into (#edges - rank of the edge roots) - (#edges - gj).
+{beta : y < y s_beta <= x}, and dim V <= gj <= l(x) - l(y) <= #edges, so
+the distance gj - dim V splits into (#edges - rank of the edge roots) -
+(#edges - gj).  ``compute_all`` gives the V rows.
 F4 has 395,657 strict pairs and the walk takes about ten seconds, so this
 file stays out of the default collection (its name does not match
 ``test_*.py``) and CI runs it as a step of its own:
