@@ -260,15 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The run config; a field whose flag the command lacks keeps its default."""
     given = vars(args)
-    config = RunConfig(type_text=args.type, budget=args.budget)
-    if "descent_policy" in given:
-        config.policy = args.descent_policy
-    if "cache_dir" in given:
-        cache_dir = os.environ.get("VERMA_EXT_CACHE") or args.cache_dir
-        config.cache_dir = Path(cache_dir) if cache_dir else None
-    if "singular" in given:
-        config.singular = tuple(SingularSpec.parse(text) for text in args.singular or ())
-    return config
+    cache_dir = "cache_dir" in given and (os.environ.get("VERMA_EXT_CACHE") or args.cache_dir)
+    return RunConfig(
+        type_text=args.type,
+        budget=args.budget,
+        policy=given.get("descent_policy", DESCENT_POLICIES[0]),
+        singular=tuple(SingularSpec.parse(text) for text in given.get("singular") or ()),
+        cache_dir=Path(cache_dir) if cache_dir else None,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

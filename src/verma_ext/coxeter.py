@@ -1,6 +1,7 @@
 """Finite Weyl groups in simple-root coordinates.
 
-A group is described by a type string such as ``"B3"`` or ``"A1xA2"``.  Each
+A group is described by a type string such as ``"B3"`` or ``"A1xA2"``,
+parsed into a ``TypeDescriptor``, a named tuple of (family, rank) factors.  Each
 factor contributes a block to an integral Cartan matrix ``a`` with the
 convention ``a[i][j] = <alpha_j, alpha_i^vee>``, so the simple reflection
 ``s_i`` acts on simple roots by ``s_i(alpha_j) = alpha_j - a[i][j] alpha_i``.
@@ -49,12 +50,10 @@ the elements, so no lookup builds an (x, y) tuple and no entry stores one.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 import re
+from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
 
@@ -95,11 +94,13 @@ _RANK_BOUNDS = {
 _E_ORDERS = {6: 51_840, 7: 2_903_040, 8: 696_729_600}
 
 
-@dataclass(frozen=True)
-class TypeDescriptor:
-    """Parsed form of a type string: an ordered tuple of (family, rank) factors."""
+class TypeDescriptor(namedtuple("TypeDescriptor", "factors")):
+    """Parsed form of a type string: an ordered tuple of (family, rank) factors.
 
-    factors: tuple[tuple[str, int], ...]
+    A named tuple: immutable, hashable and equal to the plain tuple of its field.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str) -> "TypeDescriptor":
@@ -337,6 +338,9 @@ def build_system(type_text: str | TypeDescriptor, budget: int = DEFAULT_BUDGET) 
 
 def fingerprint(sys: CoxeterSystem) -> str:
     """Stable id for cache files: descriptor plus a digest of the Cartan matrix."""
+    import hashlib  # here, so importing this module and building a group load neither
+    import json
+
     blob = json.dumps(sys.cartan).encode()
     return f"{sys.descriptor}-{hashlib.sha256(blob).hexdigest()[:12]}"
 

@@ -15,9 +15,10 @@ listed in output order (B, which reads no rows, runs before the fills):
        rows where the prediction is asserted to be exact
 
 Each suite reports how many atomic checks ran and how many failed, plus a
-witness for the first failure.  Every suite takes the system, the run's V,
-R and direct count rows (``compute_all``, ``RTable.fill``, ``direct_rows``),
-each a list aligned with the rows of the Bruhat index, and the policy.
+witness for the first failure, in a ``SuiteResult``.  Every suite takes the
+system, the run's V, R and direct count rows (``compute_all``,
+``RTable.fill``, ``direct_rows``), each a list aligned with the rows of the
+Bruhat index, and the policy.
 Suites T and R, the dimension table and the R cache zip those rows with the
 index rows, so no pair is looked up by element or re-tested against the
 order, and read each R-polynomial's shape and signed q-coefficient off the
@@ -31,10 +32,8 @@ from __future__ import annotations
 
 import json
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, replace
-from datetime import datetime, timezone
 from itertools import combinations
 from pathlib import Path
 
@@ -68,23 +67,28 @@ from .vtable import SingularSpec, compute_all, membership_report, singular_v
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
 
 
-@dataclass
-class RunConfig:
-    """The options of one command run; no suite reads it, and only ``vspace`` reads ``singular``."""
+class RunConfig(namedtuple("RunConfig", "type_text budget policy singular cache_dir",
+                           defaults=(DEFAULT_BUDGET, DESCENT_POLICIES[0], (), None))):
+    """The options of one command run; no suite reads it, and only ``vspace`` reads ``singular``.
 
-    type_text: str
-    budget: int = DEFAULT_BUDGET
-    policy: str = DESCENT_POLICIES[0]
-    singular: tuple[SingularSpec, ...] = ()
-    cache_dir: Path | None = None
+    A named tuple, built once per run: it equals the plain tuple of its fields.
+    """
+
+    __slots__ = ()
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checked: int = 0
-    failed: int = 0
-    witnesses: list = field(default_factory=list)
+    """One suite's counts and first witness; ``as_dict`` gives its payload entry."""
+
+    __slots__ = ("name", "checked", "failed", "witnesses")
+
+    def __init__(self, name: str, checked: int = 0):
+        self.name, self.checked, self.failed, self.witnesses = name, checked, 0, []
+
+    def as_dict(self) -> dict:
+        """The four fields by name, in declaration order."""
+        return {"name": self.name, "checked": self.checked, "failed": self.failed,
+                "witnesses": self.witnesses}
 
     def note_failure(self, witness: dict | None, count: int = 1) -> None:
         """Count failures, keeping only the first witness; later ones may be None."""
@@ -356,7 +360,7 @@ def run_verify(config: RunConfig) -> dict:
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return {
         "system": fingerprint(sys),
-        "suites": [asdict(s) for s in suites],
+        "suites": [s.as_dict() for s in suites],
         "elapsed_ms": elapsed_ms,
     }
 
@@ -381,12 +385,14 @@ def run_report(config: RunConfig) -> dict:
     sys = build_system(config.type_text, budget=config.budget)
     out_dir = Path(config.cache_dir) if config.cache_dir is not None else Path("verma_ext_cache")
     _make_dir(out_dir, "output")
-    config = replace(config, cache_dir=out_dir)
+    config = config._replace(cache_dir=out_dir)
     vrows, rrows, rtable_computed = fill_tables(config, sys)
     fp = fingerprint(sys)
     histogram, dims = Counter(), Counter()
 
     def dimension_lines():
+        from datetime import datetime, timezone  # here, so only a report loads it
+
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         yield f"# dimension table\n# system: {fp}\n# generated_at: {stamp}\n"
         yield "x_word;y_word;dimV;gj_coeff;match\n"

@@ -36,14 +36,16 @@ on it.  Tables built under the non-default policy exist to check exactly
 that independence.
 
 ``singular_v`` passes a subspace to the quotient by the span of a chosen set
-of simple root vectors, and ``membership_report`` tabulates, from filled
-rows, whether v_s lies in V(x, y) against the order relation x >= ys that
-predicts membership for pairs inside a rank-two parabolic pattern.
+of simple root vectors (a ``SingularSpec``), and ``membership_report``
+tabulates, from filled rows, whether v_s lies in V(x, y) against the order
+relation x >= ys that predicts membership for pairs inside a rank-two
+parabolic pattern, one ``MembershipRow`` per line.  Both records are named
+tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .coxeter import (
@@ -71,11 +73,13 @@ from .errors import (
 from .reflection import RationalSubspace, basis_vector
 
 
-@dataclass(frozen=True)
-class SingularSpec:
-    """A set of simple-reflection indices whose root vectors get quotiented out."""
+class SingularSpec(namedtuple("SingularSpec", "indices")):
+    """A set of simple-reflection indices whose root vectors get quotiented out.
 
-    indices: frozenset[int]
+    A named tuple: immutable, hashable and equal to the plain tuple of its field.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def parse(cls, text: str) -> "SingularSpec":
@@ -181,22 +185,17 @@ def singular_v(sys: CoxeterSystem, space: RationalSubspace, spec: SingularSpec) 
     return RationalSubspace(len(keep), [[row[j] for j in keep] for row in space.basis])
 
 
-@dataclass(frozen=True)
-class MembershipRow:
+class MembershipRow(namedtuple("MembershipRow", "x y s x_ge_ys in_v")):
     """One line of the membership report: does v_s land in V(x, y)?
 
     The report keeps only the rows where the order-theoretic prediction
     ``x_ge_ys`` (x >= ys) is asserted to be exact: s is an ascent of both x
     and y, and both elements lie in a common coset w0 W' for a rank-two (or
     smaller) parabolic W' containing s.  ``in_v`` says whether v_s lies in
-    V(x, y).
+    V(x, y).  A named tuple, so it equals the plain tuple of its fields.
     """
 
-    x: GroupElement
-    y: GroupElement
-    s: int
-    x_ge_ys: bool
-    in_v: bool
+    __slots__ = ()
 
 
 def membership_report(sys: CoxeterSystem, vrows: list[list[RationalSubspace]]) -> list[MembershipRow]:

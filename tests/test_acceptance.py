@@ -15,7 +15,6 @@ representation can reach.
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
@@ -41,7 +40,6 @@ from verma_ext.verify import (
     _suite_g,
     _suite_m,
     _suite_r,
-    _suite_s,
     _suite_t,
 )
 from verma_ext.vtable import SingularSpec, compute_all, singular_v

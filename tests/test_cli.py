@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -318,7 +317,7 @@ def test_verify_json_schema(capsys):
     assert set(payload) == {"system", "suites", "elapsed_ms"}
     assert [s["name"] for s in payload["suites"]] == ["T", "G", "B", "R", "S", "M"]
     for suite in payload["suites"]:
-        assert set(suite) == {"name", "checked", "failed", "witnesses"}
+        assert list(suite) == ["name", "checked", "failed", "witnesses"]
         assert suite["failed"] == 0
 
 
@@ -710,6 +709,32 @@ def test_closed_stdout_exits_141_without_traceback(capsys, monkeypatch, argv):
         assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
     assert code == 141
     assert capsys.readouterr() == ("", "")
+
+
+# ---------------------------------------------------------------------------
+# start-up footprint
+
+# Run under -I -S, so no site .pth file preloads a module and hides a new import.
+_FOOTPRINT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+from verma_ext.coxeter import build_system
+build_system("E7", budget=3_000_000)
+print(*sorted(set(sys.modules) - before))
+import verma_ext.cli
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_start_up_imports_only_what_a_command_runs():
+    """Building a group loads none of these; the CLI loads json for its output and fingerprints."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _FOOTPRINT, src],
+                          capture_output=True, text=True, check=True)
+    core, whole = (set(line.split()) for line in proc.stdout.splitlines())
+    assert not core & {"dataclasses", "inspect", "hashlib", "json", "datetime"}
+    assert not whole & {"dataclasses", "inspect", "datetime"}
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from verma_ext.coxeter import (
 )
 from verma_ext.errors import BudgetExceeded, InvalidType, InvariantViolation, ParseError, RankOverflow
 from verma_ext.verify import PRESETS
-from verma_ext.vtable import VTable, compute_all
+from verma_ext.vtable import SingularSpec, VTable, compute_all
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +55,19 @@ def test_descriptor_parse_round_trip():
     d = TypeDescriptor.parse("a1xB3xg2")
     assert str(d) == "A1xB3xG2"
     assert d.factors == (("A", 1), ("B", 3), ("G", 2))
+
+
+def test_records_are_immutable_hashable_and_keep_their_reprs():
+    d = TypeDescriptor.parse("A1xG2")
+    spec = SingularSpec.parse("2,0")
+    assert repr(d) == "TypeDescriptor(factors=(('A', 1), ('G', 2)))"
+    assert repr(spec) == "SingularSpec(indices=frozenset({0, 2}))"
+    assert len({d, TypeDescriptor.parse("a1xg2")}) == 1
+    assert len({spec, SingularSpec.parse("0,2")}) == 1
+    for record, field in ((d, "factors"), (spec, "indices")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert fingerprint(build_system("D4")) == "D4-8b4286cddc9e"
 
 
 @pytest.mark.parametrize(

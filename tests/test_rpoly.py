@@ -12,7 +12,6 @@ table entry.
 from __future__ import annotations
 
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
