@@ -33,6 +33,7 @@ import functools
 import json
 import os
 import sys as _sys
+from collections import namedtuple
 from pathlib import Path
 
 from .coxeter import (
@@ -47,15 +48,12 @@ from .coxeter import (
     word_text,
 )
 from .errors import DOMAIN_ERRORS, InvariantViolation, LiftingViolation, VermaExtError
-from .rpoly import gj_coefficient
-from .verify import (
-    RunConfig,
-    load_rtable,
-    run_report,
-    run_verify,
-    save_rtable,
-)
+from .rpoly import gj_coefficient, load_rtable, save_rtable
 from .vtable import SingularSpec, VTable, singular_v
+
+
+# The options of one command run, from ``_config_from_args``; only ``vspace`` reads ``singular``.
+RunConfig = namedtuple("RunConfig", "type_text budget policy singular cache_dir")
 
 
 def cmd_enumerate(config: RunConfig) -> dict:
@@ -76,10 +74,10 @@ def cmd_rpoly(config: RunConfig, x_word: str, y_word: str) -> dict:
     sys = build_system(config.type_text, budget=config.budget)
     x = element_from_word(sys, parse_word(x_word))
     y = element_from_word(sys, parse_word(y_word))
-    rtable = load_rtable(config, sys)
+    rtable = load_rtable(sys, config.policy, config.cache_dir)
     gj = gj_coefficient(sys, x, y, rtable)  # raises NotComparable when y !<= x
     poly = rtable.r(y, x)
-    save_rtable(config, sys, rtable, rtable.memo_pairs())
+    save_rtable(rtable, config.cache_dir, rtable.memo_pairs())
     return {
         "system": fingerprint(sys),
         "x": word_text(sys, x),
@@ -111,11 +109,15 @@ def cmd_vspace(config: RunConfig, x_word: str, y_word: str) -> dict:
 
 
 def cmd_verify(config: RunConfig) -> dict:
-    return run_verify(config)
+    from .verify import run_verify  # here, so the single-pair commands never load the suites
+
+    return run_verify(config.type_text, config.budget, config.policy, config.cache_dir)
 
 
 def cmd_report(config: RunConfig) -> dict:
-    return run_report(config)
+    from .verify import run_report
+
+    return run_report(config.type_text, config.budget, config.policy, config.cache_dir)
 
 
 # ---------------------------------------------------------------------------

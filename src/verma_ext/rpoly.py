@@ -17,6 +17,8 @@ rows aligned with the Bruhat index; both share one ascent memo.
 dimension count; ``r_coeff_direct`` (one pair) and ``direct_rows`` (every
 pair) recompute it by a first-order recursion that never builds polynomials.
 The routes must agree; the verification suites check that they do.
+``load_rtable`` and ``save_rtable`` read and write the R cache, one csv file
+per system in a cache dir, by ``RTable.load_csv`` and ``RTable.save_csv``.
 """
 
 from __future__ import annotations
@@ -277,6 +279,42 @@ class RTable:
             row.setdefault(y, poly)
             loaded += 1
         return loaded
+
+
+def _rpoly_cache_path(directory: Path | str, sys: CoxeterSystem) -> Path:
+    return Path(directory) / f"rpoly_{fingerprint(sys)}.csv"
+
+
+def _make_dir(path: Path, what: str) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {what} dir {path}: {exc}") from exc
+
+
+def load_rtable(sys: CoxeterSystem, policy: str, cache_dir: Path | None) -> RTable:
+    """An R-polynomial table, warm-loaded from the cache dir when it holds this system's file."""
+    rtable = RTable(sys, policy=policy)
+    if cache_dir is not None:
+        cache = _rpoly_cache_path(cache_dir, sys)
+        if cache.exists():
+            rtable.load_csv(cache)
+    return rtable
+
+
+def save_rtable(rtable: RTable, cache_dir: Path | None, pairs: Iterable[tuple]) -> None:
+    """Write the pairs (x, y, R(y, x)) into the cache dir by ``save_csv``, if there is one.
+
+    A cache file the table computed nothing beyond already holds these rows,
+    so it is left as it is.
+    """
+    if cache_dir is None:
+        return
+    cache = _rpoly_cache_path(cache_dir, rtable.sys)
+    if rtable.computed == 0 and cache.exists():
+        return
+    _make_dir(cache.parent, "cache")
+    rtable.save_csv(cache, pairs)
 
 
 def _text_lines(path: Path | str) -> Iterator[str]:

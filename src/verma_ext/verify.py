@@ -15,24 +15,25 @@ listed in output order (B, which reads no rows, runs before the fills):
        rows where the prediction is asserted to be exact
 
 Each suite reports how many atomic checks ran and how many failed, plus a
-witness for the first failure, in a ``SuiteResult``.  Every suite takes the
-system, the run's V, R and direct count rows (``compute_all``,
-``RTable.fill``, ``direct_rows``), each a list aligned with the rows of the
-Bruhat index, and the policy.
+witness for the first failure, in a ``SuiteResult``.  Each suite takes the
+system and only what it reads of the run's V, R and direct count rows
+(``compute_all``, ``RTable.fill``, ``direct_rows``), each a list aligned
+with the rows of the Bruhat index, and of the policy.
 Suites T and R, the dimension table and the R cache zip those rows with the
 index rows, so no pair is looked up by element or re-tested against the
 order, and read each R-polynomial's shape and signed q-coefficient off the
 polynomial (``r_shaped`` and ``gj``, computed once per distinct polynomial).
-``run_report`` writes the R-polynomial cache, the dimension table, streamed
-row by row, and a summary; everything written is deterministic except an
-explicit generated_at comment line.
+The R cache file is ``rpoly``'s (``load_rtable``, ``save_rtable``);
+``run_report`` writes it, the dimension table, streamed row by row, and a
+summary; everything written is deterministic except an explicit
+generated_at comment line.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import Counter, namedtuple
+from collections import Counter
 from collections.abc import Iterator
 from itertools import combinations
 from pathlib import Path
@@ -59,22 +60,14 @@ from .coxeter import (
     _right_image,
     _right_steps,
 )
-from .errors import IoError
+# load_rtable and save_rtable by attribute: perfbench's tracer spans a function imported by
+# name, and a span around them would hide the RTable.load_csv and save_csv spans inside
+from . import rpoly
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
-from .rpoly import RTable, ascent_memo, direct_rows, r_steps, write_atomic
+from .rpoly import _make_dir, _rpoly_cache_path, ascent_memo, direct_rows, r_steps, write_atomic
 from .vtable import SingularSpec, compute_all, membership_report, singular_v
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
-
-
-class RunConfig(namedtuple("RunConfig", "type_text budget policy singular cache_dir",
-                           defaults=(DEFAULT_BUDGET, DESCENT_POLICIES[0], (), None))):
-    """The options of one command run; no suite reads it, and only ``vspace`` reads ``singular``.
-
-    A named tuple, built once per run: it equals the plain tuple of its fields.
-    """
-
-    __slots__ = ()
 
 
 class SuiteResult:
@@ -106,7 +99,7 @@ def _witness(sys, x, y, **fields) -> dict:
     return {"x": word_text(sys, x), "y": word_text(sys, y), **fields}
 
 
-def _suite_t(sys, vrows: list, rrows: list, drows: list, policy) -> SuiteResult:
+def _suite_t(sys, vrows: list, rrows: list, drows: list) -> SuiteResult:
     """dim V(x, y) == signed q-coefficient == direct recursion, on every pair."""
     out = SuiteResult("T")
     for (x, lower), vrow, rrow, drow in zip(comparable_rows(sys), vrows, rrows, drows):
@@ -123,7 +116,7 @@ def _suite_t(sys, vrows: list, rrows: list, drows: list, policy) -> SuiteResult:
     return out
 
 
-def _suite_g(sys, vrows, rrows, drows, policy) -> SuiteResult:
+def _suite_g(sys) -> SuiteResult:
     """Reflection representation properties, checked from the Cartan data up."""
     out = SuiteResult("G")
     e = identity(sys)
@@ -201,7 +194,7 @@ def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
         yield y, index, lifting[y.position], oracle
 
 
-def _suite_b(sys, vrows, rrows, drows, policy) -> SuiteResult:
+def _suite_b(sys) -> SuiteResult:
     """Lifting recursion, Bruhat index and subword oracle agree on every pair within budget.
 
     The routes are compared as one mask per y (``_order_rows``), which checks
@@ -226,7 +219,7 @@ def _suite_b(sys, vrows, rrows, drows, policy) -> SuiteResult:
     return out
 
 
-def _suite_r(sys, vrows, rrows: list, drows: list, policy: str) -> SuiteResult:
+def _suite_r(sys, rrows: list, drows: list, policy: str) -> SuiteResult:
     """Each stored R(y, x): its shape, its count against the direct route, and one recursion step.
 
     An entry passes when its degree is the pair's gap, it is ``r_shaped``,
@@ -256,7 +249,7 @@ def _suite_r(sys, vrows, rrows: list, drows: list, policy: str) -> SuiteResult:
     return out
 
 
-def _suite_s(sys, vrows: list, rrows, drows, policy) -> SuiteResult:
+def _suite_s(sys, vrows: list) -> SuiteResult:
     """Quotient dimension of V(longest, identity) for every singular subset."""
     out = SuiteResult("S")
     top = vrows[longest_element(sys).position][0]  # V(w0, e): the identity is first in every row
@@ -270,7 +263,7 @@ def _suite_s(sys, vrows: list, rrows, drows, policy) -> SuiteResult:
     return out
 
 
-def _suite_m(sys, vrows: list, rrows, drows, policy) -> SuiteResult:
+def _suite_m(sys, vrows: list) -> SuiteResult:
     """On flagged report rows, membership of v_s must equal the prediction x >= ys."""
     out = SuiteResult("M")
     for row in membership_report(sys, vrows):
@@ -282,30 +275,8 @@ def _suite_m(sys, vrows: list, rrows, drows, policy) -> SuiteResult:
     return out
 
 
-# In output order; suite B runs first, so its subword products are freed before the fills.
+# In output order; run_verify runs suite B first, so its subword products are freed before the fills.
 _SUITES = (_suite_t, _suite_g, _suite_b, _suite_r, _suite_s, _suite_m)
-_ORDER_SUITE = _SUITES.index(_suite_b)
-
-
-def _rpoly_cache_path(directory: Path, sys: CoxeterSystem) -> Path:
-    return Path(directory) / f"rpoly_{fingerprint(sys)}.csv"
-
-
-def load_rtable(config: RunConfig, sys: CoxeterSystem) -> RTable:
-    """An R-polynomial table for the run, warm-loaded from the cache dir when it holds one."""
-    rtable = RTable(sys, policy=config.policy)
-    if config.cache_dir is not None:
-        cache = _rpoly_cache_path(config.cache_dir, sys)
-        if cache.exists():
-            rtable.load_csv(cache)
-    return rtable
-
-
-def _make_dir(path: Path, what: str) -> None:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {what} dir {path}: {exc}") from exc
 
 
 def _strict_pairs(sys: CoxeterSystem, rows: list) -> Iterator[tuple]:
@@ -315,52 +286,44 @@ def _strict_pairs(sys: CoxeterSystem, rows: list) -> Iterator[tuple]:
             yield x, y, entry
 
 
-def save_rtable(config: RunConfig, sys: CoxeterSystem, rtable: RTable, pairs: Iterator) -> None:
-    """Write the pairs (x, y, R(y, x)) into the cache dir by ``save_csv``, if the run has one.
-
-    A cache file the run computed nothing beyond already holds these rows,
-    so it is left as it is.
-    """
-    if config.cache_dir is None:
-        return
-    cache = _rpoly_cache_path(config.cache_dir, sys)
-    if rtable.computed == 0 and cache.exists():
-        return
-    _make_dir(cache.parent, "cache")
-    rtable.save_csv(cache, pairs)
-
-
-def fill_tables(config: RunConfig, sys: CoxeterSystem) -> tuple[list, list, int]:
+def fill_tables(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0],
+                cache_dir: Path | None = None) -> tuple[list, list, int]:
     """(V rows, R rows, R pairs computed) of one system; the R fill reads and writes the cache.
 
     The V fill walks the index rows first, which builds the index if suite
     B has not, so the cache load's y < x check on every row is one bit
     test.  The R fill then computes only the pairs the cache did not hold.
     """
-    vrows = compute_all(sys, policy=config.policy)
-    rtable = load_rtable(config, sys)
+    vrows = compute_all(sys, policy=policy)
+    rtable = rpoly.load_rtable(sys, policy, cache_dir)
     rrows = rtable.fill()
-    save_rtable(config, sys, rtable, _strict_pairs(sys, rrows))
+    rpoly.save_rtable(rtable, cache_dir, _strict_pairs(sys, rrows))
     return vrows, rrows, rtable.computed
 
 
-def run_verify(config: RunConfig) -> dict:
+def run_verify(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCENT_POLICIES[0],
+               cache_dir: Path | None = None) -> dict:
     """Run every suite on one group and persist the R-polynomial cache.
 
     Returns the ``verify`` command's JSON payload: the system fingerprint,
     each suite's counts and first witness, and the elapsed milliseconds.
+    The cache dir is made before any suite runs, so an unusable one fails
+    the run before the whole-group work.
     """
     started = time.perf_counter()
-    sys = build_system(config.type_text, budget=config.budget)
-    order = _SUITES[_ORDER_SUITE](sys, None, None, None, config.policy)
-    vrows, rrows, _ = fill_tables(config, sys)
-    drows = direct_rows(sys, config.policy)
-    suites = [order if k == _ORDER_SUITE else suite(sys, vrows, rrows, drows, config.policy)
-              for k, suite in enumerate(_SUITES)]
+    sys = build_system(type_text, budget=budget)
+    if cache_dir is not None:
+        _make_dir(Path(cache_dir), "cache")
+    t, g, b, r, s, m = _SUITES  # read at call time, so a wrapper set on _SUITES sees each call
+    order = b(sys)
+    vrows, rrows, _ = fill_tables(sys, policy, cache_dir)
+    drows = direct_rows(sys, policy)
+    suites = [t(sys, vrows, rrows, drows), g(sys), order, r(sys, rrows, drows, policy),
+              s(sys, vrows), m(sys, vrows)]
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return {
         "system": fingerprint(sys),
-        "suites": [s.as_dict() for s in suites],
+        "suites": [suite.as_dict() for suite in suites],
         "elapsed_ms": elapsed_ms,
     }
 
@@ -369,7 +332,8 @@ def run_verify(config: RunConfig) -> dict:
 # report files
 
 
-def run_report(config: RunConfig) -> dict:
+def run_report(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCENT_POLICIES[0],
+               cache_dir: Path | None = None) -> dict:
     """Compute both tables for one group and write cache, dimension, summary files.
 
     Returns the dict written to ``summary_*.json`` plus ``paths`` (the three
@@ -382,11 +346,10 @@ def run_report(config: RunConfig) -> dict:
     The dimension table is streamed from the index rows zipped with the V
     and R rows, and its lines also give the summary's counts.
     """
-    sys = build_system(config.type_text, budget=config.budget)
-    out_dir = Path(config.cache_dir) if config.cache_dir is not None else Path("verma_ext_cache")
+    sys = build_system(type_text, budget=budget)
+    out_dir = Path(cache_dir) if cache_dir is not None else Path("verma_ext_cache")
     _make_dir(out_dir, "output")
-    config = config._replace(cache_dir=out_dir)
-    vrows, rrows, rtable_computed = fill_tables(config, sys)
+    vrows, rrows, rtable_computed = fill_tables(sys, policy, out_dir)
     fp = fingerprint(sys)
     histogram, dims = Counter(), Counter()
 

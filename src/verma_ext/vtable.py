@@ -101,43 +101,27 @@ class SingularSpec(namedtuple("SingularSpec", "indices")):
 
 
 class VTable:
-    """V(x, y) for one system under one descent policy, one pair at a time.
-
-    ``v`` keeps its subspaces in a sparse memo, ``_memo[x][y]``, one row per
-    upper element x keyed by the lower element y; each row starts as
-    {x: 0}, so it holds its diagonal.  ``_spans`` memoises the echelon build
-    on the steps of a pair's chain, which determine the roots it spans.
-    """
+    """V(x, y) for one system under one descent policy, one pair at a time, with no memo."""
 
     def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
         check_policy(policy)
         self.sys = sys
         self.policy = policy
-        self._memo: dict[GroupElement, dict[GroupElement, RationalSubspace]] = {}
-        self._zero = RationalSubspace(sys.rank)
-        self._spans: dict[tuple[tuple[int, bool], ...], RationalSubspace] = {}
 
     def v(self, x: GroupElement, y: GroupElement) -> RationalSubspace:
-        check_below(self.sys, y, x)
-        row = self._memo.get(x) or self._memo.setdefault(x, {x: self._zero})
-        hit = row.get(y)
-        if hit is not None:
-            return hit
-        bottom, sys = y, self.sys
+        """Walk the pair's chain of steps and span the roots its up steps add."""
+        sys = self.sys
+        check_below(sys, y, x)
         u = identity(sys)  # s_1 ... s_{k-1}, the steps taken so far
-        steps, roots = [], []
+        roots = []
         while x is not y:
             s, x, ys, down = descend(sys, x, y, self.policy)
-            steps.append((s, down))
             if down:
                 y = ys
             else:
                 roots.append([r[s] for r in u.matrix])
             u = right_multiply(sys, u, s)
-        steps = tuple(steps)
-        value = row[bottom] = self._spans.get(steps) or self._spans.setdefault(
-            steps, RationalSubspace(sys.rank, roots))
-        return value
+        return RationalSubspace(sys.rank, roots)
 
 
 def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> list[list[RationalSubspace]]:

@@ -32,7 +32,6 @@ from verma_ext.coxeter import (
 from verma_ext.rpoly import direct_rows, r_coeff_direct
 from verma_ext.verify import (
     PRESETS,
-    RunConfig,
     fill_tables,
     run_report,
     run_verify,
@@ -59,9 +58,8 @@ def tables():
 
     def get(text: str):
         if text not in _TABLES:
-            config = RunConfig(type_text=text)
-            sys = build_system(config.type_text, budget=config.budget)
-            vrows, rrows, _ = fill_tables(config, sys)
+            sys = build_system(text)
+            vrows, rrows, _ = fill_tables(sys)
             _TABLES[text] = (sys, rrows, vrows)
         return _TABLES[text]
 
@@ -89,7 +87,7 @@ def test_c01_dimension_equals_signed_q_coefficient(capsys, tables):
     witness = None
     for text in PRESETS:
         sys, rrows, vrows = tables(text)
-        result = _suite_t(sys, vrows, rrows, direct_rows(sys), "smallest")
+        result = _suite_t(sys, vrows, rrows, direct_rows(sys))
         r, v = reader(sys, rrows), reader(sys, vrows)
         pairs += result.checked
         if result.failed:
@@ -200,8 +198,8 @@ def test_c04_reflection_representation_properties(capsys, tables):
     failed = 0
     checked = 0
     for text in PRESETS:
-        sys, rrows, vrows = tables(text)
-        result = _suite_g(sys, vrows, rrows, None, "smallest")
+        sys = tables(text)[0]
+        result = _suite_g(sys)
         checked += result.checked
         failed += result.failed
     g2 = tables("G2")[0]
@@ -220,8 +218,8 @@ def test_c05_bruhat_recursion_vs_subword_oracle(capsys, tables):
     details = []
     failed = 0
     for text in ("A3", "B2"):
-        sys, rrows, vrows = tables(text)
-        result = _suite_b(sys, vrows, rrows, None, "smallest")
+        sys = tables(text)[0]
+        result = _suite_b(sys)
         failed += result.failed
         details.append(f"{text} {result.checked} ordered pairs")
     _verdict(capsys, 5, failed == 0, f"{' and '.join(details)}, {failed} disagreements")
@@ -232,7 +230,7 @@ def test_c06_r_polynomial_invariants(capsys, tables):
     checked = 0
     for text in PRESETS:
         sys, rrows, vrows = tables(text)
-        result = _suite_r(sys, vrows, rrows, direct_rows(sys), "smallest")
+        result = _suite_r(sys, rrows, direct_rows(sys), "smallest")
         checked += result.checked
         failed += result.failed
     _verdict(
@@ -295,7 +293,7 @@ def test_c09_rank_two_membership_biconditional(capsys, tables):
     flagged = 0
     for text in ("A2", "B2", "G2"):
         sys, rrows, vrows = tables(text)
-        result = _suite_m(sys, vrows, rrows, None, "smallest")
+        result = _suite_m(sys, vrows)
         flagged += result.checked
         failed += result.failed
     _verdict(
@@ -308,9 +306,9 @@ def test_c09_rank_two_membership_biconditional(capsys, tables):
 
 def test_c10_determinism_and_cache(capsys, tmp_path):
     cache = tmp_path / "cache"
-    cold = run_verify(RunConfig(type_text="B2", cache_dir=cache))
+    cold = run_verify("B2", cache_dir=cache)
     assert (cache / f"rpoly_{cold['system']}.csv").exists()
-    warm = run_verify(RunConfig(type_text="B2", cache_dir=cache))
+    warm = run_verify("B2", cache_dir=cache)
     counts_equal = [(s["name"], s["checked"], s["failed"]) for s in cold["suites"]] == [
         (s["name"], s["checked"], s["failed"]) for s in warm["suites"]
     ]
@@ -326,8 +324,8 @@ def test_c10_determinism_and_cache(capsys, tmp_path):
         }
 
     a, b = tmp_path / "a", tmp_path / "b"
-    run_report(RunConfig(type_text="B2", cache_dir=a))
-    run_report(RunConfig(type_text="B2", cache_dir=b))
+    run_report("B2", cache_dir=a)
+    run_report("B2", cache_dir=b)
     reports_equal = stripped(a) == stripped(b)
     ok = counts_equal and reports_equal
     _verdict(

@@ -491,6 +491,20 @@ def test_report_unusable_output_dir_fails_before_filling(capsys, tmp_path, monke
     assert "cannot create output dir" in err
 
 
+def test_verify_unusable_cache_dir_fails_before_the_whole_group_work(capsys, tmp_path, monkeypatch):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the group was walked before the cache dir was made")
+
+    monkeypatch.setattr(verify, "comparable_rows", walk)  # suite B's first walk
+    monkeypatch.setattr(verify, "compute_all", walk)
+    code, out, err = run(capsys, "verify", "--type", "A2", "--cache-dir", str(blocker))
+    assert (code, out) == (1, "")
+    assert "cannot create cache dir" in err
+
+
 def test_report_writes_three_files(capsys, tmp_path):
     code, out, _ = run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))
     assert code == 0
@@ -582,17 +596,22 @@ def test_report_without_cache_dir_reads_back_its_rpoly_file(capsys, tmp_path, mo
     assert second_files == first_files
 
 
-def test_warm_report_leaves_the_rpoly_file_alone(capsys, tmp_path):
+@pytest.mark.parametrize("warm, exit_code", [
+    (("report", "--type", "A3", "--format", "json"), 0),
+    (("verify", "--type", "A3"), 3),  # suite T's known divergence on A3
+    (("rpoly", "--type", "A3", "1,2,1,0", "e"), 0),  # a pair the report's cache file holds
+], ids=["report", "verify", "rpoly"])
+def test_warm_report_leaves_the_rpoly_file_alone(capsys, tmp_path, warm, exit_code):
     code, _, _ = run(capsys, "report", "--type", "A3", "--cache-dir", str(tmp_path))
     assert code == 0
     (rpoly,) = tmp_path.glob("rpoly_A3-*.csv")
     body = rpoly.read_bytes()
     # an old stamp, so a rewrite shows whatever the file system's resolution
     os.utime(rpoly, ns=(10**18, 10**18))
-    code, out, _ = run(capsys, "report", "--type", "A3", "--cache-dir", str(tmp_path),
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["rtable_computed"] == 0
+    code, out, _ = run(capsys, *warm, "--cache-dir", str(tmp_path))
+    assert code == exit_code
+    if warm[0] == "report":
+        assert json.loads(out)["rtable_computed"] == 0
     assert rpoly.stat().st_mtime_ns == 10**18
     assert rpoly.read_bytes() == body
 
@@ -724,17 +743,32 @@ build_system("E7", budget=3_000_000)
 print(*sorted(set(sys.modules) - before))
 import verma_ext.cli
 print(*sorted(set(sys.modules) - before))
+import contextlib, io
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = verma_ext.cli.main(list(argv))
+    return f"{argv[0]}:{code}:{'verma_ext.verify' in sys.modules}"
+
+
+print(run("rpoly", "--type", "A2", "0,1,0", "e"), run("vspace", "--type", "A2", "0,1,0", "e"),
+      run("verify", "--type", "A2"))
 """
 
 
 def test_start_up_imports_only_what_a_command_runs():
-    """Building a group loads none of these; the CLI loads json for its output and fingerprints."""
+    """Building a group loads none of these; the CLI loads json for its output and fingerprints.
+
+    The suites load with the first whole-group command, not with the CLI or a single-pair query.
+    """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", _FOOTPRINT, src],
                           capture_output=True, text=True, check=True)
-    core, whole = (set(line.split()) for line in proc.stdout.splitlines())
-    assert not core & {"dataclasses", "inspect", "hashlib", "json", "datetime"}
-    assert not whole & {"dataclasses", "inspect", "datetime"}
+    core, whole, commands = (line.split() for line in proc.stdout.splitlines())
+    assert not set(core) & {"dataclasses", "inspect", "hashlib", "json", "datetime"}
+    assert not set(whole) & {"dataclasses", "inspect", "datetime", "verma_ext.verify"}
+    assert commands == ["rpoly:0:False", "vspace:0:False", "verify:0:True"]
 
 
 # ---------------------------------------------------------------------------

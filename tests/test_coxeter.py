@@ -486,14 +486,13 @@ SUITE_COUNTS = {
 def test_each_matrix_is_one_element_after_a_verify_pass(text):
     # Equality of elements is identity, which is group equality only while
     # no two ids of one system share a matrix.
-    config = verify.RunConfig(text)
-    sys = build_system(config.type_text, budget=config.budget)
-    vrows, rrows, _ = verify.fill_tables(config, sys)
-    drows = rpoly.direct_rows(sys, config.policy)
-    counts = {}
-    for suite in verify._SUITES:
-        result = suite(sys, vrows, rrows, drows, config.policy)
-        counts[result.name] = (result.checked, result.failed)
+    sys = build_system(text)
+    vrows, rrows, _ = verify.fill_tables(sys)
+    drows = rpoly.direct_rows(sys)
+    t, g, b, r, s, m = verify._SUITES
+    results = (t(sys, vrows, rrows, drows), g(sys), b(sys), r(sys, rrows, drows, "smallest"),
+               s(sys, vrows), m(sys, vrows))
+    counts = {result.name: (result.checked, result.failed) for result in results}
     assert counts == SUITE_COUNTS.get(text, counts)
     assert len({g.matrix for g in sys._by_id}) == len(sys._by_id)
     assert all(sys._index[g.matrix] == gid for gid, g in enumerate(sys._by_id))
@@ -513,7 +512,7 @@ def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(verify, "build_system", build)
-    payload = verify.run_verify(verify.RunConfig("B3"))
+    payload = verify.run_verify("B3")
     assert [s["checked"] for s in payload["suites"] if s["name"] == "B"] == [2304]
     (sys,) = built
     assert sys._bruhat == {}
@@ -529,7 +528,7 @@ def test_suite_b_flags_an_index_row_that_lost_an_element():
     list(comparable_rows(sys))
     w0, e = longest_element(sys), identity(sys)
     sys._lower[w0.position] = tuple(y for y in sys._lower[w0.position] if y is not e)
-    result = verify._suite_b(sys, None, None, None, None)
+    result = verify._suite_b(sys)
     assert (result.checked, result.failed) == (36, 1)
     assert result.witnesses == [
         {"x": "e", "y": "0,1,0", "recursive": True, "index": False, "oracle": True}
@@ -565,7 +564,7 @@ def test_suite_b_flags_an_oracle_row_that_lost_a_matrix(text, monkeypatch):
         return products - ({sys._numbers[e.matrix]} if y is not e else set())
 
     monkeypatch.setattr(verify, "subword_products", lossy)
-    result = verify._suite_b(sys, None, None, None, None)
+    result = verify._suite_b(sys)
     elems = enumerate_elements(sys)
     assert (result.checked, result.failed) == (len(elems) ** 2, len(elems) - 1)
     assert result.witnesses == [
@@ -580,7 +579,7 @@ def test_suite_b_counts_each_pair_an_index_row_lost():
     w0 = longest_element(sys)
     lost = sys._lower[w0.position][7], sys._lower[w0.position][3]
     sys._lower[w0.position] = tuple(y for y in sys._lower[w0.position] if y not in lost)
-    result = verify._suite_b(sys, None, None, None, None)
+    result = verify._suite_b(sys)
     assert (result.checked, result.failed) == (24 * 24, 2)
     assert result.witnesses == [
         {"x": word_text(sys, lost[1]), "y": "0,1,2,0,1,0", "recursive": True,

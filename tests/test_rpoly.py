@@ -276,12 +276,12 @@ def test_suite_r_flags_wrong_entries_and_never_sees_stray_ones():
     assert not any(poly is stray for row in rows for poly in row)
     assert rtable.r(y, x) is ZERO
     direct = direct_rows(sys)
-    clean = _suite_r(sys, None, rows, direct, "smallest")
+    clean = _suite_r(sys, rows, direct, "smallest")
     assert (clean.checked, clean.failed) == (36, 0)
     # a wrong polynomial that keeps every term invariant but not the coefficient
     w0, e = longest_element(sys), identity(sys)
     rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, 3, -3, 1))
-    wrong = _suite_r(sys, None, rows, direct, "smallest")
+    wrong = _suite_r(sys, rows, direct, "smallest")
     assert (wrong.checked, wrong.failed) == (36, 1)
     assert wrong.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, 3, -3, 1]}]
 
@@ -292,7 +292,7 @@ def test_suite_r_counts_a_negative_coefficient_row_as_a_failure():
     rows = RTable(sys).fill()
     w0, e = longest_element(sys), identity(sys)
     rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, -1, 1, 1))
-    result = _suite_r(sys, None, rows, direct_rows(sys), "smallest")
+    result = _suite_r(sys, rows, direct_rows(sys), "smallest")
     assert (result.checked, result.failed) == (36, 1)
     assert result.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, -1, 1, 1]}]
 

@@ -50,7 +50,7 @@ from verma_ext.errors import (
 )
 from verma_ext.reflection import RationalSubspace, apply_element, basis_vector
 from verma_ext.rpoly import ONE, RTable, direct_rows, gj_coefficient, r_coeff_direct
-from verma_ext.verify import PRESETS, RunConfig, _suite_m, _suite_s
+from verma_ext.verify import PRESETS, _suite_m, _suite_s
 from verma_ext.vtable import (
     SingularSpec,
     VTable,
@@ -354,7 +354,7 @@ def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch, system):
         for policy in DESCENT_POLICIES:
             sys = build_system("B3")
             monkeypatch.setattr(verify, "build_system", lambda *args, **kwargs: sys)
-            verify.run_verify(RunConfig("B3", policy=policy))
+            verify.run_verify("B3", policy=policy)
             off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
             assert len(off_diagonal) == 799
             assert list(sys._descent_rows) == [policy]
@@ -458,7 +458,7 @@ def test_suite_s_flags_a_wrong_top_space(system):
     rows = compute_all(sys)  # its own rows, as the test plants an entry
     w0, e = longest_element(sys), identity(sys)
     rows[w0.position][slot(sys, w0, e)] = RationalSubspace(sys.rank)
-    result = _suite_s(sys, rows, None, None, None)
+    result = _suite_s(sys, rows)
     # the subsets {}, {0}, {1} and {0,1}: only the last expects the zero quotient
     assert (result.checked, result.failed) == (4, 3)
     assert result.witnesses == [{"subset": "", "dim": 0, "expected": 2}]
@@ -588,7 +588,7 @@ def test_suite_m_flags_a_row_whose_membership_flipped(system):
     x, y = element_from_word(sys, (1, 0)), identity(sys)
     assert rows[x.position][slot(sys, x, y)].dim == 2  # v_1 is in it, as x >= y s_1 predicts
     rows[x.position][slot(sys, x, y)] = RationalSubspace(sys.rank)
-    result = _suite_m(sys, rows, None, None, None)
+    result = _suite_m(sys, rows)
     assert (result.checked, result.failed) == (12, 1)
     assert result.witnesses == [{"x": "1,0", "y": "e", "s": 1, "in_v": False, "x_ge_ys": True}]
 

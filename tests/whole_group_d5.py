@@ -69,7 +69,7 @@ def _suite_counts(payload: dict) -> dict:
 
 @pytest.mark.parametrize("policy", DESCENT_POLICIES)
 def test_verify_counts_are_frozen(policy):
-    payload = verify.run_verify(verify.RunConfig("D5", policy=policy))
+    payload = verify.run_verify("D5", policy=policy)
     assert _suite_counts(payload) == COUNTS["D5"]
 
 

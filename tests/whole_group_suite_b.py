@@ -27,6 +27,6 @@ SUITE_B_COUNTS = {
 def test_suite_b_counts_are_frozen(text):
     sys = build_system(text)
     list(comparable_rows(sys))  # the index, as a verify pass builds it before its suites
-    result = verify._suite_b(sys, None, None, None, None)
+    result = verify._suite_b(sys)
     assert (result.checked, result.failed) == SUITE_B_COUNTS[text]
     assert result.witnesses == []
