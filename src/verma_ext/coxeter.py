@@ -28,9 +28,9 @@ bitmask of the positions below it, and the tuple of the elements below it.
 From then on ``bruhat_leq`` answers with one bit test; before that it calls
 ``bruhat_leq_lifting``, a memoized recursion on the lifting property, so
 single-pair queries on a large group stay lazy.
-``bruhat_leq_oracle`` decides order by subword enumeration of one reduced
-word, on bare matrices it numbers itself, to cross-check the other two; it
-refuses a word with more than an explicit budget of subwords.  ``descend``
+A ``SubwordOracle`` decides order by subword enumeration of one reduced
+word, on bare matrices it numbers in tables of its own, to cross-check the
+other two; it refuses a word past an explicit budget of subwords.  ``descend``
 is the one step, with its lifting check, of the single-pair recursions.
 ``descent_rows`` takes it for every strict pair, a row at a time by maps
 over positions, and keeps per index row x's descent s, xs and two slots per
@@ -268,13 +268,10 @@ class CoxeterSystem:
     index by position in the (length, matrix) order; the lifting memo (rows
     keyed by the upper element, each keyed by the lower) and the element
     and lower-set lists hold the system's own GroupElements, keyed by
-    identity, and so are the oracle's subword products.  Beside the index,
-    ``descent_rows`` caches each policy's descent step per index row, as
-    slots into the row of xs.  The oracle numbers the bare matrices it
-    reaches and memoizes, per s, the number of each one's column
-    reflection.  All grow monotonically but the oracle's tables, which
-    ``drop_order_memos`` empties; all derived tables hold a reference to
-    their system, so sharing one system between tables shares the caches.
+    identity.  Beside the index, ``descent_rows`` caches each policy's
+    descent step per index row, as slots into the row of xs.  All grow
+    monotonically; all derived tables hold a reference to their system,
+    so sharing one system between tables shares the caches.
     Pass a system only elements it built.
     """
 
@@ -291,7 +288,6 @@ class CoxeterSystem:
                 f"group of type {descriptor} has order {order}, over budget {budget}"
             )
         self.descriptor = descriptor
-        self.budget = budget
         self.cartan = build_cartan(descriptor)
         self.rank = descriptor.rank
         self.group_order = order
@@ -310,10 +306,6 @@ class CoxeterSystem:
         self._below: list[int] | None = None  # the Bruhat index, by position
         self._lower: list[tuple[GroupElement, ...]] | None = None  # the elements below, by position
         self._descent_rows: dict[str, list[DescentRow]] = {}  # by policy, then by position
-        self._downsets: dict[GroupElement, frozenset[int]] = {}  # subword products, numbered
-        self._numbers: dict[IntMatrix, int] = {}  # the oracle's number for each matrix it reached
-        self._numbered: list[IntMatrix] = []  # the matrix of each number
-        self._reflected: list[dict[int, int]] = [{} for _ in range(n)]  # number of m -> of m s_i
         self._elements: tuple[GroupElement, ...] | None = None
         self._longest: GroupElement | None = None
 
@@ -326,14 +318,9 @@ class CoxeterSystem:
         return f"CoxeterSystem({self.descriptor}, order={self.group_order})"
 
 
-def build_system(type_text: str | TypeDescriptor, budget: int = DEFAULT_BUDGET) -> CoxeterSystem:
+def build_system(type_text: str, budget: int = DEFAULT_BUDGET) -> CoxeterSystem:
     """Build a CoxeterSystem from a type string, refusing groups over the order budget."""
-    descriptor = (
-        type_text
-        if isinstance(type_text, TypeDescriptor)
-        else TypeDescriptor.parse(type_text)
-    )
-    return CoxeterSystem(descriptor, budget=budget)
+    return CoxeterSystem(TypeDescriptor.parse(type_text), budget=budget)
 
 
 def fingerprint(sys: CoxeterSystem) -> str:
@@ -510,9 +497,12 @@ def parse_word(text: str) -> tuple[int, ...]:
     letters = []
     for piece in text.split(","):
         piece = piece.strip()
-        if not (piece.isascii() and piece.isdigit()):  # str.isdigit alone takes "²"
-            raise ParseError(f"bad word letter {piece!r} in {text!r}")
-        letters.append(int(piece))
+        try:
+            if not (piece.isascii() and piece.isdigit()):  # str.isdigit alone takes "²"
+                raise ValueError(piece)
+            letters.append(int(piece))  # which raises ValueError past its digit limit too
+        except ValueError:
+            raise ParseError(f"bad word letter {piece!r} in {text!r}") from None
     return tuple(letters)
 
 
@@ -601,54 +591,53 @@ def descend(
     return s, xs, ys, down
 
 
-def bruhat_leq_oracle(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
-    """Decide x <= y by enumerating the subwords of one reduced word of y."""
-    products = subword_products(sys, y)
-    return sys._numbers.get(x.matrix) in products
+class SubwordOracle:
+    """Bruhat order by enumerating the subwords of one reduced word, as a cross-check.
 
-
-def _number(sys: CoxeterSystem, matrix: IntMatrix) -> int:
-    """The oracle's number for a bare matrix, given the next one on first sight."""
-    n = sys._numbers.get(matrix)
-    if n is None:
-        n = sys._numbers[matrix] = len(sys._numbered)
-        sys._numbered.append(matrix)
-    return n
-
-
-def subword_products(sys: CoxeterSystem, y: GroupElement) -> frozenset[int]:
-    """The oracle's numbers of the subwords of y's canonical reduced word, memoized per system.
-
-    x <= y iff x's matrix has a number among them.  The word of y is the
-    word of ys plus s, for s its smallest descent, so y's set is the set of
-    ys and its images under s.  The oracle numbers each bare matrix on first
-    sight (``sys._numbers``; ``sys._numbered`` maps back), never by an
-    element's id or position, and reflects each number by s once
-    (``sys._reflected[s]``).  It refuses 2**length(y) > ORACLE_BUDGET.
+    ``products(y)`` is the set of the oracle's numbers of the subwords of
+    y's canonical reduced word, and x <= y iff x's matrix has a number among
+    them (``leq``).  The word of y is the word of ys plus s, for s its
+    smallest descent, so y's set is the set of ys and its images under s.
+    The oracle numbers each bare matrix on first sight (``numbers``;
+    ``numbered`` maps back), never by an element's id or position, and
+    reflects each number by s once.  It refuses 2**length(y) > ORACLE_BUDGET.
+    Its tables live as long as the oracle, and the system keeps none of them.
     """
-    k = y.length
-    if 2**k > ORACLE_BUDGET:
-        raise BudgetExceeded(f"subword oracle needs 2**{k} products, budget is {ORACLE_BUDGET}")
-    got = sys._downsets.get(y)
-    if got is None:
-        if not k:
-            return frozenset((_number(sys, y.matrix),))
-        s = pick_descent(sys, y, "smallest")
-        prefix = subword_products(sys, right_multiply(sys, y, s))
-        reflected, numbered = sys._reflected[s], sys._numbered
-        for n in prefix.difference(reflected):
-            reflected[n] = _number(sys, _col_reflect(sys, numbered[n], s))
-        got = sys._downsets[y] = prefix.union(map(reflected.__getitem__, prefix))
-    return got
 
+    def __init__(self, sys: CoxeterSystem):
+        self.sys = sys
+        self.numbers: dict[IntMatrix, int] = {}  # the number of each matrix reached
+        self.numbered: list[IntMatrix] = []  # the matrix of each number
+        self._products: dict[GroupElement, frozenset[int]] = {}
+        self._reflected: list[dict[int, int]] = [{} for _ in range(sys.rank)]  # number of m -> of m s_i
 
-def drop_order_memos(sys: CoxeterSystem) -> None:
-    """Free the subword products, the oracle's numbers and their reflections; the next call refills them."""
-    sys._downsets.clear()
-    sys._numbers.clear()
-    sys._numbered.clear()
-    for memo in sys._reflected:
-        memo.clear()
+    def leq(self, x: GroupElement, y: GroupElement) -> bool:
+        products = self.products(y)  # first: it numbers the identity's matrix
+        return self.numbers.get(x.matrix) in products
+
+    def _number(self, matrix: IntMatrix) -> int:
+        n = self.numbers.get(matrix)
+        if n is None:
+            n = self.numbers[matrix] = len(self.numbered)
+            self.numbered.append(matrix)
+        return n
+
+    def products(self, y: GroupElement) -> frozenset[int]:
+        k = y.length
+        if 2**k > ORACLE_BUDGET:
+            raise BudgetExceeded(f"subword oracle needs 2**{k} products, budget is {ORACLE_BUDGET}")
+        got = self._products.get(y)
+        if got is None:
+            if not k:
+                return frozenset((self._number(y.matrix),))
+            sys = self.sys
+            s = pick_descent(sys, y, "smallest")
+            prefix = self.products(right_multiply(sys, y, s))
+            reflected, numbered = self._reflected[s], self.numbered
+            for n in prefix.difference(reflected):
+                reflected[n] = self._number(_col_reflect(sys, numbered[n], s))
+            got = self._products[y] = prefix.union(map(reflected.__getitem__, prefix))
+        return got
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ polynomial has degree length(x) - length(y), leading coefficient 1, constant
 term (-1)**(length(x) - length(y)), and vanishes at q = 1 when y < x.
 ``RTable.r`` recurses from one pair into a sparse memo; ``RTable.fill``
 takes the same step by ``coxeter.fill_rows``, once per pair, and returns
-rows aligned with the Bruhat index; both share one ascent memo.
+rows aligned with the Bruhat index; each keeps an ascent memo of its own.
 
 ``IntPolynomial.gj`` is the q^1 coefficient with the sign that makes it a
 dimension count; ``r_coeff_direct`` (one pair) and ``direct_rows`` (every
@@ -152,7 +152,7 @@ class RTable:
         self.policy = policy
         self._memo: dict[GroupElement, dict[GroupElement, IntPolynomial]] = {}
         self.computed = 0
-        self.ascent = ascent_memo()  # shared by ``r`` and ``fill``
+        self.ascent = ascent_memo()  # the lazy path's: ``fill`` makes its own
 
     def r(self, y: GroupElement, x: GroupElement) -> IntPolynomial:
         if y is x:
@@ -173,11 +173,12 @@ class RTable:
         """R(y, x) for every pair y <= x, by ``fill_rows``: rows aligned with the index rows.
 
         Each row ends with ONE.  A pair the memo holds takes that entry, every
-        other pair one step from the row of xs, counted in ``computed``; the
-        ascent memo shares the results (F4: 435 objects in all).  The fill
-        empties the memo, whose entries for pairs off the index are never read.
+        other pair one step from the row of xs, counted in ``computed``; an
+        ascent memo of the fill's own shares the results (F4: 435 objects in
+        all).  The fill empties the memo, whose entries for pairs off the
+        index are never read.
         """
-        sys, ascent, memo = self.sys, self.ascent, self._memo
+        sys, ascent, memo = self.sys, ascent_memo(), self._memo
 
         def fill_row(x, s, below, first, second):
             loaded = memo.pop(x, None)
@@ -198,7 +199,6 @@ class RTable:
 
         rows = fill_rows(sys, self.policy, fill_row)
         memo.clear()
-        self.ascent = ascent_memo()  # its keys are ids of entries the table no longer keeps
         return rows
 
     def memo_pairs(self) -> Iterator[tuple[GroupElement, GroupElement, IntPolynomial]]:
@@ -348,9 +348,12 @@ def _text_lines(path: Path | str) -> Iterator[str]:
 def _parse_checked(text: str, gap: int) -> IntPolynomial:
     """The polynomial of a cache row's coefficient list, checked against the pair's gap."""
     pieces = [c.strip() for c in text.split(",")]  # int() would also take "+1" and "١"
-    if not all(c.removeprefix("-").isascii() and c.removeprefix("-").isdigit() for c in pieces):
-        raise ParseError("bad coefficient list")
-    poly = IntPolynomial(map(int, pieces))
+    try:
+        if not all(c.removeprefix("-").isascii() and c.removeprefix("-").isdigit() for c in pieces):
+            raise ValueError(text)
+        poly = IntPolynomial(map(int, pieces))  # int() raises ValueError past its digit limit too
+    except ValueError:
+        raise ParseError("bad coefficient list") from None
     if poly.degree != gap or poly.coeff(gap) != 1 or poly.coeff(0) != (-1) ** gap:
         raise ParseError(f"row violates degree or term invariants for gap {gap}")
     if not poly.r_shaped:
@@ -361,20 +364,20 @@ def _parse_checked(text: str, gap: int) -> IntPolynomial:
 def ascent_memo() -> Callable[[IntPolynomial, IntPolynomial], IntPolynomial]:
     """R(y, x) = (q-1) a + q b = q (a + b) - a on an ascent, a = R(y, xs), b = R(ys, xs).
 
-    Memoised on the ids of inputs the caller keeps alive (``RTable.fill``
-    renews the table's when it empties its memo); one object per result.
+    Memoised on the ids of the inputs, which it keeps alive so that no id it
+    holds is reused, whatever its caller drops; one object per result.
     """
-    by_ids: dict[tuple[int, int], IntPolynomial] = {}
+    by_ids: dict[tuple[int, int], tuple[IntPolynomial, IntPolynomial, IntPolynomial]] = {}
     shared: dict[tuple[int, ...], IntPolynomial] = {}
 
     def ascent(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-        value = by_ids.get((id(a), id(b)))
-        if value is None:
+        hit = by_ids.get((id(a), id(b)))
+        if hit is None:
             u, v = a.coeffs, b.coeffs
             v += (0,) * (len(u) - len(v))
             value = IntPolynomial([i + j - k for i, j, k in zip((0,) + u, (0,) + v, u + (0,))])
-            value = by_ids[id(a), id(b)] = shared.setdefault(value.coeffs, value)
-        return value
+            hit = by_ids[id(a), id(b)] = (shared.setdefault(value.coeffs, value), a, b)
+        return hit[0]
 
     return ascent
 

@@ -44,18 +44,17 @@ from .coxeter import (
     DESCENT_POLICIES,
     CoxeterSystem,
     GroupElement,
+    SubwordOracle,
     braid_order,
     build_system,
     comparable_rows,
     descent_rows,
-    drop_order_memos,
     enumerate_elements,
     fingerprint,
     identity,
     longest_element,
     multiply,
     simple_reflection,
-    subword_products,
     word_text,
     _right_image,
     _right_steps,
@@ -166,8 +165,9 @@ def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
     lifting row L of ys, for s the largest descent of y (x <= y iff x <= ys
     when xs > x, iff xs <= ys when xs < x), that is A | A s for A the
     elements of L with ascent s, where the index takes the smallest descent
-    and D(ws) | D(ws) s; and y's subword products, each oracle number mapped
-    to a position once, where distinct numbers make the sum of bits an OR.
+    and D(ws) | D(ws) s; and y's subword products from one ``SubwordOracle``
+    for the walk, each oracle number mapped to a position once, where
+    distinct numbers make the sum of bits an OR.
     """
     rows = comparable_rows(sys)  # refuses a group too large to walk, before anything else
     cap = ORACLE_BUDGET.bit_length() - 1  # longest y whose 2**length subwords fit the budget
@@ -176,6 +176,7 @@ def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
     has_descent = [sum(1 << g.position for g in elements if g.descents >> s & 1)
                    for s in range(sys.rank)]
     position = {g.matrix: g.position for g in elements}
+    oracle = SubwordOracle(sys)  # freed with the walk
     to_position: list[int] = []  # by the oracle's number
     lifting = [1]  # by position: the identity is below itself alone
     for y, lower in rows:  # in length order, so the first y past the cap ends the walk
@@ -188,10 +189,10 @@ def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
         index = 0
         for x in lower:
             index |= 1 << x.position
-        products = subword_products(sys, y)
-        to_position += map(position.__getitem__, sys._numbered[len(to_position):])
-        oracle = sum(map((1).__lshift__, map(to_position.__getitem__, products)))
-        yield y, index, lifting[y.position], oracle
+        products = oracle.products(y)
+        to_position += map(position.__getitem__, oracle.numbered[len(to_position):])
+        by_oracle = sum(map((1).__lshift__, map(to_position.__getitem__, products)))
+        yield y, index, lifting[y.position], by_oracle
 
 
 def _suite_b(sys) -> SuiteResult:
@@ -215,7 +216,6 @@ def _suite_b(sys) -> SuiteResult:
                               index=bool(index >> k & 1), oracle=bool(oracle >> k & 1)),
                 wrong.bit_count(),
             )
-    drop_order_memos(sys)  # no later suite reads the subword products this one filled
     return out
 
 
@@ -275,7 +275,7 @@ def _suite_m(sys, vrows: list) -> SuiteResult:
     return out
 
 
-# In output order; run_verify runs suite B first, so its subword products are freed before the fills.
+# In output order; run_verify runs suite B first, so its oracle is freed before the fills.
 _SUITES = (_suite_t, _suite_g, _suite_b, _suite_r, _suite_s, _suite_m)
 
 

@@ -85,11 +85,15 @@ class SingularSpec(namedtuple("SingularSpec", "indices")):
     def parse(cls, text: str) -> "SingularSpec":
         """Parse comma-separated indices like ``"0,2"``; empty pieces are skipped."""
         text = text.strip()
-        pieces = [p.strip() for p in text.split(",")]
-        for piece in pieces:
-            if piece and not (piece.isascii() and piece.isdigit()):  # int() takes "١" and "1_0"
-                raise ParseError(f"bad singular subset {text!r}: bad index {piece!r}")
-        return cls(frozenset(int(p) for p in pieces if p))
+        indices = set()
+        for piece in filter(None, map(str.strip, text.split(","))):
+            try:
+                if not (piece.isascii() and piece.isdigit()):  # int() takes "١" and "1_0"
+                    raise ValueError(piece)
+                indices.add(int(piece))  # which raises ValueError past its digit limit too
+            except ValueError:
+                raise ParseError(f"bad singular subset {text!r}: bad index {piece!r}") from None
+        return cls(frozenset(indices))
 
     def validate(self, sys: CoxeterSystem) -> None:
         for i in self.indices:

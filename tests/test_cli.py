@@ -279,6 +279,30 @@ def test_singular_non_ascii_digit_index_is_domain_error(capsys, subset):
     assert "bad singular subset" in err
 
 
+LONG_DIGITS = "1" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("place", ["word", "singular", "rpoly-cache", "report-cache"])
+def test_a_digit_run_past_the_int_limit_is_a_domain_error(capsys, tmp_path, place):
+    # Each parser refuses the run itself: exit 2 and one line on stderr, no traceback.
+    cache = tmp_path / "cache"
+    argv = {
+        "word": ("rpoly", "--type", "A2", LONG_DIGITS, "e"),
+        "singular": ("vspace", "--type", "A2", "0,1,0", "e", "--singular", LONG_DIGITS),
+        "rpoly-cache": ("rpoly", "--type", "A2", "0,1,0", "e", "--cache-dir", str(cache)),
+        "report-cache": ("report", "--type", "A2", "--cache-dir", str(cache)),
+    }[place]
+    if place.endswith("-cache"):
+        assert run(capsys, "rpoly", "--type", "A2", "0", "e", "--cache-dir", str(cache))[0] == 0
+        (path,) = cache.glob("rpoly_A2-*.csv")
+        path.write_text(path.read_text() + f"e;0,1;1,-2,{LONG_DIGITS}\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if place.endswith("-cache"):
+        assert err.startswith(f"error: {path}:5: bad coefficient list")
+
+
 # ---------------------------------------------------------------------------
 # verify
 

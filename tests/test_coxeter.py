@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import weakref
 
 import pytest
 
@@ -19,11 +20,11 @@ from verma_ext.coxeter import (
     DEFAULT_BUDGET,
     DESCENT_POLICIES,
     ORACLE_BUDGET,
+    SubwordOracle,
     TypeDescriptor,
     braid_order,
     bruhat_leq,
     bruhat_leq_lifting,
-    bruhat_leq_oracle,
     build_cartan,
     build_system,
     comparable_rows,
@@ -322,11 +323,12 @@ def test_bruhat_recursion_matches_subword_oracle(text):
     # which bruhat_leq never reaches the recursion.
     sys = build_system(text)
     elems = enumerate_elements(sys)
+    oracle = SubwordOracle(sys)
     cap = ORACLE_BUDGET.bit_length() - 1  # B4's longest words are past the oracle's budget
     for x in elems:
         for y in elems:
             if y.length <= cap:
-                assert bruhat_leq_lifting(sys, x, y) == bruhat_leq_oracle(sys, x, y)
+                assert bruhat_leq_lifting(sys, x, y) == oracle.leq(x, y)
     assert sys._below is None
     pairs = tuple(comparable_pairs(sys))
     assert sys._below is not None
@@ -380,10 +382,11 @@ def test_subword_oracle_refuses_words_past_its_budget():
     e, w0 = identity(d5), longest_element(d5)
     assert w0.length == 20
     by_length = {g.length: g for g in enumerate_elements(d5)}
-    assert bruhat_leq_oracle(d5, e, by_length[12])
+    oracle = SubwordOracle(d5)
+    assert oracle.leq(e, by_length[12])
     for y in (by_length[13], w0):
         with pytest.raises(BudgetExceeded):
-            bruhat_leq_oracle(d5, e, y)
+            oracle.leq(e, y)
 
 
 def test_bruhat_respects_products(system):
@@ -501,24 +504,36 @@ def test_each_matrix_is_one_element_after_a_verify_pass(text):
 
 
 def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
-    # Suite B alone fills the subword products, the oracle's numbers for
-    # their matrices and the reflections they take; a whole verify pass
-    # drops all three and leaves the lifting memo empty, and a later
-    # single-pair query refills the memo.
-    built = []
+    # Suite B alone makes a subword oracle, which holds the subword
+    # products, the numbers of their matrices and the reflections they
+    # take; it is freed once the suite returns.  A whole verify pass leaves
+    # the lifting memo empty, and a later single-pair query refills it.
+    built, oracles, freed = [], [], []
 
     def build(*args, **kwargs):
         built.append(build_system(*args, **kwargs))
         return built[-1]
 
+    def make_oracle(sys):
+        oracle = SubwordOracle(sys)
+        oracles.append(weakref.ref(oracle))
+        return oracle
+
+    t, g, b, r, s, m = verify._SUITES
+
+    def suite_b(sys):
+        result = b(sys)
+        freed.extend(ref() is None for ref in oracles)
+        return result
+
     monkeypatch.setattr(verify, "build_system", build)
+    monkeypatch.setattr(verify, "SubwordOracle", make_oracle)
+    monkeypatch.setattr(verify, "_SUITES", (t, g, suite_b, r, s, m))
     payload = verify.run_verify("B3")
     assert [s["checked"] for s in payload["suites"] if s["name"] == "B"] == [2304]
+    assert freed == [True]  # one oracle, gone when suite B returns
     (sys,) = built
     assert sys._bruhat == {}
-    assert sys._downsets == {}
-    assert sys._numbers == {} and sys._numbered == []  # the oracle's number table
-    assert sys._reflected == [{}] * sys.rank  # the oracle's column reflections
     assert bruhat_leq_lifting(sys, element_from_word(sys, (1,)), longest_element(sys))
     assert sys._bruhat
 
@@ -542,12 +557,13 @@ def test_suite_b_rows_match_the_recursion_and_the_oracle_pair_by_pair(text):
     sys = build_system(text)
     elems = enumerate_elements(sys)
     cap = ORACLE_BUDGET.bit_length() - 1
+    subwords = SubwordOracle(sys)
     seen = []
     for y, index, lifting, oracle in verify._order_rows(sys):
         seen.append(y)
         for x in elems:
             assert bool(lifting >> x.position & 1) is bruhat_leq_lifting(sys, x, y)
-            assert bool(oracle >> x.position & 1) is bruhat_leq_oracle(sys, x, y)
+            assert bool(oracle >> x.position & 1) is subwords.leq(x, y)
             assert bool(index >> x.position & 1) is bruhat_leq(sys, x, y)
     assert seen == [y for y in elems if y.length <= cap]
 
@@ -555,15 +571,21 @@ def test_suite_b_rows_match_the_recursion_and_the_oracle_pair_by_pair(text):
 @pytest.mark.parametrize("text", ["A2", "B2"])
 def test_suite_b_flags_an_oracle_row_that_lost_a_matrix(text, monkeypatch):
     # Every row above the identity loses the oracle's number for the
-    # identity's matrix, so each y != e fails once, at x = e.
+    # identity's matrix, so each y != e fails once, at x = e.  Only the
+    # walk's own calls lose it: the oracle's recursion stays whole.
     sys = build_system(text)
     e = identity(sys)
 
-    def lossy(sys, y):
-        products = coxeter.subword_products(sys, y)
-        return products - ({sys._numbers[e.matrix]} if y is not e else set())
+    class Lossy:
+        def __init__(self, sys):
+            self.oracle = SubwordOracle(sys)
+            self.numbered = self.oracle.numbered
 
-    monkeypatch.setattr(verify, "subword_products", lossy)
+        def products(self, y):
+            products = self.oracle.products(y)
+            return products - ({self.oracle.numbers[e.matrix]} if y is not e else set())
+
+    monkeypatch.setattr(verify, "SubwordOracle", Lossy)
     result = verify._suite_b(sys)
     elems = enumerate_elements(sys)
     assert (result.checked, result.failed) == (len(elems) ** 2, len(elems) - 1)

@@ -29,10 +29,14 @@ from verma_ext.vtable import SingularSpec  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
-# Free text, and text drawn from the characters each grammar is made of,
-# including digits str.isdigit() accepts and int() does not.
-WORDS = st.one_of(st.text(), st.text(alphabet="0123456789,e ²١_\n"))
-TYPES = st.one_of(st.text(), st.text(alphabet="ABCDEFGQabdgxX0123456789 ²"))
+# Free text, text drawn from the characters each grammar is made of,
+# including digits str.isdigit() accepts and int() does not, and runs of
+# more digits than int() converts by default.
+LONG_DIGITS = st.integers(min_value=4301, max_value=6000).map("1".__mul__)
+WORDS = st.one_of(st.text(), st.text(alphabet="0123456789,e ²١_\n"),
+                  LONG_DIGITS, LONG_DIGITS.map("0,".__add__))
+TYPES = st.one_of(st.text(), st.text(alphabet="ABCDEFGQabdgxX0123456789 ²"),
+                  LONG_DIGITS.map("A".__add__))
 
 
 @PROPERTY
@@ -49,7 +53,7 @@ def test_parse_word_round_trips_or_raises_a_package_error(text):
 @given(TYPES, st.integers(min_value=-10, max_value=10**7))
 def test_type_parse_and_build_raise_only_package_errors(text, budget):
     try:
-        sys = build_system(TypeDescriptor.parse(text), budget=budget)
+        sys = build_system(text, budget=budget)
     except VermaExtError:
         return
     assert sys.group_order <= budget
@@ -84,12 +88,17 @@ def a2_cache(tmp_path_factory):
 
 @st.composite
 def byte_edits(draw, size):
-    """Up to four (position, replacement) edits: deletions, overwrites, insertions."""
+    """Up to four (position, replacement) edits: deletions, overwrites, insertions.
+
+    A replacement is up to three bytes or a run of more digits than int()
+    converts, which lands in a word or a coefficient list.
+    """
     edits = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         start = draw(st.integers(min_value=0, max_value=size))
         stop = draw(st.integers(min_value=start, max_value=min(size, start + 3)))
-        edits.append((start, stop, draw(st.binary(max_size=3))))
+        edits.append((start, stop, draw(st.one_of(st.binary(max_size=3),
+                                                   LONG_DIGITS.map(str.encode)))))
     return edits
 
 

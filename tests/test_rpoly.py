@@ -12,6 +12,7 @@ table entry.
 from __future__ import annotations
 
 from collections import Counter
+from sys import getrefcount
 
 import pytest
 
@@ -41,6 +42,7 @@ from verma_ext.rpoly import (
     ZERO,
     IntPolynomial,
     RTable,
+    ascent_memo,
     direct_rows,
     gj_coefficient,
     r_coeff_direct,
@@ -307,7 +309,7 @@ def test_gj_coefficient_of_a_negative_coefficient_row_is_an_invariant_violation(
 
 
 def test_lazy_table_holds_one_object_per_distinct_polynomial():
-    # r() shares the table's ascent memo with fill(), so pairs filled one
+    # r() keeps the table's ascent memo across queries, so pairs filled one
     # query at a time share polynomials as filled rows do
     sys = build_system("B3")
     table = RTable(sys)
@@ -583,6 +585,27 @@ def test_cache_file_is_the_same_from_filled_rows_and_from_the_lazy_memo(tmp_path
     assert data.count(b"\n") == 3 + len(list(comparable_pairs(sys))) - len(enumerate_elements(sys))
     assert (tmp_path / "lazy.csv").read_bytes() == data
     assert (tmp_path / "warm.csv").read_bytes() == data
+
+
+def test_lazy_queries_match_the_fill_across_fills_and_reloads(tmp_path):
+    # r() keeps its ascent memo across a fill that lets the loaded entries
+    # go.  The memo keys on ids and holds its inputs, so no new polynomial
+    # can take the id of one it keys on and read a stale result.
+    ascent, a = ascent_memo(), IntPolynomial((-1, 1))
+    refs = getrefcount(a)
+    assert ascent(a, ONE).coeffs == (1, -1, 1)
+    assert getrefcount(a) == refs + 1  # the memo's own reference
+    sys = build_system("B3")
+    full = RTable(sys).fill()
+    path = tmp_path / "rpoly.csv"
+    RTable(sys).save_csv(path, _strict_pairs(sys, full))
+    table = RTable(sys)
+    for _ in range(3):
+        table.load_csv(path)
+        for x in list(table._memo)[::2]:
+            del table._memo[x]  # so the lazy path steps from loaded entries
+        assert all(table.r(y, x) == poly for x, y, poly in filled_pairs(sys, full))
+        assert table.fill() == full
 
 
 def test_warm_load_keeps_one_polynomial_per_coefficient_list(tmp_path):
