@@ -22,29 +22,28 @@ and, once the group is enumerated, their position in the (length, matrix)
 order, but no reference to other elements or to the system, so a system
 and its elements are freed by reference counting.
 
-The Bruhat order has three routes.  ``comparable_rows``, the one
-whole-group walk, builds a numbered index: per element position, the
-bitmask of the positions below it, and the tuple of the elements below it.
-From then on ``bruhat_leq`` answers with one bit test; before that it calls
+The Bruhat order has three routes.  ``comparable_rows`` builds a numbered
+index: per element position, the bitmask of the positions below it.  From
+then on ``bruhat_leq`` answers with one bit test; before that it calls
 ``bruhat_leq_lifting``, a memoized recursion on the lifting property, so
 single-pair queries on a large group stay lazy.
 A ``SubwordOracle`` decides order by subword enumeration of one reduced
 word, on bare matrices it numbers in tables of its own, to cross-check the
 other two; it refuses a word past an explicit budget of subwords.  ``descend``
 is the one step, with its lifting check, of the single-pair recursions.
-``descent_rows`` takes it for every strict pair, a row at a time by maps
-over positions, and keeps per index row x's descent s, xs and two slots per
-pair into the row of xs; ``fill_rows``, the tables' one whole-group fill
-walk, and suite R read those slots instead of stepping again.
 
-The whole-group fills (``vtable.compute_all``, ``RTable.fill``,
-``rpoly.direct_rows``) return a list by position of rows aligned with the
-index rows, which no table keeps: entry k of x's row belongs to the pair
-(x, ``sys._lower[x.position][k]``), and the row ends with its diagonal.
-``slot`` finds a pair's entry by a bit count on the index.  The memos that
-single-pair work fills (the lifting memo here, the tables' lazy memos) are
-dicts of sparse rows instead: ``memo[x][y]`` for the pair y <= x, keyed by
-the elements, so no lookup builds an (x, y) tuple and no entry stores one.
+``walk``, the one whole-group pass, takes that step for every strict pair,
+a row at a time by maps over positions, and hands each index row x, with
+its descent s and two slots per pair into the row of xs, to row functions
+that fill a V, R or direct table.  A filled row is aligned with x's index
+row: entry k belongs to the pair (x, the k-th element below x), and the
+row ends with its diagonal.  The walk keeps the rows of two length layers
+only, since the row of x reads only the row of xs, and no table keeps
+them.  ``slot`` finds a pair's entry by a bit count on the index.  The
+memos that single-pair work fills (the lifting memo here, the tables' lazy
+memos) are dicts of sparse rows instead: ``memo[x][y]`` for the pair
+y <= x, keyed by the elements, so no lookup builds an (x, y) tuple and no
+entry stores one.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ import re
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from itertools import compress
-from operator import attrgetter
 
 from .errors import (
     BudgetExceeded,
@@ -257,21 +255,15 @@ class GroupElement:
         return f"GroupElement(len={self.length}, [{rows}])"
 
 
-# One index row's descent step under a policy: (s, xs, then two arrays with one slot per strict pair).
-DescentRow = tuple[int, GroupElement | None, Sequence[int], Sequence[int]]
-
-
 class CoxeterSystem:
     """A finite Weyl group with its Cartan data and per-group caches.
 
     The interned element tables are indexed by element id and the Bruhat
-    index by position in the (length, matrix) order; the lifting memo (rows
-    keyed by the upper element, each keyed by the lower) and the element
-    and lower-set lists hold the system's own GroupElements, keyed by
-    identity.  Beside the index, ``descent_rows`` caches each policy's
-    descent step per index row, as slots into the row of xs.  All grow
-    monotonically; all derived tables hold a reference to their system,
-    so sharing one system between tables shares the caches.
+    index masks by position in the (length, matrix) order; the lifting memo
+    (rows keyed by the upper element, each keyed by the lower) and the
+    element list hold the system's own GroupElements, keyed by identity.
+    All grow monotonically; all derived tables hold a reference to their
+    system, so sharing one system between tables shares the caches.
     Pass a system only elements it built.
     """
 
@@ -304,8 +296,6 @@ class CoxeterSystem:
         self._simples = tuple(right_multiply(self, self._identity, i) for i in range(n))
         self._bruhat: dict[GroupElement, dict[GroupElement, bool]] = {}  # upper -> lower -> x <= y
         self._below: list[int] | None = None  # the Bruhat index, by position
-        self._lower: list[tuple[GroupElement, ...]] | None = None  # the elements below, by position
-        self._descent_rows: dict[str, list[DescentRow]] = {}  # by policy, then by position
         self._elements: tuple[GroupElement, ...] | None = None
         self._longest: GroupElement | None = None
 
@@ -678,15 +668,15 @@ def comparable_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, tuple[Gr
     order, before it returns: ``sys._below[k]`` is the bitmask of the
     positions of the elements <= w, the k-th element, built from its
     smallest right descent s as D(w) = D(ws) | D(ws)s (Björner–Brenti,
-    *Combinatorics of Coxeter Groups*, §2.2), and ``sys._lower[k]`` is the
-    tuple of those elements, read once off the mask's set bits lowest first,
-    so the build costs O(pairs), not O(|W|^2).  Both are cached on the system.
+    *Combinatorics of Coxeter Groups*, §2.2), so the build costs O(pairs),
+    not O(|W|^2).  Only the masks are cached on the system; each row's tuple
+    is read off its mask's set bits, lowest first, when the row is reached.
     A group over ``WHOLE_GROUP_LIMIT`` is refused, before it is enumerated.
     """
     if sys.group_order > WHOLE_GROUP_LIMIT:
         raise RankOverflow(f"group of type {sys.descriptor} has order {sys.group_order}, "
                            f"over the whole-group limit {WHOLE_GROUP_LIMIT}")
-    if sys._lower is None:
+    if sys._below is None:
         elements = enumerate_elements(sys)
         steps = _right_steps(sys)
         below: list[int] = []
@@ -699,8 +689,8 @@ def comparable_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, tuple[Gr
             lower = below[steps[s][k]]  # ws is shorter, so already built
             below.append(lower | _right_image(lower, steps[s]))
         sys._below = below
-        sys._lower = [tuple(map(elements.__getitem__, _bits(mask))) for mask in below]
-    return zip(sys._elements, sys._lower)
+    elements = sys._elements
+    return ((x, tuple(_bits(mask, elements))) for x, mask in zip(elements, sys._below))
 
 
 def _right_steps(sys: CoxeterSystem) -> list[list[int]]:
@@ -715,64 +705,18 @@ def _right_steps(sys: CoxeterSystem) -> list[list[int]]:
 def _right_image(mask: int, step: list[int]) -> int:
     """The image of a mask under right multiplication by s, for ``step = _right_steps(sys)[s]``."""
     image = 0
-    for j in _bits(mask):
-        image |= 1 << step[j]
+    for p in _bits(mask, step):
+        image |= 1 << p
     return image
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of mask, lowest first, picked out at C speed."""
+def _bits(mask: int, items: Sequence) -> list:
+    """The items at the positions of the set bits of mask, lowest first, picked out at C speed."""
     digits = bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)  # least significant first
-    return list(compress(range(len(digits)), digits))
-
-
-def descent_rows(sys: CoxeterSystem, policy: str) -> list[DescentRow]:
-    """Per index row, by position, the descent step of x under ``policy``: (s, xs, first, second).
-
-    ``first`` and ``second`` are arrays aligned with the strict part of x's
-    index row, of slots into the row of xs, ``sys._lower[xs.position]``.
-    For y the k-th element of x's row and down whether ys < y, first[k] is
-    the slot of ys when down and of y otherwise, and second[k] is the slot
-    of ys, or -1 when ys is not below xs; so down is first[k] == second[k].
-    The identity's row is (-1, None) and two empty arrays.  A row is maps
-    over positions, with no call per pair: ys by ``_right_steps``, the
-    shorter of y and ys by a table of min(p, ps) (positions go by length),
-    and slots by a position -> slot list set from the index mask of xs.  A
-    -1 in ``first`` breaks the lifting property (see ``descend``) and
-    raises LiftingViolation.  The rows are cached per policy on the system.
-    """
-    check_policy(policy)
-    got = sys._descent_rows.get(policy)
-    if got is None:
-        from array import array  # a shared library: only whole-group work pays for loading it
-
-        steps = _right_steps(sys)
-        lows = [list(map(min, range(len(step)), step)) for step in steps]
-        where = [-1] * sys.group_order  # by position: the slot in the row of xs, or -1
-        position = attrgetter("position")
-        got = []
-        for x, lower in comparable_rows(sys):
-            if not x.descents:
-                got.append((-1, None, array("i"), array("i")))
-                continue
-            s = pick_descent(sys, x, policy)
-            xs = right_multiply(sys, x, s)
-            below = _bits(sys._below[xs.position])
-            for k, p in enumerate(below):
-                where[p] = k
-            ps = list(map(position, lower[:-1]))
-            first = array("i", map(where.__getitem__, map(lows[s].__getitem__, ps)))
-            second = array("i", map(where.__getitem__, map(steps[s].__getitem__, ps)))
-            for p in below:
-                where[p] = -1
-            if -1 in first:
-                raise LiftingViolation(f"descent step left the Bruhat order at x={word_text(sys, x)}")
-            got.append((s, xs, first, second))
-        sys._descent_rows[policy] = got
-    return got
+    return list(compress(items, digits))
 
 
 def slot(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> int:
@@ -780,19 +724,51 @@ def slot(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> int:
     return (sys._below[x.position] & ((1 << y.position) - 1)).bit_count()
 
 
-def fill_rows(sys: CoxeterSystem, policy: str, fill_row: Callable) -> list:
-    """One filled row per index row, by position: ``fill_row(x, s, below, first, second)``.
+def walk(sys: CoxeterSystem, policy: str, *fills: Callable) -> Iterator[tuple]:
+    """The index rows by position, each with x's descent step and a row of each table.
 
-    The rows are made in ``comparable_rows`` order beside ``descent_rows``,
-    so the row of xs is whole before the row of x is asked for; below is
-    that row (None for the identity) and first and second are x's slots
-    into it.  A row must be aligned with x's index row and end with its
-    diagonal.  The walk takes no descent step of its own.
+    Yields (x, lower, s, first, second, below, rows): x's index row lower,
+    as ``comparable_rows`` gives it; the descent s that ``policy`` picks (-1
+    for the identity); two lists, aligned with the strict part of lower, of
+    slots into the index row of xs; xs's row of each table (None for the
+    identity); and x's row of each table, ``fill(x, lower, s, below, first,
+    second)`` with xs's row of that table, aligned with lower and ending
+    with its diagonal.  For y in lower, first holds the slot of ys when
+    ys < y (down) and of y otherwise, and second the slot of ys, or -1 when
+    ys is not below xs, so down is first == second.  The slots are maps over
+    positions, with no call per pair; a -1 in first breaks the lifting
+    property (see ``descend``) and raises LiftingViolation.  The row of x
+    reads only the row of xs, so the walk keeps two length layers of rows:
+    x's and the one below.
     """
-    rows: list = []
-    for (x, _), (s, xs, first, second) in zip(comparable_rows(sys), descent_rows(sys, policy)):
-        rows.append(fill_row(x, s, None if xs is None else rows[xs.position], first, second))
-    return rows
+    check_policy(policy)
+    comparable_rows(sys)  # builds the index, or refuses a group too large to walk
+    elements, index = sys._elements, sys._below
+    steps = _right_steps(sys)
+    lows = [list(map(min, range(len(step)), step)) for step in steps]  # g or g s: positions go by length
+    where = [-1] * len(elements)  # by position: the slot in the row of xs, or -1
+    positions = list(range(len(elements)))  # one int object per position, which the rows share
+    length, layer, previous = 0, {}, {}  # by position: (the positions below, the rows)
+    for x, mask in zip(elements, index):
+        if x.length != length:
+            length, layer, previous = x.length, {}, layer
+        ps = _bits(mask, positions)
+        s, first, second, below = -1, [], [], (None,) * len(fills)
+        if x.descents:
+            s = pick_descent(sys, x, policy)
+            xps, below = previous[steps[s][x.position]]
+            for k, p in enumerate(xps):
+                where[p] = k
+            first = list(map(where.__getitem__, map(lows[s].__getitem__, ps[:-1])))
+            second = list(map(where.__getitem__, map(steps[s].__getitem__, ps[:-1])))
+            for p in xps:
+                where[p] = -1
+            if -1 in first:
+                raise LiftingViolation(f"descent step left the Bruhat order at x={word_text(sys, x)}")
+        lower = tuple(map(elements.__getitem__, ps))
+        rows = tuple(fill(x, lower, s, b, first, second) for fill, b in zip(fills, below))
+        layer[x.position] = ps, rows
+        yield x, lower, s, first, second, below, rows
 
 
 def longest_element(sys: CoxeterSystem) -> GroupElement:

@@ -9,16 +9,19 @@ element: for a right descent s of x,
 with R(x, x) = 1 and R(y, x) = 0 unless y <= x.  For comparable pairs the
 polynomial has degree length(x) - length(y), leading coefficient 1, constant
 term (-1)**(length(x) - length(y)), and vanishes at q = 1 when y < x.
-``RTable.r`` recurses from one pair into a sparse memo; ``RTable.fill``
-takes the same step by ``coxeter.fill_rows``, once per pair, and returns
-rows aligned with the Bruhat index; each keeps an ascent memo of its own.
+``RTable.r`` recurses from one pair into a sparse memo; ``RTable.row_fill``
+gives the row function by which ``coxeter.walk`` takes the same step once
+per pair, in rows aligned with the Bruhat index, and ``RTable.fill``
+collects those rows; each keeps an ascent memo of its own.
 
 ``IntPolynomial.gj`` is the q^1 coefficient with the sign that makes it a
-dimension count; ``r_coeff_direct`` (one pair) and ``direct_rows`` (every
-pair) recompute it by a first-order recursion that never builds polynomials.
-The routes must agree; the verification suites check that they do.
-``load_rtable`` and ``save_rtable`` read and write the R cache, one csv file
-per system in a cache dir, by ``RTable.load_csv`` and ``RTable.save_csv``.
+dimension count; ``r_coeff_direct`` (one pair) and ``direct_row`` (every
+pair, a row at a time; ``direct_rows`` collects them) recompute it by a
+first-order recursion that never builds polynomials.  The routes must
+agree; the verification suites check that they do.  ``load_rtable`` and
+``save_rtable`` read and write the R cache, one csv file per system in a
+cache dir, by ``RTable.load_csv`` and ``RTable.save_csv``; ``atomic_file``
+is the one way a file is written.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import functools
 import os
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
+from typing import TextIO
 
 from .coxeter import (
     DESCENT_POLICIES,
@@ -39,8 +43,8 @@ from .coxeter import (
     descend,
     element_from_word,
     fingerprint,
-    fill_rows,
     parse_word,
+    walk,
     word_text,
 )
 from .errors import InvariantViolation, IoError, ParseError
@@ -111,10 +115,11 @@ ZERO = IntPolynomial()
 ONE = IntPolynomial((1,))
 
 
-def write_atomic(path: Path | str, pieces: Iterable[str]) -> None:
-    """Replace the file at ``path`` by the text of ``pieces`` in one step.
+@contextlib.contextmanager
+def atomic_file(path: Path | str) -> Iterator[TextIO]:
+    """A text file to write that replaces the file at ``path`` in one step when the block ends.
 
-    The pieces go to a temp file beside the target as they are made, which
+    The text goes to a temp file beside the target as it is written, which
     ``os.replace`` then moves onto it, so a crashed or concurrent run never
     leaves a half-written target; on any failure the temp file is removed
     and the target keeps its old content.  No fsync: this guards against a
@@ -124,7 +129,7 @@ def write_atomic(path: Path | str, pieces: Iterable[str]) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as out:
-            out.writelines(pieces)
+            yield out
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
@@ -138,10 +143,10 @@ class RTable:
 
     ``r`` and ``load_csv`` keep R(y, x) in a sparse memo, ``_memo[x][y]``,
     one row per upper element x keyed by the lower element y; each row
-    starts as {x: ONE}, so it holds its diagonal.  ``fill`` returns every
-    pair's R(y, x) as rows and empties the memo.  ``computed`` counts the
-    strict pairs y < x the recursion produced (cache loads do not count),
-    so tests see that a warm cache recomputes nothing.  Incomparable
+    starts as {x: ONE}, so it holds its diagonal.  ``row_fill`` fills every
+    pair's R(y, x) as rows and takes each row out of the memo.  ``computed``
+    counts the strict pairs y < x the recursion produced (cache loads do not
+    count), so tests see that a warm cache recomputes nothing.  Incomparable
     lookups return the zero polynomial without touching the table.  The
     cache file holds the strict pairs only.
     """
@@ -152,7 +157,7 @@ class RTable:
         self.policy = policy
         self._memo: dict[GroupElement, dict[GroupElement, IntPolynomial]] = {}
         self.computed = 0
-        self.ascent = ascent_memo()  # the lazy path's: ``fill`` makes its own
+        self.ascent = ascent_memo()  # the lazy path's: ``row_fill`` makes its own
 
     def r(self, y: GroupElement, x: GroupElement) -> IntPolynomial:
         if y is x:
@@ -169,25 +174,24 @@ class RTable:
         self.computed += 1
         return value
 
-    def fill(self) -> list[list[IntPolynomial]]:
-        """R(y, x) for every pair y <= x, by ``fill_rows``: rows aligned with the index rows.
+    def row_fill(self) -> Callable:
+        """The row function by which ``coxeter.walk`` fills R(y, x) for every pair y <= x.
 
         Each row ends with ONE.  A pair the memo holds takes that entry, every
         other pair one step from the row of xs, counted in ``computed``; an
         ascent memo of the fill's own shares the results (F4: 435 objects in
-        all).  The fill empties the memo, whose entries for pairs off the
-        index are never read.
+        all).  Each row is taken out of the memo as it is filled.
         """
-        sys, ascent, memo = self.sys, ascent_memo(), self._memo
+        ascent, memo = ascent_memo(), self._memo
 
-        def fill_row(x, s, below, first, second):
+        def fill(x, lower, s, below, first, second):
             loaded = memo.pop(x, None)
             if loaded is None:
                 row = r_steps(ascent, below, first, second)
                 row.append(ONE)
                 self.computed += len(first)
                 return row
-            row = list(map(loaded.get, sys._lower[x.position]))  # x's index row, as the memo holds it
+            row = list(map(loaded.get, lower))  # x's index row, as the memo holds it
             row[-1] = ONE
             missing = [k for k, poly in enumerate(row) if poly is None]
             if missing:
@@ -197,9 +201,11 @@ class RTable:
                 self.computed += len(missing)
             return row
 
-        rows = fill_rows(sys, self.policy, fill_row)
-        memo.clear()
-        return rows
+        return fill
+
+    def fill(self) -> list[list[IntPolynomial]]:
+        """R(y, x) for every pair y <= x, by ``row_fill``: rows aligned with the index rows."""
+        return [rows[0] for *_, rows in walk(self.sys, self.policy, self.row_fill())]
 
     def memo_pairs(self) -> Iterator[tuple[GroupElement, GroupElement, IntPolynomial]]:
         """The memo's strict pairs as (x, y, R(y, x)), by (length, matrix) on x, then on y."""
@@ -214,31 +220,34 @@ class RTable:
     # -- persistence -------------------------------------------------------
 
     def save_csv(self, path: Path | str, pairs: Iterable[tuple]) -> None:
-        """Write strict pairs (x, y, R(y, x)) as ``y_word;x_word;c0,c1,...,cd`` rows, streamed.
+        """Write strict pairs (x, y, R(y, x)) to a cache file by ``csv_header`` and ``csv_lines``."""
+        with atomic_file(path) as out:
+            out.write(self.csv_header())
+            out.writelines(self.csv_lines(pairs))
+
+    def csv_header(self) -> str:
+        return f"# r-polynomial cache\n# system: {fingerprint(self.sys)}\n# policy: {self.policy}\n"
+
+    def csv_lines(self, pairs: Iterable[tuple]) -> Iterator[str]:
+        """Strict pairs (x, y, R(y, x)) as ``y_word;x_word;c0,c1,...,cd`` rows, streamed.
 
         The pairs come by (length, matrix) on x, then on y, as ``memo_pairs``
         and filled rows zipped with the index rows give them.  Each element's
         word text and each polynomial object's coefficient text is formatted
-        once per file.
+        once per call.
         """
-        sys = self.sys
-        word = functools.cache(lambda g: word_text(sys, g))
+        word = functools.cache(functools.partial(word_text, self.sys))
         coeffs: dict[int, str] = {}  # by the id of a polynomial the pairs' source keeps
-
-        def lines():
-            yield f"# r-polynomial cache\n# system: {fingerprint(sys)}\n# policy: {self.policy}\n"
-            for x, y, poly in pairs:
-                cs = coeffs.get(id(poly))
-                if cs is None:
-                    cs = coeffs[id(poly)] = ",".join(map(str, poly.coeffs))
-                yield f"{word(y)};{word(x)};{cs}\n"
-
-        write_atomic(path, lines())
+        for x, y, poly in pairs:
+            cs = coeffs.get(id(poly))
+            if cs is None:
+                cs = coeffs[id(poly)] = ",".join(map(str, poly.coeffs))
+            yield f"{word(y)};{word(x)};{cs}\n"
 
     def load_csv(self, path: Path | str) -> int:
         """Merge entries from a cache file into the memo, streamed, validating each row.
 
-        Load before ``fill``, which takes its entries.  Returns the number of
+        Load before ``row_fill``, which takes its entries.  Returns the number of
         rows loaded.  A row must name a pair y < x and carry an ``r_shaped``
         polynomial of degree length(x) - length(y); a row that does not, or
         a system fingerprint mismatch, is a ParseError that names
@@ -425,7 +434,7 @@ def r_coeff_direct(
 def r_steps(ascent: Callable, below: list | None, first, second) -> list[IntPolynomial]:
     """R(y, x) for each strict pair of x's row, one step from the row of xs, below.
 
-    first and second are the pairs' slots into below (``coxeter.descent_rows``):
+    first and second are the pairs' slots into below (``coxeter.walk``):
     R(ys, xs) when they are equal, as ys < y, and otherwise the ascent of
     R(y, xs) and R(ys, xs), which is 0 when second is -1, as ys is not below xs.
     """
@@ -433,11 +442,15 @@ def r_steps(ascent: Callable, below: list | None, first, second) -> list[IntPoly
             for a, b in zip(first, second)]
 
 
-def direct_rows(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> list[bytes]:
-    """``r_coeff_direct``'s count for every pair y <= x, by ``fill_rows``: rows aligned with the index.
+def direct_row(x, lower, s, below, first, second) -> bytes:
+    """``r_coeff_direct``'s count for each pair of x's row, a row function for ``coxeter.walk``.
 
     Each pair takes one step to the counted pair below, and counts one more
     when it ascends to a ys that is not below xs: then its second slot is -1.
     """
-    return fill_rows(sys, policy, lambda x, s, below, first, second:
-                     bytes([below[a] + (b < 0) for a, b in zip(first, second)] + [0]))
+    return bytes([below[a] + (b < 0) for a, b in zip(first, second)] + [0])
+
+
+def direct_rows(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> list[bytes]:
+    """``direct_row`` for every index row, by position."""
+    return [rows[0] for *_, rows in walk(sys, policy, direct_row)]

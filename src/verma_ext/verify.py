@@ -1,30 +1,28 @@
 """Whole-group verification suites and report files.
 
-``run_verify`` builds one group, fills the subspace, R-polynomial and direct
-count rows by walking the rows of its Bruhat index, and runs six suites,
-listed in output order (B, which reads no rows, runs before the fills):
+``run_verify`` builds one group and runs six suites, listed in output
+order:
 
     T  dim V(x, y) against both first-order coefficient routes, all pairs
     G  reflection representation sanity: involutions, braid orders, pairings
     B  Bruhat order: lifting recursion, bitmask index and subword oracle agree,
        compared as one mask of the x <= y per y
     R  R-polynomial shape, route agreement and one recursion step per pair,
-       the step read off the fills' shared descent rows
+       the step read off the walk's descent slots
     S  quotient dimensions for every singular subset
     M  membership of v_s in V(x, y) against the order prediction, on the
        rows where the prediction is asserted to be exact
 
 Each suite reports how many atomic checks ran and how many failed, plus a
-witness for the first failure, in a ``SuiteResult``.  Each suite takes the
-system and only what it reads of the run's V, R and direct count rows
-(``compute_all``, ``RTable.fill``, ``direct_rows``), each a list aligned
-with the rows of the Bruhat index, and of the policy.
-Suites T and R, the dimension table and the R cache zip those rows with the
-index rows, so no pair is looked up by element or re-tested against the
-order, and read each R-polynomial's shape and signed q-coefficient off the
-polynomial (``r_shaped`` and ``gj``, computed once per distinct polynomial).
-The R cache file is ``rpoly``'s (``load_rtable``, ``save_rtable``);
-``run_report`` writes it, the dimension table, streamed row by row, and a
+witness for the first failure, in a ``SuiteResult``.  Suite B, which reads
+no rows, runs first.  Then one ``coxeter.walk`` fills the V, R and direct
+count rows, handed over one length layer at a time (``_layers``): suites T
+and R check each layer, and the V rows of the ``membership_elements`` are
+kept for suites S and M.  No pair is looked up by element or re-tested
+against the order, and each R-polynomial's shape and signed q-coefficient
+are read off the polynomial (``r_shaped`` and ``gj``, computed once per
+distinct polynomial).  The walk also rewrites the R cache file, ``rpoly``'s;
+``run_report`` writes it, the dimension table, during the same walk, and a
 summary; everything written is deterministic except an explicit
 generated_at comment line.
 """
@@ -34,37 +32,37 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from collections.abc import Iterator
-from itertools import combinations
+from collections.abc import Callable, Iterator
+from contextlib import nullcontext
+from itertools import combinations, groupby
 from pathlib import Path
 
 from .coxeter import (
     DEFAULT_BUDGET,
     ORACLE_BUDGET,
     DESCENT_POLICIES,
-    CoxeterSystem,
     GroupElement,
     SubwordOracle,
     braid_order,
     build_system,
     comparable_rows,
-    descent_rows,
     enumerate_elements,
     fingerprint,
     identity,
     longest_element,
     multiply,
     simple_reflection,
+    walk,
     word_text,
     _right_image,
     _right_steps,
 )
-# load_rtable and save_rtable by attribute: perfbench's tracer spans a function imported by
-# name, and a span around them would hide the RTable.load_csv and save_csv spans inside
+# load_rtable by attribute: perfbench's tracer spans a function imported by name, and a
+# span around it would hide the RTable.load_csv span inside
 from . import rpoly
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
-from .rpoly import _make_dir, _rpoly_cache_path, ascent_memo, direct_rows, r_steps, write_atomic
-from .vtable import SingularSpec, compute_all, membership_report, singular_v
+from .rpoly import RTable, _make_dir, _rpoly_cache_path, ascent_memo, atomic_file, direct_row, r_steps
+from .vtable import SingularSpec, membership_elements, membership_report, singular_v, v_fill
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
 
@@ -82,11 +80,17 @@ class SuiteResult:
         return {"name": self.name, "checked": self.checked, "failed": self.failed,
                 "witnesses": self.witnesses}
 
-    def note_failure(self, witness: dict | None, count: int = 1) -> None:
-        """Count failures, keeping only the first witness; later ones may be None."""
+    def note_failure(self, witness: dict | Callable[[], dict], count: int = 1) -> None:
+        """Count failures and keep the first witness: a dict, or a function called for the first only."""
         self.failed += count
         if not self.witnesses:
-            self.witnesses.append(witness)
+            self.witnesses.append(witness() if callable(witness) else witness)
+
+    def add(self, other: SuiteResult) -> None:
+        """Sum in the counts of a later run of the suite, keeping the first witness."""
+        self.checked += other.checked
+        if other.failed:
+            self.note_failure(other.witnesses[0], other.failed)
 
 
 # ---------------------------------------------------------------------------
@@ -98,20 +102,16 @@ def _witness(sys, x, y, **fields) -> dict:
     return {"x": word_text(sys, x), "y": word_text(sys, y), **fields}
 
 
-def _suite_t(sys, vrows: list, rrows: list, drows: list) -> SuiteResult:
-    """dim V(x, y) == signed q-coefficient == direct recursion, on every pair."""
+def _suite_t(sys, layer: list) -> SuiteResult:
+    """dim V(x, y) == signed q-coefficient == direct recursion, on every pair of a layer."""
     out = SuiteResult("T")
-    for (x, lower), vrow, rrow, drow in zip(comparable_rows(sys), vrows, rrows, drows):
+    for x, lower, *_, (vrow, rrow, drow) in layer:
         out.checked += len(lower)
         for y, space, poly, count in zip(lower, vrow, rrow, drow):
             d, g = space.dim, poly.gj
             if not (d == g == count):
-                out.note_failure(
-                    None  # only the first witness is kept, so only the first is built
-                    if out.failed
-                    else _witness(sys, x, y, dim=d, gj=g, direct=count,
-                                  basis=space.to_json_dict()["basis"])
-                )
+                out.note_failure(lambda: _witness(sys, x, y, dim=d, gj=g, direct=count,
+                                                  basis=space.to_json_dict()["basis"]))
     return out
 
 
@@ -161,7 +161,7 @@ def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
     """(y, index, lifting, oracle) for each y within the oracle's budget, by position.
 
     Each row is the bitmask of the positions of the x <= y, by one route:
-    y's index tuple from ``comparable_rows``; the lifting property on the
+    y's index mask, ``sys._below``; the lifting property on the
     lifting row L of ys, for s the largest descent of y (x <= y iff x <= ys
     when xs > x, iff xs <= ys when xs < x), that is A | A s for A the
     elements of L with ascent s, where the index takes the smallest descent
@@ -169,7 +169,7 @@ def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
     for the walk, each oracle number mapped to a position once, where
     distinct numbers make the sum of bits an OR.
     """
-    rows = comparable_rows(sys)  # refuses a group too large to walk, before anything else
+    comparable_rows(sys)  # builds the index, or refuses a group too large to walk, first
     cap = ORACLE_BUDGET.bit_length() - 1  # longest y whose 2**length subwords fit the budget
     elements = enumerate_elements(sys)
     steps = _right_steps(sys)
@@ -179,20 +179,17 @@ def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
     oracle = SubwordOracle(sys)  # freed with the walk
     to_position: list[int] = []  # by the oracle's number
     lifting = [1]  # by position: the identity is below itself alone
-    for y, lower in rows:  # in length order, so the first y past the cap ends the walk
+    for y in elements:  # in length order, so the first y past the cap ends the walk
         if y.length > cap:
             break
         if y.descents:
             s = y.descents.bit_length() - 1
             ascents = lifting[steps[s][y.position]] & ~has_descent[s]
             lifting.append(ascents | _right_image(ascents, steps[s]))
-        index = 0
-        for x in lower:
-            index |= 1 << x.position
         products = oracle.products(y)
         to_position += map(position.__getitem__, oracle.numbered[len(to_position):])
         by_oracle = sum(map((1).__lshift__, map(to_position.__getitem__, products)))
-        yield y, index, lifting[y.position], by_oracle
+        yield y, sys._below[y.position], lifting[y.position], by_oracle
 
 
 def _suite_b(sys) -> SuiteResult:
@@ -209,50 +206,40 @@ def _suite_b(sys) -> SuiteResult:
         wrong = (index ^ lifting) | (index ^ oracle)
         if wrong:
             k = (wrong & -wrong).bit_length() - 1
-            out.note_failure(
-                None  # only the first witness is kept, so only the first is built
-                if out.failed
-                else _witness(sys, elements[k], y, recursive=bool(lifting >> k & 1),
-                              index=bool(index >> k & 1), oracle=bool(oracle >> k & 1)),
-                wrong.bit_count(),
-            )
+            out.note_failure(lambda: _witness(sys, elements[k], y, recursive=bool(lifting >> k & 1),
+                                              index=bool(index >> k & 1), oracle=bool(oracle >> k & 1)),
+                             wrong.bit_count())
     return out
 
 
-def _suite_r(sys, rrows: list, drows: list, policy: str) -> SuiteResult:
-    """Each stored R(y, x): its shape, its count against the direct route, and one recursion step.
+def _suite_r(sys, layer: list) -> SuiteResult:
+    """Each R(y, x) of a layer: its shape, its count against the direct route, and one recursion step.
 
     An entry passes when its degree is the pair's gap, it is ``r_shaped``,
     its ``gj`` is the direct count and it equals the recursion's step.  The
     rows are aligned with the index rows, so they hold the comparable pairs
     and no other: R is 0 on every other pair.  Each R(y, x) must equal the
     recursion's step from the row of xs, so by induction every row, loaded
-    or computed, is the recursion's.  The step's slots into the row of xs
-    are read off the policy's ``descent_rows``, which the fills
-    already took, by ``rpoly.r_steps`` with an ascent memo of the suite's
-    own.  ``checked`` counts |W|^2.
+    or computed, is the recursion's.  The step is taken by ``rpoly.r_steps``
+    from the walk's slots into the row of xs, with an ascent memo per call.
+    ``checked`` counts |W| per row, so |W|^2 over the whole walk.
     """
-    out = SuiteResult("R", checked=len(enumerate_elements(sys)) ** 2)
+    out = SuiteResult("R", checked=len(layer) * sys.group_order)
     ascent = ascent_memo()
-    for (upper, lower), (_, xs, first, second), row, drow in zip(
-            comparable_rows(sys), descent_rows(sys, policy), rrows, drows):
-        steps = r_steps(ascent, None if xs is None else rrows[xs.position], first, second)
+    for upper, lower, _, first, second, (_, below, _), (_, row, drow) in layer:
+        steps = r_steps(ascent, below, first, second)
         # the steps end before upper, which ends its row; the fill makes R(upper, upper) = 1
         for y, step, poly, count in zip(lower, steps, row, drow):
             if not (poly.degree == upper.length - y.length and poly.r_shaped and poly.gj == count
                     and poly.coeffs == step.coeffs):
-                out.note_failure(
-                    None  # only the first witness is kept, so only the first is built
-                    if out.failed
-                    else _witness(sys, upper, y, coeffs=list(poly.coeffs))
-                )
+                out.note_failure(lambda: _witness(sys, upper, y, coeffs=list(poly.coeffs)))
     return out
 
 
-def _suite_s(sys, vrows: list) -> SuiteResult:
+def _suite_s(sys, vrows: dict) -> SuiteResult:
     """Quotient dimension of V(longest, identity) for every singular subset."""
     out = SuiteResult("S")
-    top = vrows[longest_element(sys).position][0]  # V(w0, e): the identity is first in every row
+    top = vrows[longest_element(sys)][0]  # V(w0, e): the identity is first in every row
     for k in range(sys.rank + 1):  # by size, then lexicographically
         for subset in combinations(range(sys.rank), k):
             spec = SingularSpec(frozenset(subset))
@@ -263,7 +250,7 @@ def _suite_s(sys, vrows: list) -> SuiteResult:
     return out
 
 
-def _suite_m(sys, vrows: list) -> SuiteResult:
+def _suite_m(sys, vrows: dict) -> SuiteResult:
     """On flagged report rows, membership of v_s must equal the prediction x >= ys."""
     out = SuiteResult("M")
     for row in membership_report(sys, vrows):
@@ -275,30 +262,31 @@ def _suite_m(sys, vrows: list) -> SuiteResult:
     return out
 
 
-# In output order; run_verify runs suite B first, so its oracle is freed before the fills.
+# In output order; run_verify runs suite B first, so its oracle is freed before the walk.
 _SUITES = (_suite_t, _suite_g, _suite_b, _suite_r, _suite_s, _suite_m)
 
 
-def _strict_pairs(sys: CoxeterSystem, rows: list) -> Iterator[tuple]:
-    """(x, y, entry) for each strict pair y < x of filled rows, in the index rows' order."""
-    for (x, lower), row in zip(comparable_rows(sys), rows):
-        for y, entry in zip(lower[:-1], row):
-            yield x, y, entry
+def _layers(sys, rtable: RTable, cache_dir: Path | None, *fills) -> Iterator[list]:
+    """The rows of one ``walk`` with the V and R fills, then ``fills``, one length layer at a time.
 
-
-def fill_tables(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0],
-                cache_dir: Path | None = None) -> tuple[list, list, int]:
-    """(V rows, R rows, R pairs computed) of one system; the R fill reads and writes the cache.
-
-    The V fill walks the index rows first, which builds the index if suite
-    B has not, so the cache load's y < x check on every row is one bit
-    test.  The R fill then computes only the pairs the cache did not hold.
+    ``rtable`` is loaded from the cache dir after the index was built.  The
+    cache file is rewritten, a layer's strict pairs once the layer was taken,
+    unless the loaded file already holds every strict pair of the index, so
+    that the walk computes nothing; that is decided before the walk.
     """
-    vrows = compute_all(sys, policy=policy)
-    rtable = rpoly.load_rtable(sys, policy, cache_dir)
-    rrows = rtable.fill()
-    rpoly.save_rtable(rtable, cache_dir, _strict_pairs(sys, rrows))
-    return vrows, rrows, rtable.computed
+    memo, index = rtable._memo, sys._below
+    stale = sum(map(len, memo.values())) - len(memo) < sum(map(int.bit_count, index)) - len(index)
+    cache = _rpoly_cache_path(cache_dir, sys) if cache_dir is not None and stale else None
+    with nullcontext() if cache is None else atomic_file(cache) as out:
+        if out is not None:
+            out.write(rtable.csv_header())
+        for _, layer in groupby(walk(sys, rtable.policy, v_fill(sys), rtable.row_fill(), *fills),
+                                key=lambda row: row[0].length):
+            layer = list(layer)
+            yield layer
+            if out is not None:
+                out.writelines(rtable.csv_lines((x, y, poly) for x, lower, *_, (_, rrow, *_) in layer
+                                                for y, poly in zip(lower[:-1], rrow)))
 
 
 def run_verify(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCENT_POLICIES[0],
@@ -316,10 +304,15 @@ def run_verify(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCE
         _make_dir(Path(cache_dir), "cache")
     t, g, b, r, s, m = _SUITES  # read at call time, so a wrapper set on _SUITES sees each call
     order = b(sys)
-    vrows, rrows, _ = fill_tables(sys, policy, cache_dir)
-    drows = direct_rows(sys, policy)
-    suites = [t(sys, vrows, rrows, drows), g(sys), order, r(sys, rrows, drows, policy),
-              s(sys, vrows), m(sys, vrows)]
+    comparable_rows(sys)  # builds the index, so each cache row's order check is one bit test
+    rtable = rpoly.load_rtable(sys, policy, cache_dir)
+    pairs, steps = SuiteResult("T"), SuiteResult("R")
+    vrows = dict.fromkeys(membership_elements(sys))  # V rows kept for suites S and M
+    for layer in _layers(sys, rtable, cache_dir, direct_row):
+        pairs.add(t(sys, layer))
+        steps.add(r(sys, layer))
+        vrows.update((x, rows[0]) for x, *_, rows in layer if x in vrows)
+    suites = [pairs, g(sys), order, steps, s(sys, vrows), m(sys, vrows)]
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return {
         "system": fingerprint(sys),
@@ -343,33 +336,32 @@ def run_report(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCE
     The output dir is made before any row is filled, so an unusable one
     fails the run before the whole-group work.  It is also the run's cache
     dir, so a second report warm-loads the R-polynomials the first wrote.
-    The dimension table is streamed from the index rows zipped with the V
-    and R rows, and its lines also give the summary's counts.
+    The dimension table is written during the walk, a layer at a time, and
+    its lines also give the summary's counts.
     """
+    from datetime import datetime, timezone  # here, so only a report loads it
+
     sys = build_system(type_text, budget=budget)
     out_dir = Path(cache_dir) if cache_dir is not None else Path("verma_ext_cache")
     _make_dir(out_dir, "output")
-    vrows, rrows, rtable_computed = fill_tables(sys, policy, out_dir)
     fp = fingerprint(sys)
+    comparable_rows(sys)  # builds the index, so each cache row's order check is one bit test
+    rtable = rpoly.load_rtable(sys, policy, out_dir)
+    words = [word_text(sys, g) for g in enumerate_elements(sys)]  # by position
     histogram, dims = Counter(), Counter()
-
-    def dimension_lines():
-        from datetime import datetime, timezone  # here, so only a report loads it
-
-        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        yield f"# dimension table\n# system: {fp}\n# generated_at: {stamp}\n"
-        yield "x_word;y_word;dimV;gj_coeff;match\n"
-        words = [word_text(sys, g) for g in enumerate_elements(sys)]  # by position
-        for (x, lower), vrow, rrow in zip(comparable_rows(sys), vrows, rrows):
-            xw = words[x.position]
-            for y, space, poly in zip(lower, vrow, rrow):  # the index row's own pairs
-                d, g = space.dim, poly.gj
-                dims[d] += 1
-                histogram[g] += 1
-                yield f"{xw};{words[y.position]};{d};{g};{int(d == g)}\n"
-
     dims_path = out_dir / f"dims_{fp}.csv"
-    write_atomic(dims_path, dimension_lines())
+    with atomic_file(dims_path) as out:
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        out.write(f"# dimension table\n# system: {fp}\n# generated_at: {stamp}\n")
+        out.write("x_word;y_word;dimV;gj_coeff;match\n")
+        for layer in _layers(sys, rtable, out_dir):
+            for x, lower, *_, (vrow, rrow) in layer:
+                xw = words[x.position]
+                for y, space, poly in zip(lower, vrow, rrow):  # the index row's own pairs
+                    d, g = space.dim, poly.gj
+                    dims[d] += 1
+                    histogram[g] += 1
+                    out.write(f"{xw};{words[y.position]};{d};{g};{int(d == g)}\n")
     summary = {
         "system": fp,
         "type": str(sys.descriptor),
@@ -380,7 +372,8 @@ def run_report(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCE
         "gj_histogram": {str(k): v for k, v in sorted(histogram.items())},
     }
     summary_path = out_dir / f"summary_{fp}.json"
-    write_atomic(summary_path, [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
+    with atomic_file(summary_path) as out:
+        out.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return {
         **summary,
         "paths": {
@@ -388,6 +381,6 @@ def run_report(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCE
             "dims": str(dims_path),
             "summary": str(summary_path),
         },
-        "rtable_computed": rtable_computed,
-        "vtable_computed": sum(map(len, vrows)) - len(vrows),
+        "rtable_computed": rtable.computed,
+        "vtable_computed": dims.total() - sys.group_order,
     }

@@ -21,14 +21,14 @@ As x = x_k s_k ... s_1 with lengths adding, u = s_1 ... s_{k-1} has u s_k > u,
 so u(v_{s_k}), column s_k of u's matrix, is an integer positive root
 (Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 4).  A lone query,
 ``VTable.v``, walks its whole chain and builds one echelon basis from those
-roots.  ``compute_all`` instead fills every pair by ``coxeter.fill_rows``,
-the one whole-group fill walk, and returns rows aligned with the Bruhat
-index: each pair takes one step to the filled pair below.  A down step
-builds s . known; an up step builds span(v_s, known), with no matrix
-product, since s moves a vector only along v_s.  Both builds are memoised
-on the known subspace and the step, so only a new key costs one (366 for
-D4's 9,817 pairs), and both reach the canonical basis of the stepwise
-recursion.
+roots.  ``v_fill`` instead gives the row function by which ``coxeter.walk``
+fills every pair, in rows aligned with the Bruhat index, and
+``compute_all`` collects those rows: each pair takes one step to the filled
+pair below.  A down step builds s . known; an up step builds span(v_s,
+known), with no matrix product, since s moves a vector only along v_s.
+Both builds are memoised on the known subspace and the step, so only a new
+key costs one (366 for D4's 9,817 pairs), and both reach the canonical
+basis of the stepwise recursion.
 
 The recursion is policy-bound: which descent s gets stripped is a free
 choice (the table's descent policy), and the computed subspace must not depend
@@ -37,15 +37,17 @@ that independence.
 
 ``singular_v`` passes a subspace to the quotient by the span of a chosen set
 of simple root vectors (a ``SingularSpec``), and ``membership_report``
-tabulates, from filled rows, whether v_s lies in V(x, y) against the order
-relation x >= ys that predicts membership for pairs inside a rank-two
-parabolic pattern, one ``MembershipRow`` per line.  Both records are named
+tabulates, from the filled rows of the ``membership_elements``, whether v_s
+lies in V(x, y) against the order relation x >= ys that predicts membership
+for pairs inside a rank-two parabolic pattern, one ``MembershipRow`` per
+line.  Both records are named
 tuples.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from operator import mul
 
 from .coxeter import (
@@ -58,13 +60,13 @@ from .coxeter import (
     descend,
     element_from_word,
     enumerate_elements,
-    fill_rows,
     identity,
     longest_element,
     reduced_word,
     right_multiply,
     simple_reflection,
     slot,
+    walk,
 )
 from .errors import (
     IndexOutOfRange,
@@ -128,8 +130,8 @@ class VTable:
         return RationalSubspace(sys.rank, roots)
 
 
-def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> list[list[RationalSubspace]]:
-    """V(x, y) for every pair y <= x, by ``fill_rows``: rows by position, aligned with the index rows.
+def v_fill(sys: CoxeterSystem) -> Callable:
+    """The row function by which ``coxeter.walk`` fills V(x, y) for every pair y <= x.
 
     Each row ends with V(x, x) = 0.  A pair's step is memoised per (s, down)
     on the id of the known subspace it builds from, which the fill interns
@@ -151,14 +153,19 @@ def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> list[l
         value = built[s][down][id(known)] = spaces.setdefault(value, value)
         return value
 
-    def fill_row(x, s, below, first, second):
+    def fill(x, lower, s, below, first, second):
         memos = built[s]
         row = [memos[a == b].get(id(below[a])) or build(s, a == b, below[a])
                for a, b in zip(first, second)]
         row.append(zero)
         return row
 
-    return fill_rows(sys, policy, fill_row)
+    return fill
+
+
+def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> list[list[RationalSubspace]]:
+    """V(x, y) for every pair y <= x, by ``v_fill``: rows by position, aligned with the index rows."""
+    return [rows[0] for *_, rows in walk(sys, policy, v_fill(sys))]
 
 
 def singular_v(sys: CoxeterSystem, space: RationalSubspace, spec: SingularSpec) -> RationalSubspace:
@@ -186,22 +193,32 @@ class MembershipRow(namedtuple("MembershipRow", "x y s x_ge_ys in_v")):
     __slots__ = ()
 
 
-def membership_report(sys: CoxeterSystem, vrows: list[list[RationalSubspace]]) -> list[MembershipRow]:
-    """Membership rows, read off ``compute_all``'s rows, for every comparable pair
-    and every simple reflection on which the order prediction is asserted to be exact.
+def membership_elements(sys: CoxeterSystem) -> list[GroupElement]:
+    """The elements with at most two letters in the support of w0 g, by position.
 
-    Such a row's x and y each have at most two letters in the support of
-    w0 g, made from the words of w0 and g by right multiplications, so only
-    those elements are paired.  Every such pair y <= x with an ascent s of y
-    has a row: w0 x <= w0 y puts supp(w0 x) inside supp(w0 y), and s, a
-    descent of w0 y, is one of its at most two letters, so the pair lies in
-    the coset w0 W' of W' = <supp(w0 y)>, which holds s.
+    Only these can be the x or y of a membership row; w0 is one of them, as
+    w0 w0 is the identity.  The support of w0 g is read off the word made
+    from the words of w0 and g by right multiplications.
+    """
+    w0 = reduced_word(sys, longest_element(sys))
+    return [g for g in enumerate_elements(sys)
+            if len(set(reduced_word(sys, element_from_word(sys, w0 + reduced_word(sys, g))))) <= 2]
+
+
+def membership_report(sys: CoxeterSystem, vrows: dict[GroupElement, list]) -> list[MembershipRow]:
+    """Membership rows for every comparable pair and every simple reflection on
+    which the order prediction is asserted to be exact.
+
+    ``vrows`` maps each of ``membership_elements(sys)``, in their order, to
+    its filled V row, and only those elements are paired.  Every such pair
+    y <= x with an ascent s of y has a row: w0 x <= w0 y puts supp(w0 x)
+    inside supp(w0 y), and s, a descent of w0 y, is one of its at most two
+    letters, so the pair lies in the coset w0 W' of W' = <supp(w0 y)>,
+    which holds s.
     """
     if sys.rank < 2:
         return []
-    w0 = reduced_word(sys, longest_element(sys))
-    few = [g for g in enumerate_elements(sys)
-           if len(set(reduced_word(sys, element_from_word(sys, w0 + reduced_word(sys, g))))) <= 2]
+    few = list(vrows)
     rows = []
     for i, x in enumerate(few):
         for y in few[: i + 1]:
@@ -211,6 +228,6 @@ def membership_report(sys: CoxeterSystem, vrows: list[list[RationalSubspace]]) -
                 if (x.descents | y.descents) >> s & 1:
                     continue
                 x_ge_ys = bruhat_leq(sys, right_multiply(sys, y, s), x)
-                in_v = vrows[x.position][slot(sys, x, y)].contains(basis_vector(sys, s))
+                in_v = vrows[x][slot(sys, x, y)].contains(basis_vector(sys, s))
                 rows.append(MembershipRow(x, y, s, x_ge_ys, in_v))
     return rows

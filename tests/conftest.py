@@ -6,13 +6,14 @@ tests share one fill per type through the factory fixtures below.
 
 from __future__ import annotations
 
+from itertools import groupby
 from pathlib import Path
 
 import pytest
 
-from verma_ext.coxeter import build_system, comparable_rows, slot
+from verma_ext.coxeter import build_system, comparable_rows, slot, walk
 from verma_ext.rpoly import RTable
-from verma_ext.vtable import compute_all
+from verma_ext.vtable import compute_all, membership_elements
 
 def comparable_pairs(sys):
     """The pairs (x, y) with y <= x, read off the rows of the Bruhat index as they are asked for."""
@@ -31,6 +32,30 @@ def filled_pairs(sys, rows):
     for (x, lower), row in zip(index, rows):
         assert len(row) == len(lower)
         yield from ((x, y, entry) for y, entry in zip(lower, row))
+
+
+def strict_pairs(sys, rows):
+    """(x, y, entry) for each strict pair y < x of filled rows, in index-row order: a cache file's pairs."""
+    return ((x, y, entry) for x, y, entry in filled_pairs(sys, rows) if y is not x)
+
+
+def membership_rows(sys, vrows):
+    """The V rows of ``membership_elements(sys)``, keyed by element, as suites S and M read them."""
+    return {x: vrows[x.position] for x in membership_elements(sys)}
+
+
+def run_layered(suite, sys, vrows, rrows, drows, policy="smallest"):
+    """Suite T or R over one walk whose V, R and direct tables are the given filled rows, summed.
+
+    The walk hands the suite one length layer at a time, as a verify pass
+    does; a table given as None fills its rows with None.
+    """
+    fills = [lambda x, *_, rows=rows: rows and rows[x.position] for rows in (vrows, rrows, drows)]
+    layers = groupby(walk(sys, policy, *fills), key=lambda row: row[0].length)
+    results = [suite(sys, list(layer)) for _, layer in layers]
+    for result in results[1:]:
+        results[0].add(result)
+    return results[0]
 
 
 _SYSTEMS: dict[str, object] = {}

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from conftest import comparable_pairs, reader
+from conftest import comparable_pairs, membership_rows, reader, run_layered
 from verma_ext.coxeter import (
     braid_order,
     bruhat_leq,
@@ -29,10 +29,9 @@ from verma_ext.coxeter import (
     longest_element,
     right_multiply,
 )
-from verma_ext.rpoly import direct_rows, r_coeff_direct
+from verma_ext.rpoly import RTable, direct_rows, r_coeff_direct
 from verma_ext.verify import (
     PRESETS,
-    fill_tables,
     run_report,
     run_verify,
     _suite_b,
@@ -59,7 +58,7 @@ def tables():
     def get(text: str):
         if text not in _TABLES:
             sys = build_system(text)
-            vrows, rrows, _ = fill_tables(sys)
+            vrows, rrows = compute_all(sys), RTable(sys).fill()
             _TABLES[text] = (sys, rrows, vrows)
         return _TABLES[text]
 
@@ -87,7 +86,7 @@ def test_c01_dimension_equals_signed_q_coefficient(capsys, tables):
     witness = None
     for text in PRESETS:
         sys, rrows, vrows = tables(text)
-        result = _suite_t(sys, vrows, rrows, direct_rows(sys))
+        result = run_layered(_suite_t, sys, vrows, rrows, direct_rows(sys))
         r, v = reader(sys, rrows), reader(sys, vrows)
         pairs += result.checked
         if result.failed:
@@ -230,7 +229,7 @@ def test_c06_r_polynomial_invariants(capsys, tables):
     checked = 0
     for text in PRESETS:
         sys, rrows, vrows = tables(text)
-        result = _suite_r(sys, rrows, direct_rows(sys), "smallest")
+        result = run_layered(_suite_r, sys, None, rrows, direct_rows(sys))
         checked += result.checked
         failed += result.failed
     _verdict(
@@ -293,7 +292,7 @@ def test_c09_rank_two_membership_biconditional(capsys, tables):
     flagged = 0
     for text in ("A2", "B2", "G2"):
         sys, rrows, vrows = tables(text)
-        result = _suite_m(sys, vrows)
+        result = _suite_m(sys, membership_rows(sys, vrows))
         flagged += result.checked
         failed += result.failed
     _verdict(

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -382,7 +383,7 @@ def test_verify_singular_out_of_range_fails_before_filling(capsys, monkeypatch):
     def fill(*args, **kwargs):
         raise AssertionError("a table was filled for a refused command line")
 
-    monkeypatch.setattr(verify, "compute_all", fill)
+    monkeypatch.setattr(verify, "walk", fill)
     code, out, err = run(capsys, "verify", "--type", "A2", "--singular", "9")
     assert code == 1
     assert out == ""
@@ -509,7 +510,7 @@ def test_report_unusable_output_dir_fails_before_filling(capsys, tmp_path, monke
     def fill(*args, **kwargs):
         raise AssertionError("a table was filled before the output dir was made")
 
-    monkeypatch.setattr(verify, "compute_all", fill)
+    monkeypatch.setattr(verify, "walk", fill)
     code, _, err = run(capsys, "report", "--type", "A2", "--cache-dir", str(blocker))
     assert code == 1
     assert "cannot create output dir" in err
@@ -522,8 +523,8 @@ def test_verify_unusable_cache_dir_fails_before_the_whole_group_work(capsys, tmp
     def walk(*args, **kwargs):
         raise AssertionError("the group was walked before the cache dir was made")
 
-    monkeypatch.setattr(verify, "comparable_rows", walk)  # suite B's first walk
-    monkeypatch.setattr(verify, "compute_all", walk)
+    monkeypatch.setattr(verify, "comparable_rows", walk)  # suite B's index build
+    monkeypatch.setattr(verify, "walk", walk)
     code, out, err = run(capsys, "verify", "--type", "A2", "--cache-dir", str(blocker))
     assert (code, out) == (1, "")
     assert "cannot create cache dir" in err
@@ -673,6 +674,46 @@ def test_failed_report_write_leaves_the_old_files(capsys, tmp_path, request):
     assert (code, out) == (1, "")
     assert "cannot write" in err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("victim", ["rpoly", "dims"])
+def test_a_cold_report_names_the_file_it_failed_to_write_and_leaves_no_temp_file(
+        capsys, tmp_path, monkeypatch, victim):
+    # A cold report writes the cache and the dimension table during one
+    # walk, so both temp files are open at once; a write that fails in the
+    # middle of either is reported against its own file, and no temp file
+    # is left.
+    class FailsAfterTwoWrites:
+        def __init__(self, handle):
+            self.handle, self.writes = handle, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError(28, "No space left on device")
+            self.handle.write(data)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    real_open = Path.open
+
+    def open_failing(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        return FailsAfterTwoWrites(handle) if path.name.startswith(f".{victim}_") else handle
+
+    monkeypatch.setattr(Path, "open", open_failing)
+    code, out, err = run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {tmp_path / victim}_A2-")
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
 
 def test_singular_is_refused_where_it_means_nothing(capsys):

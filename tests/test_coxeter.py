@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -119,7 +120,7 @@ def test_whole_group_work_refuses_groups_over_the_limit():
     assert e6.group_order == 51_840 > coxeter.WHOLE_GROUP_LIMIT
     with pytest.raises(RankOverflow, match="E6 has order 51840, over the whole-group limit 10000"):
         comparable_rows(e6)
-    assert e6._elements is None and e6._lower is None
+    assert e6._elements is None and e6._below is None
     # A6, the largest group whose whole runs are measured, is admitted
     assert build_system("A6").group_order == 5_040 <= coxeter.WHOLE_GROUP_LIMIT
 
@@ -351,28 +352,57 @@ def test_whole_group_fills_read_the_index_not_the_recursion():
     assert len(d4._bruhat) == 0
 
 
-def test_fill_rows_makes_each_row_once_from_the_row_of_xs(monkeypatch):
-    # One call per index row, in position order, handed x's descent, the
-    # row of xs (already made) and x's slots into it; the walk keeps each
-    # row as made and takes no descent step of its own.
+def test_walk_makes_each_row_once_from_the_row_of_xs(monkeypatch):
+    # One call per table and index row, in position order, handed x, its
+    # index row, its descent, xs's row of that table (already made) and x's
+    # slots into it; the walk yields all of these with the rows made, and
+    # takes no descent step of its own.
     sys = build_system("B3")
     index = list(comparable_rows(sys))
-    steps = coxeter.descent_rows(sys, "smallest")
-    made = []
+    made = []  # by position: the rows made for x, one per table
 
-    def fill_row(x, s, below, first, second):
-        lower = index[len(made)][1]
-        step_s, xs, step_first, step_second = steps[len(made)]
-        assert x is lower[-1] and x.position == len(made)
-        assert (s, first, second) == (step_s, step_first, step_second)
-        assert below is (None if xs is None else made[xs.position])
-        made.append([object() for _ in lower])
-        return made[-1]
+    def fill(table):
+        def fill_row(x, lower, s, below, first, second):
+            assert x.position == len(made) and (x, lower) == index[x.position]
+            if x.descents:
+                xs = right_multiply(sys, x, pick_descent(sys, x, "smallest"))
+                assert below is made[xs.position][table]
+            else:
+                assert (s, below, first, second) == (-1, None, [], [])
+            return [object() for _ in lower]
+        return fill_row
 
-    monkeypatch.setattr(coxeter, "descend", None)  # the descent rows are already built
-    rows = coxeter.fill_rows(sys, "smallest", fill_row)
-    assert len(rows) == len(made) == len(index) == 48
-    assert all(row is want for row, want in zip(rows, made))
+    monkeypatch.setattr(coxeter, "descend", None)  # the walk steps by maps over positions
+    for x, lower, s, first, second, below, rows in coxeter.walk(sys, "smallest", fill(0), fill(1)):
+        assert s == (pick_descent(sys, x, "smallest") if x.descents else -1)
+        assert len(first) == len(second) == len(lower) - 1
+        assert below == (made[right_multiply(sys, x, s).position] if x.descents else (None, None))
+        assert len(rows) == 2 and all(len(row) == len(lower) for row in rows)
+        made.append(rows)
+    assert len(made) == len(index) == 48
+
+
+def test_walk_keeps_two_length_layers_of_rows():
+    # The row of x reads only the row of xs, one length shorter, so at each
+    # yield the walk holds the rows of x's layer so far and of the whole
+    # layer below it, and none longer gone.
+    class Row:
+        def __init__(self, length):
+            self.length = length
+
+    sys = build_system("B3")
+    live, made = weakref.WeakSet(), Counter()  # made: rows filled, by length
+
+    def fill_row(x, lower, s, below, first, second):
+        row = Row(x.length)
+        live.add(row)
+        made[x.length] += 1
+        return row
+
+    for x, *_ in coxeter.walk(sys, "smallest", fill_row):
+        held = Counter(row.length for row in live)
+        assert held == {n: k for n, k in made.items() if n >= x.length - 1}
+    assert max(made.values()) > 1 and len(made) == longest_element(sys).length + 1
 
 
 def test_subword_oracle_refuses_words_past_its_budget():
@@ -486,21 +516,48 @@ SUITE_COUNTS = {
 
 
 @pytest.mark.parametrize("text", PRESETS + ("F4",))
-def test_each_matrix_is_one_element_after_a_verify_pass(text):
+def test_each_matrix_is_one_element_after_a_verify_pass(text, monkeypatch):
     # Equality of elements is identity, which is group equality only while
     # no two ids of one system share a matrix.
-    sys = build_system(text)
-    vrows, rrows, _ = verify.fill_tables(sys)
-    drows = rpoly.direct_rows(sys)
-    t, g, b, r, s, m = verify._SUITES
-    results = (t(sys, vrows, rrows, drows), g(sys), b(sys), r(sys, rrows, drows, "smallest"),
-               s(sys, vrows), m(sys, vrows))
-    counts = {result.name: (result.checked, result.failed) for result in results}
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(build_system(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "build_system", build)
+    payload = verify.run_verify(text)
+    counts = {suite["name"]: (suite["checked"], suite["failed"]) for suite in payload["suites"]}
     assert counts == SUITE_COUNTS.get(text, counts)
+    (sys,) = built
     assert len({g.matrix for g in sys._by_id}) == len(sys._by_id)
     assert all(sys._index[g.matrix] == gid for gid, g in enumerate(sys._by_id))
     for g in enumerate_elements(sys):
         assert sys._by_id[g.id] is g
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_a_run_walks_the_group_once_and_leaves_only_the_index_masks(command, monkeypatch, tmp_path):
+    # One walk fills every table of a run, and the system keeps the index
+    # masks but neither the tuples of elements below nor any descent rows.
+    built, walks = [], []
+
+    def build(*args, **kwargs):
+        built.append(build_system(*args, **kwargs))
+        return built[-1]
+
+    def walk(*args):
+        walks.append(len(args) - 2)  # the tables filled
+        return coxeter.walk(*args)
+
+    monkeypatch.setattr(verify, "build_system", build)
+    monkeypatch.setattr(verify, "walk", walk)
+    run = verify.run_verify if command == "verify" else verify.run_report
+    run("B3", cache_dir=tmp_path)
+    assert walks == ([3] if command == "verify" else [2])
+    (sys,) = built
+    assert "_lower" not in vars(sys) and "_descent_rows" not in vars(sys)
+    assert len(sys._below) == sys.group_order == 48
 
 
 def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
@@ -540,9 +597,9 @@ def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
 
 def test_suite_b_flags_an_index_row_that_lost_an_element():
     sys = build_system("A2")  # its own system, as the test plants a fault in its index
-    list(comparable_rows(sys))
+    comparable_rows(sys)  # builds the index
     w0, e = longest_element(sys), identity(sys)
-    sys._lower[w0.position] = tuple(y for y in sys._lower[w0.position] if y is not e)
+    sys._below[w0.position] &= ~(1 << e.position)
     result = verify._suite_b(sys)
     assert (result.checked, result.failed) == (36, 1)
     assert result.witnesses == [
@@ -597,10 +654,10 @@ def test_suite_b_flags_an_oracle_row_that_lost_a_matrix(text, monkeypatch):
 
 def test_suite_b_counts_each_pair_an_index_row_lost():
     sys = build_system("A3")  # its own system, as the test plants a fault in its index
-    list(comparable_rows(sys))
     w0 = longest_element(sys)
-    lost = sys._lower[w0.position][7], sys._lower[w0.position][3]
-    sys._lower[w0.position] = tuple(y for y in sys._lower[w0.position] if y not in lost)
+    lower = dict(comparable_rows(sys))[w0]  # which builds the index
+    lost = lower[7], lower[3]
+    sys._below[w0.position] &= ~(1 << lost[0].position | 1 << lost[1].position)
     result = verify._suite_b(sys)
     assert (result.checked, result.failed) == (24 * 24, 2)
     assert result.witnesses == [

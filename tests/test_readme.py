@@ -2,7 +2,7 @@
 
 Each row names one module and, in backticks, what it holds.  A backticked
 identifier that is call-shaped (``fill()``, ``slot(sys, x, y)``), dotted
-(``coxeter.fill_rows``, ``SuiteResult.as_dict()``) or contains ``_`` must
+(``coxeter.walk``, ``SuiteResult.as_dict()``) or contains ``_`` must
 resolve: an undotted name to an attribute of the row's module or of one of
 the classes it defines, a dotted one by attributes from a module of the
 package or from a name one of them holds.  Plain words such as ``verify``
@@ -76,9 +76,9 @@ def test_every_layout_name_resolves_in_the_package():
 
 
 def test_the_scan_flags_a_name_the_package_lacks():
-    row = ("`RTable(sys)`: `r(y, x)`, `fill()`, `coxeter.fill_rows`, `coxeter.no_such`, "
+    row = ("`RTable(sys)`: `r(y, x)`, `fill()`, `coxeter.walk`, `coxeter.no_such`, "
            "`drop_memos`, `SubwordOracle.leq`, `NoOracle.leq`, `RTable.gone()`, `verify`, `bytes`")
-    assert checked_names(row) == ["RTable", "r", "fill", "coxeter.fill_rows", "coxeter.no_such",
+    assert checked_names(row) == ["RTable", "r", "fill", "coxeter.walk", "coxeter.no_such",
                                   "drop_memos", "SubwordOracle.leq", "NoOracle.leq", "RTable.gone"]
     assert unresolved("verma_ext.rpoly", row) == [
         "verma_ext.rpoly: coxeter.no_such", "verma_ext.rpoly: drop_memos",

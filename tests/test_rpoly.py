@@ -16,7 +16,7 @@ from sys import getrefcount
 
 import pytest
 
-from conftest import comparable_pairs, filled_pairs
+from conftest import comparable_pairs, filled_pairs, run_layered, strict_pairs
 from verma_ext import rpoly as rpoly_module
 from verma_ext.coxeter import (
     bruhat_leq,
@@ -47,7 +47,7 @@ from verma_ext.rpoly import (
     gj_coefficient,
     r_coeff_direct,
 )
-from verma_ext.verify import PRESETS, _strict_pairs, _suite_r
+from verma_ext.verify import PRESETS, _suite_r
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +278,12 @@ def test_suite_r_flags_wrong_entries_and_never_sees_stray_ones():
     assert not any(poly is stray for row in rows for poly in row)
     assert rtable.r(y, x) is ZERO
     direct = direct_rows(sys)
-    clean = _suite_r(sys, rows, direct, "smallest")
+    clean = run_layered(_suite_r, sys, None, rows, direct)
     assert (clean.checked, clean.failed) == (36, 0)
     # a wrong polynomial that keeps every term invariant but not the coefficient
     w0, e = longest_element(sys), identity(sys)
     rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, 3, -3, 1))
-    wrong = _suite_r(sys, rows, direct, "smallest")
+    wrong = run_layered(_suite_r, sys, None, rows, direct)
     assert (wrong.checked, wrong.failed) == (36, 1)
     assert wrong.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, 3, -3, 1]}]
 
@@ -294,7 +294,7 @@ def test_suite_r_counts_a_negative_coefficient_row_as_a_failure():
     rows = RTable(sys).fill()
     w0, e = longest_element(sys), identity(sys)
     rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, -1, 1, 1))
-    result = _suite_r(sys, rows, direct_rows(sys), "smallest")
+    result = run_layered(_suite_r, sys, None, rows, direct_rows(sys))
     assert (result.checked, result.failed) == (36, 1)
     assert result.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, -1, 1, 1]}]
 
@@ -384,10 +384,12 @@ def test_direct_step_off_the_order_is_a_lifting_violation(monkeypatch, system):
         patch.setattr(rpoly_module, "check_below", lambda sys, y, x: None)
         with pytest.raises(LiftingViolation):
             r_coeff_direct(a2, x, y)
-    # With every row of the index emptied to its diagonal, the fill's first
-    # step off the diagonal fails the same check (a bit test against xs's row).
+    # With the index rows of length 1 emptied to their diagonal, the fill's
+    # first step from a row of length 2 to the identity fails the same check
+    # (a lookup in the positions below xs).
     sys = build_system("A3")
-    sys._below = [1 << g.position for g, _ in comparable_rows(sys)]
+    sys._below = [1 << g.position if g.length == 1 else mask
+                  for (g, _), mask in zip(comparable_rows(sys), sys._below)]
     with pytest.raises(LiftingViolation, match="x="):
         direct_rows(sys)
 
@@ -574,13 +576,13 @@ def test_cache_file_is_the_same_from_filled_rows_and_from_the_lazy_memo(tmp_path
     rows = filled.fill()
     for x, y in comparable_pairs(sys):
         lazy.r(y, x)
-    filled.save_csv(tmp_path / "filled.csv", _strict_pairs(sys, rows))
+    filled.save_csv(tmp_path / "filled.csv", strict_pairs(sys, rows))
     lazy.save_csv(tmp_path / "lazy.csv", lazy.memo_pairs())
     warm = RTable(sys, policy=policy)
     warm.load_csv(tmp_path / "filled.csv")
     warm_rows = warm.fill()
     assert warm.computed == 0
-    warm.save_csv(tmp_path / "warm.csv", _strict_pairs(sys, warm_rows))
+    warm.save_csv(tmp_path / "warm.csv", strict_pairs(sys, warm_rows))
     data = (tmp_path / "filled.csv").read_bytes()
     assert data.count(b"\n") == 3 + len(list(comparable_pairs(sys))) - len(enumerate_elements(sys))
     assert (tmp_path / "lazy.csv").read_bytes() == data
@@ -598,7 +600,7 @@ def test_lazy_queries_match_the_fill_across_fills_and_reloads(tmp_path):
     sys = build_system("B3")
     full = RTable(sys).fill()
     path = tmp_path / "rpoly.csv"
-    RTable(sys).save_csv(path, _strict_pairs(sys, full))
+    RTable(sys).save_csv(path, strict_pairs(sys, full))
     table = RTable(sys)
     for _ in range(3):
         table.load_csv(path)
@@ -613,7 +615,7 @@ def test_warm_load_keeps_one_polynomial_per_coefficient_list(tmp_path):
     table = RTable(d4)
     rows = table.fill()
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path, _strict_pairs(d4, rows))
+    table.save_csv(path, strict_pairs(d4, rows))
     warm = RTable(d4)
     assert warm.load_csv(path) == sum(len(row) - 1 for row in rows)
     polys = [p for row in warm._memo.values() for p in row.values()]
@@ -629,7 +631,7 @@ def test_non_utf8_byte_after_valid_rows_names_its_file_offset(tmp_path, type_tex
     sys = build_system(type_text)
     table = RTable(sys)
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path, _strict_pairs(sys, table.fill()))
+    table.save_csv(path, strict_pairs(sys, table.fill()))
     data = path.read_bytes() + tail
     path.write_bytes(data)
     with pytest.raises(UnicodeDecodeError) as whole:

@@ -19,7 +19,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import comparable_pairs, filled_pairs, reader
+from conftest import comparable_pairs, filled_pairs, membership_rows, reader
 from verma_ext import coxeter, verify
 from verma_ext import rpoly as rpoly_module
 from verma_ext import vtable as vtable_module
@@ -29,7 +29,6 @@ from verma_ext.coxeter import (
     build_system,
     comparable_rows,
     descend,
-    descent_rows,
     element_from_word,
     enumerate_elements,
     identity,
@@ -57,6 +56,7 @@ from verma_ext.vtable import (
     compute_all,
     membership_report,
     singular_v,
+    v_fill,
 )
 
 
@@ -339,11 +339,10 @@ def test_fill_matches_a_fresh_chain_walk(text, policy, system, vtable):
 @pytest.mark.parametrize("fill", ["V", "R", "direct", "verify"])
 def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch, system):
     # In length order every off-diagonal pair is one step above a stored
-    # pair, so each fill takes exactly one step from each.  The steps are
-    # kept per system and policy as rows over the index rows, built with no
-    # call per pair: neither the build nor a fill calls ``descend``, and a
-    # whole verify pass, whose three fills and suite R read them, builds
-    # each policy's rows once.
+    # pair, so each fill takes exactly one step from each.  The walk takes
+    # the steps as slots into the row of xs, with no call per pair: neither
+    # the walk nor a fill calls ``descend``, and a whole verify pass, whose
+    # three fills and suites T and R read the one walk's rows, walks once.
     def no_step(*args):
         raise AssertionError("a row fill took a single-pair descent step")
 
@@ -352,31 +351,37 @@ def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch, system):
     sys = build_system("B3")
     if fill == "verify":
         for policy in DESCENT_POLICIES:
-            sys = build_system("B3")
+            sys, walks, steps = build_system("B3"), [], []
+
+            def walk(sys, policy, *fills):
+                walks.append(policy)
+                for row in coxeter.walk(sys, policy, *fills):
+                    steps.append(row[:4])  # x, its index row, s and the first slots
+                    yield row
+
             monkeypatch.setattr(verify, "build_system", lambda *args, **kwargs: sys)
+            monkeypatch.setattr(verify, "walk", walk)
             verify.run_verify("B3", policy=policy)
             off_diagonal = [(x, y) for x, y in comparable_pairs(sys) if x != y]
             assert len(off_diagonal) == 799
-            assert list(sys._descent_rows) == [policy]
-            covered = [(x, y) for (x, lower), (_, _, first, _) in
-                       zip(comparable_rows(sys), sys._descent_rows[policy])
-                       for y, _ in zip(lower, first)]
+            assert walks == [policy]
+            covered = [(x, y) for x, lower, _, first in steps for y, _ in zip(lower, first)]
             assert covered == off_diagonal
-        # each kept step is the pair's own: its slots read back, from the
+        # each step is the pair's own: its slots read back, from the index
         # row of xs, ys or y for the pair below and ys when ys <= xs
         for text in (*PRESETS, "B4"):
             sys = system(text)
             for policy in DESCENT_POLICIES:
-                for (x, lower), (s, xs, first, second) in zip(comparable_rows(sys),
-                                                              descent_rows(sys, policy)):
-                    assert first.typecode == second.typecode == "i"
+                index_row = lambda x, lower, *_: lower  # noqa: E731
+                for x, lower, s, first, second, (below,), _ in coxeter.walk(sys, policy, index_row):
+                    assert type(first) is type(second) is list
                     assert len(first) == len(second) == len(lower) - 1
                     if not first:
-                        assert (x, s, xs) == (identity(sys), -1, None)
+                        assert (x, s, below) == (identity(sys), -1, None)
                         continue
                     assert s == pick_descent(sys, x, policy)
-                    assert xs is right_multiply(sys, x, s)
-                    below = sys._lower[xs.position]
+                    xs = right_multiply(sys, x, s)
+                    assert below[-1] is xs
                     for y, a, b in zip(lower, first, second):
                         ys = right_multiply(sys, y, s)
                         assert a >= 0 and below[a] is (ys if ys.length < y.length else y)
@@ -404,13 +409,11 @@ def test_up_moves_equal_the_matrix_product_route(text, policy, system):
     # distinct up move the fill made must equal s . known + K v_s, with s
     # applied to the known basis by its matrix.
     sys = system(text)
-    rows = compute_all(sys, policy=policy)
     seen = set()
-    for (x, _), (s, xs, first, second), row in zip(comparable_rows(sys),
-                                                  descent_rows(sys, policy), rows):
-        g = None if xs is None else simple_reflection(sys, s)
+    for _, _, s, first, second, (below,), (row,) in coxeter.walk(sys, policy, v_fill(sys)):
+        g = None if below is None else simple_reflection(sys, s)
         for a, b, space in zip(first, second, row):
-            known = rows[xs.position][a]
+            known = below[a]
             if a == b or (s, id(known)) in seen:
                 continue
             seen.add((s, id(known)))
@@ -421,11 +424,12 @@ def test_up_moves_equal_the_matrix_product_route(text, policy, system):
 
 @pytest.mark.parametrize("fill", ["V", "R"])
 def test_row_fills_raise_when_the_index_says_a_step_left_the_order(fill):
-    # With every row of the index emptied to its diagonal, the first step
-    # off the diagonal fails its lifting check (a bit test against xs's row).
+    # With the index rows of length 1 emptied to their diagonal, the first
+    # step from a row of length 2 to the identity fails its lifting check (a
+    # lookup in the positions below xs).
     sys = build_system("A3")
-    rows = list(comparable_rows(sys))
-    sys._below = [1 << x.position for x, _ in rows]
+    sys._below = [1 << x.position if x.length == 1 else mask
+                  for (x, _), mask in zip(comparable_rows(sys), sys._below)]
     with pytest.raises(LiftingViolation, match="x="):
         compute_all(sys) if fill == "V" else RTable(sys).fill()
 
@@ -458,7 +462,7 @@ def test_suite_s_flags_a_wrong_top_space(system):
     rows = compute_all(sys)  # its own rows, as the test plants an entry
     w0, e = longest_element(sys), identity(sys)
     rows[w0.position][slot(sys, w0, e)] = RationalSubspace(sys.rank)
-    result = _suite_s(sys, rows)
+    result = _suite_s(sys, membership_rows(sys, rows))
     # the subsets {}, {0}, {1} and {0,1}: only the last expects the zero quotient
     assert (result.checked, result.failed) == (4, 3)
     assert result.witnesses == [{"subset": "", "dim": 0, "expected": 2}]
@@ -542,7 +546,7 @@ def test_singular_projection_matches_the_echelon_route(text, system, vtable):
 
 @pytest.mark.parametrize("text,flagged", [("A2", 12), ("B2", 20), ("G2", 42)])
 def test_membership_report_shape(text, flagged, system, vtable):
-    report = membership_report(system(text), vtable(text))
+    report = membership_report(system(text), membership_rows(system(text), vtable(text)))
     assert len(report) == flagged
 
 
@@ -568,7 +572,7 @@ def test_membership_report_pairs_only_the_elements_its_rows_can_hold(text, syste
     # a row's x and y each have at most two letters in the support of w0 g;
     # pairing only those must give the all-pairs filter's rows, in its order
     sys, rows = system(text), vtable(text)
-    assert membership_report(sys, rows) == all_pairs_membership_rows(sys, rows)
+    assert membership_report(sys, membership_rows(sys, rows)) == all_pairs_membership_rows(sys, rows)
 
 
 @pytest.mark.parametrize("text", PRESETS + ("B4",))
@@ -588,14 +592,14 @@ def test_suite_m_flags_a_row_whose_membership_flipped(system):
     x, y = element_from_word(sys, (1, 0)), identity(sys)
     assert rows[x.position][slot(sys, x, y)].dim == 2  # v_1 is in it, as x >= y s_1 predicts
     rows[x.position][slot(sys, x, y)] = RationalSubspace(sys.rank)
-    result = _suite_m(sys, rows)
+    result = _suite_m(sys, membership_rows(sys, rows))
     assert (result.checked, result.failed) == (12, 1)
     assert result.witnesses == [{"x": "1,0", "y": "e", "s": 1, "in_v": False, "x_ge_ys": True}]
 
 
 @pytest.mark.parametrize("text", ["A2", "B2", "G2"])
 def test_flagged_rows_satisfy_biconditional(text, system, vtable):
-    for row in membership_report(system(text), vtable(text)):
+    for row in membership_report(system(text), membership_rows(system(text), vtable(text))):
         assert row.in_v == row.x_ge_ys
 
 

@@ -4,7 +4,7 @@ D5 (1,920 elements, 745,377 comparable pairs) runs under both descent
 policies: the counts are the same, which checks at whole-group scale that no
 table depends on the descent each step strips.  A6 (5,040 elements,
 3,550,919 comparable pairs) is the largest group whole-group work admits; it
-runs under the default policy, so the shared descent rows, the fills and
+runs under the default policy, so the walk, the fills it makes and
 every suite are checked at that size.  It runs as ``verma-ext verify`` does,
 through ``cli.main``, in a child process of its own, whose peak RSS must
 stay under ``A6_PEAK_MB``.  Each verify takes over ten seconds, so this file
@@ -50,7 +50,7 @@ COUNTS = {
 # A whole A6 verify peaked at 147 MB (CPython 3.11, Linux x86-64); the
 # bound leaves room for other interpreters and stays under 206 MB, the peak
 # when suite B ran after the fills.
-A6_PEAK_MB = 200
+A6_PEAK_MB = 130
 
 CHILD = """
 import contextlib, io, json, resource
