@@ -27,10 +27,12 @@ index: per element position, the bitmask of the positions below it.  From
 then on ``bruhat_leq`` answers with one bit test; before that it calls
 ``bruhat_leq_lifting``, a memoized recursion on the lifting property, so
 single-pair queries on a large group stay lazy.
-A ``SubwordOracle`` decides order by subword enumeration of one reduced
-word, on bare matrices it numbers in tables of its own, to cross-check the
-other two; it refuses a word past an explicit budget of subwords.  ``descend``
-is the one step, with its lifting check, of the single-pair recursions.
+``subword_rows`` decides order by subword enumeration of one reduced word,
+on bare matrices it numbers in tables of its own, to cross-check the other
+two: a generator in length order, like ``walk``, that keeps two length
+layers and stops at the first y whose subwords are past an explicit
+budget.  ``descend`` is the one step, with its lifting check, of the
+single-pair recursions.
 
 ``walk``, the one whole-group pass, takes that step for every strict pair,
 a row at a time by maps over positions, and hands each index row x, with
@@ -56,7 +58,6 @@ from collections.abc import Callable, Iterator, Sequence
 from itertools import compress
 
 from .errors import (
-    BudgetExceeded,
     IndexOutOfRange,
     InvalidType,
     InvariantViolation,
@@ -581,55 +582,6 @@ def descend(
     return s, xs, ys, down
 
 
-class SubwordOracle:
-    """Bruhat order by enumerating the subwords of one reduced word, as a cross-check.
-
-    ``products(y)`` is the set of the oracle's numbers of the subwords of
-    y's canonical reduced word, and x <= y iff x's matrix has a number among
-    them (``leq``).  The word of y is the word of ys plus s, for s its
-    smallest descent, so y's set is the set of ys and its images under s.
-    The oracle numbers each bare matrix on first sight (``numbers``;
-    ``numbered`` maps back), never by an element's id or position, and
-    reflects each number by s once.  It refuses 2**length(y) > ORACLE_BUDGET.
-    Its tables live as long as the oracle, and the system keeps none of them.
-    """
-
-    def __init__(self, sys: CoxeterSystem):
-        self.sys = sys
-        self.numbers: dict[IntMatrix, int] = {}  # the number of each matrix reached
-        self.numbered: list[IntMatrix] = []  # the matrix of each number
-        self._products: dict[GroupElement, frozenset[int]] = {}
-        self._reflected: list[dict[int, int]] = [{} for _ in range(sys.rank)]  # number of m -> of m s_i
-
-    def leq(self, x: GroupElement, y: GroupElement) -> bool:
-        products = self.products(y)  # first: it numbers the identity's matrix
-        return self.numbers.get(x.matrix) in products
-
-    def _number(self, matrix: IntMatrix) -> int:
-        n = self.numbers.get(matrix)
-        if n is None:
-            n = self.numbers[matrix] = len(self.numbered)
-            self.numbered.append(matrix)
-        return n
-
-    def products(self, y: GroupElement) -> frozenset[int]:
-        k = y.length
-        if 2**k > ORACLE_BUDGET:
-            raise BudgetExceeded(f"subword oracle needs 2**{k} products, budget is {ORACLE_BUDGET}")
-        got = self._products.get(y)
-        if got is None:
-            if not k:
-                return frozenset((self._number(y.matrix),))
-            sys = self.sys
-            s = pick_descent(sys, y, "smallest")
-            prefix = self.products(right_multiply(sys, y, s))
-            reflected, numbered = self._reflected[s], self.numbered
-            for n in prefix.difference(reflected):
-                reflected[n] = self._number(_col_reflect(sys, numbered[n], s))
-            got = self._products[y] = prefix.union(map(reflected.__getitem__, prefix))
-        return got
-
-
 # ---------------------------------------------------------------------------
 # whole-group views
 
@@ -769,6 +721,49 @@ def walk(sys: CoxeterSystem, policy: str, *fills: Callable) -> Iterator[tuple]:
         rows = tuple(fill(x, lower, s, b, first, second) for fill, b in zip(fills, below))
         layer[x.position] = ps, rows
         yield x, lower, s, first, second, below, rows
+
+
+def subword_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, frozenset[int], list[IntMatrix]]]:
+    """Bruhat order by the subwords of one reduced word, as a cross-check: a row per y, by position.
+
+    Yields (y, products, numbered) for each y whose 2**length(y) subwords fit
+    ORACLE_BUDGET: products holds the numbers of the products of the subwords
+    of y's canonical reduced word, so x <= y iff x's matrix is numbered[n]
+    for an n in it.  The word of y is the word of ys plus s, for s its
+    smallest descent, so y's set is the set of ys and its images under s.
+    Each bare matrix is numbered on first sight, never by an element's id or
+    position, and each number is reflected by s once.  The set of ys is one
+    length shorter, so the generator keeps the sets of two length layers
+    only; its tables live as long as it does, and the system keeps none.
+    """
+    cap = ORACLE_BUDGET.bit_length() - 1  # the longest y whose subwords fit the budget
+    numbers: dict[IntMatrix, int] = {}  # the number of each matrix reached
+    numbered: list[IntMatrix] = []  # the matrix of each number
+    reflected: list[dict[int, int]] = [{} for _ in range(sys.rank)]  # number of m -> of m s_i
+
+    def number(matrix: IntMatrix) -> int:
+        n = numbers.get(matrix)
+        if n is None:
+            n = numbers[matrix] = len(numbered)
+            numbered.append(matrix)
+        return n
+
+    length, layer, previous = 0, {}, {}  # y -> its set, for y's length and the one below
+    for y in enumerate_elements(sys):
+        if y.length > cap:
+            return
+        if y.length != length:
+            length, layer, previous = y.length, {}, layer
+        if y.length:
+            s = pick_descent(sys, y, "smallest")
+            prefix, image = previous[right_multiply(sys, y, s)], reflected[s]
+            for n in prefix.difference(image):
+                image[n] = number(_col_reflect(sys, numbered[n], s))
+            products = prefix.union(map(image.__getitem__, prefix))
+        else:
+            products = frozenset((number(y.matrix),))
+        layer[y] = products
+        yield y, products, numbered
 
 
 def longest_element(sys: CoxeterSystem) -> GroupElement:

@@ -24,10 +24,6 @@ class IndexOutOfRange(VermaExtError):
     """Simple reflection index outside 0..rank-1."""
 
 
-class BudgetExceeded(VermaExtError):
-    """An exponential fallback path was asked to do more work than its cap allows."""
-
-
 class NotComparable(VermaExtError):
     """Pair (x, y) violates the y <= x precondition in Bruhat order."""
 

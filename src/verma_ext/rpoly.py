@@ -20,8 +20,10 @@ pair, a row at a time; ``direct_rows`` collects them) recompute it by a
 first-order recursion that never builds polynomials.  The routes must
 agree; the verification suites check that they do.  ``load_rtable`` and
 ``save_rtable`` read and write the R cache, one csv file per system in a
-cache dir, by ``RTable.load_csv`` and ``RTable.save_csv``; ``atomic_file``
-is the one way a file is written.
+cache dir, by ``RTable.load_csv`` and ``RTable.save_csv``, whose
+``RTable.csv_lines`` a whole-group pass also calls a row at a time, with
+word and coefficient memos kept for the table's life; ``atomic_file`` is
+the one way a file is written.
 """
 
 from __future__ import annotations
@@ -158,6 +160,8 @@ class RTable:
         self._memo: dict[GroupElement, dict[GroupElement, IntPolynomial]] = {}
         self.computed = 0
         self.ascent = ascent_memo()  # the lazy path's: ``row_fill`` makes its own
+        self._words = functools.cache(functools.partial(word_text, sys))  # csv_lines' memos
+        self._coeffs: dict[int, tuple[str, IntPolynomial]] = {}  # by id, with the polynomial
 
     def r(self, y: GroupElement, x: GroupElement) -> IntPolynomial:
         if y is x:
@@ -232,17 +236,18 @@ class RTable:
         """Strict pairs (x, y, R(y, x)) as ``y_word;x_word;c0,c1,...,cd`` rows, streamed.
 
         The pairs come by (length, matrix) on x, then on y, as ``memo_pairs``
-        and filled rows zipped with the index rows give them.  Each element's
-        word text and each polynomial object's coefficient text is formatted
-        once per call.
+        and filled rows zipped with the index rows give them, in one call or
+        a row per call.  Each element's word text and each polynomial
+        object's coefficient text is formatted once for the table's life;
+        the text memo keeps each polynomial it holds, so no id it keys on is
+        reused.
         """
-        word = functools.cache(functools.partial(word_text, self.sys))
-        coeffs: dict[int, str] = {}  # by the id of a polynomial the pairs' source keeps
+        word, coeffs = self._words, self._coeffs
         for x, y, poly in pairs:
-            cs = coeffs.get(id(poly))
-            if cs is None:
-                cs = coeffs[id(poly)] = ",".join(map(str, poly.coeffs))
-            yield f"{word(y)};{word(x)};{cs}\n"
+            hit = coeffs.get(id(poly))
+            if hit is None:
+                hit = coeffs[id(poly)] = ",".join(map(str, poly.coeffs)), poly
+            yield f"{word(y)};{word(x)};{hit[0]}\n"
 
     def load_csv(self, path: Path | str) -> int:
         """Merge entries from a cache file into the memo, streamed, validating each row.

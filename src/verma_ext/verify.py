@@ -16,15 +16,15 @@ order:
 Each suite reports how many atomic checks ran and how many failed, plus a
 witness for the first failure, in a ``SuiteResult``.  Suite B, which reads
 no rows, runs first.  Then one ``coxeter.walk`` fills the V, R and direct
-count rows, handed over one length layer at a time (``_layers``): suites T
-and R check each layer, and the V rows of the ``membership_elements`` are
-kept for suites S and M.  No pair is looked up by element or re-tested
-against the order, and each R-polynomial's shape and signed q-coefficient
-are read off the polynomial (``r_shaped`` and ``gj``, computed once per
-distinct polynomial).  The walk also rewrites the R cache file, ``rpoly``'s;
-``run_report`` writes it, the dimension table, during the same walk, and a
-summary; everything written is deterministic except an explicit
-generated_at comment line.
+count rows, handed over one row at a time (``_rows``): suites T and R check
+each row and are summed by ``SuiteResult.add``, and the V rows of the
+``membership_elements`` are kept for suites S and M.  No pair is looked up
+by element or re-tested against the order, and each R-polynomial's shape
+and signed q-coefficient are read off the polynomial (``r_shaped`` and
+``gj``, computed once per distinct polynomial).  The walk also rewrites the
+R cache file, ``rpoly``'s; ``run_report`` writes it, the dimension table,
+during the same walk, and a summary; everything written is deterministic
+except an explicit generated_at comment line.
 """
 
 from __future__ import annotations
@@ -34,15 +34,13 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterator
 from contextlib import nullcontext
-from itertools import combinations, groupby
+from itertools import combinations
 from pathlib import Path
 
 from .coxeter import (
     DEFAULT_BUDGET,
-    ORACLE_BUDGET,
     DESCENT_POLICIES,
     GroupElement,
-    SubwordOracle,
     braid_order,
     build_system,
     comparable_rows,
@@ -52,6 +50,7 @@ from .coxeter import (
     longest_element,
     multiply,
     simple_reflection,
+    subword_rows,
     walk,
     word_text,
     _right_image,
@@ -102,16 +101,15 @@ def _witness(sys, x, y, **fields) -> dict:
     return {"x": word_text(sys, x), "y": word_text(sys, y), **fields}
 
 
-def _suite_t(sys, layer: list) -> SuiteResult:
-    """dim V(x, y) == signed q-coefficient == direct recursion, on every pair of a layer."""
-    out = SuiteResult("T")
-    for x, lower, *_, (vrow, rrow, drow) in layer:
-        out.checked += len(lower)
-        for y, space, poly, count in zip(lower, vrow, rrow, drow):
-            d, g = space.dim, poly.gj
-            if not (d == g == count):
-                out.note_failure(lambda: _witness(sys, x, y, dim=d, gj=g, direct=count,
-                                                  basis=space.to_json_dict()["basis"]))
+def _suite_t(sys, row: tuple) -> SuiteResult:
+    """dim V(x, y) == signed q-coefficient == direct recursion, on every pair of a walk row."""
+    x, lower, *_, (vrow, rrow, drow) = row
+    out = SuiteResult("T", checked=len(lower))
+    for y, space, poly, count in zip(lower, vrow, rrow, drow):
+        d, g = space.dim, poly.gj
+        if not (d == g == count):
+            out.note_failure(lambda: _witness(sys, x, y, dim=d, gj=g, direct=count,
+                                              basis=space.to_json_dict()["basis"]))
     return out
 
 
@@ -158,36 +156,31 @@ def _suite_g(sys) -> SuiteResult:
 
 
 def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
-    """(y, index, lifting, oracle) for each y within the oracle's budget, by position.
+    """(y, index, lifting, oracle) for each y that ``subword_rows`` reaches, by position.
 
     Each row is the bitmask of the positions of the x <= y, by one route:
     y's index mask, ``sys._below``; the lifting property on the
     lifting row L of ys, for s the largest descent of y (x <= y iff x <= ys
     when xs > x, iff xs <= ys when xs < x), that is A | A s for A the
     elements of L with ascent s, where the index takes the smallest descent
-    and D(ws) | D(ws) s; and y's subword products from one ``SubwordOracle``
-    for the walk, each oracle number mapped to a position once, where
-    distinct numbers make the sum of bits an OR.
+    and D(ws) | D(ws) s; and y's subword products from ``subword_rows``,
+    each oracle number mapped to a position once, where distinct numbers
+    make the sum of bits an OR.
     """
     comparable_rows(sys)  # builds the index, or refuses a group too large to walk, first
-    cap = ORACLE_BUDGET.bit_length() - 1  # longest y whose 2**length subwords fit the budget
     elements = enumerate_elements(sys)
     steps = _right_steps(sys)
     has_descent = [sum(1 << g.position for g in elements if g.descents >> s & 1)
                    for s in range(sys.rank)]
     position = {g.matrix: g.position for g in elements}
-    oracle = SubwordOracle(sys)  # freed with the walk
     to_position: list[int] = []  # by the oracle's number
     lifting = [1]  # by position: the identity is below itself alone
-    for y in elements:  # in length order, so the first y past the cap ends the walk
-        if y.length > cap:
-            break
+    for y, products, numbered in subword_rows(sys):  # the oracle's tables go with the generator
         if y.descents:
             s = y.descents.bit_length() - 1
             ascents = lifting[steps[s][y.position]] & ~has_descent[s]
             lifting.append(ascents | _right_image(ascents, steps[s]))
-        products = oracle.products(y)
-        to_position += map(position.__getitem__, oracle.numbered[len(to_position):])
+        to_position += map(position.__getitem__, numbered[len(to_position):])
         by_oracle = sum(map((1).__lshift__, map(to_position.__getitem__, products)))
         yield y, sys._below[y.position], lifting[y.position], by_oracle
 
@@ -212,8 +205,8 @@ def _suite_b(sys) -> SuiteResult:
     return out
 
 
-def _suite_r(sys, layer: list) -> SuiteResult:
-    """Each R(y, x) of a layer: its shape, its count against the direct route, and one recursion step.
+def _suite_r(sys, row: tuple, ascent: Callable) -> SuiteResult:
+    """Each R(y, x) of a walk row: its shape, its count against the direct route, and one recursion step.
 
     An entry passes when its degree is the pair's gap, it is ``r_shaped``,
     its ``gj`` is the direct count and it equals the recursion's step.  The
@@ -221,18 +214,17 @@ def _suite_r(sys, layer: list) -> SuiteResult:
     and no other: R is 0 on every other pair.  Each R(y, x) must equal the
     recursion's step from the row of xs, so by induction every row, loaded
     or computed, is the recursion's.  The step is taken by ``rpoly.r_steps``
-    from the walk's slots into the row of xs, with an ascent memo per call.
-    ``checked`` counts |W| per row, so |W|^2 over the whole walk.
+    from the walk's slots into the row of xs, with the caller's ascent memo,
+    one per walk.  ``checked`` counts |W| per row, so |W|^2 over the walk.
     """
-    out = SuiteResult("R", checked=len(layer) * sys.group_order)
-    ascent = ascent_memo()
-    for upper, lower, _, first, second, (_, below, _), (_, row, drow) in layer:
-        steps = r_steps(ascent, below, first, second)
-        # the steps end before upper, which ends its row; the fill makes R(upper, upper) = 1
-        for y, step, poly, count in zip(lower, steps, row, drow):
-            if not (poly.degree == upper.length - y.length and poly.r_shaped and poly.gj == count
-                    and poly.coeffs == step.coeffs):
-                out.note_failure(lambda: _witness(sys, upper, y, coeffs=list(poly.coeffs)))
+    upper, lower, _, first, second, (_, below, _), (_, rrow, drow) = row
+    out = SuiteResult("R", checked=sys.group_order)
+    steps = r_steps(ascent, below, first, second)
+    # the steps end before upper, which ends its row; the fill makes R(upper, upper) = 1
+    for y, step, poly, count in zip(lower, steps, rrow, drow):
+        if not (poly.degree == upper.length - y.length and poly.r_shaped and poly.gj == count
+                and poly.coeffs == step.coeffs):
+            out.note_failure(lambda: _witness(sys, upper, y, coeffs=list(poly.coeffs)))
     return out
 
 
@@ -266,11 +258,11 @@ def _suite_m(sys, vrows: dict) -> SuiteResult:
 _SUITES = (_suite_t, _suite_g, _suite_b, _suite_r, _suite_s, _suite_m)
 
 
-def _layers(sys, rtable: RTable, cache_dir: Path | None, *fills) -> Iterator[list]:
-    """The rows of one ``walk`` with the V and R fills, then ``fills``, one length layer at a time.
+def _rows(sys, rtable: RTable, cache_dir: Path | None, *fills) -> Iterator[tuple]:
+    """The rows of one ``walk`` with the V and R fills, then ``fills``, passed on as they come.
 
     ``rtable`` is loaded from the cache dir after the index was built.  The
-    cache file is rewritten, a layer's strict pairs once the layer was taken,
+    cache file is rewritten, a row's strict pairs once the row was taken,
     unless the loaded file already holds every strict pair of the index, so
     that the walk computes nothing; that is decided before the walk.
     """
@@ -280,13 +272,11 @@ def _layers(sys, rtable: RTable, cache_dir: Path | None, *fills) -> Iterator[lis
     with nullcontext() if cache is None else atomic_file(cache) as out:
         if out is not None:
             out.write(rtable.csv_header())
-        for _, layer in groupby(walk(sys, rtable.policy, v_fill(sys), rtable.row_fill(), *fills),
-                                key=lambda row: row[0].length):
-            layer = list(layer)
-            yield layer
+        for row in walk(sys, rtable.policy, v_fill(sys), rtable.row_fill(), *fills):
+            yield row
             if out is not None:
-                out.writelines(rtable.csv_lines((x, y, poly) for x, lower, *_, (_, rrow, *_) in layer
-                                                for y, poly in zip(lower[:-1], rrow)))
+                x, lower, *_, (_, rrow, *_) = row
+                out.writelines(rtable.csv_lines((x, y, poly) for y, poly in zip(lower[:-1], rrow)))
 
 
 def run_verify(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCENT_POLICIES[0],
@@ -306,12 +296,13 @@ def run_verify(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCE
     order = b(sys)
     comparable_rows(sys)  # builds the index, so each cache row's order check is one bit test
     rtable = rpoly.load_rtable(sys, policy, cache_dir)
-    pairs, steps = SuiteResult("T"), SuiteResult("R")
+    pairs, steps, ascent = SuiteResult("T"), SuiteResult("R"), ascent_memo()  # one memo per walk
     vrows = dict.fromkeys(membership_elements(sys))  # V rows kept for suites S and M
-    for layer in _layers(sys, rtable, cache_dir, direct_row):
-        pairs.add(t(sys, layer))
-        steps.add(r(sys, layer))
-        vrows.update((x, rows[0]) for x, *_, rows in layer if x in vrows)
+    for row in _rows(sys, rtable, cache_dir, direct_row):
+        pairs.add(t(sys, row))
+        steps.add(r(sys, row, ascent))
+        if row[0] in vrows:
+            vrows[row[0]] = row[-1][0]
     suites = [pairs, g(sys), order, steps, s(sys, vrows), m(sys, vrows)]
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return {
@@ -336,7 +327,7 @@ def run_report(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCE
     The output dir is made before any row is filled, so an unusable one
     fails the run before the whole-group work.  It is also the run's cache
     dir, so a second report warm-loads the R-polynomials the first wrote.
-    The dimension table is written during the walk, a layer at a time, and
+    The dimension table is written during the walk, a row at a time, and
     its lines also give the summary's counts.
     """
     from datetime import datetime, timezone  # here, so only a report loads it
@@ -354,14 +345,13 @@ def run_report(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCE
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         out.write(f"# dimension table\n# system: {fp}\n# generated_at: {stamp}\n")
         out.write("x_word;y_word;dimV;gj_coeff;match\n")
-        for layer in _layers(sys, rtable, out_dir):
-            for x, lower, *_, (vrow, rrow) in layer:
-                xw = words[x.position]
-                for y, space, poly in zip(lower, vrow, rrow):  # the index row's own pairs
-                    d, g = space.dim, poly.gj
-                    dims[d] += 1
-                    histogram[g] += 1
-                    out.write(f"{xw};{words[y.position]};{d};{g};{int(d == g)}\n")
+        for x, lower, *_, (vrow, rrow) in _rows(sys, rtable, out_dir):
+            xw = words[x.position]
+            for y, space, poly in zip(lower, vrow, rrow):  # the index row's own pairs
+                d, g = space.dim, poly.gj
+                dims[d] += 1
+                histogram[g] += 1
+                out.write(f"{xw};{words[y.position]};{d};{g};{int(d == g)}\n")
     summary = {
         "system": fp,
         "type": str(sys.descriptor),

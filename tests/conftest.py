@@ -6,13 +6,13 @@ tests share one fill per type through the factory fixtures below.
 
 from __future__ import annotations
 
-from itertools import groupby
 from pathlib import Path
 
 import pytest
 
 from verma_ext.coxeter import build_system, comparable_rows, slot, walk
-from verma_ext.rpoly import RTable
+from verma_ext.rpoly import RTable, ascent_memo
+from verma_ext.verify import _suite_r
 from verma_ext.vtable import compute_all, membership_elements
 
 def comparable_pairs(sys):
@@ -44,18 +44,20 @@ def membership_rows(sys, vrows):
     return {x: vrows[x.position] for x in membership_elements(sys)}
 
 
-def run_layered(suite, sys, vrows, rrows, drows, policy="smallest"):
+def run_rows(suite, sys, vrows, rrows, drows, policy="smallest"):
     """Suite T or R over one walk whose V, R and direct tables are the given filled rows, summed.
 
-    The walk hands the suite one length layer at a time, as a verify pass
-    does; a table given as None fills its rows with None.
+    The walk hands the suite one row at a time, as a verify pass does, and
+    suite R one ascent memo for the whole walk; a table given as None fills
+    its rows with None.
     """
     fills = [lambda x, *_, rows=rows: rows and rows[x.position] for rows in (vrows, rrows, drows)]
-    layers = groupby(walk(sys, policy, *fills), key=lambda row: row[0].length)
-    results = [suite(sys, list(layer)) for _, layer in layers]
-    for result in results[1:]:
-        results[0].add(result)
-    return results[0]
+    extra = (ascent_memo(),) if suite is _suite_r else ()
+    rows = walk(sys, policy, *fills)
+    result = suite(sys, next(rows), *extra)
+    for row in rows:
+        result.add(suite(sys, row, *extra))
+    return result
 
 
 _SYSTEMS: dict[str, object] = {}

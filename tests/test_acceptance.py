@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from conftest import comparable_pairs, membership_rows, reader, run_layered
+from conftest import comparable_pairs, membership_rows, reader, run_rows
 from verma_ext.coxeter import (
     braid_order,
     bruhat_leq,
@@ -86,7 +86,7 @@ def test_c01_dimension_equals_signed_q_coefficient(capsys, tables):
     witness = None
     for text in PRESETS:
         sys, rrows, vrows = tables(text)
-        result = run_layered(_suite_t, sys, vrows, rrows, direct_rows(sys))
+        result = run_rows(_suite_t, sys, vrows, rrows, direct_rows(sys))
         r, v = reader(sys, rrows), reader(sys, vrows)
         pairs += result.checked
         if result.failed:
@@ -229,7 +229,7 @@ def test_c06_r_polynomial_invariants(capsys, tables):
     checked = 0
     for text in PRESETS:
         sys, rrows, vrows = tables(text)
-        result = run_layered(_suite_r, sys, None, rrows, direct_rows(sys))
+        result = run_rows(_suite_r, sys, None, rrows, direct_rows(sys))
         checked += result.checked
         failed += result.failed
     _verdict(

@@ -2,7 +2,7 @@
 
 Expected values are frozen from independent sources: group orders and root
 counts are classical, and every Bruhat answer is cross-checked against the
-exhaustive subword oracle inside the tests themselves.
+exhaustive subword oracle, ``subword_rows``, inside the tests themselves.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from verma_ext.coxeter import (
     DEFAULT_BUDGET,
     DESCENT_POLICIES,
     ORACLE_BUDGET,
-    SubwordOracle,
     TypeDescriptor,
     braid_order,
     bruhat_leq,
@@ -42,9 +41,10 @@ from verma_ext.coxeter import (
     reduced_word,
     right_multiply,
     simple_reflection,
+    subword_rows,
     word_text,
 )
-from verma_ext.errors import BudgetExceeded, InvalidType, InvariantViolation, ParseError, RankOverflow
+from verma_ext.errors import InvalidType, InvariantViolation, ParseError, RankOverflow
 from verma_ext.verify import PRESETS
 from verma_ext.vtable import SingularSpec, VTable, compute_all
 
@@ -324,12 +324,14 @@ def test_bruhat_recursion_matches_subword_oracle(text):
     # which bruhat_leq never reaches the recursion.
     sys = build_system(text)
     elems = enumerate_elements(sys)
-    oracle = SubwordOracle(sys)
     cap = ORACLE_BUDGET.bit_length() - 1  # B4's longest words are past the oracle's budget
-    for x in elems:
-        for y in elems:
-            if y.length <= cap:
-                assert bruhat_leq_lifting(sys, x, y) == oracle.leq(x, y)
+    seen = []
+    for y, products, numbered in subword_rows(sys):
+        seen.append(y)
+        below = {numbered[n] for n in products}
+        for x in elems:
+            assert bruhat_leq_lifting(sys, x, y) == (x.matrix in below)
+    assert seen == [y for y in elems if y.length <= cap]
     assert sys._below is None
     pairs = tuple(comparable_pairs(sys))
     assert sys._below is not None
@@ -405,18 +407,30 @@ def test_walk_keeps_two_length_layers_of_rows():
     assert max(made.values()) > 1 and len(made) == longest_element(sys).length + 1
 
 
-def test_subword_oracle_refuses_words_past_its_budget():
+def test_subword_rows_stop_at_length_12():
     # 2**12 subwords fit ORACLE_BUDGET = 4096 and 2**13 do not; D5's
     # longest element, of length 20, is far past the cap
     d5 = build_system("D5")
     e, w0 = identity(d5), longest_element(d5)
     assert w0.length == 20
-    by_length = {g.length: g for g in enumerate_elements(d5)}
-    oracle = SubwordOracle(d5)
-    assert oracle.leq(e, by_length[12])
-    for y in (by_length[13], w0):
-        with pytest.raises(BudgetExceeded):
-            oracle.leq(e, y)
+    elems = enumerate_elements(d5)
+    rows = [(y, {numbered[n] for n in products}) for y, products, numbered in subword_rows(d5)]
+    assert [y for y, _ in rows] == [y for y in elems if y.length <= 12]
+    assert rows[-1][0].length == 12 and e.matrix in rows[-1][1]
+    assert any(y.length == 13 for y in elems)
+
+
+def test_subword_rows_keep_two_length_layers_of_sets():
+    # The set of y reads only the set of ys, one length shorter, so at each
+    # yield the generator holds the sets of y's layer so far and of the
+    # whole layer below it, and none shorter.
+    sys = build_system("B3")
+    elems = enumerate_elements(sys)
+    rows = subword_rows(sys)
+    for y, *_ in rows:
+        held = rows.gi_frame.f_locals
+        assert list(held["layer"]) == [g for g in elems if g.length == y.length and g.position <= y.position]
+        assert list(held["previous"]) == [g for g in elems if g.length == y.length - 1]
 
 
 def test_bruhat_respects_products(system):
@@ -561,10 +575,10 @@ def test_a_run_walks_the_group_once_and_leaves_only_the_index_masks(command, mon
 
 
 def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
-    # Suite B alone makes a subword oracle, which holds the subword
-    # products, the numbers of their matrices and the reflections they
-    # take; it is freed once the suite returns.  A whole verify pass leaves
-    # the lifting memo empty, and a later single-pair query refills it.
+    # Suite B alone runs the subword oracle, a generator that holds the
+    # subword products, the numbers of their matrices and the reflections
+    # they take; it is freed once the suite returns.  A whole verify pass
+    # leaves the lifting memo empty, and a later single-pair query refills it.
     built, oracles, freed = [], [], []
 
     def build(*args, **kwargs):
@@ -572,7 +586,7 @@ def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
         return built[-1]
 
     def make_oracle(sys):
-        oracle = SubwordOracle(sys)
+        oracle = subword_rows(sys)
         oracles.append(weakref.ref(oracle))
         return oracle
 
@@ -584,7 +598,7 @@ def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
         return result
 
     monkeypatch.setattr(verify, "build_system", build)
-    monkeypatch.setattr(verify, "SubwordOracle", make_oracle)
+    monkeypatch.setattr(verify, "subword_rows", make_oracle)
     monkeypatch.setattr(verify, "_SUITES", (t, g, suite_b, r, s, m))
     payload = verify.run_verify("B3")
     assert [s["checked"] for s in payload["suites"] if s["name"] == "B"] == [2304]
@@ -593,6 +607,39 @@ def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
     assert sys._bruhat == {}
     assert bruhat_leq_lifting(sys, element_from_word(sys, (1,)), longest_element(sys))
     assert sys._bruhat
+
+
+def test_suites_t_and_r_take_one_walk_row_per_call(monkeypatch):
+    # A verify pass hands suites T and R the walk's rows as they come, so
+    # neither holds a layer: each is called once per index row, in position
+    # order, with that row alone, and suite R gets one ascent memo per walk.
+    built, calls = [], {"T": [], "R": []}
+
+    def build(*args, **kwargs):
+        built.append(build_system(*args, **kwargs))
+        return built[-1]
+
+    t, g, b, r, s, m = verify._SUITES
+
+    def suite_t(sys, row):
+        calls["T"].append((row[0], row[1], None))
+        return t(sys, row)
+
+    def suite_r(sys, row, ascent):
+        calls["R"].append((row[0], row[1], ascent))
+        return r(sys, row, ascent)
+
+    monkeypatch.setattr(verify, "build_system", build)
+    monkeypatch.setattr(verify, "_SUITES", (suite_t, g, b, suite_r, s, m))
+    payload = verify.run_verify("B3")
+    (sys,) = built
+    index = list(comparable_rows(sys))
+    for name in "TR":
+        assert [(x, lower) for x, lower, _ in calls[name]] == index
+        assert len(calls[name]) == sys.group_order == 48
+    assert len({id(ascent) for *_, ascent in calls["R"]}) == 1
+    counts = {suite["name"]: (suite["checked"], suite["failed"]) for suite in payload["suites"]}
+    assert counts["T"] == (847, 16) and counts["R"] == (48 * 48, 0)
 
 
 def test_suite_b_flags_an_index_row_that_lost_an_element():
@@ -610,17 +657,17 @@ def test_suite_b_flags_an_index_row_that_lost_an_element():
 @pytest.mark.parametrize("text", PRESETS + ("B4",))
 def test_suite_b_rows_match_the_recursion_and_the_oracle_pair_by_pair(text):
     # Suite B compares whole rows, so each bit of its lifting and oracle rows
-    # is checked here against the single-pair routes, on a fresh system.
+    # is checked here against the single-pair routes, on a fresh system: the
+    # oracle's against the lifting recursion, which reads no subword.
     sys = build_system(text)
     elems = enumerate_elements(sys)
     cap = ORACLE_BUDGET.bit_length() - 1
-    subwords = SubwordOracle(sys)
     seen = []
     for y, index, lifting, oracle in verify._order_rows(sys):
         seen.append(y)
         for x in elems:
             assert bool(lifting >> x.position & 1) is bruhat_leq_lifting(sys, x, y)
-            assert bool(oracle >> x.position & 1) is subwords.leq(x, y)
+            assert bool(oracle >> x.position & 1) is bruhat_leq_lifting(sys, x, y)
             assert bool(index >> x.position & 1) is bruhat_leq(sys, x, y)
     assert seen == [y for y in elems if y.length <= cap]
 
@@ -628,21 +675,16 @@ def test_suite_b_rows_match_the_recursion_and_the_oracle_pair_by_pair(text):
 @pytest.mark.parametrize("text", ["A2", "B2"])
 def test_suite_b_flags_an_oracle_row_that_lost_a_matrix(text, monkeypatch):
     # Every row above the identity loses the oracle's number for the
-    # identity's matrix, so each y != e fails once, at x = e.  Only the
-    # walk's own calls lose it: the oracle's recursion stays whole.
+    # identity's matrix, so each y != e fails once, at x = e.  Only suite
+    # B's view loses it: the rows the oracle builds on stay whole.
     sys = build_system(text)
     e = identity(sys)
 
-    class Lossy:
-        def __init__(self, sys):
-            self.oracle = SubwordOracle(sys)
-            self.numbered = self.oracle.numbered
+    def lossy(sys):
+        for y, products, numbered in subword_rows(sys):
+            yield y, products - ({numbered.index(e.matrix)} if y is not e else set()), numbered
 
-        def products(self, y):
-            products = self.oracle.products(y)
-            return products - ({self.oracle.numbers[e.matrix]} if y is not e else set())
-
-    monkeypatch.setattr(verify, "SubwordOracle", Lossy)
+    monkeypatch.setattr(verify, "subword_rows", lossy)
     result = verify._suite_b(sys)
     elems = enumerate_elements(sys)
     assert (result.checked, result.failed) == (len(elems) ** 2, len(elems) - 1)

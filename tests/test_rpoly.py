@@ -16,7 +16,7 @@ from sys import getrefcount
 
 import pytest
 
-from conftest import comparable_pairs, filled_pairs, run_layered, strict_pairs
+from conftest import comparable_pairs, filled_pairs, run_rows, strict_pairs
 from verma_ext import rpoly as rpoly_module
 from verma_ext.coxeter import (
     bruhat_leq,
@@ -278,12 +278,12 @@ def test_suite_r_flags_wrong_entries_and_never_sees_stray_ones():
     assert not any(poly is stray for row in rows for poly in row)
     assert rtable.r(y, x) is ZERO
     direct = direct_rows(sys)
-    clean = run_layered(_suite_r, sys, None, rows, direct)
+    clean = run_rows(_suite_r, sys, None, rows, direct)
     assert (clean.checked, clean.failed) == (36, 0)
     # a wrong polynomial that keeps every term invariant but not the coefficient
     w0, e = longest_element(sys), identity(sys)
     rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, 3, -3, 1))
-    wrong = run_layered(_suite_r, sys, None, rows, direct)
+    wrong = run_rows(_suite_r, sys, None, rows, direct)
     assert (wrong.checked, wrong.failed) == (36, 1)
     assert wrong.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, 3, -3, 1]}]
 
@@ -294,7 +294,7 @@ def test_suite_r_counts_a_negative_coefficient_row_as_a_failure():
     rows = RTable(sys).fill()
     w0, e = longest_element(sys), identity(sys)
     rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, -1, 1, 1))
-    result = run_layered(_suite_r, sys, None, rows, direct_rows(sys))
+    result = run_rows(_suite_r, sys, None, rows, direct_rows(sys))
     assert (result.checked, result.failed) == (36, 1)
     assert result.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, -1, 1, 1]}]
 

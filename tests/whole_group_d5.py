@@ -7,7 +7,8 @@ table depends on the descent each step strips.  A6 (5,040 elements,
 runs under the default policy, so the walk, the fills it makes and
 every suite are checked at that size.  It runs as ``verma-ext verify`` does,
 through ``cli.main``, in a child process of its own, whose peak RSS must
-stay under ``A6_PEAK_MB``.  Each verify takes over ten seconds, so this file
+stay under ``A6_PEAK_MB``: a pass that held a whole length layer of walk
+rows, or every subword set of the oracle, would fail it.  Each verify takes over ten seconds, so this file
 stays out of the default collection (its name does not match
 ``test_*.py``) and CI runs it as a step of its own:
 
@@ -47,10 +48,13 @@ COUNTS = {
     },
 }
 
-# A whole A6 verify peaked at 147 MB (CPython 3.11, Linux x86-64); the
-# bound leaves room for other interpreters and stays under 206 MB, the peak
-# when suite B ran after the fills.
-A6_PEAK_MB = 130
+# A whole A6 verify peaks at 58 MB (CPython 3.11, Linux x86-64), with the
+# walk's rows handed on one at a time and the subword oracle keeping two
+# length layers.  The bound leaves room for other interpreters and stays
+# under the peak of either half alone: suite B alone peaked at 80 MB when
+# its oracle kept every subword set, and a verify with suite B stubbed out
+# at 103 MB when the walk's rows went on a length layer at a time.
+A6_PEAK_MB = 75
 
 CHILD = """
 import contextlib, io, json, resource
