@@ -77,7 +77,7 @@ def cmd_rpoly(config: RunConfig, x_word: str, y_word: str) -> dict:
     rtable = load_rtable(sys, config.policy, config.cache_dir)
     gj = gj_coefficient(sys, x, y, rtable)  # raises NotComparable when y !<= x
     poly = rtable.r(y, x)
-    save_rtable(rtable, config.cache_dir, rtable.memo_pairs())
+    save_rtable(rtable, config.cache_dir)
     return {
         "system": fingerprint(sys),
         "x": word_text(sys, x),

@@ -22,7 +22,7 @@ and, once the group is enumerated, their position in the (length, matrix)
 order, but no reference to other elements or to the system, so a system
 and its elements are freed by reference counting.
 
-The Bruhat order has three routes.  ``comparable_rows`` builds a numbered
+The Bruhat order has three routes.  ``bruhat_index`` builds a numbered
 index: per element position, the bitmask of the positions below it.  From
 then on ``bruhat_leq`` answers with one bit test; before that it calls
 ``bruhat_leq_lifting``, a memoized recursion on the lifting property, so
@@ -513,7 +513,7 @@ def word_text(sys: CoxeterSystem, g: GroupElement) -> str:
 def bruhat_leq(sys: CoxeterSystem, x: GroupElement, y: GroupElement) -> bool:
     """Decide x <= y in Bruhat order: one bit test once the system has its index.
 
-    ``comparable_rows`` builds the index; before it exists the answer comes
+    ``bruhat_index`` builds the index; before it exists the answer comes
     from ``bruhat_leq_lifting``, so a single-pair query never enumerates the
     group.
     """
@@ -613,17 +613,14 @@ def enumerate_elements(sys: CoxeterSystem) -> tuple[GroupElement, ...]:
     return sys._elements
 
 
-def comparable_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, tuple[GroupElement, ...]]]:
-    """The rows (x, the tuple of the y <= x), by (length, matrix) on x, then on y: x ends its row.
+def bruhat_index(sys: CoxeterSystem) -> list[int]:
+    """The Bruhat index, kept on the system: the bitmask of the positions <= w for each w, by position.
 
-    The call builds the system's Bruhat index, numbered by position in that
-    order, before it returns: ``sys._below[k]`` is the bitmask of the
-    positions of the elements <= w, the k-th element, built from its
-    smallest right descent s as D(w) = D(ws) | D(ws)s (Björner–Brenti,
-    *Combinatorics of Coxeter Groups*, §2.2), so the build costs O(pairs),
-    not O(|W|^2).  Only the masks are cached on the system; each row's tuple
-    is read off its mask's set bits, lowest first, when the row is reached.
-    A group over ``WHOLE_GROUP_LIMIT`` is refused, before it is enumerated.
+    Positions follow the (length, matrix) order.  Each mask is built from
+    the smallest right descent s of its w as D(w) = D(ws) | D(ws)s
+    (Björner–Brenti, *Combinatorics of Coxeter Groups*, §2.2), so the build
+    costs O(pairs), not O(|W|^2), and runs once per system.  A group over
+    ``WHOLE_GROUP_LIMIT`` is refused, before it is enumerated.
     """
     if sys.group_order > WHOLE_GROUP_LIMIT:
         raise RankOverflow(f"group of type {sys.descriptor} has order {sys.group_order}, "
@@ -641,8 +638,7 @@ def comparable_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, tuple[Gr
             lower = below[steps[s][k]]  # ws is shorter, so already built
             below.append(lower | _right_image(lower, steps[s]))
         sys._below = below
-    elements = sys._elements
-    return ((x, tuple(_bits(mask, elements))) for x, mask in zip(elements, sys._below))
+    return sys._below
 
 
 def _right_steps(sys: CoxeterSystem) -> list[list[int]]:
@@ -680,7 +676,7 @@ def walk(sys: CoxeterSystem, policy: str, *fills: Callable) -> Iterator[tuple]:
     """The index rows by position, each with x's descent step and a row of each table.
 
     Yields (x, lower, s, first, second, below, rows): x's index row lower,
-    as ``comparable_rows`` gives it; the descent s that ``policy`` picks (-1
+    the y <= x by position, x last; the descent s that ``policy`` picks (-1
     for the identity); two lists, aligned with the strict part of lower, of
     slots into the index row of xs; xs's row of each table (None for the
     identity); and x's row of each table, ``fill(x, lower, s, below, first,
@@ -694,8 +690,8 @@ def walk(sys: CoxeterSystem, policy: str, *fills: Callable) -> Iterator[tuple]:
     x's and the one below.
     """
     check_policy(policy)
-    comparable_rows(sys)  # builds the index, or refuses a group too large to walk
-    elements, index = sys._elements, sys._below
+    index = bruhat_index(sys)  # or refuses a group too large to walk
+    elements = sys._elements
     steps = _right_steps(sys)
     lows = [list(map(min, range(len(step)), step)) for step in steps]  # g or g s: positions go by length
     where = [-1] * len(elements)  # by position: the slot in the row of xs, or -1

@@ -11,13 +11,13 @@ polynomial has degree length(x) - length(y), leading coefficient 1, constant
 term (-1)**(length(x) - length(y)), and vanishes at q = 1 when y < x.
 ``RTable.r`` recurses from one pair into a sparse memo; ``RTable.row_fill``
 gives the row function by which ``coxeter.walk`` takes the same step once
-per pair, in rows aligned with the Bruhat index, and ``RTable.fill``
-collects those rows; each keeps an ascent memo of its own.
+per pair, in rows aligned with the Bruhat index; each keeps an ascent memo
+of its own.
 
 ``IntPolynomial.gj`` is the q^1 coefficient with the sign that makes it a
 dimension count; ``r_coeff_direct`` (one pair) and ``direct_row`` (every
-pair, a row at a time; ``direct_rows`` collects them) recompute it by a
-first-order recursion that never builds polynomials.  The routes must
+pair, a row at a time, a row function for ``coxeter.walk``) recompute it by
+a first-order recursion that never builds polynomials.  The routes must
 agree; the verification suites check that they do.  ``load_rtable`` and
 ``save_rtable`` read and write the R cache, one csv file per system in a
 cache dir, by ``RTable.load_csv`` and ``RTable.save_csv``, whose
@@ -46,7 +46,6 @@ from .coxeter import (
     element_from_word,
     fingerprint,
     parse_word,
-    walk,
     word_text,
 )
 from .errors import InvariantViolation, IoError, ParseError
@@ -147,10 +146,11 @@ class RTable:
     one row per upper element x keyed by the lower element y; each row
     starts as {x: ONE}, so it holds its diagonal.  ``row_fill`` fills every
     pair's R(y, x) as rows and takes each row out of the memo.  ``computed``
-    counts the strict pairs y < x the recursion produced (cache loads do not
-    count), so tests see that a warm cache recomputes nothing.  Incomparable
-    lookups return the zero polynomial without touching the table.  The
-    cache file holds the strict pairs only.
+    counts the strict pairs y < x the recursion produced, so tests see that
+    a warm cache recomputes nothing, and ``loaded`` the distinct strict
+    pairs that cache loads added.  Incomparable lookups return the zero
+    polynomial without touching the table.  The cache file holds the
+    strict pairs only.
     """
 
     def __init__(self, sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]):
@@ -158,7 +158,7 @@ class RTable:
         self.sys = sys
         self.policy = policy
         self._memo: dict[GroupElement, dict[GroupElement, IntPolynomial]] = {}
-        self.computed = 0
+        self.computed = self.loaded = 0
         self.ascent = ascent_memo()  # the lazy path's: ``row_fill`` makes its own
         self._words = functools.cache(functools.partial(word_text, sys))  # csv_lines' memos
         self._coeffs: dict[int, tuple[str, IntPolynomial]] = {}  # by id, with the polynomial
@@ -207,10 +207,6 @@ class RTable:
 
         return fill
 
-    def fill(self) -> list[list[IntPolynomial]]:
-        """R(y, x) for every pair y <= x, by ``row_fill``: rows aligned with the index rows."""
-        return [rows[0] for *_, rows in walk(self.sys, self.policy, self.row_fill())]
-
     def memo_pairs(self) -> Iterator[tuple[GroupElement, GroupElement, IntPolynomial]]:
         """The memo's strict pairs as (x, y, R(y, x)), by (length, matrix) on x, then on y."""
         memo = self._memo
@@ -253,10 +249,12 @@ class RTable:
         """Merge entries from a cache file into the memo, streamed, validating each row.
 
         Load before ``row_fill``, which takes its entries.  Returns the number of
-        rows loaded.  A row must name a pair y < x and carry an ``r_shaped``
-        polynomial of degree length(x) - length(y); a row that does not, or
-        a system fingerprint mismatch, is a ParseError that names
-        ``path:lineno``, as is a byte that is not UTF-8 (by file offset).
+        rows loaded; ``loaded`` grows by the pairs that were new.  A row must
+        name a pair y < x, carry an ``r_shaped`` polynomial of degree
+        length(x) - length(y) and agree with the memo's entry for its pair,
+        if any; a row that does not, or a system fingerprint mismatch, is a
+        ParseError that names ``path:lineno``, as is a byte that is not
+        UTF-8 (by file offset).
         Each distinct coefficient list is parsed and checked once per gap,
         and the rows that carry it share one polynomial.  A row that passes
         all of these can still be wrong: ``verify``'s suite R checks it
@@ -266,7 +264,7 @@ class RTable:
         fp = fingerprint(sys)
         words: dict[str, GroupElement] = {}  # word text -> element, for this load only
         polys: dict[tuple[str, int], IntPolynomial] = {}  # (coefficient text, gap) -> checked
-        loaded = 0
+        held, loaded = sum(map(len, rows.values())) - len(rows), 0  # strict pairs in the memo, rows
         for lineno, line in enumerate(_text_lines(path), start=1):
             line = line.strip()
             if not line:
@@ -287,11 +285,14 @@ class RTable:
                     raise ParseError(f"{yw} is not strictly below {xw}")
                 key = (cs, x.length - y.length)
                 poly = polys.get(key) or polys.setdefault(key, _parse_checked(*key))
+                row = rows.get(x) or rows.setdefault(x, {x: ONE})
+                known = row.setdefault(y, poly)
+                if known is not poly and known.coeffs != poly.coeffs:
+                    raise ParseError(f"{yw} < {xw} already has R-polynomial {known}, not {poly}")
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            row = rows.get(x) or rows.setdefault(x, {x: ONE})
-            row.setdefault(y, poly)
             loaded += 1
+        self.loaded += sum(map(len, rows.values())) - len(rows) - held
         return loaded
 
 
@@ -316,8 +317,8 @@ def load_rtable(sys: CoxeterSystem, policy: str, cache_dir: Path | None) -> RTab
     return rtable
 
 
-def save_rtable(rtable: RTable, cache_dir: Path | None, pairs: Iterable[tuple]) -> None:
-    """Write the pairs (x, y, R(y, x)) into the cache dir by ``save_csv``, if there is one.
+def save_rtable(rtable: RTable, cache_dir: Path | None) -> None:
+    """Write the memo's pairs (``memo_pairs``) into the cache dir by ``save_csv``, if there is one.
 
     A cache file the table computed nothing beyond already holds these rows,
     so it is left as it is.
@@ -328,7 +329,7 @@ def save_rtable(rtable: RTable, cache_dir: Path | None, pairs: Iterable[tuple]) 
     if rtable.computed == 0 and cache.exists():
         return
     _make_dir(cache.parent, "cache")
-    rtable.save_csv(cache, pairs)
+    rtable.save_csv(cache, rtable.memo_pairs())
 
 
 def _text_lines(path: Path | str) -> Iterator[str]:
@@ -454,8 +455,3 @@ def direct_row(x, lower, s, below, first, second) -> bytes:
     when it ascends to a ys that is not below xs: then its second slot is -1.
     """
     return bytes([below[a] + (b < 0) for a, b in zip(first, second)] + [0])
-
-
-def direct_rows(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> list[bytes]:
-    """``direct_row`` for every index row, by position."""
-    return [rows[0] for *_, rows in walk(sys, policy, direct_row)]

@@ -14,7 +14,8 @@ order:
        rows where the prediction is asserted to be exact
 
 Each suite reports how many atomic checks ran and how many failed, plus a
-witness for the first failure, in a ``SuiteResult``.  Suite B, which reads
+witness for the first failure, in a ``SuiteResult``, which formats that
+witness only when the payload is built.  Suite B, which reads
 no rows, runs first.  Then one ``coxeter.walk`` fills the V, R and direct
 count rows, handed over one row at a time (``_rows``): suites T and R check
 each row and are summed by ``SuiteResult.add``, and the V rows of the
@@ -34,6 +35,7 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterator
 from contextlib import nullcontext
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -42,8 +44,8 @@ from .coxeter import (
     DESCENT_POLICIES,
     GroupElement,
     braid_order,
+    bruhat_index,
     build_system,
-    comparable_rows,
     enumerate_elements,
     fingerprint,
     identity,
@@ -60,7 +62,7 @@ from .coxeter import (
 # span around it would hide the RTable.load_csv span inside
 from . import rpoly
 from .reflection import apply_element, basis_vector, coroot_pairing, reflect
-from .rpoly import RTable, _make_dir, _rpoly_cache_path, ascent_memo, atomic_file, direct_row, r_steps
+from .rpoly import RTable, _make_dir, _rpoly_cache_path, atomic_file, direct_row, r_steps
 from .vtable import SingularSpec, membership_elements, membership_report, singular_v, v_fill
 
 PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2")
@@ -69,36 +71,38 @@ PRESETS = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A1xA2
 class SuiteResult:
     """One suite's counts and first witness; ``as_dict`` gives its payload entry."""
 
-    __slots__ = ("name", "checked", "failed", "witnesses")
+    __slots__ = ("name", "checked", "failed", "witness")
 
     def __init__(self, name: str, checked: int = 0):
-        self.name, self.checked, self.failed, self.witnesses = name, checked, 0, []
+        self.name, self.checked, self.failed, self.witness = name, checked, 0, None
 
     def as_dict(self) -> dict:
-        """The four fields by name, in declaration order."""
+        """The four fields by name, in declaration order, the first witness built here."""
+        w = self.witness
         return {"name": self.name, "checked": self.checked, "failed": self.failed,
-                "witnesses": self.witnesses}
+                "witnesses": [] if w is None else [w() if callable(w) else w]}
 
     def note_failure(self, witness: dict | Callable[[], dict], count: int = 1) -> None:
-        """Count failures and keep the first witness: a dict, or a function called for the first only."""
+        """Count failures and keep the first witness: a dict, or a function of values bound now."""
         self.failed += count
-        if not self.witnesses:
-            self.witnesses.append(witness() if callable(witness) else witness)
+        if self.witness is None:
+            self.witness = witness
 
     def add(self, other: SuiteResult) -> None:
         """Sum in the counts of a later run of the suite, keeping the first witness."""
         self.checked += other.checked
         if other.failed:
-            self.note_failure(other.witnesses[0], other.failed)
+            self.note_failure(other.witness, other.failed)
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
-def _witness(sys, x, y, **fields) -> dict:
-    """A failing pair's witness: the words of x and y, then the suite's own fields."""
-    return {"x": word_text(sys, x), "y": word_text(sys, y), **fields}
+def _witness(sys, x, y, space=None, **fields) -> dict:
+    """A failing pair's witness: the words of x and y, the suite's fields, then a subspace's basis."""
+    basis = {} if space is None else {"basis": space.to_json_dict()["basis"]}
+    return {"x": word_text(sys, x), "y": word_text(sys, y), **fields, **basis}
 
 
 def _suite_t(sys, row: tuple) -> SuiteResult:
@@ -108,8 +112,7 @@ def _suite_t(sys, row: tuple) -> SuiteResult:
     for y, space, poly, count in zip(lower, vrow, rrow, drow):
         d, g = space.dim, poly.gj
         if not (d == g == count):
-            out.note_failure(lambda: _witness(sys, x, y, dim=d, gj=g, direct=count,
-                                              basis=space.to_json_dict()["basis"]))
+            out.note_failure(partial(_witness, sys, x, y, space, dim=d, gj=g, direct=count))
     return out
 
 
@@ -159,7 +162,7 @@ def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
     """(y, index, lifting, oracle) for each y that ``subword_rows`` reaches, by position.
 
     Each row is the bitmask of the positions of the x <= y, by one route:
-    y's index mask, ``sys._below``; the lifting property on the
+    y's index mask, from ``bruhat_index``; the lifting property on the
     lifting row L of ys, for s the largest descent of y (x <= y iff x <= ys
     when xs > x, iff xs <= ys when xs < x), that is A | A s for A the
     elements of L with ascent s, where the index takes the smallest descent
@@ -167,7 +170,7 @@ def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
     each oracle number mapped to a position once, where distinct numbers
     make the sum of bits an OR.
     """
-    comparable_rows(sys)  # builds the index, or refuses a group too large to walk, first
+    index = bruhat_index(sys)  # or refuses a group too large to walk, first
     elements = enumerate_elements(sys)
     steps = _right_steps(sys)
     has_descent = [sum(1 << g.position for g in elements if g.descents >> s & 1)
@@ -182,7 +185,7 @@ def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
             lifting.append(ascents | _right_image(ascents, steps[s]))
         to_position += map(position.__getitem__, numbered[len(to_position):])
         by_oracle = sum(map((1).__lshift__, map(to_position.__getitem__, products)))
-        yield y, sys._below[y.position], lifting[y.position], by_oracle
+        yield y, index[y.position], lifting[y.position], by_oracle
 
 
 def _suite_b(sys) -> SuiteResult:
@@ -199,8 +202,8 @@ def _suite_b(sys) -> SuiteResult:
         wrong = (index ^ lifting) | (index ^ oracle)
         if wrong:
             k = (wrong & -wrong).bit_length() - 1
-            out.note_failure(lambda: _witness(sys, elements[k], y, recursive=bool(lifting >> k & 1),
-                                              index=bool(index >> k & 1), oracle=bool(oracle >> k & 1)),
+            out.note_failure(partial(_witness, sys, elements[k], y, recursive=bool(lifting >> k & 1),
+                                     index=bool(index >> k & 1), oracle=bool(oracle >> k & 1)),
                              wrong.bit_count())
     return out
 
@@ -224,7 +227,7 @@ def _suite_r(sys, row: tuple, ascent: Callable) -> SuiteResult:
     for y, step, poly, count in zip(lower, steps, rrow, drow):
         if not (poly.degree == upper.length - y.length and poly.r_shaped and poly.gj == count
                 and poly.coeffs == step.coeffs):
-            out.note_failure(lambda: _witness(sys, upper, y, coeffs=list(poly.coeffs)))
+            out.note_failure(partial(_witness, sys, upper, y, coeffs=list(poly.coeffs)))
     return out
 
 
@@ -248,9 +251,8 @@ def _suite_m(sys, vrows: dict) -> SuiteResult:
     for row in membership_report(sys, vrows):
         out.checked += 1
         if row.in_v != row.x_ge_ys:
-            out.note_failure(
-                _witness(sys, row.x, row.y, s=row.s, in_v=row.in_v, x_ge_ys=row.x_ge_ys)
-            )
+            out.note_failure(partial(_witness, sys, row.x, row.y, s=row.s, in_v=row.in_v,
+                                     x_ge_ys=row.x_ge_ys))
     return out
 
 
@@ -266,8 +268,8 @@ def _rows(sys, rtable: RTable, cache_dir: Path | None, *fills) -> Iterator[tuple
     unless the loaded file already holds every strict pair of the index, so
     that the walk computes nothing; that is decided before the walk.
     """
-    memo, index = rtable._memo, sys._below
-    stale = sum(map(len, memo.values())) - len(memo) < sum(map(int.bit_count, index)) - len(index)
+    index = bruhat_index(sys)
+    stale = rtable.loaded < sum(map(int.bit_count, index)) - len(index)
     cache = _rpoly_cache_path(cache_dir, sys) if cache_dir is not None and stale else None
     with nullcontext() if cache is None else atomic_file(cache) as out:
         if out is not None:
@@ -294,9 +296,9 @@ def run_verify(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCE
         _make_dir(Path(cache_dir), "cache")
     t, g, b, r, s, m = _SUITES  # read at call time, so a wrapper set on _SUITES sees each call
     order = b(sys)
-    comparable_rows(sys)  # builds the index, so each cache row's order check is one bit test
+    bruhat_index(sys)  # builds the index, so each cache row's order check is one bit test
     rtable = rpoly.load_rtable(sys, policy, cache_dir)
-    pairs, steps, ascent = SuiteResult("T"), SuiteResult("R"), ascent_memo()  # one memo per walk
+    pairs, steps, ascent = SuiteResult("T"), SuiteResult("R"), rtable.ascent  # r's memo, unused here
     vrows = dict.fromkeys(membership_elements(sys))  # V rows kept for suites S and M
     for row in _rows(sys, rtable, cache_dir, direct_row):
         pairs.add(t(sys, row))
@@ -336,7 +338,7 @@ def run_report(type_text: str, budget: int = DEFAULT_BUDGET, policy: str = DESCE
     out_dir = Path(cache_dir) if cache_dir is not None else Path("verma_ext_cache")
     _make_dir(out_dir, "output")
     fp = fingerprint(sys)
-    comparable_rows(sys)  # builds the index, so each cache row's order check is one bit test
+    bruhat_index(sys)  # builds the index, so each cache row's order check is one bit test
     rtable = rpoly.load_rtable(sys, policy, out_dir)
     words = [word_text(sys, g) for g in enumerate_elements(sys)]  # by position
     histogram, dims = Counter(), Counter()

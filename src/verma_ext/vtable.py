@@ -22,9 +22,8 @@ so u(v_{s_k}), column s_k of u's matrix, is an integer positive root
 (Björner–Brenti, *Combinatorics of Coxeter Groups*, ch. 4).  A lone query,
 ``VTable.v``, walks its whole chain and builds one echelon basis from those
 roots.  ``v_fill`` instead gives the row function by which ``coxeter.walk``
-fills every pair, in rows aligned with the Bruhat index, and
-``compute_all`` collects those rows: each pair takes one step to the filled
-pair below.  A down step builds s . known; an up step builds span(v_s,
+fills every pair, in rows aligned with the Bruhat index: each pair takes
+one step to the filled pair below.  A down step builds s . known; an up step builds span(v_s,
 known), with no matrix product, since s moves a vector only along v_s.
 Both builds are memoised on the known subspace and the step, so only a new
 key costs one (366 for D4's 9,817 pairs), and both reach the canonical
@@ -66,7 +65,6 @@ from .coxeter import (
     right_multiply,
     simple_reflection,
     slot,
-    walk,
 )
 from .errors import (
     IndexOutOfRange,
@@ -161,11 +159,6 @@ def v_fill(sys: CoxeterSystem) -> Callable:
         return row
 
     return fill
-
-
-def compute_all(sys: CoxeterSystem, policy: str = DESCENT_POLICIES[0]) -> list[list[RationalSubspace]]:
-    """V(x, y) for every pair y <= x, by ``v_fill``: rows by position, aligned with the index rows."""
-    return [rows[0] for *_, rows in walk(sys, policy, v_fill(sys))]
 
 
 def singular_v(sys: CoxeterSystem, space: RationalSubspace, spec: SingularSpec) -> RationalSubspace:

@@ -10,14 +10,25 @@ from pathlib import Path
 
 import pytest
 
-from verma_ext.coxeter import build_system, comparable_rows, slot, walk
+from verma_ext.coxeter import build_system, slot, walk
 from verma_ext.rpoly import RTable, ascent_memo
 from verma_ext.verify import _suite_r
-from verma_ext.vtable import compute_all, membership_elements
+from verma_ext.vtable import membership_elements, v_fill
+
+
+def index_rows(sys):
+    """The rows (x, the tuple of the y <= x) of one ``walk`` with no tables, by position: x ends its row."""
+    return ((x, lower) for x, lower, *_ in walk(sys, "smallest"))
+
+
+def table_rows(sys, fill, policy="smallest"):
+    """The rows that the row function ``fill`` gives over one ``walk``, by position."""
+    return [rows[0] for *_, rows in walk(sys, policy, fill)]
+
 
 def comparable_pairs(sys):
     """The pairs (x, y) with y <= x, read off the rows of the Bruhat index as they are asked for."""
-    return ((x, y) for x, lower in comparable_rows(sys) for y in lower)
+    return ((x, y) for x, lower in index_rows(sys) for y in lower)
 
 
 def reader(sys, rows):
@@ -27,7 +38,7 @@ def reader(sys, rows):
 
 def filled_pairs(sys, rows):
     """(x, y, entry) for every pair y <= x of a filled table's rows, checking they align with the index."""
-    index = list(comparable_rows(sys))
+    index = list(index_rows(sys))
     assert len(rows) == len(index)
     for (x, lower), row in zip(index, rows):
         assert len(row) == len(lower)
@@ -80,12 +91,13 @@ def system():
 
 @pytest.fixture(scope="session")
 def vtable(system):
-    """Factory returning ``compute_all``'s V rows of a type (smallest-descent policy), aligned with the index rows."""
+    """Factory returning the ``v_fill`` rows of a type (smallest-descent policy), aligned with the index rows."""
 
     def get(type_text: str):
         key = type_text.upper()
         if key not in _VTABLES:
-            _VTABLES[key] = compute_all(system(type_text))
+            sys = system(type_text)
+            _VTABLES[key] = table_rows(sys, v_fill(sys))
         return _VTABLES[key]
 
     return get

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from conftest import comparable_pairs, membership_rows, reader, run_rows
+from conftest import comparable_pairs, membership_rows, reader, run_rows, table_rows
 from verma_ext.coxeter import (
     braid_order,
     bruhat_leq,
@@ -29,7 +29,7 @@ from verma_ext.coxeter import (
     longest_element,
     right_multiply,
 )
-from verma_ext.rpoly import RTable, direct_rows, r_coeff_direct
+from verma_ext.rpoly import RTable, direct_row, r_coeff_direct
 from verma_ext.verify import (
     PRESETS,
     run_report,
@@ -40,7 +40,7 @@ from verma_ext.verify import (
     _suite_r,
     _suite_t,
 )
-from verma_ext.vtable import SingularSpec, compute_all, singular_v
+from verma_ext.vtable import SingularSpec, singular_v, v_fill
 
 _TABLES: dict[str, tuple] = {}
 
@@ -58,7 +58,7 @@ def tables():
     def get(text: str):
         if text not in _TABLES:
             sys = build_system(text)
-            vrows, rrows = compute_all(sys), RTable(sys).fill()
+            vrows, rrows = table_rows(sys, v_fill(sys)), table_rows(sys, RTable(sys).row_fill())
             _TABLES[text] = (sys, rrows, vrows)
         return _TABLES[text]
 
@@ -86,7 +86,7 @@ def test_c01_dimension_equals_signed_q_coefficient(capsys, tables):
     witness = None
     for text in PRESETS:
         sys, rrows, vrows = tables(text)
-        result = run_rows(_suite_t, sys, vrows, rrows, direct_rows(sys))
+        result = run_rows(_suite_t, sys, vrows, rrows, table_rows(sys, direct_row))
         r, v = reader(sys, rrows), reader(sys, vrows)
         pairs += result.checked
         if result.failed:
@@ -94,7 +94,7 @@ def test_c01_dimension_equals_signed_q_coefficient(capsys, tables):
             if all(rank <= 2 for _, rank in sys.descriptor.factors):
                 small_rank_bad.append(text)
             if witness is None:
-                w = result.witnesses[0]
+                w = result.as_dict()["witnesses"][0]
                 witness = (text, w["x"], w["y"], w["dim"], w["gj"])
         for x, y in comparable_pairs(sys):
             gj = r(x, y).gj
@@ -136,7 +136,7 @@ def test_c02_three_code_paths_agree(capsys, tables):
     for text in PRESETS:
         sys, rrows, vrows = tables(text)
         r, v = reader(sys, rrows), reader(sys, vrows)
-        other = compute_all(sys, policy="largest")
+        other = table_rows(sys, v_fill(sys), "largest")
         assert list(map(len, other)) == list(map(len, vrows))
         for row, other_row in zip(vrows, other):  # both aligned with the index rows
             for space, other_space in zip(row, other_row):
@@ -229,7 +229,7 @@ def test_c06_r_polynomial_invariants(capsys, tables):
     checked = 0
     for text in PRESETS:
         sys, rrows, vrows = tables(text)
-        result = run_rows(_suite_r, sys, None, rrows, direct_rows(sys))
+        result = run_rows(_suite_r, sys, None, rrows, table_rows(sys, direct_row))
         checked += result.checked
         failed += result.failed
     _verdict(
@@ -271,7 +271,7 @@ def test_c08_descent_policy_robustness(capsys, tables):
     checked = 0
     for text in ("A3", "B2"):
         sys, _, vrows = tables(text)
-        other = compute_all(sys, policy="largest")
+        other = table_rows(sys, v_fill(sys), "largest")
         assert list(map(len, other)) == list(map(len, vrows))
         for row, other_row in zip(vrows, other):  # both aligned with the index rows
             for space, other_space in zip(row, other_row):

@@ -463,6 +463,37 @@ def test_well_shaped_wrong_cache_row_is_caught_by_verify_not_report(capsys, tmp_
         assert f'  witness: {{"coeffs": [{coeffs}], "x": "{x}", "y": "e"}}\n' in out
 
 
+@pytest.mark.parametrize("command", [("rpoly", "0,1,0", "e"), ("verify",), ("report",)],
+                         ids=["rpoly", "verify", "report"])
+def test_a_cache_that_gives_a_pair_two_r_polynomials_is_a_domain_error(capsys, tmp_path, command):
+    # The appended row is well shaped, but the file already gives its pair
+    # another polynomial: whichever command loads it fails at that line,
+    # and no rewrite runs, so the file stays as it was.
+    assert run(capsys, "report", "--type", "A2", "--cache-dir", str(tmp_path))[0] == 0
+    (path,) = tmp_path.glob("rpoly_A2-*.csv")
+    rows = path.read_text()
+    assert "\ne;0,1,0;-1,2,-2,1\n" in rows
+    path.write_text(rows + "e;0,1,0;-1,4,-4,1\n")
+    before = path.read_bytes()
+    code, out, err = run(capsys, command[0], "--type", "A2", *command[1:], "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    lineno = len(rows.splitlines()) + 1
+    assert err == (f"error: {path}:{lineno}: e < 0,1,0 already has R-polynomial q^3-2q^2+2q-1, "
+                   "not q^3-4q^2+4q-1\n")
+    assert path.read_bytes() == before
+
+
+def test_a_cache_row_repeated_with_the_same_polynomial_still_loads(capsys, tmp_path):
+    argv = ("report", "--type", "A2", "--format", "json", "--cache-dir", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    (path,) = tmp_path.glob("rpoly_A2-*.csv")
+    path.write_text(path.read_text() + "e;0,1,0;-1,2,-2,1\n")
+    before = path.read_bytes()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["rtable_computed"] == 0
+    assert path.read_bytes() == before  # every strict pair was loaded, so nothing is rewritten
+
+
 def test_env_var_beats_cache_flag(capsys, tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     flag_dir = tmp_path / "from_flag"
@@ -523,7 +554,7 @@ def test_verify_unusable_cache_dir_fails_before_the_whole_group_work(capsys, tmp
     def walk(*args, **kwargs):
         raise AssertionError("the group was walked before the cache dir was made")
 
-    monkeypatch.setattr(verify, "comparable_rows", walk)  # suite B's index build
+    monkeypatch.setattr(verify, "bruhat_index", walk)  # suite B's index build
     monkeypatch.setattr(verify, "walk", walk)
     code, out, err = run(capsys, "verify", "--type", "A2", "--cache-dir", str(blocker))
     assert (code, out) == (1, "")

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import comparable_pairs
+from conftest import comparable_pairs, index_rows, table_rows
 from verma_ext import cli, coxeter, rpoly, verify
 from verma_ext.cli import main
 from verma_ext.coxeter import (
@@ -26,8 +26,8 @@ from verma_ext.coxeter import (
     bruhat_leq,
     bruhat_leq_lifting,
     build_cartan,
+    bruhat_index,
     build_system,
-    comparable_rows,
     element_from_word,
     enumerate_elements,
     fingerprint,
@@ -45,8 +45,9 @@ from verma_ext.coxeter import (
     word_text,
 )
 from verma_ext.errors import InvalidType, InvariantViolation, ParseError, RankOverflow
+from verma_ext.reflection import RationalSubspace
 from verma_ext.verify import PRESETS
-from verma_ext.vtable import SingularSpec, VTable, compute_all
+from verma_ext.vtable import SingularSpec, VTable, v_fill
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +120,7 @@ def test_whole_group_work_refuses_groups_over_the_limit():
     e6 = build_system("E6")
     assert e6.group_order == 51_840 > coxeter.WHOLE_GROUP_LIMIT
     with pytest.raises(RankOverflow, match="E6 has order 51840, over the whole-group limit 10000"):
-        comparable_rows(e6)
+        bruhat_index(e6)
     assert e6._elements is None and e6._below is None
     # A6, the largest group whose whole runs are measured, is admitted
     assert build_system("A6").group_order == 5_040 <= coxeter.WHOLE_GROUP_LIMIT
@@ -334,7 +335,7 @@ def test_bruhat_recursion_matches_subword_oracle(text):
     assert seen == [y for y in elems if y.length <= cap]
     assert sys._below is None
     pairs = tuple(comparable_pairs(sys))
-    assert sys._below is not None
+    assert sys._below is not None and bruhat_index(sys) is sys._below
     # in (length, matrix) order on x, then on y
     assert pairs == tuple((x, y) for x in elems for y in elems if bruhat_leq_lifting(sys, y, x))
     for x in elems:
@@ -344,7 +345,7 @@ def test_bruhat_recursion_matches_subword_oracle(text):
 
 def test_whole_group_fills_read_the_index_not_the_recursion():
     d4 = build_system("D4")
-    compute_all(d4)
+    table_rows(d4, v_fill(d4))
     table = rpoly.RTable(d4)
     elems = enumerate_elements(d4)
     for x in elems:
@@ -360,7 +361,8 @@ def test_walk_makes_each_row_once_from_the_row_of_xs(monkeypatch):
     # slots into it; the walk yields all of these with the rows made, and
     # takes no descent step of its own.
     sys = build_system("B3")
-    index = list(comparable_rows(sys))
+    elems = enumerate_elements(sys)
+    index = [(x, tuple(y for y in elems if bruhat_leq_lifting(sys, y, x))) for x in elems]
     made = []  # by position: the rows made for x, one per table
 
     def fill(table):
@@ -633,7 +635,7 @@ def test_suites_t_and_r_take_one_walk_row_per_call(monkeypatch):
     monkeypatch.setattr(verify, "_SUITES", (suite_t, g, b, suite_r, s, m))
     payload = verify.run_verify("B3")
     (sys,) = built
-    index = list(comparable_rows(sys))
+    index = list(index_rows(sys))
     for name in "TR":
         assert [(x, lower) for x, lower, _ in calls[name]] == index
         assert len(calls[name]) == sys.group_order == 48
@@ -642,14 +644,34 @@ def test_suites_t_and_r_take_one_walk_row_per_call(monkeypatch):
     assert counts["T"] == (847, 16) and counts["R"] == (48 * 48, 0)
 
 
+def test_a_verify_pass_formats_one_witness_per_suite(monkeypatch):
+    # D4 fails suite T on 377 pairs in 58 rows, but a run formats only the
+    # first failing pair's witness, in walk order, and only as the payload
+    # is built: one basis in all, with the values noted at that pair.
+    formatted = []
+    to_json_dict = RationalSubspace.to_json_dict
+
+    def counted(space):
+        formatted.append(space)
+        return to_json_dict(space)
+
+    monkeypatch.setattr(RationalSubspace, "to_json_dict", counted)
+    payload = verify.run_verify("D4")
+    assert len(formatted) == 1
+    (t,) = [suite for suite in payload["suites"] if suite["name"] == "T"]
+    assert t["failed"] == 377
+    basis = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"]]
+    assert t["witnesses"] == [{"x": "0,1,2,1,0", "y": "1", "dim": 3, "gj": 4, "direct": 4, "basis": basis}]
+    assert list(t["witnesses"][0]) == ["x", "y", "dim", "gj", "direct", "basis"]
+
+
 def test_suite_b_flags_an_index_row_that_lost_an_element():
     sys = build_system("A2")  # its own system, as the test plants a fault in its index
-    comparable_rows(sys)  # builds the index
     w0, e = longest_element(sys), identity(sys)
-    sys._below[w0.position] &= ~(1 << e.position)
+    bruhat_index(sys)[w0.position] &= ~(1 << e.position)  # the masks the system keeps
     result = verify._suite_b(sys)
     assert (result.checked, result.failed) == (36, 1)
-    assert result.witnesses == [
+    assert result.as_dict()["witnesses"] == [
         {"x": "e", "y": "0,1,0", "recursive": True, "index": False, "oracle": True}
     ]
 
@@ -688,7 +710,7 @@ def test_suite_b_flags_an_oracle_row_that_lost_a_matrix(text, monkeypatch):
     result = verify._suite_b(sys)
     elems = enumerate_elements(sys)
     assert (result.checked, result.failed) == (len(elems) ** 2, len(elems) - 1)
-    assert result.witnesses == [
+    assert result.as_dict()["witnesses"] == [
         {"x": "e", "y": word_text(sys, elems[1]), "recursive": True, "index": True,
          "oracle": False}
     ]
@@ -697,12 +719,12 @@ def test_suite_b_flags_an_oracle_row_that_lost_a_matrix(text, monkeypatch):
 def test_suite_b_counts_each_pair_an_index_row_lost():
     sys = build_system("A3")  # its own system, as the test plants a fault in its index
     w0 = longest_element(sys)
-    lower = dict(comparable_rows(sys))[w0]  # which builds the index
+    lower = dict(index_rows(sys))[w0]  # which builds the index
     lost = lower[7], lower[3]
-    sys._below[w0.position] &= ~(1 << lost[0].position | 1 << lost[1].position)
+    bruhat_index(sys)[w0.position] &= ~(1 << lost[0].position | 1 << lost[1].position)
     result = verify._suite_b(sys)
     assert (result.checked, result.failed) == (24 * 24, 2)
-    assert result.witnesses == [
+    assert result.as_dict()["witnesses"] == [
         {"x": word_text(sys, lost[1]), "y": "0,1,2,0,1,0", "recursive": True,
          "index": False, "oracle": True}
     ]

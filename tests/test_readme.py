@@ -76,9 +76,9 @@ def test_every_layout_name_resolves_in_the_package():
 
 
 def test_the_scan_flags_a_name_the_package_lacks():
-    row = ("`RTable(sys)`: `r(y, x)`, `fill()`, `coxeter.walk`, `coxeter.no_such`, "
+    row = ("`RTable(sys)`: `r(y, x)`, `row_fill()`, `coxeter.walk`, `coxeter.no_such`, "
            "`drop_memos`, `SuiteResult.add`, `NoOracle.leq`, `RTable.gone()`, `verify`, `bytes`")
-    assert checked_names(row) == ["RTable", "r", "fill", "coxeter.walk", "coxeter.no_such",
+    assert checked_names(row) == ["RTable", "r", "row_fill", "coxeter.walk", "coxeter.no_such",
                                   "drop_memos", "SuiteResult.add", "NoOracle.leq", "RTable.gone"]
     assert unresolved("verma_ext.rpoly", row) == [
         "verma_ext.rpoly: coxeter.no_such", "verma_ext.rpoly: drop_memos",

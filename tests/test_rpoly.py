@@ -16,12 +16,12 @@ from sys import getrefcount
 
 import pytest
 
-from conftest import comparable_pairs, filled_pairs, run_rows, strict_pairs
+from conftest import comparable_pairs, filled_pairs, run_rows, strict_pairs, table_rows
 from verma_ext import rpoly as rpoly_module
 from verma_ext.coxeter import (
+    bruhat_index,
     bruhat_leq,
     build_system,
-    comparable_rows,
     descend,
     element_from_word,
     enumerate_elements,
@@ -43,7 +43,7 @@ from verma_ext.rpoly import (
     IntPolynomial,
     RTable,
     ascent_memo,
-    direct_rows,
+    direct_row,
     gj_coefficient,
     r_coeff_direct,
 )
@@ -236,7 +236,7 @@ def test_row_fill_matches_a_fresh_recursion(text, policy):
     # per row, not per pair, to keep the test's time down.
     sys = build_system(text)
     table = RTable(sys, policy=policy)
-    rows = table.fill()
+    rows = table_rows(sys, table.row_fill(), policy)
     elems, pairs = enumerate_elements(sys), len(list(comparable_pairs(sys)))
     assert table.computed == pairs - len(elems) and sum(map(len, rows)) == pairs
     fresh = last = None
@@ -248,7 +248,7 @@ def test_row_fill_matches_a_fresh_recursion(text, policy):
 
 def test_fill_after_a_cache_load_computes_only_what_is_missing(tmp_path, system):
     a3 = system("A3")
-    full = RTable(a3).fill()
+    full = table_rows(a3, RTable(a3).row_fill())
     strict = [(y, x) for x, y, _ in filled_pairs(a3, full) if y is not x]  # the file's pairs
     for name, keep in (("full", strict), ("part", strict[::3])):
         path = tmp_path / f"{name}.csv"
@@ -259,7 +259,7 @@ def test_fill_after_a_cache_load_computes_only_what_is_missing(tmp_path, system)
         warm = RTable(a3)
         loaded = warm.load_csv(path)
         kept = {x: dict(row) for x, row in warm._memo.items()}
-        rows = warm.fill()
+        rows = table_rows(a3, warm.row_fill())
         assert warm.computed == len(strict) - loaded
         assert rows == full and warm._memo == {}  # the fill took the memo's entries
         assert all(rows[x.position][slot(a3, x, y)] is poly for x, row in kept.items() for y, poly in row.items())
@@ -273,11 +273,11 @@ def test_suite_r_flags_wrong_entries_and_never_sees_stray_ones():
     stray = IntPolynomial((-1, 1))
     rtable = RTable(sys)
     rtable._memo[x] = {x: ONE, y: stray}
-    rows = rtable.fill()
+    rows = table_rows(sys, rtable.row_fill())
     assert rtable.computed == 13 and rtable._memo == {}
     assert not any(poly is stray for row in rows for poly in row)
     assert rtable.r(y, x) is ZERO
-    direct = direct_rows(sys)
+    direct = table_rows(sys, direct_row)
     clean = run_rows(_suite_r, sys, None, rows, direct)
     assert (clean.checked, clean.failed) == (36, 0)
     # a wrong polynomial that keeps every term invariant but not the coefficient
@@ -285,18 +285,18 @@ def test_suite_r_flags_wrong_entries_and_never_sees_stray_ones():
     rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, 3, -3, 1))
     wrong = run_rows(_suite_r, sys, None, rows, direct)
     assert (wrong.checked, wrong.failed) == (36, 1)
-    assert wrong.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, 3, -3, 1]}]
+    assert wrong.as_dict()["witnesses"] == [{"x": "0,1,0", "y": "e", "coeffs": [-1, 3, -3, 1]}]
 
 
 def test_suite_r_counts_a_negative_coefficient_row_as_a_failure():
     # every other invariant holds, but the signed q-coefficient is -1
     sys = build_system("A2")  # its own system, as the test plants an entry
-    rows = RTable(sys).fill()
+    rows = table_rows(sys, RTable(sys).row_fill())
     w0, e = longest_element(sys), identity(sys)
     rows[w0.position][slot(sys, w0, e)] = IntPolynomial((-1, -1, 1, 1))
-    result = run_rows(_suite_r, sys, None, rows, direct_rows(sys))
+    result = run_rows(_suite_r, sys, None, rows, table_rows(sys, direct_row))
     assert (result.checked, result.failed) == (36, 1)
-    assert result.witnesses == [{"x": "0,1,0", "y": "e", "coeffs": [-1, -1, 1, 1]}]
+    assert result.as_dict()["witnesses"] == [{"x": "0,1,0", "y": "e", "coeffs": [-1, -1, 1, 1]}]
 
 
 def test_gj_coefficient_of_a_negative_coefficient_row_is_an_invariant_violation():
@@ -366,7 +366,7 @@ def test_direct_memo_matches_a_fresh_chain_walk(text, policy, system):
     # A lone call walks its chain down to the diagonal; the whole-group
     # fill takes one step from each pair to the counted pair below it.
     sys = system(text)
-    rows = direct_rows(sys, policy)
+    rows = table_rows(sys, direct_row, policy)
     assert all(type(row) is bytes for row in rows)
     entries = list(filled_pairs(sys, rows))
     assert len(entries) == len(list(comparable_pairs(sys)))
@@ -388,10 +388,10 @@ def test_direct_step_off_the_order_is_a_lifting_violation(monkeypatch, system):
     # first step from a row of length 2 to the identity fails the same check
     # (a lookup in the positions below xs).
     sys = build_system("A3")
-    sys._below = [1 << g.position if g.length == 1 else mask
-                  for (g, _), mask in zip(comparable_rows(sys), sys._below)]
+    index = bruhat_index(sys)
+    index[:] = [1 << g.position if g.length == 1 else mask for g, mask in zip(enumerate_elements(sys), index)]
     with pytest.raises(LiftingViolation, match="x="):
-        direct_rows(sys)
+        table_rows(sys, direct_row)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +499,28 @@ def test_cache_rejects_pairs_not_below(tmp_path, system, row):
     assert str(info.value).startswith(f"{path}:{len(lines)}: ")
 
 
+def test_loaded_counts_the_distinct_strict_pairs_a_load_adds(tmp_path):
+    # load_csv returns the rows it read; ``loaded`` grows only by the pairs
+    # that were new to the memo, so a repeated row, a second load of the
+    # same file or a pair the lazy path already holds adds nothing.
+    sys = build_system("A3")
+    table = RTable(sys)
+    _fill(table, sys)
+    path = tmp_path / "rpoly.csv"
+    table.save_csv(path, table.memo_pairs())
+    pairs = sum(len(row) - 1 for row in table._memo.values())
+    first = path.read_text().splitlines()[3]
+    path.write_text(path.read_text() + first + "\n")
+    fresh = RTable(sys)
+    assert (fresh.load_csv(path), fresh.loaded) == (pairs + 1, pairs)
+    assert (fresh.load_csv(path), fresh.loaded) == (pairs + 1, pairs)
+    lazy = RTable(sys)
+    w0, e = longest_element(sys), identity(sys)
+    lazy.r(e, w0)
+    held = sum(len(row) - 1 for row in lazy._memo.values())
+    assert (lazy.load_csv(path), lazy.loaded) == (pairs + 1, pairs - held) and held > 0
+
+
 def test_cache_load_builds_each_word_once(tmp_path, system, monkeypatch):
     a3 = system("A3")
     table = RTable(a3)
@@ -548,9 +570,11 @@ def test_cache_coefficient_list_is_checked_at_each_gap(tmp_path, system):
         (None, "e;0;-1,2", "row violates degree or term invariants for gap 1"),
         (None, "e;1,0;1,-3,1", "row has R(1) != 0 or a negative signed q-coefficient"),
         (None, "e;0,1,0;-1,-1,1,1", "row has R(1) != 0 or a negative signed q-coefficient"),
+        (None, "e;0,1,0;-1,4,-4,1",
+         "e < 0,1,0 already has R-polynomial q^3-2q^2+2q-1, not q^3-4q^2+4q-1"),
     ],
     ids=["system", "fields", "letter", "range", "not-below", "diagonal", "coefficients",
-         "plus-sign", "non-ascii-digit", "degree", "r-at-1", "gj"],
+         "plus-sign", "non-ascii-digit", "degree", "r-at-1", "gj", "conflict"],
 )
 def test_each_bad_cache_row_names_its_line(tmp_path, system, old, new, message):
     lines = A2_CACHE.splitlines()
@@ -573,14 +597,14 @@ def test_cache_file_is_the_same_from_filled_rows_and_from_the_lazy_memo(tmp_path
     # file, byte for byte.
     sys = build_system(text)
     filled, lazy = RTable(sys, policy=policy), RTable(sys, policy=policy)
-    rows = filled.fill()
+    rows = table_rows(sys, filled.row_fill(), policy)
     for x, y in comparable_pairs(sys):
         lazy.r(y, x)
     filled.save_csv(tmp_path / "filled.csv", strict_pairs(sys, rows))
     lazy.save_csv(tmp_path / "lazy.csv", lazy.memo_pairs())
     warm = RTable(sys, policy=policy)
     warm.load_csv(tmp_path / "filled.csv")
-    warm_rows = warm.fill()
+    warm_rows = table_rows(sys, warm.row_fill(), policy)
     assert warm.computed == 0
     warm.save_csv(tmp_path / "warm.csv", strict_pairs(sys, warm_rows))
     data = (tmp_path / "filled.csv").read_bytes()
@@ -598,7 +622,7 @@ def test_lazy_queries_match_the_fill_across_fills_and_reloads(tmp_path):
     assert ascent(a, ONE).coeffs == (1, -1, 1)
     assert getrefcount(a) == refs + 1  # the memo's own reference
     sys = build_system("B3")
-    full = RTable(sys).fill()
+    full = table_rows(sys, RTable(sys).row_fill())
     path = tmp_path / "rpoly.csv"
     RTable(sys).save_csv(path, strict_pairs(sys, full))
     table = RTable(sys)
@@ -607,13 +631,13 @@ def test_lazy_queries_match_the_fill_across_fills_and_reloads(tmp_path):
         for x in list(table._memo)[::2]:
             del table._memo[x]  # so the lazy path steps from loaded entries
         assert all(table.r(y, x) == poly for x, y, poly in filled_pairs(sys, full))
-        assert table.fill() == full
+        assert table_rows(sys, table.row_fill()) == full
 
 
 def test_warm_load_keeps_one_polynomial_per_coefficient_list(tmp_path):
     d4 = build_system("D4")
     table = RTable(d4)
-    rows = table.fill()
+    rows = table_rows(d4, table.row_fill())
     path = tmp_path / "rpoly.csv"
     table.save_csv(path, strict_pairs(d4, rows))
     warm = RTable(d4)
@@ -631,7 +655,7 @@ def test_non_utf8_byte_after_valid_rows_names_its_file_offset(tmp_path, type_tex
     sys = build_system(type_text)
     table = RTable(sys)
     path = tmp_path / "rpoly.csv"
-    table.save_csv(path, strict_pairs(sys, table.fill()))
+    table.save_csv(path, strict_pairs(sys, table_rows(sys, table.row_fill())))
     data = path.read_bytes() + tail
     path.write_bytes(data)
     with pytest.raises(UnicodeDecodeError) as whole:

@@ -16,18 +16,19 @@ shares no recursion with the table at all.
 from __future__ import annotations
 
 from collections import Counter
+from operator import mul
 
 import pytest
 
-from conftest import comparable_pairs, filled_pairs, membership_rows, reader
+from conftest import comparable_pairs, filled_pairs, index_rows, membership_rows, reader, table_rows
 from verma_ext import coxeter, verify
 from verma_ext import rpoly as rpoly_module
 from verma_ext import vtable as vtable_module
 from verma_ext.coxeter import (
     DESCENT_POLICIES,
+    bruhat_index,
     bruhat_leq,
     build_system,
-    comparable_rows,
     descend,
     element_from_word,
     enumerate_elements,
@@ -48,12 +49,11 @@ from verma_ext.errors import (
     ParseError,
 )
 from verma_ext.reflection import RationalSubspace, apply_element, basis_vector
-from verma_ext.rpoly import ONE, RTable, direct_rows, gj_coefficient, r_coeff_direct
+from verma_ext.rpoly import ONE, IntPolynomial, RTable, direct_row, gj_coefficient, r_coeff_direct
 from verma_ext.verify import PRESETS, _suite_m, _suite_s
 from verma_ext.vtable import (
     SingularSpec,
     VTable,
-    compute_all,
     membership_report,
     singular_v,
     v_fill,
@@ -192,7 +192,7 @@ def edge_root_decomposition(sys, vrows):
     divergent pairs (gj != dim V) counted by (gj - dim V, #edges - gj).
     """
     reflections = root_reflections(sys)
-    rrows = RTable(sys).fill()
+    rrows = table_rows(sys, RTable(sys).row_fill())
     ascents = {}  # y -> [(beta, y s_beta)] over the betas with y < y s_beta
     spans = {}
     divergent = Counter()
@@ -236,6 +236,63 @@ def test_v_is_spanned_by_bruhat_graph_edge_roots(text, system, vtable):
     divergent = edge_root_decomposition(system(text), vtable(text))
     if text in EDGE_HISTOGRAMS:
         assert divergent == EDGE_HISTOGRAMS[text]
+
+
+def inverse_pair_breaks(sys, vrows, rrows):
+    """The pairs y <= x that break R(y, x) = R(y⁻¹, x⁻¹) or V(x⁻¹, y⁻¹) = y V(x, y), and the involution pairs.
+
+    The first identity is Kazhdan–Lusztig's (Invent. Math. 53, 1979); in the
+    second, y acts on V(x, y) by its matrix.  x⁻¹ is the element of x's
+    reversed reduced word, and the inverse pair's entries are read by
+    ``slot``, so each pair is checked against one the walk reached through
+    another descent chain.  Returns the breaking pairs (x, y) in walk order
+    and the number of pairs whose x and y are both involutions, on which
+    the R identity compares an entry with itself.
+    """
+    inverse = [element_from_word(sys, reduced_word(sys, g)[::-1]) for g in enumerate_elements(sys)]
+    images = {}  # (id of V(x, y), position of y) -> y V(x, y)
+    breaks, involutions = [], 0
+    for x, lower in index_rows(sys):
+        xi = inverse[x.position]
+        for y, space, poly in zip(lower, vrows[x.position], rrows[x.position]):
+            yi = inverse[y.position]
+            k = slot(sys, xi, yi)
+            involutions += x is xi and y is yi
+            image = images.get((id(space), y.position))
+            if image is None:
+                moved = [[sum(map(mul, r, v)) for r in y.matrix] for v in space.basis]
+                image = images[id(space), y.position] = RationalSubspace(sys.rank, moved)
+            if poly.coeffs != rrows[xi.position][k].coeffs or image != vrows[xi.position][k]:
+                breaks.append((x, y))
+    return breaks, involutions
+
+
+# pairs y <= x whose x and y are both involutions, of all pairs
+INVOLUTION_PAIRS = {
+    "A1": (3, 3), "A2": (9, 19), "A3": (45, 213), "A4": (237, 3_781), "B2": (19, 33),
+    "B3": (165, 847), "C3": (165, 847), "D4": (705, 9_817), "G2": (33, 73), "A1xA1": (9, 9),
+    "A1xA2": (27, 57), "B4": (1_933, 40_249),
+}
+
+
+@pytest.mark.parametrize("text", PRESETS + ("B4",))
+def test_r_and_v_keep_the_inverse_identities(text, system, vtable):
+    sys, vrows = system(text), vtable(text)
+    breaks, involutions = inverse_pair_breaks(sys, vrows, table_rows(sys, RTable(sys).row_fill()))
+    assert breaks == []
+    assert (involutions, sum(map(len, vrows))) == INVOLUTION_PAIRS[text]
+
+
+@pytest.mark.parametrize("table", ["R", "V"])
+def test_the_inverse_identities_catch_a_wrong_entry_off_the_involutions(table):
+    sys = build_system("A3")  # its own rows, as the test plants an entry
+    vrows, rrows = table_rows(sys, v_fill(sys)), table_rows(sys, RTable(sys).row_fill())
+    x, xi, e = element_from_word(sys, (0, 1)), element_from_word(sys, (1, 0)), identity(sys)
+    rows, wrong = (rrows, IntPolynomial((1, -3, 1))) if table == "R" else (vrows, RationalSubspace(3))
+    assert rows[x.position][slot(sys, x, e)] != wrong
+    rows[x.position][slot(sys, x, e)] = wrong
+    breaks, _ = inverse_pair_breaks(sys, vrows, rrows)
+    assert set(breaks) == {(x, e), (xi, e)} and len(breaks) == 2
 
 
 @pytest.mark.parametrize("text", PRESETS)
@@ -288,7 +345,7 @@ def test_a3_divergence_has_four_edges_spanning_three_dimensions(system, vtable, 
 def test_policy_invariance(text, system, vtable):
     sys = system(text)
     small = vtable(text)
-    large = compute_all(sys, policy="largest")
+    large = table_rows(sys, v_fill(sys), "largest")
     assert small == large
 
 
@@ -297,7 +354,7 @@ def test_rows_are_keyed_by_the_upper_element(system):
     # row, and a pair's entry is at its slot there; a lazy table keeps
     # memo[x][y] for the pair y <= x.  Both hold V(x, y) and R(y, x).
     sys = system("A3")
-    vrows, rtable = compute_all(sys), RTable(sys)
+    vrows, rtable = table_rows(sys, v_fill(sys)), RTable(sys)
     v = reader(sys, vrows)
     pairs = list(comparable_pairs(sys))
     rows_v, rows_r = [], {}
@@ -314,7 +371,7 @@ def test_rows_are_keyed_by_the_upper_element(system):
     assert rtable._memo == rows_r and not hasattr(rtable, "rows")
 
 
-def test_compute_all_counts(system, vtable):
+def test_v_fill_row_counts(system, vtable):
     assert sum(map(len, vtable("A2"))) == 19
     assert sum(map(len, vtable("B2"))) == 33
     assert sum(map(len, vtable("G2"))) == 73
@@ -331,7 +388,7 @@ def test_fill_matches_a_fresh_chain_walk(text, policy, system, vtable):
     # A fresh table has nothing stored, so each query walks its chain to the
     # diagonal and builds its span once; the fill stops at stored pairs.
     sys = system(text)
-    rows = vtable(text) if policy == "smallest" else compute_all(sys, policy=policy)
+    rows = vtable(text) if policy == "smallest" else table_rows(sys, v_fill(sys), policy)
     for x, y, space in filled_pairs(sys, rows):
         assert VTable(sys, policy).v(x, y) == space
 
@@ -391,11 +448,11 @@ def test_row_fills_take_one_descent_step_per_pair(fill, monkeypatch, system):
                             assert b == -1
         return
     if fill == "V":
-        rows = compute_all(sys)
+        rows = table_rows(sys, v_fill(sys))
     elif fill == "R":
-        rows = RTable(sys).fill()
+        rows = table_rows(sys, RTable(sys).row_fill())
     else:
-        rows = direct_rows(sys)
+        rows = table_rows(sys, direct_row)
     assert sum(map(len, rows)) == 799 + len(rows)
     if fill == "V":  # equal subspaces are one object
         spaces = [space for row in rows for space in row]
@@ -428,10 +485,10 @@ def test_row_fills_raise_when_the_index_says_a_step_left_the_order(fill):
     # step from a row of length 2 to the identity fails its lifting check (a
     # lookup in the positions below xs).
     sys = build_system("A3")
-    sys._below = [1 << x.position if x.length == 1 else mask
-                  for (x, _), mask in zip(comparable_rows(sys), sys._below)]
+    index = bruhat_index(sys)
+    index[:] = [1 << x.position if x.length == 1 else mask for x, mask in zip(enumerate_elements(sys), index)]
     with pytest.raises(LiftingViolation, match="x="):
-        compute_all(sys) if fill == "V" else RTable(sys).fill()
+        table_rows(sys, v_fill(sys)) if fill == "V" else table_rows(sys, RTable(sys).row_fill())
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +516,13 @@ def test_singular_spec_validation(system):
 
 def test_suite_s_flags_a_wrong_top_space(system):
     sys = system("A2")
-    rows = compute_all(sys)  # its own rows, as the test plants an entry
+    rows = table_rows(sys, v_fill(sys))  # its own rows, as the test plants an entry
     w0, e = longest_element(sys), identity(sys)
     rows[w0.position][slot(sys, w0, e)] = RationalSubspace(sys.rank)
     result = _suite_s(sys, membership_rows(sys, rows))
     # the subsets {}, {0}, {1} and {0,1}: only the last expects the zero quotient
     assert (result.checked, result.failed) == (4, 3)
-    assert result.witnesses == [{"subset": "", "dim": 0, "expected": 2}]
+    assert result.as_dict()["witnesses"] == [{"subset": "", "dim": 0, "expected": 2}]
 
 
 def test_singular_dims_on_b2(system, vtable):
@@ -588,13 +645,13 @@ def test_membership_selection_matches_the_multiply_route(text, system):
 
 def test_suite_m_flags_a_row_whose_membership_flipped(system):
     sys = system("A2")
-    rows = compute_all(sys)  # its own rows, as the test plants an entry
+    rows = table_rows(sys, v_fill(sys))  # its own rows, as the test plants an entry
     x, y = element_from_word(sys, (1, 0)), identity(sys)
     assert rows[x.position][slot(sys, x, y)].dim == 2  # v_1 is in it, as x >= y s_1 predicts
     rows[x.position][slot(sys, x, y)] = RationalSubspace(sys.rank)
     result = _suite_m(sys, membership_rows(sys, rows))
     assert (result.checked, result.failed) == (12, 1)
-    assert result.witnesses == [{"x": "1,0", "y": "e", "s": 1, "in_v": False, "x_ge_ys": True}]
+    assert result.as_dict()["witnesses"] == [{"x": "1,0", "y": "e", "s": 1, "in_v": False, "x_ge_ys": True}]
 
 
 @pytest.mark.parametrize("text", ["A2", "B2", "G2"])
