@@ -5,22 +5,24 @@ parsed into a ``TypeDescriptor``, a named tuple of (family, rank) factors.  Each
 factor contributes a block to an integral Cartan matrix ``a`` with the
 convention ``a[i][j] = <alpha_j, alpha_i^vee>``, so the simple reflection
 ``s_i`` acts on simple roots by ``s_i(alpha_j) = alpha_j - a[i][j] alpha_i``.
-Group elements are stored as integer matrices whose columns are the images of
-the simple roots; equality of matrices is equality in the group because the
-reflection representation is faithful.
-
-A system interns each element the first time it is reached: a ``matrix -> id``
-map gives it the next small integer id, and per-id tables on the system hold
-the element, its right-multiplication row ``rmul[id][s]`` (the id of g s_s,
-filled on first use together with the back-link from g s_s) and its reduced
-word (computed when first asked for).  Every product goes through that map,
-so a group element is one object in its system and equality and hashing are
-identity; a system takes only elements it built.  Interning is lazy, so
-single-pair work on a large group touches only the elements it reaches.
-Elements carry their id, their length, their right descents as a bitmask
-and, once the group is enumerated, their position in the (length, matrix)
-order, but no reference to other elements or to the system, so a system
-and its elements are freed by reference counting.
+An element w is interned by its heights, those of w(alpha_1), ...,
+w(alpha_n).  They pair the alpha_c with w^-1 rho^vee, which fixes w as W
+acts simply transitively on the chambers (Humphreys, *Reflection Groups and
+Coxeter Groups*, §1.12), and s_c is a right descent iff w(alpha_c) < 0
+(Björner–Brenti, *Combinatorics of Coxeter Groups*, Prop. 4.2.5).  The
+matrix, whose columns are the images of the simple roots, is built on first
+read.  A system interns each element the first time it is reached: a
+``heights -> id`` map gives it the next small integer id, and per-id tables
+on the system hold the element, its right-multiplication row ``rmul[id][s]``
+(the id of g s_s, filled on first use together with the back-link from
+g s_s) and its reduced word (computed when first asked for).  Every product
+goes through that map, so a group element is one object in its system and
+equality and hashing are identity; a system takes only elements it built.
+Interning is lazy, so single-pair work on a large group touches only the
+elements it reaches, and a right product updates n heights.  Until its
+matrix is built an element refers to the older element it was reached
+from, never to its system, so reference counting frees a system and its
+elements.
 
 The Bruhat order has three routes.  ``bruhat_index`` builds a numbered
 index: per element position, the bitmask of the positions below it.  From
@@ -229,27 +231,44 @@ def _positive_roots(cartan: IntMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 class GroupElement:
-    """A Weyl group element: an integer matrix, its length, its id, its descents.
+    """A Weyl group element: its heights, length, id and descents, and its matrix on first read.
 
-    ``id`` indexes the tables of the system that interned the element.
-    ``descents`` has bit i set when s_i is a right descent, that is when
-    column i (the image of alpha_i) is a negative root.  ``position`` is
-    the element's place in the (length, matrix) order, -1 until
-    ``enumerate_elements`` sets it; the Bruhat index is numbered by it.  An
-    instance is its system's one object for its group element, so equality
-    and hashing are identity, and an element of another system of the same
-    type is not equal to it.  Construct via the module functions, not
-    directly.
+    ``heights[c]`` is the height of the image of alpha_c; the element is
+    interned by that tuple, and ``id`` indexes its system's tables.
+    ``descents`` has bit c set when s_c is a right descent, that is when
+    heights[c] < 0.  ``position`` is the element's place in the (length,
+    matrix) order, -1 until ``enumerate_elements`` sets it.  An element
+    reached as parent * s_letter keeps parent, letter and the columns
+    s_letter couples until the first read of ``matrix`` builds it from the
+    parent's.  An instance is its system's one object for its group element,
+    so equality and hashing are identity.  Construct via the module functions.
     """
 
-    __slots__ = ("matrix", "length", "id", "descents", "position")
+    __slots__ = ("heights", "length", "id", "descents", "position",
+                 "_matrix", "_parent", "_letter", "_coupled")
 
-    def __init__(self, matrix: IntMatrix, length: int, gid: int, descents: int):
-        self.matrix = matrix
+    def __init__(self, heights: tuple[int, ...], length: int, gid: int, descents: int,
+                 matrix: IntMatrix | None, parent: GroupElement | None, letter: int, coupled: tuple | None):
+        self.heights = heights
         self.length = length
         self.id = gid
         self.descents = descents
         self.position = -1
+        self._matrix, self._parent, self._letter, self._coupled = matrix, parent, letter, coupled
+
+    @property
+    def matrix(self) -> IntMatrix:
+        """Column c is the image of alpha_c: built on first read, along the parent links, by a loop."""
+        if self._matrix is None:
+            chain, g = [], self
+            while g._matrix is None:
+                chain.append(g)
+                g = g._parent
+            matrix = g._matrix
+            for g in reversed(chain):
+                matrix = g._matrix = _col_reflect(matrix, g._letter, g._coupled)
+                g._parent = g._coupled = None
+        return self._matrix
 
     def __repr__(self) -> str:
         rows = ";".join(",".join(str(v) for v in row) for row in self.matrix)
@@ -288,11 +307,11 @@ class CoxeterSystem:
         self._coupled = tuple(tuple((c, a) for c, a in enumerate(r) if a) for r in self.cartan)
         n = self.rank
         eye = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        self._index: dict[IntMatrix, int] = {}
+        self._index: dict[tuple[int, ...], int] = {}  # heights -> id
         self._by_id: list[GroupElement] = []
         self._rmul: list[list[int]] = []  # id of g s_i, or -1 before first use
         self._words: list[tuple[int, ...] | None] = []
-        self._identity = _intern(self, eye, 0, 0)
+        self._identity = _intern(self, (1,) * n, 0, 0, eye)
         self._words[self._identity.id] = ()
         self._simples = tuple(right_multiply(self, self._identity, i) for i in range(n))
         self._bruhat: dict[GroupElement, dict[GroupElement, bool]] = {}  # upper -> lower -> x <= y
@@ -327,11 +346,10 @@ def fingerprint(sys: CoxeterSystem) -> str:
 # element arithmetic
 
 
-def _col_reflect(sys: CoxeterSystem, matrix: IntMatrix, i: int) -> IntMatrix:
+def _col_reflect(matrix: IntMatrix, i: int, coupled: tuple[tuple[int, int], ...]) -> IntMatrix:
     # (M s_i)[r][c] = M[r][c] - a[i][c] * M[r][i], so a row with M[r][i] == 0
-    # is copied unchanged, and in the others only the columns c with
-    # a[i][c] != 0 (column i and its Dynkin neighbours) change.
-    coupled = sys._coupled[i]
+    # is copied unchanged, and in the others only the columns (c, a[i][c]) of
+    # coupled, column i and its Dynkin neighbours, change.
     out = []
     for row in matrix:
         m = row[i]
@@ -344,15 +362,24 @@ def _col_reflect(sys: CoxeterSystem, matrix: IntMatrix, i: int) -> IntMatrix:
     return tuple(out)
 
 
-def _intern(sys: CoxeterSystem, matrix: IntMatrix, length: int, descents: int) -> GroupElement:
-    """The system's element with this matrix, given the next id on first sight."""
-    gid = sys._index.get(matrix)
+def _intern(sys: CoxeterSystem, heights: tuple[int, ...], length: int, descents: int,
+            matrix: IntMatrix | None, parent: GroupElement | None = None, letter: int = -1) -> GroupElement:
+    """The system's element with these heights, given the next id on first sight.
+
+    A new element takes the matrix given, or builds it from parent's when
+    read.  A matrix given for heights already held must be that element's:
+    a wrong product would otherwise pass for it, so a mismatch raises.
+    """
+    gid = sys._index.get(heights)
     if gid is None:
         gid = len(sys._by_id)
-        sys._index[matrix] = gid
-        sys._by_id.append(GroupElement(matrix, length, gid, descents))
+        sys._index[heights] = gid
+        coupled = sys._coupled[letter] if parent is not None else None
+        sys._by_id.append(GroupElement(heights, length, gid, descents, matrix, parent, letter, coupled))
         sys._rmul.append([-1] * sys.rank)
         sys._words.append(None)
+    elif matrix is not None and sys._by_id[gid].matrix != matrix:
+        raise InvariantViolation(f"a product matrix has the heights {heights} of another element")
     return sys._by_id[gid]
 
 
@@ -395,33 +422,30 @@ def multiply(sys: CoxeterSystem, a: GroupElement, b: GroupElement) -> GroupEleme
         tuple(sum(am[r][k] * bm[k][c] for k in range(n)) for c in range(n))
         for r in range(n)
     )
-    descents = sum(1 << i for i, col in enumerate(zip(*prod)) if min(col) < 0)
-    return _intern(sys, prod, recount_length(sys, prod), descents)
+    heights = tuple(map(sum, zip(*prod)))
+    descents = sum(1 << i for i, h in enumerate(heights) if h < 0)
+    return _intern(sys, heights, recount_length(sys, prod), descents, prod)
 
 
 def right_multiply(sys: CoxeterSystem, g: GroupElement, i: int) -> GroupElement:
     """g * s_i: a lookup in the system's table, filled on first use.
 
-    The fill copies the rows of g's matrix that are 0 in column i and
-    rewrites column i and its Dynkin neighbours in the others, so only
-    their descent bits can change.
+    The fill updates g's heights: g s_i(alpha_c) = g(alpha_c) - a[i][c] g(alpha_i),
+    so only the columns c that s_i couples change, and only their descent
+    bits.  It builds no matrix.
     """
     if not 0 <= i < sys.rank:
         raise IndexOutOfRange(f"simple reflection index {i} outside 0..{sys.rank - 1}")
     row = sys._rmul[g.id]
     hid = row[i]
     if hid < 0:
-        matrix = _col_reflect(sys, g.matrix, i)
-        descents = g.descents ^ 1 << i  # column i is negated
-        for c, _ in sys._coupled[i]:
-            if c != i:  # a neighbour column is a root: its first nonzero entry is its sign
-                for r in matrix:
-                    if r[c]:
-                        break
-                if (r[c] < 0) != (descents >> c & 1):
-                    descents ^= 1 << c
-        length = g.length - 1 if g.descents >> i & 1 else g.length + 1
-        hid = row[i] = _intern(sys, matrix, length, descents).id
+        h = g.heights
+        heights, descents, hi = list(h), g.descents, h[i]
+        for c, a in sys._coupled[i]:
+            v = heights[c] = h[c] - a * hi
+            descents = descents & ~(1 << c) | (v < 0) << c
+        length = g.length - 1 if hi < 0 else g.length + 1
+        hid = row[i] = _intern(sys, tuple(heights), length, descents, None, g, i).id
         sys._rmul[hid][i] = g.id
     return sys._by_id[hid]
 
@@ -754,7 +778,7 @@ def subword_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, frozenset[i
             s = pick_descent(sys, y, "smallest")
             prefix, image = previous[right_multiply(sys, y, s)], reflected[s]
             for n in prefix.difference(image):
-                image[n] = number(_col_reflect(sys, numbered[n], s))
+                image[n] = number(_col_reflect(numbered[n], s, sys._coupled[s]))
             products = prefix.union(map(image.__getitem__, prefix))
         else:
             products = frozenset((number(y.matrix),))

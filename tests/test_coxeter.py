@@ -7,6 +7,8 @@ exhaustive subword oracle, ``subword_rows``, inside the tests themselves.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import random
 import weakref
@@ -234,6 +236,21 @@ def test_inverse_and_reduced_words(system):
         assert multiply(a2, g_inv, g) == identity(a2)
 
 
+def test_a_product_matrix_other_than_its_elements_raises():
+    # Interning compares heights, so multiply's product matrix is compared
+    # with that of the element its heights name.  Reversing the rows of a
+    # matrix keeps its column sums: a product through it reaches the heights
+    # of the true product with a wrong matrix, which would otherwise pass as
+    # the true product, out of sight of suite G's group-law checks.
+    a2 = build_system("A2")
+    s0 = simple_reflection(a2, 0)
+    held = right_multiply(a2, s0, 1)
+    assert multiply(a2, s0, simple_reflection(a2, 1)) is held
+    s0._matrix = s0.matrix[::-1]
+    with pytest.raises(InvariantViolation, match=r"heights \(1, -2\) of another element"):
+        multiply(a2, s0, simple_reflection(a2, 1))
+
+
 def test_right_descents(system):
     a2 = system("A2")
     g = element_from_word(a2, (0, 1))
@@ -266,13 +283,16 @@ def test_enumeration_stops_once_it_passes_the_group_order(monkeypatch):
     # element per reduced word; the walk must stop at order + 1 elements.
     calls = 0
 
-    def fresh_intern(sys, matrix, length, descents):
+    def fresh_intern(sys, heights, length, descents, matrix, parent=None, letter=-1):
         nonlocal calls
         calls += 1
         if calls > 10_000:
             raise AssertionError("enumeration ran away")
         gid = len(sys._by_id)
-        sys._by_id.append(coxeter.GroupElement(matrix, length, gid, descents))
+        coupled = sys._coupled[letter] if parent is not None else None
+        sys._by_id.append(
+            coxeter.GroupElement(heights, length, gid, descents, matrix, parent, letter, coupled)
+        )
         sys._rmul.append([-1] * sys.rank)
         sys._words.append(None)
         return sys._by_id[gid]
@@ -453,6 +473,11 @@ def _column_descents(matrix) -> frozenset[int]:
     return frozenset(i for i in range(len(matrix)) if any(row[i] < 0 for row in matrix))
 
 
+def _column_sums(matrix) -> tuple[int, ...]:
+    """The heights of the images of the simple roots, from the matrix."""
+    return tuple(sum(row[c] for row in matrix) for c in range(len(matrix)))
+
+
 def _reflect_columns(sys, matrix, i):
     """The matrix of g s_i from that of g, written out from the Cartan matrix."""
     a = sys.cartan
@@ -481,12 +506,14 @@ def test_right_multiply_is_an_interned_lookup(text, system):
             assert right_multiply(sys, h, i) is g
 
 
-@pytest.mark.parametrize("text", PRESETS + ("F4", "E7"))
+@pytest.mark.parametrize("text", PRESETS + ("F4", "E6", "E7"))
 def test_descent_bitmask_matches_column_signs(text):
-    # right_multiply rereads only the columns it rewrites and multiply scans
-    # every column; each element either of them interns must carry the
-    # bitmask of a full scan.  On E7 the elements are those a few seeded
-    # queries intern lazily, with no enumeration.
+    # right_multiply reads the signs of the heights it updates and multiply
+    # those of its product's column sums; each element either of them
+    # interns must carry the bitmask of a full column scan, and heights that
+    # are its matrix's column sums.  On E7 the elements are those a few
+    # seeded queries intern lazily, with no enumeration; E6 is enumerated
+    # whole (51,840 elements), which the whole-group limit does not refuse.
     sys = build_system(text, budget=3_000_000)
     simples = [simple_reflection(sys, i) for i in range(sys.rank)]
     products = [multiply(sys, a, b) for a in simples for b in simples]
@@ -510,6 +537,8 @@ def test_descent_bitmask_matches_column_signs(text):
         assert len(enumerate_elements(sys)) == len(sys._by_id)
     for g in sys._by_id:
         assert g.descents == sum(1 << i for i in _column_descents(g.matrix))
+        assert g.heights == _column_sums(g.matrix)
+    assert len({g.heights for g in sys._by_id}) == len({g.matrix for g in sys._by_id}) == len(sys._by_id)
 
 
 @pytest.mark.parametrize("text", PRESETS + ("F4",))
@@ -534,7 +563,8 @@ SUITE_COUNTS = {
 @pytest.mark.parametrize("text", PRESETS + ("F4",))
 def test_each_matrix_is_one_element_after_a_verify_pass(text, monkeypatch):
     # Equality of elements is identity, which is group equality only while
-    # no two ids of one system share a matrix.
+    # no two ids of one system share a matrix.  The interning key is the
+    # heights, so they must be distinct too, and be the matrix's column sums.
     built = []
 
     def build(*args, **kwargs):
@@ -547,7 +577,9 @@ def test_each_matrix_is_one_element_after_a_verify_pass(text, monkeypatch):
     assert counts == SUITE_COUNTS.get(text, counts)
     (sys,) = built
     assert len({g.matrix for g in sys._by_id}) == len(sys._by_id)
-    assert all(sys._index[g.matrix] == gid for gid, g in enumerate(sys._by_id))
+    assert len({g.heights for g in sys._by_id}) == len(sys._by_id)
+    assert all(sys._index[g.heights] == gid for gid, g in enumerate(sys._by_id))
+    assert all(g.heights == _column_sums(g.matrix) for g in sys._by_id)
     for g in enumerate_elements(sys):
         assert sys._by_id[g.id] is g
 
@@ -739,6 +771,95 @@ def test_pick_descent_on_identity_raises(system):
         w0 = longest_element(sys)
         assert pick_descent(sys, w0, "smallest") == 0
         assert pick_descent(sys, w0, "largest") == sys.rank - 1
+
+
+def _gapped_pair(sys, rng, gap):
+    """Words of a random reduced x and of a reduced subword y of it with l(x) - l(y) = gap."""
+    while True:
+        ell = rng.randint(gap, len(sys.positive_roots))
+        dropped = set(rng.sample(range(ell), gap))
+        x = y = identity(sys)
+        xw, yw = [], []
+        for k in range(ell):
+            s = rng.choice([i for i in range(sys.rank) if not x.descents >> i & 1])
+            x = right_multiply(sys, x, s)
+            xw.append(s)
+            if k in dropped:
+                continue
+            if y.descents >> s & 1:  # the subword is not reduced
+                break
+            y = right_multiply(sys, y, s)
+            yw.append(s)
+        else:
+            return format_word(xw), format_word(yw)
+
+
+def test_an_e7_rpoly_query_builds_no_matrix_but_the_identitys(monkeypatch, capsys):
+    # The recursion reads heights, lengths and descents only, so every
+    # element a gap-15 query reaches keeps its parent link and no matrix.
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(build_system(*args, **kwargs))
+        return built[-1]
+
+    x, y = _gapped_pair(build_system("E7", budget=3_000_000), random.Random(41), 15)
+    monkeypatch.setattr(cli, "build_system", build)
+    assert main(["rpoly", "--type", "E7", "--budget", "3000000", x, y, "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["coeffs"]) == 16
+    (e7,) = built
+    assert len(e7._by_id) > 200
+    assert [g for g in e7._by_id if g._matrix is not None] == [identity(e7)]
+    assert all(g._parent is not None for g in e7._by_id[1:])
+
+
+def test_a_dropped_system_and_its_elements_are_freed_by_reference_counting(monkeypatch):
+    # An element refers to no other element but the older one it was
+    # reached from, until its matrix is built, and never to its system: the
+    # links form no cycle, so the system goes without the cycle collector.
+    class Tracked(coxeter.GroupElement):
+        __slots__ = ("__weakref__",)
+
+    monkeypatch.setattr(coxeter, "GroupElement", Tracked)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        e7 = build_system("E7", budget=3_000_000)
+        x = element_from_word(e7, (0, 1, 2, 3, 4, 5, 6, 0, 2, 3))
+        y = element_from_word(e7, (1, 3))
+        assert rpoly.RTable(e7).r(y, x).degree == 8 and VTable(e7).v(x, y).dim > 0
+        unbuilt = longest_element(e7)
+        assert x.matrix and x._parent is None and unbuilt._parent is not None
+        refs = [weakref.ref(e7), weakref.ref(x), weakref.ref(unbuilt)]
+        del e7, x, y, unbuilt
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_an_e7_rpoly_cache_holds_its_rows_in_length_matrix_order(tmp_path, capsys):
+    # The memo's pairs are written by (length, matrix) on x, then on y, so
+    # the write builds the matrices the query left unbuilt.  multiply
+    # rebuilds each from the word, by matrix products, as the reference.
+    x, y = _gapped_pair(build_system("E7", budget=3_000_000), random.Random(41), 15)
+    argv = ["rpoly", "--type", "E7", "--budget", "3000000", "--cache-dir", str(tmp_path), x, y]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (cache,) = tmp_path.rglob("*.csv")
+    rows = [line.split(";")[:2] for line in cache.read_text().splitlines() if not line.startswith("#")]
+    e7 = build_system("E7", budget=3_000_000)
+
+    @functools.cache
+    def key(word):
+        g = identity(e7)
+        for i in parse_word(word):
+            g = multiply(e7, g, simple_reflection(e7, i))
+        return g.length, g.matrix
+
+    keys = [(key(xw), key(yw)) for yw, xw in rows]
+    assert len(rows) > 300 and keys == sorted(keys)
+    assert key(x) == keys[-1][0]
 
 
 @pytest.mark.parametrize("command", ["rpoly", "vspace"])

@@ -189,7 +189,8 @@ def edge_root_decomposition(sys, vrows):
     (the Bruhat-graph edges out of y inside [y, x]), read off a per-y list
     of (beta, y s_beta).  The last link of the chain is Deodhar's inequality
     (Björner–Brenti, Combinatorics of Coxeter Groups, §2.2).  Returns the
-    divergent pairs (gj != dim V) counted by (gj - dim V, #edges - gj).
+    divergent pairs (gj != dim V) counted by (dim V, gj, l, #edges), for
+    l = l(x) - l(y); ``split`` sums them into a histogram of terms.
     """
     reflections = root_reflections(sys)
     rrows = table_rows(sys, RTable(sys).row_fill())
@@ -209,19 +210,57 @@ def edge_root_decomposition(sys, vrows):
         assert spans[edges] == space, (x, y)  # canonical bases, so subspace equality
         if y is x:
             continue
-        gj = poly.gj
-        assert space.dim <= gj <= x.length - y.length <= len(edges), (x, y)
+        gj, ell = poly.gj, x.length - y.length
+        assert space.dim <= gj <= ell <= len(edges), (x, y)
         if gj != space.dim:
-            divergent[gj - space.dim, len(edges) - gj] += 1
+            divergent[space.dim, gj, ell, len(edges)] += 1
     return divergent
 
 
-# divergent pairs by (gj - dim V, #edges - gj)
+def split(divergent, terms):
+    """The divergent pairs of ``edge_root_decomposition`` counted by terms(dim V, gj, l, #edges)."""
+    histogram = Counter()
+    for key, count in divergent.items():
+        histogram[terms(*key)] += count
+    return histogram
+
+
+def two_terms(dim, gj, ell, edges):
+    """(gj - dim V, #edges - gj)."""
+    return gj - dim, edges - gj
+
+
+def three_terms(dim, gj, ell, edges):
+    """(dependence, Deodhar, l - gj): gj - dim V is the first less the other two.
+
+    The dependence #edges - dim V is that among the edge roots, and Deodhar's
+    excess is #edges - l; l - gj is Dyer's count c_{l-2} of the increasing
+    paths of length l - 2 (Dyer, Compositio Math. 89, 1993).
+    """
+    return edges - dim, edges - ell, ell - gj
+
+
+# divergent pairs by two_terms
 EDGE_HISTOGRAMS = {
     "D4": {(1, 0): 192, (1, 1): 108, (1, 2): 57, (1, 3): 15, (2, 0): 5},
     "B4": {
         (1, 0): 916, (1, 1): 737, (1, 2): 554, (1, 3): 352, (1, 4): 153, (1, 5): 32,
         (2, 0): 33, (2, 1): 12, (2, 2): 1,
+    },
+}
+
+# divergent pairs by three_terms; (d, 0, 0) are the pairs with gj = l = #edges,
+# where the dependence among the edge roots is the whole distance
+THREE_TERM_HISTOGRAMS = {
+    "D4": {
+        (1, 0, 0): 192, (2, 0, 0): 5, (2, 0, 1): 90, (2, 1, 0): 18, (3, 0, 2): 33, (3, 1, 1): 24,
+        (4, 0, 3): 6, (4, 1, 2): 9,
+    },
+    "B4": {
+        (1, 0, 0): 916, (2, 0, 0): 33, (2, 0, 1): 622, (2, 1, 0): 115, (3, 0, 1): 12,
+        (3, 0, 2): 305, (3, 1, 1): 233, (3, 2, 0): 16, (4, 0, 2): 1, (4, 0, 3): 131,
+        (4, 1, 2): 181, (4, 2, 1): 39, (4, 3, 0): 1, (5, 0, 4): 43, (5, 1, 3): 77,
+        (5, 2, 2): 31, (5, 3, 1): 2, (6, 0, 5): 8, (6, 1, 4): 15, (6, 2, 3): 8, (6, 3, 2): 1,
     },
 }
 
@@ -232,10 +271,12 @@ def test_v_is_spanned_by_bruhat_graph_edge_roots(text, system, vtable):
     # roots of the Bruhat-graph edges out of y inside [y, x] (Björner–Brenti,
     # Combinatorics of Coxeter Groups, ch. 2).  Shares no descent chain,
     # policy or unrolling with the table.  So "how far" splits as
-    # gj - dim V = (#edges - rank of the edge roots) - (#edges - gj).
+    # gj - dim V = (#edges - rank of the edge roots) - (#edges - gj), and
+    # #edges - gj further as Deodhar's excess #edges - l plus l - gj.
     divergent = edge_root_decomposition(system(text), vtable(text))
     if text in EDGE_HISTOGRAMS:
-        assert divergent == EDGE_HISTOGRAMS[text]
+        assert split(divergent, two_terms) == EDGE_HISTOGRAMS[text]
+        assert split(divergent, three_terms) == THREE_TERM_HISTOGRAMS[text]
 
 
 def inverse_pair_breaks(sys, vrows, rrows):
