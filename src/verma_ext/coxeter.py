@@ -28,13 +28,13 @@ The Bruhat order has three routes.  ``bruhat_index`` builds a numbered
 index: per element position, the bitmask of the positions below it.  From
 then on ``bruhat_leq`` answers with one bit test; before that it calls
 ``bruhat_leq_lifting``, a memoized recursion on the lifting property, so
-single-pair queries on a large group stay lazy.
-``subword_rows`` decides order by subword enumeration of one reduced word,
-on bare matrices it numbers in tables of its own, to cross-check the other
-two: a generator in length order, like ``walk``, that keeps two length
-layers and stops at the first y whose subwords are past an explicit
-budget.  ``descend`` is the one step, with its lifting check, of the
-single-pair recursions.
+single-pair queries on a large group stay lazy.  ``order_rows`` checks the
+index row by row against two more: the subwords of one reduced word, as
+bare matrix products looked up by matrix, and the lifting property on the
+largest descent.  It is a generator by position, like ``walk``, that keeps
+two length layers and stops at the first y whose subwords are past an
+explicit budget.  ``descend`` is the one step, with its lifting check, of
+the single-pair recursions.
 
 ``walk``, the one whole-group pass, takes that step for every strict pair,
 a row at a time by maps over positions, and hands each index row x, with
@@ -743,47 +743,48 @@ def walk(sys: CoxeterSystem, policy: str, *fills: Callable) -> Iterator[tuple]:
         yield x, lower, s, first, second, below, rows
 
 
-def subword_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, frozenset[int], list[IntMatrix]]]:
-    """Bruhat order by the subwords of one reduced word, as a cross-check: a row per y, by position.
+def order_rows(sys: CoxeterSystem) -> Iterator[tuple[GroupElement, frozenset[int], int]]:
+    """Two more routes to the Bruhat order, to cross-check the index: a row per y, by position.
 
-    Yields (y, products, numbered) for each y whose 2**length(y) subwords fit
-    ORACLE_BUDGET: products holds the numbers of the products of the subwords
-    of y's canonical reduced word, so x <= y iff x's matrix is numbered[n]
-    for an n in it.  The word of y is the word of ys plus s, for s its
-    smallest descent, so y's set is the set of ys and its images under s.
-    Each bare matrix is numbered on first sight, never by an element's id or
-    position, and each number is reflected by s once.  The set of ys is one
-    length shorter, so the generator keeps the sets of two length layers
-    only; its tables live as long as it does, and the system keeps none.
+    Yields (y, products, lifting) for each y whose 2**length(y) subwords fit
+    ORACLE_BUDGET.  products holds the positions of the products of the
+    subwords of y's canonical reduced word, the word of ys plus s for s the
+    smallest descent of y: the set of ys and its images under s, each one,
+    ys too, a bare matrix product looked up by its matrix, never a step of
+    the table, and each (position, s) reflected once.  lifting is the mask
+    of the x <= y by the lifting property on the mask of ys, for s the
+    largest descent of y: A | A s for A the elements of that mask with
+    ascent s (the index takes the smallest descent).  Both read only the
+    rows of ys, one length shorter, so the generator keeps two length layers.
     """
     cap = ORACLE_BUDGET.bit_length() - 1  # the longest y whose subwords fit the budget
-    numbers: dict[IntMatrix, int] = {}  # the number of each matrix reached
-    numbered: list[IntMatrix] = []  # the matrix of each number
-    reflected: list[dict[int, int]] = [{} for _ in range(sys.rank)]  # number of m -> of m s_i
-
-    def number(matrix: IntMatrix) -> int:
-        n = numbers.get(matrix)
-        if n is None:
-            n = numbers[matrix] = len(numbered)
-            numbered.append(matrix)
-        return n
-
-    length, layer, previous = 0, {}, {}  # y -> its set, for y's length and the one below
-    for y in enumerate_elements(sys):
+    elements = enumerate_elements(sys)
+    steps = _right_steps(sys)
+    position = {g.matrix: g.position for g in elements}
+    reflected = [{} for _ in range(sys.rank)]  # p -> the position of p s_i
+    has_descent = [sum(1 << g.position for g in elements if g.descents >> s & 1) for s in range(sys.rank)]
+    length, layer, previous = 0, {}, {}  # by position: (products, lifting), of y's length and the one below
+    for y in elements:
         if y.length > cap:
             return
         if y.length != length:
             length, layer, previous = y.length, {}, layer
-        if y.length:
-            s = pick_descent(sys, y, "smallest")
-            prefix, image = previous[right_multiply(sys, y, s)], reflected[s]
-            for n in prefix.difference(image):
-                image[n] = number(_col_reflect(numbered[n], s, sys._coupled[s]))
+        d = y.descents
+        if d:
+            s = (d & -d).bit_length() - 1
+            image, coupled = reflected[s], sys._coupled[s]
+            ys = image[y.position] = position[_col_reflect(y.matrix, s, coupled)]
+            prefix = previous[ys][0]
+            for p in prefix.difference(image):
+                image[p] = position[_col_reflect(elements[p].matrix, s, coupled)]
             products = prefix.union(map(image.__getitem__, prefix))
+            s = d.bit_length() - 1
+            ascents = previous[steps[s][y.position]][1] & ~has_descent[s]
+            lifting = ascents | _right_image(ascents, steps[s])
         else:
-            products = frozenset((number(y.matrix),))
-        layer[y] = products
-        yield y, products, numbered
+            products, lifting = frozenset((y.position,)), 1 << y.position
+        layer[y.position] = products, lifting
+        yield y, products, lifting
 
 
 def longest_element(sys: CoxeterSystem) -> GroupElement:

@@ -15,10 +15,11 @@ order:
 
 Each suite reports how many atomic checks ran and how many failed, plus a
 witness for the first failure, in a ``SuiteResult``, which formats that
-witness only when the payload is built.  Suite B, which reads
-no rows, runs first.  Then one ``coxeter.walk`` fills the V, R and direct
-count rows, handed over one row at a time (``_rows``): suites T and R check
-each row and are summed by ``SuiteResult.add``, and the V rows of the
+witness only when the payload is built.  Suite B runs first: it reads each
+index row beside the subword and lifting rows of ``coxeter.order_rows``, by
+position.  Then one ``coxeter.walk`` fills the V, R and direct count rows,
+handed over one row at a time (``_rows``): suites T and R check each row
+and are summed by ``SuiteResult.add``, and the V rows of the
 ``membership_elements`` are kept for suites S and M.  No pair is looked up
 by element or re-tested against the order, and each R-polynomial's shape
 and signed q-coefficient are read off the polynomial (``r_shaped`` and
@@ -42,7 +43,6 @@ from pathlib import Path
 from .coxeter import (
     DEFAULT_BUDGET,
     DESCENT_POLICIES,
-    GroupElement,
     braid_order,
     bruhat_index,
     build_system,
@@ -51,12 +51,10 @@ from .coxeter import (
     identity,
     longest_element,
     multiply,
+    order_rows,
     simple_reflection,
-    subword_rows,
     walk,
     word_text,
-    _right_image,
-    _right_steps,
 )
 # load_rtable by attribute: perfbench's tracer spans a function imported by name, and a
 # span around it would hide the RTable.load_csv span inside
@@ -158,52 +156,27 @@ def _suite_g(sys) -> SuiteResult:
     return out
 
 
-def _order_rows(sys) -> Iterator[tuple[GroupElement, int, int, int]]:
-    """(y, index, lifting, oracle) for each y that ``subword_rows`` reaches, by position.
-
-    Each row is the bitmask of the positions of the x <= y, by one route:
-    y's index mask, from ``bruhat_index``; the lifting property on the
-    lifting row L of ys, for s the largest descent of y (x <= y iff x <= ys
-    when xs > x, iff xs <= ys when xs < x), that is A | A s for A the
-    elements of L with ascent s, where the index takes the smallest descent
-    and D(ws) | D(ws) s; and y's subword products from ``subword_rows``,
-    each oracle number mapped to a position once, where distinct numbers
-    make the sum of bits an OR.
-    """
-    index = bruhat_index(sys)  # or refuses a group too large to walk, first
-    elements = enumerate_elements(sys)
-    steps = _right_steps(sys)
-    has_descent = [sum(1 << g.position for g in elements if g.descents >> s & 1)
-                   for s in range(sys.rank)]
-    position = {g.matrix: g.position for g in elements}
-    to_position: list[int] = []  # by the oracle's number
-    lifting = [1]  # by position: the identity is below itself alone
-    for y, products, numbered in subword_rows(sys):  # the oracle's tables go with the generator
-        if y.descents:
-            s = y.descents.bit_length() - 1
-            ascents = lifting[steps[s][y.position]] & ~has_descent[s]
-            lifting.append(ascents | _right_image(ascents, steps[s]))
-        to_position += map(position.__getitem__, numbered[len(to_position):])
-        by_oracle = sum(map((1).__lshift__, map(to_position.__getitem__, products)))
-        yield y, index[y.position], lifting[y.position], by_oracle
-
-
 def _suite_b(sys) -> SuiteResult:
     """Lifting recursion, Bruhat index and subword oracle agree on every pair within budget.
 
-    The routes are compared as one mask per y (``_order_rows``), which checks
-    |W| pairs; each set bit of (index ^ lifting) | (index ^ oracle) is a failed
-    pair, and the witness is the first, by position of y and then of x.
+    The routes are compared as one mask of the x <= y per y, by position:
+    y's index mask, and the lifting mask and the oracle's subword products
+    from ``order_rows``, whose distinct positions make the sum of their bits
+    an OR.  That checks |W| pairs per y; each set bit of
+    (index ^ lifting) | (index ^ oracle) is a failed pair, and the witness is
+    the first, by position of y and then of x.
     """
     out = SuiteResult("B")
+    index = bruhat_index(sys)  # or refuses a group too large to walk, first
     elements = enumerate_elements(sys)
-    for y, index, lifting, oracle in _order_rows(sys):
+    for y, products, lifting in order_rows(sys):
         out.checked += len(elements)
-        wrong = (index ^ lifting) | (index ^ oracle)
+        below, oracle = index[y.position], sum(map((1).__lshift__, products))
+        wrong = (below ^ lifting) | (below ^ oracle)
         if wrong:
             k = (wrong & -wrong).bit_length() - 1
             out.note_failure(partial(_witness, sys, elements[k], y, recursive=bool(lifting >> k & 1),
-                                     index=bool(index >> k & 1), oracle=bool(oracle >> k & 1)),
+                                     index=bool(below >> k & 1), oracle=bool(oracle >> k & 1)),
                              wrong.bit_count())
     return out
 

@@ -2,7 +2,10 @@
 
 Expected values are frozen from independent sources: group orders and root
 counts are classical, and every Bruhat answer is cross-checked against the
-exhaustive subword oracle, ``subword_rows``, inside the tests themselves.
+exhaustive subword oracle of ``order_rows`` inside the tests themselves.
+The oracle takes its products as bare matrix products, so a wrong entry in
+the table of right products that the index and the lifting route read
+shows as a disagreement with it.
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ from verma_ext.coxeter import (
     identity,
     longest_element,
     multiply,
+    order_rows,
     parse_word,
     pick_descent,
     recount_length,
     reduced_word,
     right_multiply,
     simple_reflection,
-    subword_rows,
     word_text,
 )
 from verma_ext.errors import InvalidType, InvariantViolation, ParseError, RankOverflow
@@ -347,11 +350,10 @@ def test_bruhat_recursion_matches_subword_oracle(text):
     elems = enumerate_elements(sys)
     cap = ORACLE_BUDGET.bit_length() - 1  # B4's longest words are past the oracle's budget
     seen = []
-    for y, products, numbered in subword_rows(sys):
+    for y, products, lifting in order_rows(sys):
         seen.append(y)
-        below = {numbered[n] for n in products}
         for x in elems:
-            assert bruhat_leq_lifting(sys, x, y) == (x.matrix in below)
+            assert bruhat_leq_lifting(sys, x, y) == (x.position in products) == bool(lifting >> x.position & 1)
     assert seen == [y for y in elems if y.length <= cap]
     assert sys._below is None
     pairs = tuple(comparable_pairs(sys))
@@ -429,30 +431,36 @@ def test_walk_keeps_two_length_layers_of_rows():
     assert max(made.values()) > 1 and len(made) == longest_element(sys).length + 1
 
 
-def test_subword_rows_stop_at_length_12():
+def test_order_rows_stop_at_length_12():
     # 2**12 subwords fit ORACLE_BUDGET = 4096 and 2**13 do not; D5's
     # longest element, of length 20, is far past the cap
     d5 = build_system("D5")
     e, w0 = identity(d5), longest_element(d5)
     assert w0.length == 20
     elems = enumerate_elements(d5)
-    rows = [(y, {numbered[n] for n in products}) for y, products, numbered in subword_rows(d5)]
+    rows = [(y, products) for y, products, _ in order_rows(d5)]
     assert [y for y, _ in rows] == [y for y in elems if y.length <= 12]
-    assert rows[-1][0].length == 12 and e.matrix in rows[-1][1]
+    assert rows[-1][0].length == 12 and e.position in rows[-1][1]
     assert any(y.length == 13 for y in elems)
 
 
-def test_subword_rows_keep_two_length_layers_of_sets():
-    # The set of y reads only the set of ys, one length shorter, so at each
-    # yield the generator holds the sets of y's layer so far and of the
-    # whole layer below it, and none shorter.
+def test_order_rows_keep_two_length_layers_of_rows():
+    # The subword set and the lifting mask of y read only those of ys, one
+    # length shorter, so at each yield the generator holds the rows of y's
+    # layer so far and of the whole layer below it, by position, and none
+    # shorter: no lifting mask outlives the layer after its own.
     sys = build_system("B3")
     elems = enumerate_elements(sys)
-    rows = subword_rows(sys)
-    for y, *_ in rows:
+    index = bruhat_index(sys)
+    rows = order_rows(sys)
+    for y, products, lifting in rows:
         held = rows.gi_frame.f_locals
-        assert list(held["layer"]) == [g for g in elems if g.length == y.length and g.position <= y.position]
-        assert list(held["previous"]) == [g for g in elems if g.length == y.length - 1]
+        layer, previous = held["layer"], held["previous"]
+        assert list(layer) == [g.position for g in elems if g.length == y.length and g.position <= y.position]
+        assert list(previous) == [g.position for g in elems if g.length == y.length - 1]
+        assert layer[y.position] == (products, lifting)
+        kept = {**previous, **layer}
+        assert [mask for _, mask in kept.values()] == index[min(kept):y.position + 1]
 
 
 def test_bruhat_respects_products(system):
@@ -609,10 +617,10 @@ def test_a_run_walks_the_group_once_and_leaves_only_the_index_masks(command, mon
 
 
 def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
-    # Suite B alone runs the subword oracle, a generator that holds the
-    # subword products, the numbers of their matrices and the reflections
-    # they take; it is freed once the suite returns.  A whole verify pass
-    # leaves the lifting memo empty, and a later single-pair query refills it.
+    # Suite B alone runs ``order_rows``, a generator that holds the subword
+    # products, the lifting masks and the reflections they take; it is freed
+    # once the suite returns.  A whole verify pass leaves the lifting memo
+    # empty, and a later single-pair query refills it.
     built, oracles, freed = [], [], []
 
     def build(*args, **kwargs):
@@ -620,7 +628,7 @@ def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
         return built[-1]
 
     def make_oracle(sys):
-        oracle = subword_rows(sys)
+        oracle = order_rows(sys)
         oracles.append(weakref.ref(oracle))
         return oracle
 
@@ -632,7 +640,7 @@ def test_a_verify_pass_leaves_no_suite_b_state(monkeypatch):
         return result
 
     monkeypatch.setattr(verify, "build_system", build)
-    monkeypatch.setattr(verify, "subword_rows", make_oracle)
+    monkeypatch.setattr(verify, "order_rows", make_oracle)
     monkeypatch.setattr(verify, "_SUITES", (t, g, suite_b, r, s, m))
     payload = verify.run_verify("B3")
     assert [s["checked"] for s in payload["suites"] if s["name"] == "B"] == [2304]
@@ -717,28 +725,29 @@ def test_suite_b_rows_match_the_recursion_and_the_oracle_pair_by_pair(text):
     elems = enumerate_elements(sys)
     cap = ORACLE_BUDGET.bit_length() - 1
     seen = []
-    for y, index, lifting, oracle in verify._order_rows(sys):
+    index = bruhat_index(sys)
+    for y, products, lifting in order_rows(sys):
         seen.append(y)
         for x in elems:
             assert bool(lifting >> x.position & 1) is bruhat_leq_lifting(sys, x, y)
-            assert bool(oracle >> x.position & 1) is bruhat_leq_lifting(sys, x, y)
-            assert bool(index >> x.position & 1) is bruhat_leq(sys, x, y)
+            assert (x.position in products) is bruhat_leq_lifting(sys, x, y)
+            assert bool(index[y.position] >> x.position & 1) is bruhat_leq(sys, x, y)
     assert seen == [y for y in elems if y.length <= cap]
 
 
 @pytest.mark.parametrize("text", ["A2", "B2"])
 def test_suite_b_flags_an_oracle_row_that_lost_a_matrix(text, monkeypatch):
-    # Every row above the identity loses the oracle's number for the
-    # identity's matrix, so each y != e fails once, at x = e.  Only suite
+    # Every row above the identity loses the identity's position from its
+    # subword products, so each y != e fails once, at x = e.  Only suite
     # B's view loses it: the rows the oracle builds on stay whole.
     sys = build_system(text)
     e = identity(sys)
 
     def lossy(sys):
-        for y, products, numbered in subword_rows(sys):
-            yield y, products - ({numbered.index(e.matrix)} if y is not e else set()), numbered
+        for y, products, lifting in order_rows(sys):
+            yield y, products - ({e.position} if y is not e else set()), lifting
 
-    monkeypatch.setattr(verify, "subword_rows", lossy)
+    monkeypatch.setattr(verify, "order_rows", lossy)
     result = verify._suite_b(sys)
     elems = enumerate_elements(sys)
     assert (result.checked, result.failed) == (len(elems) ** 2, len(elems) - 1)
@@ -759,6 +768,23 @@ def test_suite_b_counts_each_pair_an_index_row_lost():
     assert result.as_dict()["witnesses"] == [
         {"x": word_text(sys, lost[1]), "y": "0,1,2,0,1,0", "recursive": True,
          "index": False, "oracle": True}
+    ]
+
+
+def test_suite_b_oracle_reads_no_step_of_the_product_table():
+    # One wrong entry in the table of right products, planted after the
+    # enumeration and before the index: the product of s1 and s0 reads s2 s0.
+    # The index and the lifting route take their steps from that table, so
+    # both lose s1 s0 from its own row; the oracle takes each image as a bare
+    # matrix product, so it keeps the pair and disagrees with both.
+    sys = build_system("A3")  # its own system, as the test plants a fault in its table
+    enumerate_elements(sys)
+    s1 = element_from_word(sys, (1,))
+    sys._rmul[s1.id][0] = element_from_word(sys, (2, 0)).id
+    result = verify._suite_b(sys)
+    assert (result.checked, result.failed) == (24 * 24, 43)
+    assert result.as_dict()["witnesses"] == [
+        {"x": "1,0", "y": "1,0", "recursive": False, "index": False, "oracle": True}
     ]
 
 

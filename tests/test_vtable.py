@@ -10,12 +10,16 @@ reachable from a top row by such moves.  ``stepwise_v`` takes the
 recursion one reflection per step, a second route to every subspace that
 shares only the descent step and the echelon form with the unrolled chain.
 The span of the Bruhat-graph edge roots out of y is a third route that
-shares no recursion with the table at all.
+shares no recursion with the table at all, and Dyer's count of the
+increasing Bruhat-graph paths in a reflection order gives R(y, x) without
+one.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from math import comb
 from operator import mul
 
 import pytest
@@ -376,6 +380,103 @@ def test_a3_divergence_has_four_edges_spanning_three_dimensions(system, vtable, 
     assert sorted(edges) == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
     assert gj_coefficient(a3, x, y, rtable("A3")) == 4
     assert RationalSubspace(3, edges).dim == reader(a3, vtable("A3"))(x, y).dim == 3
+
+
+# ---------------------------------------------------------------------------
+# an R route that reads no recursion: Dyer's count of increasing paths
+
+
+def reflection_order(sys):
+    """The reflections of a reduced word s_{i1} ... s_{iN} of w0, in order: t_k = s_{i1} ... s_{ik} ... s_{i1}.
+
+    They are the inversions of the word, which form a reflection order
+    (Björner–Brenti, Combinatorics of Coxeter Groups, Prop. 5.2.1).
+    """
+    word = reduced_word(sys, longest_element(sys))
+    return [element_from_word(sys, word[:k + 1] + word[:k][::-1]) for k in range(len(word))]
+
+
+PATH_BITS = 32  # bits per path length in a packed count
+
+
+def increasing_path_counts(sys, order):
+    """By position of x, {position of y: the counts c_k of the increasing paths from y to x, packed}.
+
+    A path of length k steps along k Bruhat-graph edges u -> u t, with
+    l(u t) > l(u), whose labels t increase in ``order``; c_k is bits
+    k * PATH_BITS onward of the packed count.  The count sweeps the labels
+    in order: the edge u -> u t of label t extends each path into u, whose
+    labels all come before t, to u t.  As (u t) t = u, no element is both
+    the tail and the head of an edge of one label, so the order of a
+    label's edges does not matter and no path takes a label twice.
+    """
+    elements = enumerate_elements(sys)
+    rows = [{g.position: 1} for g in elements]  # the path of length 0
+    for t in order:
+        for u in elements:
+            head = multiply(sys, u, t)
+            if head.length > u.length:
+                row = rows[head.position]
+                for p, count in rows[u.position].items():
+                    row[p] = row.get(p, 0) + (count << PATH_BITS)
+    return rows
+
+
+def dyer_sum(packed, ell):
+    """(sum_k c_k q^((l - k)/2) (q - 1)^k, l - c_{l-2}) for the counts packed as ``increasing_path_counts`` packs them.
+
+    None when a count has the wrong parity: a reflection has odd length, so
+    every path from y to x has the parity of l = l(x) - l(y).
+    """
+    c = [packed >> k * PATH_BITS & ((1 << PATH_BITS) - 1) for k in range(ell + 1)]
+    if any(c[k] for k in range(1 - ell % 2, ell + 1, 2)):
+        return None
+    coeffs = [0] * (ell + 1)
+    for k in range(ell % 2, ell + 1, 2):
+        for j in range(k + 1):
+            coeffs[(ell - k) // 2 + j] += c[k] * comb(k, j) * (-1) ** (k - j)
+    return IntPolynomial(coeffs), ell - (c[ell - 2] if ell >= 2 else 0)
+
+
+def dyer_breaks(sys, rrows, order):
+    """The pairs y <= x whose R(y, x) is not Dyer's sum over the increasing paths of ``order``, in walk order.
+
+    Dyer's formula is R(y, x) = sum_k c_k q^((l - k)/2) (q - 1)^k for
+    l = l(x) - l(y) (Dyer, Compositio Math. 89, 1993; Björner–Brenti, §5.3),
+    compared coefficient by coefficient, so gj = l - c_{l-2}, which is
+    checked too.  It reads neither a descent chain nor the recursion.  The
+    sum is taken once per distinct (counts, l).
+    """
+    counts = increasing_path_counts(sys, order)
+    sums, breaks = {}, []
+    for x, y, poly in filled_pairs(sys, rrows):
+        key = counts[x.position].get(y.position, 0), x.length - y.length
+        if key not in sums:
+            sums[key] = dyer_sum(*key)
+        if sums[key] != (poly, poly.gj):
+            breaks.append((x, y))
+    return breaks
+
+
+@pytest.mark.parametrize("text", PRESETS + ("B4",))
+def test_r_is_dyers_sum_over_increasing_paths(text, system):
+    sys = system(text)
+    assert dyer_breaks(sys, table_rows(sys, RTable(sys).row_fill()), reflection_order(sys)) == []
+
+
+# pairs whose R(y, x) breaks Dyer's formula under a seeded shuffle of the order, of all pairs
+SHUFFLED_BREAKS = {"A3": (54, 213), "B3": (417, 847), "D4": (6_194, 9_817)}
+
+
+@pytest.mark.parametrize("text", SHUFFLED_BREAKS)
+def test_dyers_sum_needs_a_reflection_order(text, system):
+    # The same labels in a shuffled order are no reflection order, so the
+    # count breaks the formula: the check above reads the order it is given.
+    sys = system(text)
+    rng = random.Random(2010)  # random() keeps its sequence across Python versions; shuffle() need not
+    order = sorted(reflection_order(sys), key=lambda t: rng.random())
+    rrows = table_rows(sys, RTable(sys).row_fill())
+    assert (len(dyer_breaks(sys, rrows, order)), sum(map(len, rrows))) == SHUFFLED_BREAKS[text]
 
 
 # ---------------------------------------------------------------------------

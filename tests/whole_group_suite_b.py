@@ -1,7 +1,8 @@
 """Frozen suite B counts of B5 (3,840 elements) and A6 (5,040), with suite B run alone.
 
-Suite B compares the lifting, index and oracle rows of every y whose
-subwords fit the oracle's budget, so it checks |W| pairs per such y.  The
+Suite B compares the index row of every y whose subwords fit the oracle's
+budget with the lifting and subword rows that ``coxeter.order_rows`` gives
+for y, by position, so it checks |W| pairs per such y.  The
 two groups build their index first and then run the suite by itself, which
 takes about ten seconds, so this file stays out of the default collection
 (its name does not match ``test_*.py``) and CI runs it as a step of its own:
